@@ -159,9 +159,10 @@ def generate_snapshot(p: ModelParams, rng) -> Snapshot:
 def generate_sparse_snapshot(p: ModelParams, rng) -> Snapshot:
     """Draw a sparse-variant snapshot: node i is the single activated node
     with probability a_i, and no node activates with probability 1 - sum(a)."""
-    p.require_sparse()
-    u = rng.random()
     cum = _rates_cumsum(p)
+    if cum[-1] > 1.0:
+        raise ValueError(f"sparse variant needs sum of activity rates <= 1, got {cum[-1]}")
+    u = rng.random()
     if u >= cum[-1]:
         return Snapshot(p.n, (), "sparse")
     for i, c in enumerate(cum):

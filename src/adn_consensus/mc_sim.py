@@ -1,14 +1,17 @@
 """Monte Carlo engine for the sampled consensus dynamics, survival-curve
 estimation, and decay-rate fitting.
 
-Each sample path runs on its own RNG stream, ``default_rng(seed ^ path_index)``,
-and exceedance counts are aggregated as exact integers, so results are
-identical for any degree of parallelism, including sequential execution.
+Every snapshot kernel contracts the disagreement, so each path stops at its
+first passage below eps and the survival curve is one minus the empirical
+CDF of the first-passage times. Each path runs on its own RNG stream,
+``default_rng(seed ^ path_index)``, and counts are aggregated as exact
+integers, so results are identical for any degree of parallelism.
 """
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,12 +30,14 @@ from .graph_core import expm_sym
 @dataclass(frozen=True, eq=False)
 class SurvivalCurve:
     """Estimated P(sup over k >= K of squared off-consensus norm >= eps),
-    indexed by K = 0..k_max. Non-increasing in K by construction."""
+    indexed by K = 0..k_max, non-increasing in K. Read off first-passage
+    times, which is valid while ``norm_rises`` (event steps where the
+    disagreement grew beyond rounding) is 0."""
 
     eps: float
     probs: np.ndarray
     paths: int
-    fitted_rate: float | None = None
+    norm_rises: int = 0
 
 
 @dataclass(frozen=True)
@@ -90,40 +95,31 @@ def step(z, s: Snapshot, dt: float) -> np.ndarray:
     return E @ z
 
 
-def _path_norms(p, model, rule, z0, k_max, rng):
-    z = z0.copy()
-    cur = off_consensus_sq(z)
-    norms = np.empty(k_max + 1)
-    norms[0] = cur
-    dt = p.dt
-    for k in range(k_max):
-        if model == "sparse":
-            s = generate_sparse_snapshot(p, rng)
-        elif model == "fastswitch":
-            s = generate_fastswitch_snapshot(p, rule, rng)
-        else:
-            s = generate_snapshot(p, rng)
-        if s.events:
-            z = step(z, s, dt)
-            cur = off_consensus_sq(z)
-        norms[k + 1] = cur
-    return norms
-
-
 def _count_exceed(p, model, rule, z0, k_max, eps, seed, lo, hi):
-    """Exceedance counts over paths lo..hi-1: for each K, how many paths
-    have suffix-max squared disagreement >= eps."""
-    counts = np.zeros(k_max + 1, dtype=np.int64)
-    for idx in range(lo, hi):
+    """Survival counts over paths lo..hi-1 from each path's first-passage
+    time tau below eps (k_max + 1 if it never drops): counts[K] = #{paths
+    with tau > K}. Also returns the paths' total norm rises."""
+    if model == "sparse":
+        draw = partial(generate_sparse_snapshot, p)
+    elif model == "fastswitch":
+        draw = partial(generate_fastswitch_snapshot, p, rule)
+    else:
+        draw = partial(generate_snapshot, p)
+    taus = np.empty(hi - lo, dtype=np.int64)
+    rises = 0
+    for j, idx in enumerate(range(lo, hi)):
         rng = np.random.default_rng(seed ^ idx)
-        norms = _path_norms(p, model, rule, z0, k_max, rng)
-        suffix = np.maximum.accumulate(norms[::-1])[::-1]
-        counts += suffix >= eps
-    return counts
-
-
-def _count_exceed_args(args):
-    return _count_exceed(*args)
+        z, cur, k = z0, off_consensus_sq(z0), 0
+        while cur >= eps and k < k_max:
+            k += 1
+            s = draw(rng)
+            if s.events:
+                z = step(z, s, p.dt)
+                new = off_consensus_sq(z)
+                rises += new > cur * (1.0 + 1e-12) + 1e-15
+                cur = new
+        taus[j] = k if cur < eps else k_max + 1
+    return (hi - lo) - np.cumsum(np.bincount(taus, minlength=k_max + 2)[:-1]), rises
 
 
 def run_paths(
@@ -139,10 +135,10 @@ def run_paths(
 ) -> SurvivalCurve:
     """Estimate the survival curve from n_paths independent sample paths.
 
-    Per path: simulate k_max steps from z0, record the squared disagreement
-    at every step, take suffix maxima with one backward sweep, and mark for
-    each K whether the suffix max reaches eps. probs[K] is the marked
-    fraction. Deterministic given the seed for any n_jobs.
+    Per path: simulate from z0 until the squared disagreement first drops
+    below eps, at step tau. probs[K] = #{tau > K} / n_paths, which is the
+    fraction whose suffix max from K on reaches eps because every snapshot
+    kernel contracts the disagreement. Deterministic for any n_jobs.
     """
     if model not in ("full", "sparse", "fastswitch"):
         raise ValueError(f"unknown model tag {model!r}")
@@ -162,7 +158,7 @@ def run_paths(
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
     if n_jobs <= 1:
-        counts = _count_exceed(p, model, rule, z0, k_max, eps, seed, 0, n_paths)
+        parts = [_count_exceed(p, model, rule, z0, k_max, eps, seed, 0, n_paths)]
     else:
         q, r = divmod(n_paths, n_jobs)
         bounds, lo = [], 0
@@ -173,10 +169,10 @@ def run_paths(
             lo = hi
         jobs = [(p, model, rule, z0, k_max, eps, seed, lo, hi) for lo, hi in bounds]
         with ProcessPoolExecutor(max_workers=len(jobs)) as ex:
-            parts = list(ex.map(_count_exceed_args, jobs))
-        counts = np.sum(parts, axis=0)
+            parts = list(ex.map(_count_exceed, *zip(*jobs)))
+    counts, rises = map(sum, zip(*parts))
     probs = counts / float(n_paths)
-    return SurvivalCurve(eps=eps, probs=probs, paths=n_paths)
+    return SurvivalCurve(eps=eps, probs=probs, paths=n_paths, norm_rises=rises)
 
 
 def fit_decay_stats(curve: SurvivalCurve, window: tuple | None = None) -> DecayFit:

@@ -3,7 +3,9 @@
 Everything here favors obviousness over speed: exact integer matrix
 algebra over Python lists, truncated Taylor series with scaling and
 squaring, cyclic Jacobi rotations, exhaustive bitmask enumerations. None
-of it routes through the package under test.
+of it routes through the package under test, except that the survival-curve
+reference takes the package's sampling primitives as arguments: exact
+equality with the package needs the package's own random streams.
 """
 
 import math
@@ -128,3 +130,27 @@ def bruteforce_poisson_binomial(probs):
                 prob *= 1.0 - probs[j]
         pmf[cnt] += prob
     return pmf
+
+
+def suffix_max_survival(draw, advance, norm, z0, k_max, n_paths, eps, seed):
+    """Survival curve by its definition: run path i the full k_max steps on
+    stream default_rng(seed ^ i), record the squared disagreement after
+    every step, take suffix maxima with one backward sweep, and count for
+    each K the paths whose suffix max from K on reaches eps.
+
+    ``draw(rng)`` samples a snapshot, ``advance(z, snapshot)`` applies it
+    and ``norm(z)`` is the squared disagreement. Nothing here assumes that
+    the disagreement contracts."""
+    counts = np.zeros(k_max + 1, dtype=np.int64)
+    for i in range(n_paths):
+        rng = np.random.default_rng(seed ^ i)
+        z = np.array(z0, dtype=np.float64)
+        norms = [norm(z)]
+        for _ in range(k_max):
+            s = draw(rng)
+            if s.events:
+                z = advance(z, s)
+            norms.append(norm(z))
+        suffix = np.maximum.accumulate(np.asarray(norms)[::-1])[::-1]
+        counts += suffix >= eps
+    return counts / float(n_paths)

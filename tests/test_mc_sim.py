@@ -1,5 +1,8 @@
+import json
 import math
+from functools import partial
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +13,25 @@ from adn_consensus import (
     Snapshot,
     StarSpec,
     SurvivalCurve,
+    TieBreakRule,
     UNIFORM_TIE_BREAK,
     expm_sym,
     fit_decay_rate,
     fit_decay_stats,
+    generate_fastswitch_snapshot,
+    generate_snapshot,
+    generate_sparse_snapshot,
+    mc_sim,
     off_consensus_sq,
     project_off_consensus,
     run_paths,
     snapshot_laplacian,
     step,
 )
-from oracles import star_laplacian_ints, taylor_expm
+from adn_consensus.cli import parse_config, resolve_config
+from oracles import star_laplacian_ints, suffix_max_survival, taylor_expm
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestProjection:
@@ -209,6 +220,110 @@ class TestRunPaths:
         big = ModelParams(3, 1, (0.9, 0.8, 0.7), 1.0)
         with pytest.raises(ValueError):
             run_paths(big, "sparse", UNIFORM_TIE_BREAK, z0, 5, 5, 0.1, 0)
+
+
+def oracle_case(case: int) -> dict:
+    """Seeded random small run_paths arguments. The variant cycles with the
+    case number; case % 10 picks a special start: 0 a consensus start
+    (tau = 0), 1 an eps above the start value, 2 an eps so small that
+    paths are censored at k_max. Every 40th case runs on two workers."""
+    rng = np.random.default_rng(5150 + case)
+    model = ("full", "sparse", "fastswitch")[case % 3]
+    n = int(rng.integers(3, 7))
+    m = int(rng.integers(1, n))
+    a = rng.uniform(0.05, 0.9, n)
+    if model == "sparse":
+        a = a / (a.sum() * rng.uniform(1.05, 1.5))
+    p = ModelParams(n, m, tuple(a), float(rng.uniform(0.1, 1.5)))
+    z0 = rng.uniform(-1.0, 1.0, n)
+    start = off_consensus_sq(z0)
+    eps = float(rng.uniform(0.01, 0.5)) * start
+    k_max = int(rng.integers(5, 31))
+    kind = case % 10
+    if kind == 0:
+        z0 = np.full(n, z0[0])
+    elif kind == 1:
+        eps = 1.5 * start
+    elif kind == 2:
+        eps = 1e-30 * start
+        k_max = int(rng.integers(2, 6))
+    rule = UNIFORM_TIE_BREAK
+    if model == "fastswitch" and case % 6 == 5:
+        table = {}
+        for size in range(2, n + 1):
+            for s in combinations(range(1, n + 1), size):
+                w = rng.uniform(0.1, 1.0, size)
+                table[frozenset(s)] = dict(zip(s, (w / w.sum()).tolist()))
+        rule = TieBreakRule("table", table)
+    return dict(
+        p=p,
+        model=model,
+        rule=rule,
+        z0=z0,
+        k_max=k_max,
+        n_paths=int(rng.integers(5, 25)),
+        eps=eps,
+        seed=int(rng.integers(0, 2**63)),
+        n_jobs=2 if case % 40 == 13 else 1,
+    )
+
+
+class TestFirstPassageOracle:
+    """run_paths reads the curve off first-passage times; the oracle runs
+    every path to k_max and takes suffix maxima. On the same streams the
+    two must agree exactly."""
+
+    @pytest.mark.parametrize("case", range(160))
+    def test_matches_suffix_max_oracle(self, case):
+        c = oracle_case(case)
+        p = c["p"]
+        draw = {
+            "full": partial(generate_snapshot, p),
+            "sparse": partial(generate_sparse_snapshot, p),
+            "fastswitch": partial(generate_fastswitch_snapshot, p, c["rule"]),
+        }[c["model"]]
+        curve = run_paths(**c)
+        ref = suffix_max_survival(
+            draw,
+            lambda z, s: step(z, s, p.dt),
+            off_consensus_sq,
+            c["z0"],
+            c["k_max"],
+            c["n_paths"],
+            c["eps"],
+            c["seed"],
+        )
+        assert np.array_equal(curve.probs, ref)
+        assert curve.norm_rises == 0
+        kind = case % 10
+        if kind == 0 or kind == 1:
+            assert not curve.probs.any()
+        elif kind == 2:
+            assert curve.probs[-1] > 0
+
+
+def config_run(name: str, n_paths: int) -> SurvivalCurve:
+    cfg = parse_config(json.loads((CONFIGS / name).read_text()))
+    p, rule, z0, _ = resolve_config(cfg)
+    return run_paths(
+        p, cfg["model"], rule, z0, cfg["k_max"], n_paths, cfg["eps"], cfg["seed"]
+    )
+
+
+class TestNormRises:
+    @pytest.mark.parametrize("name, n_paths", [("small10.json", 200), ("large50.json", 40)])
+    def test_zero_on_shipped_configs(self, name, n_paths):
+        curve = config_run(name, n_paths)
+        assert curve.norm_rises == 0
+        assert curve.probs[0] == 1.0 and curve.probs[-1] < 1.0
+
+    def test_counts_an_expanding_step(self, monkeypatch):
+        monkeypatch.setattr(mc_sim, "step", lambda z, s, dt: 1.5 * z)
+        p = ModelParams(4, 2, (0.5, 0.4, 0.3, 0.6), 1.0)
+        z0 = np.array([1.0, -0.5, 0.25, 0.0])
+        curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 20, 10, 0.05, 3)
+        assert curve.norm_rises > 0
+        assert np.array_equal(curve.probs, np.ones(21))
 
 
 class TestDecayFit:
