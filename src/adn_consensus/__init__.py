@@ -33,7 +33,6 @@ from .graph_core import (
 from .mc_sim import (
     DecayFit,
     SurvivalCurve,
-    fit_decay_rate,
     fit_decay_stats,
     off_consensus_sq,
     project_off_consensus,
@@ -74,7 +73,6 @@ __all__ = [
     "enumerate_expected_exponential",
     "enumeration_size",
     "expm_sym",
-    "fit_decay_rate",
     "fit_decay_stats",
     "gamma_fs",
     "gamma_sp",

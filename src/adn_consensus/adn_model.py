@@ -10,7 +10,7 @@ parallel streams derive one generator per unit of work as
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class ModelParams:
     ``a`` holds per-node activity rates in (0, 1]. ``dt`` is the sampling
     period; 0 is admitted so the no-motion limit stays representable.
     The sparse variant additionally needs sum(a) <= 1, checked at the point
-    of use rather than here.
+    of use by ``require_sparse`` rather than here.
     """
 
     n: int
@@ -45,14 +45,16 @@ class ModelParams:
         if not (self.dt >= 0.0) or not math.isfinite(self.dt):
             raise ValueError(f"sampling period must be >= 0, got {self.dt}")
 
-    @property
+    @cached_property
     def rate_sum(self) -> float:
         return float(sum(self.a))
 
     def require_sparse(self):
+        """The sparse variant's gate: sum(a) <= 1."""
         if self.rate_sum > 1.0:
             raise ValueError(
-                f"sparse variant needs sum of activity rates <= 1, got {self.rate_sum}"
+                f"activity: rate sum {self.rate_sum} exceeds 1; the sparse variant "
+                "requires sum(a) <= 1"
             )
 
 
@@ -62,20 +64,15 @@ class Snapshot:
 
     n: int
     events: tuple
-    kind: str = "full"
 
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
-        if self.kind not in ("full", "sparse", "fastswitch"):
-            raise ValueError(f"unknown snapshot kind {self.kind!r}")
         for e in self.events:
             if e.n != self.n:
                 raise ValueError(
                     f"event is sized for {e.n} nodes, snapshot has {self.n}"
                 )
         if len(self.events) > 1:
-            if self.kind != "full":
-                raise ValueError(f"{self.kind} snapshots carry at most one event")
             centers = [e.center for e in self.events]
             if len(set(centers)) != len(centers):
                 raise ValueError("event centers must be distinct")
@@ -100,19 +97,26 @@ class TieBreakRule:
             if not self.table:
                 raise ValueError("table mode needs a weight table")
             for s, weights in self.table.items():
-                s = frozenset(s)
-                if len(s) < 2:
-                    raise ValueError("table entries are for sets of >= 2 nodes")
-                if set(weights) - s:
-                    raise ValueError(f"weights for {sorted(s)} name nodes outside the set")
-                vals = list(weights.values())
-                if any(w < 0 for w in vals):
-                    raise ValueError("tie-break weights must be >= 0")
-                if abs(sum(vals) - 1.0) > 1e-12:
-                    raise ValueError(f"weights for {sorted(s)} sum to {sum(vals)}, not 1")
+                self.check_entry(frozenset(s), weights)
+
+    @staticmethod
+    def check_entry(s: frozenset, weights: dict):
+        """Raise ValueError unless ``weights`` is a survivor distribution
+        over the activated set ``s`` of two or more nodes."""
+        if len(s) < 2:
+            raise ValueError("table entries are for sets of >= 2 nodes")
+        if set(weights) - s:
+            raise ValueError(f"weights for {sorted(s)} name nodes outside the set")
+        vals = list(weights.values())
+        if any(not (math.isfinite(w) and w >= 0) for w in vals):
+            raise ValueError(f"tie-break weights must be finite and >= 0, got {vals}")
+        if abs(sum(vals) - 1.0) > 1e-12:
+            raise ValueError(f"weights for {sorted(s)} sum to {sum(vals)}, not 1")
 
     def weights_for(self, active: frozenset) -> dict:
-        if self.mode == "uniform":
+        """Survivor weights over a nonempty activated set; a lone activated
+        node survives with weight 1 under either mode."""
+        if self.mode == "uniform" or len(active) == 1:
             w = 1.0 / len(active)
             return {i: w for i in active}
         if active not in self.table:
@@ -123,6 +127,17 @@ class TieBreakRule:
 
 
 UNIFORM_TIE_BREAK = TieBreakRule("uniform")
+
+
+def activation_sets(p: ModelParams):
+    """Yield (members, probability) for each of the 2**n activation sets:
+    the activated node ids in increasing order, and the product of a_i over
+    the members and 1 - a_i over the other nodes."""
+    for mask in range(1 << p.n):
+        prob = 1.0
+        for i in range(p.n):
+            prob *= p.a[i] if mask >> i & 1 else 1.0 - p.a[i]
+        yield tuple(i + 1 for i in range(p.n) if mask >> i & 1), prob
 
 
 @lru_cache(maxsize=None)
@@ -153,23 +168,22 @@ def generate_snapshot(p: ModelParams, rng) -> Snapshot:
         if u[i] < p.a[i]:
             center = i + 1
             events.append(StarSpec(p.n, center, _sample_m_subset(p.n, center, p.m, rng)))
-    return Snapshot(p.n, tuple(events), "full")
+    return Snapshot(p.n, tuple(events))
 
 
 def generate_sparse_snapshot(p: ModelParams, rng) -> Snapshot:
     """Draw a sparse-variant snapshot: node i is the single activated node
     with probability a_i, and no node activates with probability 1 - sum(a)."""
+    p.require_sparse()
     cum = _rates_cumsum(p)
-    if cum[-1] > 1.0:
-        raise ValueError(f"sparse variant needs sum of activity rates <= 1, got {cum[-1]}")
     u = rng.random()
     if u >= cum[-1]:
-        return Snapshot(p.n, (), "sparse")
+        return Snapshot(p.n, ())
     for i, c in enumerate(cum):
         if u < c:
             center = i + 1
             spec = StarSpec(p.n, center, _sample_m_subset(p.n, center, p.m, rng))
-            return Snapshot(p.n, (spec,), "sparse")
+            return Snapshot(p.n, (spec,))
     raise AssertionError("unreachable")
 
 
@@ -179,7 +193,7 @@ def generate_fastswitch_snapshot(p: ModelParams, rule: TieBreakRule, rng) -> Sna
     u = rng.random(p.n)
     active = [i + 1 for i in range(p.n) if u[i] < p.a[i]]
     if not active:
-        return Snapshot(p.n, (), "fastswitch")
+        return Snapshot(p.n, ())
     if len(active) == 1:
         center = active[0]
     elif rule.mode == "uniform":
@@ -195,7 +209,7 @@ def generate_fastswitch_snapshot(p: ModelParams, rule: TieBreakRule, rng) -> Sna
                 center = i
                 break
     spec = StarSpec(p.n, center, _sample_m_subset(p.n, center, p.m, rng))
-    return Snapshot(p.n, (spec,), "fastswitch")
+    return Snapshot(p.n, (spec,))
 
 
 def snapshot_count(n: int, m: int) -> int:

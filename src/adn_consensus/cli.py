@@ -28,14 +28,10 @@ from .adn_model import (
     UNIFORM_TIE_BREAK,
     snapshot_count,
 )
-from .closed_form import (
-    activation_expectation,
-    sparse_expected_exponential,
-    weighted_expected_exponential,
-)
+from .closed_form import activation_expectation, weighted_expected_exponential
 from .graph_core import StarSpec, expm_sym, star_laplacian
 from .mc_sim import fit_decay_stats, run_paths
-from .spectral import gamma_fs, gamma_sp, survivor_rates
+from .spectral import enumerated_survivor_rates, gamma_fs, gamma_sp, survivor_rates
 from .validation import (
     MAX_BRANCHES,
     enumerate_expected_exponential,
@@ -101,24 +97,26 @@ def _as_real(raw: dict, key: str, lo: float, lo_open: bool = False) -> float:
     return v
 
 
+def _explicit_values(spec: dict, field: str, n: int, ok, need: str) -> dict:
+    """An explicit list of n numbers, each passing ``ok``."""
+    values = spec.get("values")
+    if not isinstance(values, list) or len(values) != n:
+        raise ConfigError(f"{field}.values: need a list of {n} numbers")
+    for k, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{field}.values[{k}]: must be a number, got {v!r}")
+        if not ok(float(v)):
+            raise ConfigError(f"{field}.values[{k}]: must {need}, got {v}")
+    return {"mode": "explicit", "values": tuple(float(v) for v in values)}
+
+
 def _parse_activity(raw: dict, n: int) -> dict:
     spec = raw.get("activity")
     if not isinstance(spec, dict):
         raise ConfigError("activity: missing or not an object")
     mode = spec.get("mode")
     if mode == "explicit":
-        values = spec.get("values")
-        if not isinstance(values, list) or len(values) != n:
-            raise ConfigError(f"activity.values: need a list of {n} rates")
-        out = []
-        for k, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"activity.values[{k}]: must be a number, got {v!r}")
-            v = float(v)
-            if not (0.0 < v <= 1.0):
-                raise ConfigError(f"activity.values[{k}]: must lie in (0, 1], got {v}")
-            out.append(v)
-        return {"mode": "explicit", "values": tuple(out)}
+        return _explicit_values(spec, "activity", n, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
     if mode == "uniform_draw":
         upper = _as_real(spec, "upper", 0.0, lo_open=True)
         if upper > 1.0:
@@ -135,22 +133,19 @@ def _parse_z0(raw: dict, n: int) -> dict:
     if mode == "uniform_draw":
         return {"mode": "uniform_draw"}
     if mode == "explicit":
-        values = spec.get("values")
-        if not isinstance(values, list) or len(values) != n:
-            raise ConfigError(f"z0.values: need a list of {n} numbers")
-        out = []
-        for k, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"z0.values[{k}]: must be a number, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v):
-                raise ConfigError(f"z0.values[{k}]: must be finite")
-            out.append(v)
-        return {"mode": "explicit", "values": tuple(out)}
+        return _explicit_values(spec, "z0", n, math.isfinite, "be finite")
     raise ConfigError(f"z0.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
 
 
-def _parse_tie_break(raw: dict):
+def _parse_n_m(raw: dict) -> tuple:
+    n = _as_int(raw, "n", 2)
+    m = _as_int(raw, "m", 1)
+    if m > n - 1:
+        raise ConfigError(f"m: need 1 <= m <= n-1, got m={m} with n={n}")
+    return n, m
+
+
+def _parse_tie_break(raw: dict, n: int):
     spec = raw.get("tie_break", "uniform")
     if spec == "uniform" or spec == {"mode": "uniform"}:
         return UNIFORM_TIE_BREAK, "uniform"
@@ -173,29 +168,30 @@ def _parse_tie_break(raw: dict):
                 raise ConfigError(
                     f"{path}: need 'set' and 'weights' lists of equal length"
                 )
-            try:
-                key = frozenset(int(x) for x in nodes)
-                weights = {int(i): float(w) for i, w in zip(nodes, ws)}
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
+            for x in nodes:
+                if isinstance(x, bool) or not isinstance(x, int) or not (1 <= x <= n):
+                    raise ConfigError(
+                        f"{path}.set: node ids must be integers in 1..{n}, got {x!r}"
+                    )
+            key = frozenset(nodes)
             if len(key) != len(nodes):
                 raise ConfigError(f"{path}.set: repeated node id")
+            if key in table:
+                raise ConfigError(f"{path}.set: {sorted(key)} is listed twice")
+            try:
+                weights = {i: float(w) for i, w in zip(nodes, ws)}
+                TieBreakRule.check_entry(key, weights)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
             table[key] = weights
-        try:
-            rule = TieBreakRule("table", table)
-        except ValueError as exc:
-            raise ConfigError(f"tie_break: {exc}") from exc
-        return rule, spec
+        return TieBreakRule("table", table), spec
     raise ConfigError(f"tie_break: must be 'uniform' or a table object, got {spec!r}")
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> dict:
     """Validate a raw JSON config dict; unknown keys (such as a manifest's
     'results' block) are ignored so manifests replay as configs."""
-    n = _as_int(raw, "n", 2)
-    m = _as_int(raw, "m", 1)
-    if m > n - 1:
-        raise ConfigError(f"m: need 1 <= m <= n-1, got m={m} with n={n}")
+    n, m = _parse_n_m(raw)
     dt = _as_real(raw, "dt", 0.0)
     eps = _as_real(raw, "eps", 0.0, lo_open=True)
     k_max = _as_int(raw, "k_max", 1)
@@ -211,7 +207,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> dict:
         raise ConfigError(
             f"model: must be 'full', 'sparse' or 'fastswitch', got {model!r}"
         )
-    rule, rule_json = _parse_tie_break(raw)
+    rule, rule_json = _parse_tie_break(raw, n)
     return {
         "n": n,
         "m": m,
@@ -294,21 +290,14 @@ def _out_dir(args) -> str:
     return args.out
 
 
-def cmd_gamma(args, kind: str) -> int:
+def cmd_gamma(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
     params, rule, _, _ = resolve_config(cfg)
-    if kind == "sparse":
-        if params.rate_sum > 1.0:
-            raise ConfigError(
-                f"activity: rate sum {params.rate_sum} exceeds 1; the sparse bound "
-                "requires sum(a) <= 1"
-            )
+    if args.command == "gamma-sp":
         bound = gamma_sp(params)
-        label = "gamma_sp"
     else:
         bound = gamma_fs(params, rule)
-        label = "gamma_fs"
-    print(f"{label} = {_fmt(bound.rate)}")
+    print(f"{args.command.replace('-', '_')} = {_fmt(bound.rate)}")
     print(f"weight_sum = {_fmt(bound.weight_sum)}")
     print(f"lambda_second = {_fmt(bound.lambda_second)}")
     path = os.path.join(_out_dir(args), "gamma.csv")
@@ -352,11 +341,6 @@ def cmd_simulate(args) -> int:
             "refusing before any computation"
         )
     params, rule, z0, manifest = resolve_config(cfg)
-    if cfg["model"] == "sparse":
-        try:
-            params.require_sparse()
-        except ValueError as exc:
-            raise ConfigError(f"activity: {exc}") from exc
     threads = _resolve_threads(args)
     curve = run_paths(
         params,
@@ -403,48 +387,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _uniform_survivor_oracle(params: ModelParams) -> np.ndarray:
-    """Exhaustive 2**(n-1) per-node survivor-rate computation under the
-    uniform rule; quadratic-time recurrences are checked against this."""
-    a = np.array(params.a)
-    n = params.n
-    out = np.zeros(n)
-    for i in range(n):
-        others = np.delete(a, i)
-        total = 0.0
-        for mask in range(1 << (n - 1)):
-            prob = 1.0
-            cnt = 0
-            for j in range(n - 1):
-                if mask >> j & 1:
-                    prob *= others[j]
-                    cnt += 1
-                else:
-                    prob *= 1.0 - others[j]
-            total += prob / (1.0 + cnt)
-        out[i] = a[i] * total
-    return out
+def _max_diff(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 def cmd_validate(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
     params, rule, _, _ = resolve_config(cfg)
     lines = []
-    failures = 0
-    skips = 0
-    passes = 0
+    tally = {True: 0, None: 0, False: 0}
 
     def record(name: str, detail: str, ok: bool | None):
-        nonlocal failures, skips, passes
-        if ok is None:
-            skips += 1
-            lines.append(f"check {name}: {detail}")
-        elif ok:
-            passes += 1
-            lines.append(f"check {name}: pass ({detail})")
-        else:
-            failures += 1
-            lines.append(f"check {name}: FAIL ({detail})")
+        tally[ok] += 1
+        if ok is not None:
+            detail = f"{'pass' if ok else 'FAIL'} ({detail})"
+        lines.append(f"check {name}: {detail}")
 
     # 1. Per-activation closed form against the plain subset average.
     name = "activation-kernel-vs-subset-average"
@@ -460,66 +417,35 @@ def cmd_validate(args) -> int:
             for N in combinations(others, params.m):
                 acc += expm_sym(star_laplacian(StarSpec(params.n, i, N)), T)
             acc /= C
-            mine = activation_expectation(params, i)
-            if args.perturb and i == 1:
-                mine = mine.copy()
-                mine[0, 0] += 1e-6
-            worst = max(worst, float(np.max(np.abs(acc - mine))))
+            worst = max(worst, _max_diff(acc, activation_expectation(params, i)))
         record(name, f"max diff {worst:.3g}, tol 1e-10", worst <= 1e-10)
 
-    # 2. Sparse-regime expected kernel against exact enumeration.
-    name = "sparse-kernel-vs-enumeration"
-    if params.rate_sum > 1.0:
-        record(name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None)
-    elif enumeration_size(params, "sparse") > MAX_BRANCHES:
-        record(
-            name,
-            f"refused: size ({enumeration_size(params, 'sparse')} branches)",
-            None,
-        )
-    else:
-        diff = float(
-            np.max(
-                np.abs(
-                    sparse_expected_exponential(params)
-                    - enumerate_expected_exponential(params, "sparse", rule)
-                )
+    # 2-3. Sparse and fast-switching expected kernels against exact
+    #      enumeration.
+    for model in ("sparse", "fastswitch"):
+        name = f"{model}-kernel-vs-enumeration"
+        size = enumeration_size(params, model)
+        if model == "sparse" and params.rate_sum > 1.0:
+            record(name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None)
+        elif size > MAX_BRANCHES:
+            record(name, f"refused: size ({size} branches)", None)
+        else:
+            weights = params.a if model == "sparse" else survivor_rates(params, rule)
+            diff = _max_diff(
+                weighted_expected_exponential(params, weights),
+                enumerate_expected_exponential(params, model, rule),
             )
-        )
-        record(name, f"max diff {diff:.3g}, tol 1e-10", diff <= 1e-10)
+            record(name, f"max diff {diff:.3g}, tol 1e-10", diff <= 1e-10)
 
-    # 3. Fast-switching expected kernel against exact enumeration.
-    name = "fastswitch-kernel-vs-enumeration"
-    if enumeration_size(params, "fastswitch") > MAX_BRANCHES:
-        record(
-            name,
-            f"refused: size ({enumeration_size(params, 'fastswitch')} branches)",
-            None,
-        )
-    else:
-        b = survivor_rates(params, rule)
-        diff = float(
-            np.max(
-                np.abs(
-                    weighted_expected_exponential(params, b)
-                    - enumerate_expected_exponential(params, "fastswitch", rule)
-                )
-            )
-        )
-        record(name, f"max diff {diff:.3g}, tol 1e-10", diff <= 1e-10)
-
-    # 4. Survivor-rate recurrence against the exhaustive uniform oracle.
+    # 4. Survivor-rate recurrence against exhaustive enumeration of the
+    #    activation sets, both under the uniform rule.
     name = "survivor-rates-dp-vs-exhaustive"
     if params.n > 12:
-        record(name, f"refused: size (2**{params.n - 1} masks per node)", None)
+        record(name, f"refused: size (2**{params.n} activation sets)", None)
     else:
-        diff = float(
-            np.max(
-                np.abs(
-                    survivor_rates(params, UNIFORM_TIE_BREAK)
-                    - _uniform_survivor_oracle(params)
-                )
-            )
+        diff = _max_diff(
+            survivor_rates(params, UNIFORM_TIE_BREAK),
+            enumerated_survivor_rates(params, UNIFORM_TIE_BREAK),
         )
         record(name, f"max diff {diff:.3g}, tol 1e-12", diff <= 1e-12)
 
@@ -541,6 +467,7 @@ def cmd_validate(args) -> int:
 
     for line in lines:
         print(line)
+    passes, skips, failures = tally[True], tally[None], tally[False]
     verdict = "PASS" if failures == 0 else "FAIL"
     print(f"validate: {verdict} ({passes} passed, {skips} skipped, {failures} failed)")
     print(f"wrote {gaps_path}")
@@ -548,13 +475,40 @@ def cmd_validate(args) -> int:
 
 
 def cmd_count_snapshots(args) -> int:
-    raw = _load_json(args.config)
-    n = _as_int(raw, "n", 2)
-    m = _as_int(raw, "m", 1)
-    if m > n - 1:
-        raise ConfigError(f"m: need 1 <= m <= n-1, got m={m} with n={n}")
-    print(snapshot_count(n, m))
+    print(snapshot_count(*_parse_n_m(_load_json(args.config))))
     return 0
+
+
+# Flags beyond --config; each subcommand takes only those it reads.
+FLAGS = {
+    "--out": {"default": ".", "help": "directory for CSV/manifest output"},
+    "--seed": {"type": int, "default": None, "help": "override the config seed"},
+    "--threads": {
+        "type": int,
+        "default": None,
+        "help": "worker processes (default: ADN_THREADS env var, else 1)",
+    },
+}
+
+# Subcommand -> (handler, help, flags). The handlers look the library
+# functions up in this module's globals when they run, so rebinding a
+# module attribute such as ``gamma_sp`` (as perfbench/spans.py does to
+# trace the layers) reaches every call.
+COMMANDS = {
+    "gamma-sp": (cmd_gamma, "evaluate the sparse-regime decay bound", ("--out", "--seed")),
+    "gamma-fs": (cmd_gamma, "evaluate the fast-switching decay bound", ("--out", "--seed")),
+    "simulate": (
+        cmd_simulate,
+        "run the Monte Carlo survival-curve experiment",
+        ("--out", "--seed", "--threads"),
+    ),
+    "validate": (cmd_validate, "run the enumeration oracle suites", ("--out", "--seed")),
+    "count-snapshots": (
+        cmd_count_snapshots,
+        "print the exact number of distinct snapshots",
+        (),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -566,43 +520,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "gamma-sp": "evaluate the sparse-regime decay bound",
-        "gamma-fs": "evaluate the fast-switching decay bound",
-        "simulate": "run the Monte Carlo survival-curve experiment",
-        "validate": "run the enumeration oracle suites",
-        "count-snapshots": "print the exact number of distinct snapshots",
-    }
-    for name, help_text in helps.items():
+    for name, (_, help_text, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to a JSON config file")
-        sp.add_argument("--out", default=".", help="directory for CSV/manifest output")
-        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker processes (default: ADN_THREADS env var, else 1)",
-        )
-        if name == "validate":
-            sp.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "gamma-sp":
-            return cmd_gamma(args, "sparse")
-        if args.command == "gamma-fs":
-            return cmd_gamma(args, "fastswitch")
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "count-snapshots":
-            return cmd_count_snapshots(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command][0](args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

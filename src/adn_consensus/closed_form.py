@@ -15,24 +15,31 @@ from .adn_model import ModelParams
 from .graph_core import StarSpec
 
 
-def star_exponential(spec: StarSpec, t: float) -> np.ndarray:
-    """e**(-t*L) for a star Laplacian, assembled entrywise.
+def star_kernel_scalars(m: int, t: float) -> tuple:
+    """(center, edge, y, w): the entries of e**(-t*L) for a star Laplacian
+    with m spokes.
 
     With x = exp(-(m+1)t) and y = exp(-t): the center diagonal is
-    (m*x + 1)/(m+1), each center-neighbor entry (1 - x)/(m+1), the
+    (m*x + 1)/(m+1), each center-neighbor entry edge = (1 - x)/(m+1), the
     neighbor block y*I + w*J with w = (m + x - (m+1)*y)/(m*(m+1)), and
     untouched nodes are exactly identity.
     """
-    if not (t >= 0.0) or not math.isfinite(t):
-        raise ValueError(f"time must be >= 0, got {t}")
-    m = spec.m
     x = math.exp(-(m + 1) * t)
     y = math.exp(-t)
+    center = (m * x + 1.0) / (m + 1)
     edge = (1.0 - x) / (m + 1)
     w = (m + x - (m + 1) * y) / (m * (m + 1))
+    return center, edge, y, w
+
+
+def star_exponential(spec: StarSpec, t: float) -> np.ndarray:
+    """e**(-t*L) for a star Laplacian, assembled from ``star_kernel_scalars``."""
+    if not (t >= 0.0) or not math.isfinite(t):
+        raise ValueError(f"time must be >= 0, got {t}")
+    center, edge, y, w = star_kernel_scalars(spec.m, t)
     E = np.eye(spec.n)
     c = spec.center - 1
-    E[c, c] = (m * x + 1.0) / (m + 1)
+    E[c, c] = center
     for j in spec.neighbors:
         E[c, j - 1] = edge
         E[j - 1, c] = edge

@@ -8,7 +8,6 @@ CDF of the first-passage times. Each path runs on its own RNG stream,
 integers, so results are identical for any degree of parallelism.
 """
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -24,6 +23,7 @@ from .adn_model import (
     generate_sparse_snapshot,
     snapshot_laplacian,
 )
+from .closed_form import star_kernel_scalars
 from .graph_core import expm_sym
 
 
@@ -78,17 +78,13 @@ def step(z, s: Snapshot, dt: float) -> np.ndarray:
         return z.copy()
     if len(s.events) == 1:
         e = s.events[0]
-        m = e.m
-        x = math.exp(-(m + 1) * dt)
-        y = math.exp(-dt)
-        edge = (1.0 - x) / (m + 1)
-        w = (m + x - (m + 1) * y) / (m * (m + 1))
+        center, edge, y, w = star_kernel_scalars(e.m, dt)
         c = e.center - 1
         idx = np.array(e.neighbors, dtype=np.intp) - 1
         zc = z[c]
         tot = float(z[idx].sum())
         out = z.copy()
-        out[c] = (m * x + 1.0) / (m + 1) * zc + edge * tot
+        out[c] = center * zc + edge * tot
         out[idx] = edge * zc + y * z[idx] + w * tot
         return out
     E = expm_sym(snapshot_laplacian(s), dt)
@@ -147,7 +143,7 @@ def run_paths(
     if not (eps > 0):
         raise ValueError(f"threshold must be > 0, got {eps}")
     if not (p.dt > 0):
-        raise ValueError("simulation needs a positive sampling period")
+        raise ValueError(f"dt: simulation needs a positive sampling period, got {p.dt}")
     if model == "sparse":
         p.require_sparse()
     z0 = np.asarray(z0, dtype=np.float64)
@@ -207,8 +203,3 @@ def fit_decay_stats(curve: SurvivalCurve, window: tuple | None = None) -> DecayF
         n_points=len(ks),
         window=(float(p_lo), float(p_hi)),
     )
-
-
-def fit_decay_rate(curve: SurvivalCurve, window: tuple | None = None) -> float:
-    """Fitted geometric decay rate of the survival curve (see fit_decay_stats)."""
-    return fit_decay_stats(curve, window).rate

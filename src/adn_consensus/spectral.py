@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adn_model import ModelParams, TieBreakRule
+from .adn_model import ModelParams, TieBreakRule, activation_sets
 from .closed_form import activation_expectation
 from .graph_core import symmetrize
 
@@ -84,8 +84,7 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     1/(1 + number of co-activated nodes), so its rate is the activity rate
     times the mean reciprocal, taken against the Poisson-binomial count of
     the others via the convolution recurrence; this stays polynomial at any
-    n. Table rule: exact enumeration over all 2**n activation sets, refused
-    above n = 20.
+    n. Table rule: ``enumerated_survivor_rates``.
     """
     if rule.mode == "uniform":
         a = np.asarray(p.a)
@@ -95,21 +94,20 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
             pmf = poisson_binomial_pmf(np.delete(a, i))
             b[i] = a[i] * float(np.sum(pmf / (ks + 1.0)))
         return b
+    return enumerated_survivor_rates(p, rule)
+
+
+def enumerated_survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
+    """Survivor rates by exact enumeration over all 2**n activation sets,
+    under any tie-break rule; refused above n = 20."""
     if p.n > 20:
-        raise ValueError(f"table-mode enumeration is 2**n; refused for n={p.n} > 20")
-    a = p.a
+        raise ValueError(f"survivor-rate enumeration is 2**n; refused for n={p.n} > 20")
     b = np.zeros(p.n)
-    for mask in range(1, 1 << p.n):
-        members = [i for i in range(p.n) if mask >> i & 1]
-        prob = 1.0
-        for i in range(p.n):
-            prob *= a[i] if mask >> i & 1 else 1.0 - a[i]
-        if len(members) == 1:
-            b[members[0]] += prob
-        else:
-            weights = rule.weights_for(frozenset(i + 1 for i in members))
+    for members, prob in activation_sets(p):
+        if members:
+            weights = rule.weights_for(frozenset(members))
             for i in members:
-                b[i] += prob * weights.get(i + 1, 0.0)
+                b[i - 1] += prob * weights.get(i, 0.0)
     return b
 
 

@@ -13,7 +13,13 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .adn_model import ModelParams, Snapshot, TieBreakRule, snapshot_laplacian
+from .adn_model import (
+    ModelParams,
+    Snapshot,
+    TieBreakRule,
+    activation_sets,
+    snapshot_laplacian,
+)
 from .graph_core import StarSpec, expm_sym
 from .spectral import lambda_second_largest
 
@@ -33,6 +39,15 @@ def enumeration_size(p: ModelParams, model: str) -> int:
     raise ValueError(f"unknown model tag {model!r}")
 
 
+def _require_enumerable(p: ModelParams, model: str):
+    size = enumeration_size(p, model)
+    if size > MAX_BRANCHES:
+        raise ValueError(
+            f"enumeration for model={model!r} needs {size} branches, "
+            f"over the {MAX_BRANCHES} limit"
+        )
+
+
 def _others(n: int, i: int) -> list:
     return [j for j in range(1, n + 1) if j != i]
 
@@ -43,11 +58,11 @@ def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule):
     C = math.comb(n - 1, m)
     if model == "sparse":
         p.require_sparse()
-        yield 1.0 - p.rate_sum, Snapshot(n, (), "sparse")
+        yield 1.0 - p.rate_sum, Snapshot(n, ())
         for i in range(1, n + 1):
             w = p.a[i - 1] / C
             for N in combinations(_others(n, i), m):
-                yield w, Snapshot(n, (StarSpec(n, i, N),), "sparse")
+                yield w, Snapshot(n, (StarSpec(n, i, N),))
     elif model == "full":
         subsets = [list(combinations(_others(n, i), m)) for i in range(1, n + 1)]
         for combo in product(range(C + 1), repeat=n):
@@ -59,26 +74,19 @@ def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule):
                 else:
                     prob *= p.a[i0] / C
                     events.append(StarSpec(n, i0 + 1, subsets[i0][opt - 1]))
-            yield prob, Snapshot(n, tuple(events), "full")
+            yield prob, Snapshot(n, tuple(events))
     elif model == "fastswitch":
-        for mask in range(1 << n):
-            members = [i + 1 for i in range(n) if mask >> i & 1]
-            prob = 1.0
-            for i in range(n):
-                prob *= p.a[i] if mask >> i & 1 else 1.0 - p.a[i]
+        for members, prob in activation_sets(p):
             if not members:
-                yield prob, Snapshot(n, (), "fastswitch")
+                yield prob, Snapshot(n, ())
                 continue
-            if len(members) == 1:
-                weights = {members[0]: 1.0}
-            else:
-                weights = rule.weights_for(frozenset(members))
+            weights = rule.weights_for(frozenset(members))
             for i in members:
                 wi = weights.get(i, 0.0)
                 if wi == 0.0:
                     continue
                 for N in combinations(_others(n, i), m):
-                    yield prob * wi / C, Snapshot(n, (StarSpec(n, i, N),), "fastswitch")
+                    yield prob * wi / C, Snapshot(n, (StarSpec(n, i, N),))
     else:
         raise ValueError(f"unknown model tag {model!r}")
 
@@ -88,12 +96,7 @@ def enumerate_expected_exponential(
 ) -> np.ndarray:
     """Exact E[e**(-2*dt*L)] as the probability-weighted sum of dense
     exponentials over every configuration. Refuses oversized enumerations."""
-    size = enumeration_size(p, model)
-    if size > MAX_BRANCHES:
-        raise ValueError(
-            f"enumeration for model={model!r} needs {size} branches, "
-            f"over the {MAX_BRANCHES} limit"
-        )
+    _require_enumerable(p, model)
     T = 2.0 * p.dt
     acc = np.zeros((p.n, p.n))
     total = 0.0
@@ -136,13 +139,10 @@ def verify_fast_switch_inequality(
     gap. Violations at large T are expected and merely reported; the
     smallest violating T, if any, is singled out.
     """
+    # Both sizes are checked before either enumeration starts, since either
+    # can be the larger one (the fastswitch count when m = n-1).
     for model in ("full", "fastswitch"):
-        size = enumeration_size(p, model)
-        if size > MAX_BRANCHES:
-            raise ValueError(
-                f"enumeration for model={model!r} needs {size} branches, "
-                f"over the {MAX_BRANCHES} limit"
-            )
+        _require_enumerable(p, model)
     samples = []
     for T in T_grid:
         if not (T > 0):

@@ -16,6 +16,7 @@ from adn_consensus import (
     snapshot_count,
     snapshot_laplacian,
 )
+from adn_consensus.adn_model import activation_sets
 
 
 class TestModelParams:
@@ -55,35 +56,23 @@ class TestModelParams:
 
     def test_require_sparse_rejects_large_rate_sum(self):
         p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
-        with pytest.raises(ValueError, match="<= 1"):
+        with pytest.raises(ValueError, match=r"^activity: .*exceeds 1.*<= 1"):
             p.require_sparse()
 
 
 class TestSnapshot:
     def test_single_star_snapshot(self):
-        s = Snapshot(4, (StarSpec(4, 1, (2, 3)),), "sparse")
+        s = Snapshot(4, (StarSpec(4, 1, (2, 3)),))
         assert s.n == 4 and len(s.events) == 1
-
-    def test_sparse_rejects_two_events(self):
-        ev = (StarSpec(4, 1, (2,)), StarSpec(4, 2, (3,)))
-        with pytest.raises(ValueError):
-            Snapshot(4, ev, "sparse")
-        with pytest.raises(ValueError):
-            Snapshot(4, ev, "fastswitch")
-        Snapshot(4, ev, "full")
 
     def test_rejects_duplicate_centers(self):
         ev = (StarSpec(4, 1, (2,)), StarSpec(4, 1, (3,)))
         with pytest.raises(ValueError):
-            Snapshot(4, ev, "full")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Snapshot(4, (), "other")
+            Snapshot(4, ev)
 
     def test_rejects_event_size_mismatch(self):
         with pytest.raises(ValueError):
-            Snapshot(5, (StarSpec(4, 1, (2,)),), "full")
+            Snapshot(5, (StarSpec(4, 1, (2,)),))
 
 
 class TestTieBreakRule:
@@ -94,6 +83,9 @@ class TestTieBreakRule:
     def test_table_lookup(self):
         rule = TieBreakRule("table", {frozenset({1, 2}): {1: 0.25, 2: 0.75}})
         assert rule.weights_for(frozenset({1, 2})) == {1: 0.25, 2: 0.75}
+        # a lone activated node survives under either mode
+        assert rule.weights_for(frozenset({3})) == {3: 1.0}
+        assert UNIFORM_TIE_BREAK.weights_for(frozenset({3})) == {3: 1.0}
 
     def test_table_missing_set_raises(self):
         rule = TieBreakRule("table", {frozenset({1, 2}): {1: 0.25, 2: 0.75}})
@@ -111,6 +103,9 @@ class TestTieBreakRule:
             TieBreakRule("table", {frozenset({1, 2}): {1: -0.1, 2: 1.1}})
         with pytest.raises(ValueError):
             TieBreakRule("table", {frozenset({1, 2}): {1: 0.6, 2: 0.6}})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TieBreakRule("table", {frozenset({1, 2}): {1: bad, 2: 0.5}})
         with pytest.raises(ValueError):
             TieBreakRule("lottery")
 
@@ -146,7 +141,6 @@ class TestGenerators:
         rng = np.random.default_rng(0)
         for _ in range(200):
             s = generate_snapshot(p, rng)
-            assert s.kind == "full"
             centers = [e.center for e in s.events]
             assert len(set(centers)) == len(centers)
             assert centers == sorted(centers)
@@ -191,7 +185,6 @@ class TestGenerators:
         hits = np.zeros(4)
         for _ in range(trials):
             s = generate_sparse_snapshot(p, rng)
-            assert s.kind == "sparse"
             assert len(s.events) <= 1
             if s.events:
                 hits[s.events[0].center] += 1
@@ -215,7 +208,6 @@ class TestGenerators:
         hits = np.zeros(3)
         for _ in range(trials):
             s = generate_fastswitch_snapshot(p, UNIFORM_TIE_BREAK, rng)
-            assert s.kind == "fastswitch"
             assert len(s.events) == 1
             hits[s.events[0].center - 1] += 1
         sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
@@ -229,6 +221,7 @@ class TestGenerators:
         rng = np.random.default_rng(9)
         for _ in range(50):
             s = generate_fastswitch_snapshot(p, rule, rng)
+            assert len(s.events) == 1
             assert s.events[0].center == 3
 
     def test_fastswitch_empty_snapshot_possible(self):
@@ -238,21 +231,35 @@ class TestGenerators:
         assert s.events == ()
 
 
+class TestActivationSets:
+    def test_every_set_once_with_its_probability(self):
+        a = (0.1, 0.5, 0.8, 0.3)
+        p = ModelParams(4, 1, a, 1.0)
+        sets = list(activation_sets(p))
+        assert len(sets) == 16
+        assert len({members for members, _ in sets}) == 16
+        for members, prob in sets:
+            assert list(members) == sorted(members)
+            expect = math.prod(a[i - 1] if i in members else 1 - a[i - 1] for i in range(1, 5))
+            assert prob == pytest.approx(expect, rel=1e-15)
+        assert sum(prob for _, prob in sets) == pytest.approx(1.0, abs=1e-15)
+
+
 class TestSnapshotLaplacian:
     def test_empty_snapshot_is_zero(self):
-        L = snapshot_laplacian(Snapshot(3, (), "sparse"))
+        L = snapshot_laplacian(Snapshot(3, ()))
         assert np.array_equal(L, np.zeros((3, 3)))
         assert L.dtype == np.int64
 
     def test_duplicate_edge_collapses(self):
         ev = (StarSpec(3, 1, (2,)), StarSpec(3, 2, (1,)))
-        L = snapshot_laplacian(Snapshot(3, ev, "full"))
+        L = snapshot_laplacian(Snapshot(3, ev))
         expected = np.array([[1, -1, 0], [-1, 1, 0], [0, 0, 0]])
         assert np.array_equal(L, expected)
 
     def test_union_of_two_stars(self):
         ev = (StarSpec(4, 1, (2, 3)), StarSpec(4, 4, (2, 3)))
-        L = snapshot_laplacian(Snapshot(4, ev, "full"))
+        L = snapshot_laplacian(Snapshot(4, ev))
         assert np.array_equal(L, L.T)
         assert np.array_equal(L @ np.ones(4, dtype=np.int64), np.zeros(4))
         assert L[0, 1] == -1 and L[0, 2] == -1 and L[0, 3] == 0

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from adn_consensus import ModelParams, gamma_sp, snapshot_count
+from adn_consensus import ModelParams, cli, gamma_sp, snapshot_count
 from adn_consensus.cli import (
     ConfigError,
     draw_activity_rates,
@@ -139,11 +139,15 @@ class TestParseConfig:
             [{"set": [1, 2], "weights": [0.6, 0.6]}],
             [{"set": [1, 2], "weights": [-0.1, 1.1]}],
             ["not an object"],
+            [{"set": [1.7, 5], "weights": [0.5, 0.5]}],
+            [{"set": [1, 9], "weights": [0.5, 0.5]}],
+            [{"set": [1, 2], "weights": [math.nan, 0.5]}],
+            [{"set": [1, 2], "weights": [0.5, 0.5]}, {"set": [2, 1], "weights": [1.0, 0.0]}],
         ],
     )
     def test_bad_tables_rejected(self, entries):
         cfg = make_config(tie_break={"mode": "table", "entries": entries})
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^tie_break\.entries"):
             parse_config(cfg)
 
 
@@ -324,6 +328,12 @@ class TestSimulateCommand:
         assert rc == 2
         assert "activity" in capsys.readouterr().err
 
+    def test_zero_dt_rejected_naming_the_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dt=0)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: dt: ")
+
 
 class TestValidateCommand:
     def test_small_config_passes_all_checks(self, tmp_path, capsys):
@@ -341,11 +351,20 @@ class TestValidateCommand:
         assert len(gaps) == 4
         assert all(row.endswith(",1") for row in gaps[1:])
 
-    def test_perturbation_is_caught(self, tmp_path, capsys):
+    def test_perturbation_is_caught(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, n=4, m=2, activity={
             "mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15],
         })
-        rc = main(["validate", "--config", cfg, "--out", str(tmp_path), "--perturb"])
+        exact = cli.activation_expectation
+
+        def perturbed(params, center):
+            M = exact(params, center)
+            if center == 1:
+                M[0, 0] += 1e-6
+            return M
+
+        monkeypatch.setattr(cli, "activation_expectation", perturbed)
+        rc = main(["validate", "--config", cfg, "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 1
         assert "validate: FAIL" in out
@@ -403,6 +422,22 @@ class TestErrorPaths:
         path.write_text("[1, 2, 3]")
         rc = main(["gamma-sp", "--config", str(path)])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("gamma-sp", ["--threads", "2"]),
+            ("validate", ["--threads", "2"]),
+            ("count-snapshots", ["--out", "x"]),
+            ("count-snapshots", ["--seed", "1"]),
+            ("validate", ["--perturb"]),
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_refused(self, tmp_path, command, flag):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg] + flag)
+        assert exc.value.code == 2
 
     def test_invalid_field_reported_on_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model="markov")

@@ -16,7 +16,6 @@ from adn_consensus import (
     TieBreakRule,
     UNIFORM_TIE_BREAK,
     expm_sym,
-    fit_decay_rate,
     fit_decay_stats,
     generate_fastswitch_snapshot,
     generate_snapshot,
@@ -64,13 +63,13 @@ def star_specs(draw, max_n=7):
 
 class TestStep:
     def test_requires_positive_dt(self):
-        s = Snapshot(3, (), "sparse")
+        s = Snapshot(3, ())
         with pytest.raises(ValueError):
             step(np.zeros(3), s, 0.0)
 
     def test_empty_snapshot_is_identity_copy(self):
         z = np.array([1.0, -2.0, 0.5])
-        out = step(z, Snapshot(3, (), "sparse"), 1.0)
+        out = step(z, Snapshot(3, ()), 1.0)
         assert np.array_equal(out, z)
         assert out is not z
 
@@ -83,14 +82,14 @@ class TestStep:
                 for _ in range(spec.n)
             ]
         )
-        snap = Snapshot(spec.n, (spec,), "sparse")
+        snap = Snapshot(spec.n, (spec,))
         got = step(z, snap, dt)
         ref = expm_sym(snapshot_laplacian(snap), dt) @ z
         assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_multi_star_matches_taylor_kernel(self):
         ev = (StarSpec(5, 1, (2, 3)), StarSpec(5, 4, (3, 5)))
-        snap = Snapshot(5, ev, "full")
+        snap = Snapshot(5, ev)
         rng = np.random.default_rng(3)
         z = rng.normal(size=5)
         L = np.zeros((5, 5), dtype=int)
@@ -111,7 +110,7 @@ class TestStep:
                 for _ in range(spec.n)
             ]
         )
-        out = step(z, Snapshot(spec.n, (spec,), "sparse"), dt)
+        out = step(z, Snapshot(spec.n, (spec,)), dt)
         assert abs(out.mean() - z.mean()) < 1e-12 * max(1.0, np.abs(z).max())
         assert off_consensus_sq(out) <= off_consensus_sq(z) * (1 + 1e-12) + 1e-12
 
@@ -124,7 +123,7 @@ def exact_sparse_survival(p: ModelParams, z0, k_max: int, eps: float):
     for i in range(1, p.n + 1):
         others = [j for j in range(1, p.n + 1) if j != i]
         for N in combinations(others, p.m):
-            snap = Snapshot(p.n, (StarSpec(p.n, i, N),), "sparse")
+            snap = Snapshot(p.n, (StarSpec(p.n, i, N),))
             kernel = expm_sym(snapshot_laplacian(snap), p.dt)
             branches.append((p.a[i - 1] / C, kernel))
     probs = np.zeros(k_max + 1)
@@ -334,7 +333,6 @@ class TestDecayFit:
         assert fit.rate == pytest.approx(0.9, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
         assert fit.window == (0.01, 0.95)
-        assert fit_decay_rate(curve) == fit.rate
 
     def test_window_excludes_saturated_head(self):
         probs = np.concatenate([np.ones(10), 0.8 ** np.arange(1, 40)])

@@ -19,6 +19,7 @@ from adn_consensus import (
     survivor_rates,
     symmetrize,
 )
+from adn_consensus.spectral import enumerated_survivor_rates
 from oracles import (
     bruteforce_poisson_binomial,
     exhaustive_survivor_rates,
@@ -126,8 +127,11 @@ class TestSurvivorRates:
             data.draw(st.floats(1e-6, 1.0, allow_nan=False)) for _ in range(n)
         )
         p = ModelParams(n, 1, a, 1.0)
+        ref = exhaustive_survivor_rates(a)
         got = survivor_rates(p, UNIFORM_TIE_BREAK)
-        assert np.max(np.abs(got - exhaustive_survivor_rates(a))) < 1e-12
+        assert np.max(np.abs(got - ref)) < 1e-12
+        enumerated = enumerated_survivor_rates(p, UNIFORM_TIE_BREAK)
+        assert np.max(np.abs(enumerated - ref)) < 1e-12
 
     @given(st.integers(2, 10), st.data())
     @settings(max_examples=40, deadline=None)

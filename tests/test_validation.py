@@ -36,8 +36,10 @@ class TestEnumerationSize:
     @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch"]))
     @settings(max_examples=40, deadline=None)
     def test_size_matches_generated_branch_count(self, p, model):
-        count = sum(1 for _ in _enumerate_branches(p, model, UNIFORM_TIE_BREAK))
-        assert count == enumeration_size(p, model)
+        branches = list(_enumerate_branches(p, model, UNIFORM_TIE_BREAK))
+        assert len(branches) == enumeration_size(p, model)
+        if model != "full":
+            assert all(len(s.events) <= 1 for _, s in branches)
 
     def test_known_sizes(self):
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
