@@ -40,14 +40,14 @@ def load_curve(path: str) -> SurvivalCurve:
 def run():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("outroot", nargs="?", default="results")
-    ap.add_argument("--threads", type=int, default=None)
+    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
-    extra = [] if args.threads is None else ["--threads", str(args.threads)]
 
     for label, config, tail_hi in EXPERIMENTS:
         outdir = os.path.join(args.outroot, label)
         print(f"== {label}: {config} -> {outdir}")
-        rc = main(["simulate", "--config", config, "--out", outdir] + extra)
+        argv = ["simulate", "--config", config, "--out", outdir, "--threads", str(args.threads)]
+        rc = main(argv)
         if rc != 0:
             return rc
         with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:

@@ -10,7 +10,8 @@ parallel streams derive one generator per unit of work as
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,6 +49,11 @@ class ModelParams:
     @cached_property
     def rate_sum(self) -> float:
         return float(sum(self.a))
+
+    @cached_property
+    def rates_cumsum(self) -> tuple:
+        """Running sums a_1, a_1 + a_2, ..., the sparse generator's bins."""
+        return tuple(accumulate(self.a))
 
     def require_sparse(self):
         """The sparse variant's gate: sum(a) <= 1."""
@@ -140,15 +146,6 @@ def activation_sets(p: ModelParams):
         yield tuple(i + 1 for i in range(p.n) if mask >> i & 1), prob
 
 
-@lru_cache(maxsize=None)
-def _rates_cumsum(p: ModelParams) -> tuple:
-    acc, out = 0.0, []
-    for x in p.a:
-        acc += x
-        out.append(acc)
-    return tuple(out)
-
-
 def _sample_m_subset(n: int, center: int, m: int, rng) -> tuple:
     """Uniform m-subset of {1..n} minus the center, without replacement.
 
@@ -175,7 +172,7 @@ def generate_sparse_snapshot(p: ModelParams, rng) -> Snapshot:
     """Draw a sparse-variant snapshot: node i is the single activated node
     with probability a_i, and no node activates with probability 1 - sum(a)."""
     p.require_sparse()
-    cum = _rates_cumsum(p)
+    cum = p.rates_cumsum
     u = rng.random()
     if u >= cum[-1]:
         return Snapshot(p.n, ())

@@ -189,39 +189,31 @@ def _parse_tie_break(raw: dict, n: int):
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> dict:
-    """Validate a raw JSON config dict; unknown keys (such as a manifest's
+    """Validate a raw JSON config dict into the form a manifest records,
+    plus the parsed tie-break ``rule``. ``seed_override`` replaces the
+    config's seed before validation. Unknown keys (such as a manifest's
     'results' block) are ignored so manifests replay as configs."""
-    n, m = _parse_n_m(raw)
-    dt = _as_real(raw, "dt", 0.0)
-    eps = _as_real(raw, "eps", 0.0, lo_open=True)
-    k_max = _as_int(raw, "k_max", 1)
-    n_paths = _as_int(raw, "n_paths", 1)
     if seed_override is not None:
-        if not (0 <= seed_override < U64):
-            raise ConfigError(f"seed: must be an unsigned 64-bit value, got {seed_override}")
-        seed = seed_override
-    else:
-        seed = _as_int(raw, "seed", 0, U64 - 1)
-    model = raw.get("model")
-    if model not in ("full", "sparse", "fastswitch"):
-        raise ConfigError(
-            f"model: must be 'full', 'sparse' or 'fastswitch', got {model!r}"
-        )
-    rule, rule_json = _parse_tie_break(raw, n)
-    return {
+        raw = {**raw, "seed": seed_override}
+    n, m = _parse_n_m(raw)
+    cfg = {
         "n": n,
         "m": m,
-        "dt": dt,
-        "eps": eps,
-        "k_max": k_max,
-        "n_paths": n_paths,
-        "seed": seed,
-        "model": model,
-        "activity": _parse_activity(raw, n),
-        "z0": _parse_z0(raw, n),
-        "rule": rule,
-        "tie_break_json": rule_json,
+        "dt": _as_real(raw, "dt", 0.0),
+        "eps": _as_real(raw, "eps", 0.0, lo_open=True),
+        "k_max": _as_int(raw, "k_max", 1),
+        "n_paths": _as_int(raw, "n_paths", 1),
+        "seed": _as_int(raw, "seed", 0, U64 - 1),
+        "model": raw.get("model"),
     }
+    if cfg["model"] not in ("full", "sparse", "fastswitch"):
+        raise ConfigError(
+            f"model: must be 'full', 'sparse' or 'fastswitch', got {cfg['model']!r}"
+        )
+    cfg["rule"], cfg["tie_break"] = _parse_tie_break(raw, n)
+    cfg["activity"] = _parse_activity(raw, n)
+    cfg["z0"] = _parse_z0(raw, n)
+    return cfg
 
 
 def draw_activity_rates(n: int, upper: float, seed: int) -> tuple:
@@ -253,41 +245,20 @@ def resolve_config(cfg: dict):
         z0 = np.asarray(cfg["z0"]["values"], dtype=float)
     else:
         z0 = draw_initial_state(cfg["n"], cfg["seed"])
-    manifest_config = {
-        "n": cfg["n"],
-        "m": cfg["m"],
-        "dt": cfg["dt"],
-        "eps": cfg["eps"],
-        "k_max": cfg["k_max"],
-        "n_paths": cfg["n_paths"],
-        "seed": cfg["seed"],
-        "model": cfg["model"],
-        "activity": {"mode": "explicit", "values": [float(x) for x in params.a]},
-        "z0": {"mode": "explicit", "values": [float(x) for x in z0]},
-        "tie_break": cfg["tie_break_json"],
-    }
+    manifest_config = {k: v for k, v in cfg.items() if k != "rule"}
+    manifest_config["activity"] = {"mode": "explicit", "values": [float(x) for x in params.a]}
+    manifest_config["z0"] = {"mode": "explicit", "values": [float(x) for x in z0]}
     return params, cfg["rule"], z0, manifest_config
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        k = args.threads
-    else:
-        env = os.environ.get("ADN_THREADS")
-        if env is None:
-            return 1
-        try:
-            k = int(env)
-        except ValueError:
-            raise ConfigError(f"ADN_THREADS: not an integer: {env!r}") from None
-    if k < 1:
-        raise ConfigError(f"threads: need >= 1, got {k}")
-    return k
-
-
-def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _write_csv(out: str, name: str, header: str, rows) -> str:
+    """Write the header and the rows (lines without their newline) to
+    ``name`` in directory ``out``, creating it; return the path."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([header, *rows]) + "\n")
+    return path
 
 
 def cmd_gamma(args) -> int:
@@ -300,23 +271,10 @@ def cmd_gamma(args) -> int:
     print(f"{args.command.replace('-', '_')} = {_fmt(bound.rate)}")
     print(f"weight_sum = {_fmt(bound.weight_sum)}")
     print(f"lambda_second = {_fmt(bound.lambda_second)}")
-    path = os.path.join(_out_dir(args), "gamma.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("kind,n,m,dt,rate,weight_sum,lambda_second\n")
-        fh.write(
-            ",".join(
-                [
-                    bound.kind,
-                    str(params.n),
-                    str(params.m),
-                    _fmt(params.dt),
-                    _fmt(bound.rate),
-                    _fmt(bound.weight_sum),
-                    _fmt(bound.lambda_second),
-                ]
-            )
-            + "\n"
-        )
+    row = [bound.kind, str(params.n), str(params.m)]
+    row += [_fmt(x) for x in (params.dt, bound.rate, bound.weight_sum, bound.lambda_second)]
+    header = "kind,n,m,dt,rate,weight_sum,lambda_second"
+    path = _write_csv(args.out, "gamma.csv", header, [",".join(row)])
     print(f"wrote {path}")
     return 0
 
@@ -341,7 +299,8 @@ def cmd_simulate(args) -> int:
             "refusing before any computation"
         )
     params, rule, z0, manifest = resolve_config(cfg)
-    threads = _resolve_threads(args)
+    if args.threads < 1:
+        raise ConfigError(f"threads: need >= 1, got {args.threads}")
     curve = run_paths(
         params,
         cfg["model"],
@@ -351,19 +310,19 @@ def cmd_simulate(args) -> int:
         cfg["n_paths"],
         cfg["eps"],
         cfg["seed"],
-        n_jobs=threads,
+        n_jobs=args.threads,
     )
     try:
         fit = fit_decay_stats(curve)
     except ValueError:
         fit = None
     bound = _bound_for(params, cfg["model"], rule)
-    out = _out_dir(args)
-    csv_path = os.path.join(out, "survival.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("K,prob,n_paths\n")
-        for k, prob in enumerate(curve.probs):
-            fh.write(f"{k},{_fmt(prob)},{curve.paths}\n")
+    csv_path = _write_csv(
+        args.out,
+        "survival.csv",
+        "K,prob,n_paths",
+        [f"{k},{_fmt(prob)},{curve.paths}" for k, prob in enumerate(curve.probs)],
+    )
     manifest["results"] = {
         "fitted_rate": fit.rate if fit is not None else None,
         "fit_r_squared": fit.r_squared if fit is not None else None,
@@ -373,7 +332,7 @@ def cmd_simulate(args) -> int:
         "bound_lambda_second": bound.lambda_second if bound is not None else None,
         "bound_weight_sum": bound.weight_sum if bound is not None else None,
     }
-    man_path = os.path.join(out, "manifest.json")
+    man_path = os.path.join(args.out, "manifest.json")
     with open(man_path, "w", encoding="utf-8", newline="") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -454,14 +413,16 @@ def cmd_validate(args) -> int:
     name = "fastswitch-inequality-grid"
     probe = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
     report = verify_fast_switch_inequality(probe, UNIFORM_TIE_BREAK, (0.01, 0.05, 0.1))
-    gaps_path = os.path.join(_out_dir(args), "gaps.csv")
-    with open(gaps_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("T,lambda_full,lambda_fastswitch,gap,holds\n")
-        for s in report.samples:
-            fh.write(
-                f"{_fmt(s.T)},{_fmt(s.lambda_full)},{_fmt(s.lambda_fastswitch)},"
-                f"{_fmt(s.gap)},{1 if s.holds else 0}\n"
-            )
+    gaps_path = _write_csv(
+        args.out,
+        "gaps.csv",
+        "T,lambda_full,lambda_fastswitch,gap,holds",
+        [
+            f"{_fmt(s.T)},{_fmt(s.lambda_full)},{_fmt(s.lambda_fastswitch)},"
+            f"{_fmt(s.gap)},{1 if s.holds else 0}"
+            for s in report.samples
+        ],
+    )
     min_gap = min(s.gap for s in report.samples)
     record(name, f"min gap {min_gap:.3g} over 3 grid points", report.holds_all)
 
@@ -475,7 +436,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_count_snapshots(args) -> int:
-    print(snapshot_count(*_parse_n_m(_load_json(args.config))))
+    # Decimal prints the exact count past str(int)'s digit limit. Imported
+    # here so that other commands do not pay its 0.4 MB of peak memory.
+    from decimal import Decimal
+
+    print(format(Decimal(snapshot_count(*_parse_n_m(_load_json(args.config)))), "f"))
     return 0
 
 
@@ -483,11 +448,7 @@ def cmd_count_snapshots(args) -> int:
 FLAGS = {
     "--out": {"default": ".", "help": "directory for CSV/manifest output"},
     "--seed": {"type": int, "default": None, "help": "override the config seed"},
-    "--threads": {
-        "type": int,
-        "default": None,
-        "help": "worker processes (default: ADN_THREADS env var, else 1)",
-    },
+    "--threads": {"type": int, "default": 1, "help": "worker processes (default 1)"},
 }
 
 # Subcommand -> (handler, help, flags). The handlers look the library

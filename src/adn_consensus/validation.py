@@ -3,8 +3,8 @@ numerical probe of the fast-switching eigenvalue inequality.
 
 Enumeration is exact or refused: every reachable snapshot configuration is
 visited with its true probability (activation pattern times uniform subset
-choice), with no sampling anywhere. Configurations stream out of a
-mixed-radix counter; nothing is materialized.
+choice), with no sampling anywhere. Configurations stream out one at a
+time; nothing is materialized.
 """
 
 import math
@@ -65,16 +65,11 @@ def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule):
                 yield w, Snapshot(n, (StarSpec(n, i, N),))
     elif model == "full":
         subsets = [list(combinations(_others(n, i), m)) for i in range(1, n + 1)]
-        for combo in product(range(C + 1), repeat=n):
-            prob = 1.0
-            events = []
-            for i0, opt in enumerate(combo):
-                if opt == 0:
-                    prob *= 1.0 - p.a[i0]
-                else:
-                    prob *= p.a[i0] / C
-                    events.append(StarSpec(n, i0 + 1, subsets[i0][opt - 1]))
-            yield prob, Snapshot(n, tuple(events))
+        for members, prob in activation_sets(p):
+            w = prob / C ** len(members)
+            for choice in product(*(subsets[i - 1] for i in members)):
+                events = tuple(StarSpec(n, i, N) for i, N in zip(members, choice))
+                yield w, Snapshot(n, events)
     elif model == "fastswitch":
         for members, prob in activation_sets(p):
             if not members:

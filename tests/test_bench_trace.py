@@ -1,9 +1,10 @@
 """Guard for the benchmark's per-layer trace: every module attribute that
-``perfbench/spans.py`` rebinds must exist, so a rename that would silently
-drop a layer from the trace fails here rather than only in the benchmark's
-own self-test."""
+``perfbench/spans.py`` rebinds must exist and still be called, so a rename
+or a rewiring that would silently drop a layer from the trace fails here
+rather than only in the benchmark's own self-test."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import adn_consensus
@@ -11,9 +12,52 @@ import adn_consensus.cli  # noqa: F401  (the trace rebinds names in cli)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
+SMALL = {
+    "n": 5,
+    "m": 2,
+    "dt": 0.5,
+    "eps": 0.1,
+    "k_max": 20,
+    "n_paths": 20,
+    "seed": 42,
+    "model": "sparse",
+    "activity": {"mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15, 0.08]},
+}
 
-def test_every_traced_binding_exists():
+
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_binding_exists():
+    spans = _load_spans()
     assert spans.Tracer(adn_consensus).absent == []
+
+
+def test_every_traced_span_records_calls(tmp_path, capsys):
+    # A sparse config for the bounds, validate and one simulate, and a
+    # busy full-model config so that simulate steps through events.
+    sparse = tmp_path / "sparse.json"
+    sparse.write_text(json.dumps(SMALL))
+    full = tmp_path / "full.json"
+    busy = {"mode": "explicit", "values": [0.3] * 5}
+    full.write_text(json.dumps({**SMALL, "model": "full", "activity": busy}))
+    spans = _load_spans()
+    tracer = spans.Tracer(adn_consensus)
+    out = str(tmp_path / "out")
+    with tracer.installed():
+        for argv in (
+            ["gamma-sp", "--config", str(sparse)],
+            ["gamma-fs", "--config", str(sparse)],
+            ["validate", "--config", str(sparse)],
+            ["simulate", "--config", str(sparse)],
+            ["simulate", "--config", str(full)],
+        ):
+            assert adn_consensus.cli.main(argv + ["--out", out]) == 0
+    capsys.readouterr()
+    tracer.collect()
+    silent = [name for name in spans.WRAPPED if tracer.calls[spans.INDEX[name]] == 0]
+    assert silent == []

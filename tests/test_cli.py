@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -46,7 +47,10 @@ class TestParseConfig:
         assert cfg["n"] == 5 and cfg["m"] == 2
         assert cfg["activity"]["values"] == (0.05, 0.1, 0.2, 0.15, 0.08)
         assert cfg["z0"] == {"mode": "uniform_draw"}
-        assert cfg["tie_break_json"] == "uniform"
+        assert cfg["tie_break"] == "uniform"
+        manifest_keys = {"n", "m", "dt", "eps", "k_max", "n_paths", "seed", "model"}
+        manifest_keys |= {"activity", "z0", "tie_break"}
+        assert set(cfg) == manifest_keys | {"rule"}
 
     def test_unknown_keys_ignored(self):
         # manifests carry a results block; feeding one back as a config
@@ -290,28 +294,22 @@ class TestSimulateCommand:
         assert manifest["seed"] == 9
         assert manifest["results"]["bound_kind"] == "sparse"
 
-    def test_thread_count_does_not_change_output(self, tmp_path, capsys, monkeypatch):
+    def test_thread_count_does_not_change_output(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_paths=40, k_max=12)
         outs = {}
-        for label, extra in (("t1", ["--threads", "1"]), ("t3", ["--threads", "3"])):
+        runs = (("default", []), ("t1", ["--threads", "1"]), ("t3", ["--threads", "3"]))
+        for label, extra in runs:
             d = tmp_path / label
             assert main(["simulate", "--config", cfg, "--out", str(d)] + extra) == 0
             outs[label] = (d / "survival.csv").read_bytes()
-        monkeypatch.setenv("ADN_THREADS", "2")
-        d = tmp_path / "env2"
-        assert main(["simulate", "--config", cfg, "--out", str(d)]) == 0
-        outs["env2"] = (d / "survival.csv").read_bytes()
         capsys.readouterr()
-        assert outs["t1"] == outs["t3"] == outs["env2"]
+        assert outs["default"] == outs["t1"] == outs["t3"]
 
-    def test_bad_thread_settings_rejected(self, tmp_path, capsys, monkeypatch):
+    def test_bad_thread_settings_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path), "--threads", "0"])
         assert rc == 2
-        monkeypatch.setenv("ADN_THREADS", "lots")
-        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
-        assert rc == 2
-        assert "ADN_THREADS" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("config error: threads: ")
 
     def test_step_budget_refused_upfront(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_paths=2_000_000, k_max=2000)
@@ -398,11 +396,22 @@ class TestCountSnapshots:
         assert out == "16807\n"
 
     def test_huge_counts_print_exactly(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, n=40, m=20, n_paths=1)
-        rc = main(["count-snapshots", "--config", cfg])
-        out = capsys.readouterr().out.strip()
-        assert rc == 0
-        assert int(out) == (1 + math.comb(39, 20)) ** 40
+        # (1 + C(199, 100))**200 has 11,732 digits, past the interpreter's
+        # default int/str conversion limit of 4,300
+        limit = sys.get_int_max_str_digits()
+        for n, m in ((40, 20), (200, 100)):
+            cfg = write_config(tmp_path, n=n, m=m, n_paths=1)
+            rc = main(["count-snapshots", "--config", cfg])
+            out = capsys.readouterr().out.strip()
+            assert rc == 0
+            assert sys.get_int_max_str_digits() == limit
+            # parse in 1000-digit chunks so the check itself stays under
+            # the conversion limit
+            value = 0
+            for i in range(0, len(out), 1000):
+                chunk = out[i:i + 1000]
+                value = value * 10 ** len(chunk) + int(chunk)
+            assert value == (1 + math.comb(n - 1, m)) ** n
 
 
 class TestErrorPaths:
