@@ -11,9 +11,8 @@ from .adn_model import (
     Snapshot,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
-    generate_fastswitch_snapshot,
+    center_sets,
     generate_snapshot,
-    generate_sparse_snapshot,
     snapshot_count,
     snapshot_laplacian,
 )
@@ -69,6 +68,7 @@ __all__ = [
     "TieBreakRule",
     "UNIFORM_TIE_BREAK",
     "activation_expectation",
+    "center_sets",
     "convergence_bound",
     "enumerate_expected_exponential",
     "enumeration_size",
@@ -76,9 +76,7 @@ __all__ = [
     "fit_decay_stats",
     "gamma_fs",
     "gamma_sp",
-    "generate_fastswitch_snapshot",
     "generate_snapshot",
-    "generate_sparse_snapshot",
     "lambda_second_deflated",
     "lambda_second_largest",
     "off_consensus_sq",

@@ -1,6 +1,6 @@
-"""Temporal-network generators: the activity-driven model, its sparse
-at-most-one-activation variant, and the fast-switching single-survivor
-variant, plus the snapshot-count formula.
+"""The activity-driven model and its sparse and fast-switching variants:
+each variant's law of star centres, exact (``center_sets``) and sampled
+(``generate_snapshot``), and the snapshot-count formula.
 
 All randomness flows through an explicit ``numpy.random.Generator`` (PCG64
 via ``numpy.random.default_rng``). Callers that need scheduling-independent
@@ -9,6 +9,7 @@ parallel streams derive one generator per unit of work as
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -156,57 +157,65 @@ def _sample_m_subset(n: int, center: int, m: int, rng) -> tuple:
     return tuple(sorted(int(i) + 1 if int(i) + 1 < center else int(i) + 2 for i in idx))
 
 
-def generate_snapshot(p: ModelParams, rng) -> Snapshot:
-    """Draw one activity-driven snapshot: each node activates independently
-    with its own rate and wires itself to a uniform m-subset of the others."""
-    u = rng.random(p.n)
-    events = []
-    for i in range(p.n):
-        if u[i] < p.a[i]:
-            center = i + 1
-            events.append(StarSpec(p.n, center, _sample_m_subset(p.n, center, p.m, rng)))
-    return Snapshot(p.n, tuple(events))
+def center_sets(p: ModelParams, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK):
+    """The variant's exact law of one period's star centres: (centres,
+    probability) pairs, centres increasing. ``full``: ``activation_sets``;
+    ``sparse``: () with 1 - sum(a), (i,) with a_i; ``fastswitch``: () with
+    P(none active), (i,) with P(S) * w_i(S) for each activated set S and
+    w_i(S) > 0. Checks the tag and the sparse gate on the call."""
+    if model == "full":
+        return activation_sets(p)
+    if model == "sparse":
+        p.require_sparse()
+        return [((), 1.0 - p.rate_sum)] + [((i + 1,), a) for i, a in enumerate(p.a)]
+    if model == "fastswitch":
+        return _survivor_sets(p, rule)
+    raise ValueError(f"unknown model tag {model!r}")
 
 
-def generate_sparse_snapshot(p: ModelParams, rng) -> Snapshot:
-    """Draw a sparse-variant snapshot: node i is the single activated node
-    with probability a_i, and no node activates with probability 1 - sum(a)."""
-    p.require_sparse()
-    cum = p.rates_cumsum
-    u = rng.random()
-    if u >= cum[-1]:
-        return Snapshot(p.n, ())
-    for i, c in enumerate(cum):
-        if u < c:
-            center = i + 1
-            spec = StarSpec(p.n, center, _sample_m_subset(p.n, center, p.m, rng))
-            return Snapshot(p.n, (spec,))
-    raise AssertionError("unreachable")
+def _survivor_sets(p: ModelParams, rule: TieBreakRule):
+    for members, prob in activation_sets(p):
+        if not members:
+            yield (), prob
+            continue
+        weights = rule.weights_for(frozenset(members))
+        for i in members:
+            wi = weights.get(i, 0.0)
+            if wi > 0.0:
+                yield (i,), prob * wi
 
 
-def generate_fastswitch_snapshot(p: ModelParams, rule: TieBreakRule, rng) -> Snapshot:
-    """Draw a fast-switching snapshot: sample the full activation set, then
-    if two or more nodes activated keep exactly one survivor per the rule."""
-    u = rng.random(p.n)
-    active = [i + 1 for i in range(p.n) if u[i] < p.a[i]]
-    if not active:
-        return Snapshot(p.n, ())
-    if len(active) == 1:
-        center = active[0]
-    elif rule.mode == "uniform":
-        center = active[int(rng.integers(len(active)))]
+def _survivor(active: list, rule: TieBreakRule, rng) -> int:
+    """One survivor of two or more activated nodes, drawn per the rule."""
+    if rule.mode == "uniform":
+        return active[int(rng.integers(len(active)))]
+    weights = rule.weights_for(frozenset(active))
+    cum = list(accumulate(weights.get(i, 0.0) for i in active))
+    return active[min(bisect_right(cum, rng.random()), len(active) - 1)]
+
+
+def generate_snapshot(
+    p: ModelParams, rng, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK
+) -> Snapshot:
+    """Draw the centres under the variant's law (``center_sets``), then wire
+    each in turn to a uniform m-subset of the other nodes. ``sparse`` reads
+    its centre off the running rate sums; the others draw one uniform per
+    node and activate node i when it falls below a_i."""
+    if model == "sparse":
+        p.require_sparse()
+        u = rng.random()
+        centres = [bisect_right(p.rates_cumsum, u) + 1] if u < p.rates_cumsum[-1] else []
+    elif model == "full" or model == "fastswitch":
+        u = rng.random(p.n).tolist()
+        centres = [i for i, (x, a) in enumerate(zip(u, p.a), 1) if x < a]
+        if model == "fastswitch" and len(centres) > 1:
+            centres = [_survivor(centres, rule, rng)]
     else:
-        weights = rule.weights_for(frozenset(active))
-        v = rng.random()
-        acc = 0.0
-        center = active[-1]
-        for i in active:
-            acc += weights.get(i, 0.0)
-            if v < acc:
-                center = i
-                break
-    spec = StarSpec(p.n, center, _sample_m_subset(p.n, center, p.m, rng))
-    return Snapshot(p.n, (spec,))
+        raise ValueError(f"unknown model tag {model!r}")
+    if not centres:
+        return Snapshot(p.n, ())
+    stars = (StarSpec(p.n, c, _sample_m_subset(p.n, c, p.m, rng)) for c in centres)
+    return Snapshot(p.n, tuple(stars))
 
 
 def snapshot_count(n: int, m: int) -> int:

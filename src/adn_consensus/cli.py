@@ -47,6 +47,10 @@ RATE_STREAM_SALT = 0x9E3779B97F4A7C15
 STATE_STREAM_SALT = 0xD1B54A32D192ED03
 
 STEP_BUDGET = 2_000_000_000
+# simulate writes k_max + 1 survival rows whatever n_paths is.
+K_MAX_LIMIT = 10**6
+# Printing the exact snapshot count is quadratic in its digit count.
+COUNT_DIGITS_LIMIT = 200_000
 
 
 class ConfigError(Exception):
@@ -201,7 +205,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> dict:
         "m": m,
         "dt": _as_real(raw, "dt", 0.0),
         "eps": _as_real(raw, "eps", 0.0, lo_open=True),
-        "k_max": _as_int(raw, "k_max", 1),
+        "k_max": _as_int(raw, "k_max", 1, K_MAX_LIMIT),
         "n_paths": _as_int(raw, "n_paths", 1),
         "seed": _as_int(raw, "seed", 0, U64 - 1),
         "model": raw.get("model"),
@@ -440,7 +444,15 @@ def cmd_count_snapshots(args) -> int:
     # here so that other commands do not pay its 0.4 MB of peak memory.
     from decimal import Decimal
 
-    print(format(Decimal(snapshot_count(*_parse_n_m(_load_json(args.config)))), "f"))
+    n, m = _parse_n_m(_load_json(args.config))
+    log_c = math.lgamma(n) - math.lgamma(m + 1) - math.lgamma(n - m)  # ln C(n-1, m)
+    digits = n * (log_c + math.log1p(math.exp(-log_c))) / math.log(10)
+    if digits > COUNT_DIGITS_LIMIT:
+        raise ConfigError(
+            f"n: the count for n={n}, m={m} has about {digits:.3g} digits, "
+            f"over the {COUNT_DIGITS_LIMIT} limit"
+        )
+    print(format(Decimal(snapshot_count(n, m)), "f"))
     return 0
 
 

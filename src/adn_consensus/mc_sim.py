@@ -10,7 +10,6 @@ integers, so results are identical for any degree of parallelism.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -18,9 +17,8 @@ from .adn_model import (
     ModelParams,
     Snapshot,
     TieBreakRule,
-    generate_fastswitch_snapshot,
+    center_sets,
     generate_snapshot,
-    generate_sparse_snapshot,
     snapshot_laplacian,
 )
 from .closed_form import star_kernel_scalars
@@ -95,12 +93,6 @@ def _count_exceed(p, model, rule, z0, k_max, eps, seed, lo, hi):
     """Survival counts over paths lo..hi-1 from each path's first-passage
     time tau below eps (k_max + 1 if it never drops): counts[K] = #{paths
     with tau > K}. Also returns the paths' total norm rises."""
-    if model == "sparse":
-        draw = partial(generate_sparse_snapshot, p)
-    elif model == "fastswitch":
-        draw = partial(generate_fastswitch_snapshot, p, rule)
-    else:
-        draw = partial(generate_snapshot, p)
     taus = np.empty(hi - lo, dtype=np.int64)
     rises = 0
     for j, idx in enumerate(range(lo, hi)):
@@ -108,7 +100,7 @@ def _count_exceed(p, model, rule, z0, k_max, eps, seed, lo, hi):
         z, cur, k = z0, off_consensus_sq(z0), 0
         while cur >= eps and k < k_max:
             k += 1
-            s = draw(rng)
+            s = generate_snapshot(p, rng, model, rule)
             if s.events:
                 z = step(z, s, p.dt)
                 new = off_consensus_sq(z)
@@ -136,16 +128,13 @@ def run_paths(
     fraction whose suffix max from K on reaches eps because every snapshot
     kernel contracts the disagreement. Deterministic for any n_jobs.
     """
-    if model not in ("full", "sparse", "fastswitch"):
-        raise ValueError(f"unknown model tag {model!r}")
+    center_sets(p, model, rule)  # raises on an unknown tag or a sparse sum(a) > 1
     if k_max < 1 or n_paths < 1:
         raise ValueError(f"need k_max >= 1 and n_paths >= 1, got {k_max}, {n_paths}")
     if not (eps > 0):
         raise ValueError(f"threshold must be > 0, got {eps}")
     if not (p.dt > 0):
         raise ValueError(f"dt: simulation needs a positive sampling period, got {p.dt}")
-    if model == "sparse":
-        p.require_sparse()
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape != (p.n,) or not np.isfinite(z0).all():
         raise ValueError(f"initial state must be {p.n} finite values")

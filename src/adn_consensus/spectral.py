@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adn_model import ModelParams, TieBreakRule, activation_sets
+from .adn_model import ModelParams, TieBreakRule, center_sets
 from .closed_form import activation_expectation
 from .graph_core import symmetrize
 
@@ -98,16 +98,14 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
 
 
 def enumerated_survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
-    """Survivor rates by exact enumeration over all 2**n activation sets,
-    under any tie-break rule; refused above n = 20."""
+    """Survivor rates as the per-node marginals of the fast-switching centre
+    law (all 2**n activation sets), under any tie-break rule; refused above n = 20."""
     if p.n > 20:
         raise ValueError(f"survivor-rate enumeration is 2**n; refused for n={p.n} > 20")
     b = np.zeros(p.n)
-    for members, prob in activation_sets(p):
-        if members:
-            weights = rule.weights_for(frozenset(members))
-            for i in members:
-                b[i - 1] += prob * weights.get(i, 0.0)
+    for centres, prob in center_sets(p, "fastswitch", rule):
+        if centres:
+            b[centres[0] - 1] += prob
     return b
 
 

@@ -17,7 +17,7 @@ from .adn_model import (
     ModelParams,
     Snapshot,
     TieBreakRule,
-    activation_sets,
+    center_sets,
     snapshot_laplacian,
 )
 from .graph_core import StarSpec, expm_sym
@@ -34,8 +34,7 @@ def enumeration_size(p: ModelParams, model: str) -> int:
     if model == "full":
         return (1 + C) ** p.n
     if model == "fastswitch":
-        pairs = sum(math.comb(p.n, s) * s for s in range(2, p.n + 1))
-        return 1 + p.n * C + pairs * C
+        return 1 + p.n * 2 ** (p.n - 1) * C
     raise ValueError(f"unknown model tag {model!r}")
 
 
@@ -48,42 +47,19 @@ def _require_enumerable(p: ModelParams, model: str):
         )
 
 
-def _others(n: int, i: int) -> list:
-    return [j for j in range(1, n + 1) if j != i]
-
-
 def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule):
-    """Yield (probability, snapshot) over every reachable configuration."""
+    """Yield (probability, snapshot) over every reachable configuration:
+    each centre tuple of ``center_sets`` times each choice of an m-subset
+    per centre, all choices equally likely."""
     n, m = p.n, p.m
     C = math.comb(n - 1, m)
-    if model == "sparse":
-        p.require_sparse()
-        yield 1.0 - p.rate_sum, Snapshot(n, ())
-        for i in range(1, n + 1):
-            w = p.a[i - 1] / C
-            for N in combinations(_others(n, i), m):
-                yield w, Snapshot(n, (StarSpec(n, i, N),))
-    elif model == "full":
-        subsets = [list(combinations(_others(n, i), m)) for i in range(1, n + 1)]
-        for members, prob in activation_sets(p):
-            w = prob / C ** len(members)
-            for choice in product(*(subsets[i - 1] for i in members)):
-                events = tuple(StarSpec(n, i, N) for i, N in zip(members, choice))
-                yield w, Snapshot(n, events)
-    elif model == "fastswitch":
-        for members, prob in activation_sets(p):
-            if not members:
-                yield prob, Snapshot(n, ())
-                continue
-            weights = rule.weights_for(frozenset(members))
-            for i in members:
-                wi = weights.get(i, 0.0)
-                if wi == 0.0:
-                    continue
-                for N in combinations(_others(n, i), m):
-                    yield prob * wi / C, Snapshot(n, (StarSpec(n, i, N),))
-    else:
-        raise ValueError(f"unknown model tag {model!r}")
+    subsets = [
+        list(combinations([j for j in range(1, n + 1) if j != i], m)) for i in range(1, n + 1)
+    ]
+    for centres, prob in center_sets(p, model, rule):
+        w = prob / C ** len(centres)
+        for choice in product(*(subsets[i - 1] for i in centres)):
+            yield w, Snapshot(n, tuple(StarSpec(n, i, N) for i, N in zip(centres, choice)))
 
 
 def enumerate_expected_exponential(

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,9 +12,8 @@ from adn_consensus import (
     StarSpec,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
-    generate_fastswitch_snapshot,
+    center_sets,
     generate_snapshot,
-    generate_sparse_snapshot,
     snapshot_count,
     snapshot_laplacian,
 )
@@ -148,20 +149,6 @@ class TestGenerators:
                 assert e.m == 2
                 assert e.center not in e.neighbors
 
-    def test_full_activation_frequencies(self):
-        a = (0.1, 0.5, 0.8, 0.3)
-        p = ModelParams(4, 1, a, 1.0)
-        rng = np.random.default_rng(123)
-        trials = 20000
-        hits = np.zeros(4)
-        for _ in range(trials):
-            for e in generate_snapshot(p, rng).events:
-                hits[e.center - 1] += 1
-        freq = hits / trials
-        for i in range(4):
-            sigma = math.sqrt(a[i] * (1 - a[i]) / trials)
-            assert abs(freq[i] - a[i]) < 5 * sigma
-
     def test_subset_choice_is_uniform(self):
         p = ModelParams(5, 2, (1.0,) * 5, 1.0)
         rng = np.random.default_rng(7)
@@ -177,29 +164,12 @@ class TestGenerators:
         for c in counts.values():
             assert abs(c - expect) < 5 * sigma
 
-    def test_sparse_at_most_one_event_and_frequencies(self):
-        a = (0.1, 0.3, 0.2)
-        p = ModelParams(3, 1, a, 1.0)
-        rng = np.random.default_rng(42)
-        trials = 20000
-        hits = np.zeros(4)
-        for _ in range(trials):
-            s = generate_sparse_snapshot(p, rng)
-            assert len(s.events) <= 1
-            if s.events:
-                hits[s.events[0].center] += 1
-            else:
-                hits[0] += 1
-        freq = hits / trials
-        probs = (1 - sum(a),) + a
-        for slot in range(4):
-            sigma = math.sqrt(probs[slot] * (1 - probs[slot]) / trials)
-            assert abs(freq[slot] - probs[slot]) < 5 * sigma
-
     def test_sparse_requires_small_rate_sum(self):
         p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
         with pytest.raises(ValueError):
-            generate_sparse_snapshot(p, np.random.default_rng(0))
+            generate_snapshot(p, np.random.default_rng(0), "sparse")
+        with pytest.raises(ValueError):
+            center_sets(p, "sparse")
 
     def test_fastswitch_single_survivor_uniform(self):
         p = ModelParams(3, 1, (1.0, 1.0, 1.0), 1.0)
@@ -207,7 +177,7 @@ class TestGenerators:
         trials = 15000
         hits = np.zeros(3)
         for _ in range(trials):
-            s = generate_fastswitch_snapshot(p, UNIFORM_TIE_BREAK, rng)
+            s = generate_snapshot(p, rng, "fastswitch")
             assert len(s.events) == 1
             hits[s.events[0].center - 1] += 1
         sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
@@ -220,15 +190,91 @@ class TestGenerators:
         rule = TieBreakRule("table", table)
         rng = np.random.default_rng(9)
         for _ in range(50):
-            s = generate_fastswitch_snapshot(p, rule, rng)
+            s = generate_snapshot(p, rng, "fastswitch", rule)
             assert len(s.events) == 1
             assert s.events[0].center == 3
 
     def test_fastswitch_empty_snapshot_possible(self):
         p = ModelParams(3, 1, (1e-9, 1e-9, 1e-9), 1.0)
         rng = np.random.default_rng(1)
-        s = generate_fastswitch_snapshot(p, UNIFORM_TIE_BREAK, rng)
+        s = generate_snapshot(p, rng, "fastswitch")
         assert s.events == ()
+
+    def test_unknown_model_rejected(self):
+        p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
+        with pytest.raises(ValueError):
+            generate_snapshot(p, np.random.default_rng(0), "other")
+        with pytest.raises(ValueError):
+            center_sets(p, "other")
+
+
+def _id_weighted_table(n: int) -> TieBreakRule:
+    """Tie-break table over every set of two or more of n nodes, each
+    member weighted by its node id; it also serves any smaller n."""
+    table = {}
+    for size in range(2, n + 1):
+        for s in combinations(range(1, n + 1), size):
+            table[frozenset(s)] = {i: i / sum(s) for i in s}
+    return TieBreakRule("table", table)
+
+
+VARIANTS = {
+    "full": ("full", UNIFORM_TIE_BREAK),
+    "sparse": ("sparse", UNIFORM_TIE_BREAK),
+    "fastswitch-uniform": ("fastswitch", UNIFORM_TIE_BREAK),
+    "fastswitch-table": ("fastswitch", _id_weighted_table(5)),
+}
+
+
+class TestVariantLaws:
+    # sha256 (first 16 hex digits) of the first 400 snapshots' (centre,
+    # neighbours) tuples at seed 2718 on STREAM_PARAMS, recorded from the
+    # separate per-variant generators this sampler replaced. A change here
+    # changes every simulate output of that variant.
+    STREAM_PARAMS = ModelParams(5, 2, (0.3, 0.15, 0.2, 0.1, 0.15), 1.0)
+    STREAM_DIGESTS = {
+        "full": "b266e9d78821cf1a",
+        "sparse": "2a5e62993f9ed4e2",
+        "fastswitch-uniform": "ca91f01f867841e6",
+        "fastswitch-table": "1a55539d10df7a4a",
+    }
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_draw_stream_is_pinned(self, variant):
+        model, rule = VARIANTS[variant]
+        rng = np.random.default_rng(2718)
+        stream = [
+            tuple(
+                (e.center, e.neighbors)
+                for e in generate_snapshot(self.STREAM_PARAMS, rng, model, rule).events
+            )
+            for _ in range(400)
+        ]
+        digest = hashlib.sha256(repr(stream).encode()).hexdigest()[:16]
+        assert digest == self.STREAM_DIGESTS[variant]
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_sampler_matches_exact_law(self, variant):
+        """Centre-tuple frequencies of 20,000 draws against center_sets,
+        each within 5 sigma; every drawn tuple is in the law's support, so
+        sparse and fastswitch draws hold at most one star."""
+        model, rule = VARIANTS[variant]
+        a = (0.1, 0.5, 0.3, 0.05) if model == "sparse" else (0.1, 0.5, 0.8, 0.3)
+        p = ModelParams(4, 1, a, 1.0)
+        law = {}  # fastswitch yields each survivor once per activation set
+        for centres, prob in center_sets(p, model, rule):
+            law[centres] = law.get(centres, 0.0) + prob
+        assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(123)
+        trials = 20000
+        counts = dict.fromkeys(law, 0)
+        for _ in range(trials):
+            centres = tuple(e.center for e in generate_snapshot(p, rng, model, rule).events)
+            counts[centres] += 1
+        assert len(counts) == len(law)
+        for centres, prob in law.items():
+            sigma = math.sqrt(prob * (1 - prob) / trials)
+            assert abs(counts[centres] / trials - prob) <= 5 * sigma, centres
 
 
 class TestActivationSets:

@@ -38,26 +38,35 @@ def test_every_traced_binding_exists():
 
 
 def test_every_traced_span_records_calls(tmp_path, capsys):
-    # A sparse config for the bounds, validate and one simulate, and a
-    # busy full-model config so that simulate steps through events.
-    sparse = tmp_path / "sparse.json"
-    sparse.write_text(json.dumps(SMALL))
-    full = tmp_path / "full.json"
+    # A sparse config for the bounds, validate and one simulate, and busy
+    # full-model and fastswitch configs so that simulate steps through
+    # events. Every variant's draws go through the one traced sampler.
+    configs = {}
     busy = {"mode": "explicit", "values": [0.3] * 5}
-    full.write_text(json.dumps({**SMALL, "model": "full", "activity": busy}))
+    for model, patch in (
+        ("sparse", {}),
+        ("full", {"model": "full", "activity": busy}),
+        ("fastswitch", {"model": "fastswitch", "activity": busy}),
+    ):
+        configs[model] = tmp_path / f"{model}.json"
+        configs[model].write_text(json.dumps({**SMALL, **patch}))
     spans = _load_spans()
     tracer = spans.Tracer(adn_consensus)
+    draw = spans.INDEX["adn_model.generate_snapshot"]
+    draws = {}
     out = str(tmp_path / "out")
     with tracer.installed():
-        for argv in (
-            ["gamma-sp", "--config", str(sparse)],
-            ["gamma-fs", "--config", str(sparse)],
-            ["validate", "--config", str(sparse)],
-            ["simulate", "--config", str(sparse)],
-            ["simulate", "--config", str(full)],
-        ):
-            assert adn_consensus.cli.main(argv + ["--out", out]) == 0
+        for command in ("gamma-sp", "gamma-fs", "validate"):
+            argv = [command, "--config", str(configs["sparse"]), "--out", out]
+            assert adn_consensus.cli.main(argv) == 0
+        for model, path in configs.items():
+            tracer.collect()
+            before = int(tracer.calls[draw])
+            argv = ["simulate", "--config", str(path), "--out", out]
+            assert adn_consensus.cli.main(argv) == 0
+            tracer.collect()
+            draws[model] = int(tracer.calls[draw]) - before
     capsys.readouterr()
-    tracer.collect()
+    assert all(draws.values()), draws
     silent = [name for name in spans.WRAPPED if tracer.calls[spans.INDEX[name]] == 0]
     assert silent == []

@@ -311,6 +311,14 @@ class TestSimulateCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: threads: ")
 
+    def test_k_max_capped_whatever_n_paths(self, tmp_path, capsys):
+        assert parse_config(make_config(k_max=cli.K_MAX_LIMIT))["k_max"] == cli.K_MAX_LIMIT
+        cfg = write_config(tmp_path, n_paths=1, k_max=cli.K_MAX_LIMIT + 1)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: k_max: ")
+        assert not (tmp_path / "survival.csv").exists()
+
     def test_step_budget_refused_upfront(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_paths=2_000_000, k_max=2000)
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -412,6 +420,15 @@ class TestCountSnapshots:
                 chunk = out[i:i + 1000]
                 value = value * 10 ** len(chunk) + int(chunk)
             assert value == (1 + math.comb(n - 1, m)) ** n
+
+    def test_oversized_count_refused_naming_n(self, tmp_path, capsys):
+        # (1 + C(1999, 1000))**2000 has about 1.2 million digits
+        cfg = write_config(tmp_path, n=2000, m=1000, n_paths=1)
+        rc = main(["count-snapshots", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: n: ")
 
 
 class TestErrorPaths:

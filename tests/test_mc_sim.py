@@ -1,6 +1,5 @@
 import json
 import math
-from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -17,9 +16,7 @@ from adn_consensus import (
     UNIFORM_TIE_BREAK,
     expm_sym,
     fit_decay_stats,
-    generate_fastswitch_snapshot,
     generate_snapshot,
-    generate_sparse_snapshot,
     mc_sim,
     off_consensus_sq,
     project_off_consensus,
@@ -276,14 +273,9 @@ class TestFirstPassageOracle:
     def test_matches_suffix_max_oracle(self, case):
         c = oracle_case(case)
         p = c["p"]
-        draw = {
-            "full": partial(generate_snapshot, p),
-            "sparse": partial(generate_sparse_snapshot, p),
-            "fastswitch": partial(generate_fastswitch_snapshot, p, c["rule"]),
-        }[c["model"]]
         curve = run_paths(**c)
         ref = suffix_max_survival(
-            draw,
+            lambda rng: generate_snapshot(p, rng, c["model"], c["rule"]),
             lambda z, s: step(z, s, p.dt),
             off_consensus_sq,
             c["z0"],
