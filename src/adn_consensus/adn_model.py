@@ -1,6 +1,7 @@
 """The activity-driven model and its sparse and fast-switching variants:
 each variant's law of star centres, exact (``center_sets``) and sampled
-(``generate_snapshot``), and the snapshot-count formula.
+(``generate_snapshot``, with ``idle_run`` consuming runs of idle periods on
+the same draws), and the snapshot-count formula.
 
 All randomness flows through an explicit ``numpy.random.Generator`` (PCG64
 via ``numpy.random.default_rng``). Callers that need scheduling-independent
@@ -50,6 +51,13 @@ class ModelParams:
     @cached_property
     def rate_sum(self) -> float:
         return float(sum(self.a))
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """``a`` as a read-only float64 array, for vectorized comparisons."""
+        a = np.array(self.a)
+        a.flags.writeable = False
+        return a
 
     @cached_property
     def rates_cumsum(self) -> tuple:
@@ -153,8 +161,8 @@ def _sample_m_subset(n: int, center: int, m: int, rng) -> tuple:
     Draws distinct indices over the n-1 candidates (partial shuffle inside
     ``Generator.choice``) and remaps them around the excluded center.
     """
-    idx = rng.choice(n - 1, size=m, replace=False)
-    return tuple(sorted(int(i) + 1 if int(i) + 1 < center else int(i) + 2 for i in idx))
+    idx = rng.choice(n - 1, size=m, replace=False).tolist()
+    return tuple(sorted(i + 1 if i + 1 < center else i + 2 for i in idx))
 
 
 def center_sets(p: ModelParams, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK):
@@ -194,28 +202,76 @@ def _survivor(active: list, rule: TieBreakRule, rng) -> int:
     return active[min(bisect_right(cum, rng.random()), len(active) - 1)]
 
 
+def _draw_activity(p: ModelParams, rng, model: str, periods: tuple = ()):
+    """Draw the uniforms of ``periods`` sampling periods and apply the
+    variant's activation test, the one place it is written. ``sparse`` draws
+    one uniform per period, and some node activates when it falls below
+    sum(a); ``full`` and ``fastswitch`` draw one per node, and node i
+    activates when its uniform falls below a_i. Returns the uniforms and the
+    activation mask, both of shape ``periods + (1 or n,)``."""
+    if model == "sparse":
+        p.require_sparse()
+        u = rng.random(periods + (1,))
+        return u, u < p.rates_cumsum[-1]
+    if model == "full" or model == "fastswitch":
+        u = rng.random(periods + (p.n,))
+        return u, u < p.rates
+    raise ValueError(f"unknown model tag {model!r}")
+
+
 def generate_snapshot(
     p: ModelParams, rng, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK
 ) -> Snapshot:
     """Draw the centres under the variant's law (``center_sets``), then wire
     each in turn to a uniform m-subset of the other nodes. ``sparse`` reads
-    its centre off the running rate sums; the others draw one uniform per
-    node and activate node i when it falls below a_i."""
+    its centre off the running rate sums; the others activate each node
+    whose uniform falls below its rate."""
+    u, active = _draw_activity(p, rng, model)
     if model == "sparse":
-        p.require_sparse()
-        u = rng.random()
-        centres = [bisect_right(p.rates_cumsum, u) + 1] if u < p.rates_cumsum[-1] else []
-    elif model == "full" or model == "fastswitch":
-        u = rng.random(p.n).tolist()
-        centres = [i for i, (x, a) in enumerate(zip(u, p.a), 1) if x < a]
+        centres = [bisect_right(p.rates_cumsum, u[0]) + 1] if active[0] else []
+    else:
+        centres = [i for i, hit in enumerate(active.tolist(), 1) if hit]
         if model == "fastswitch" and len(centres) > 1:
             centres = [_survivor(centres, rule, rng)]
-    else:
-        raise ValueError(f"unknown model tag {model!r}")
     if not centres:
         return Snapshot(p.n, ())
     stars = (StarSpec(p.n, c, _sample_m_subset(p.n, c, p.m, rng)) for c in centres)
     return Snapshot(p.n, tuple(stars))
+
+
+# Uniforms per chunk of ``idle_run``: enough to amortize a chunk's fixed
+# cost (a saved state and a few numpy calls, several microseconds) over a
+# typical idle run, few enough that the draws past its end stay cheap.
+_IDLE_CHUNK = 1024
+
+
+def idle_run(p: ModelParams, rng, model: str, limit: int) -> int:
+    """Consume the coming idle periods, at most ``limit``, and return how
+    many there were. The draws are exactly those ``generate_snapshot``
+    would make for them, taken in chunks of periods, so ``rng`` is left at
+    the start of the first period that activates a node and the stream
+    reads on as if each idle period had been drawn in turn.
+
+    ``Generator.random((B, w))`` yields the doubles of B calls to
+    ``random(w)`` and leaves the 32-bit buffer that ``choice`` and
+    ``integers`` may hold untouched. On a chunk with an active period the
+    state saved before the chunk is restored and only its idle rows are
+    drawn again; ``advance()`` would rewind too, but clears that buffer.
+    """
+    per_period = 1 if model == "sparse" else p.n  # as _draw_activity draws
+    done = 0
+    while done < limit:
+        rows = min(max(1, _IDLE_CHUNK // per_period), limit - done)
+        saved = rng.bit_generator.state
+        active = _draw_activity(p, rng, model, (rows,))[1]
+        first = int(active.argmax())  # flat index of the first activation
+        if active.flat[first]:
+            r = first // active.shape[1]
+            rng.bit_generator.state = saved
+            _draw_activity(p, rng, model, (r,))
+            return done + r
+        done += rows
+    return done
 
 
 def snapshot_count(n: int, m: int) -> int:

@@ -387,7 +387,7 @@ def cmd_validate(args) -> int:
     #      enumeration.
     for model in ("sparse", "fastswitch"):
         name = f"{model}-kernel-vs-enumeration"
-        size = enumeration_size(params, model)
+        size = enumeration_size(params, model, rule)
         if model == "sparse" and params.rate_sum > 1.0:
             record(name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None)
         elif size > MAX_BRANCHES:

@@ -3,7 +3,9 @@ estimation, and decay-rate fitting.
 
 Every snapshot kernel contracts the disagreement, so each path stops at its
 first passage below eps and the survival curve is one minus the empirical
-CDF of the first-passage times. Each path runs on its own RNG stream,
+CDF of the first-passage times. After an idle period the walk consumes the
+idle periods that follow in bulk (``idle_run``), with the same draws a
+period-by-period walk would make. Each path runs on its own RNG stream,
 ``default_rng(seed ^ path_index)``, and counts are aggregated as exact
 integers, so results are identical for any degree of parallelism.
 """
@@ -19,6 +21,7 @@ from .adn_model import (
     TieBreakRule,
     center_sets,
     generate_snapshot,
+    idle_run,
     snapshot_laplacian,
 )
 from .closed_form import star_kernel_scalars
@@ -92,7 +95,12 @@ def step(z, s: Snapshot, dt: float) -> np.ndarray:
 def _count_exceed(p, model, rule, z0, k_max, eps, seed, lo, hi):
     """Survival counts over paths lo..hi-1 from each path's first-passage
     time tau below eps (k_max + 1 if it never drops): counts[K] = #{paths
-    with tau > K}. Also returns the paths' total norm rises."""
+    with tau > K}. Also returns the paths' total norm rises.
+
+    An idle draw leaves the state unchanged, so the idle periods after it
+    are consumed in bulk by ``idle_run``, which draws what
+    ``generate_snapshot`` would have drawn for them: each path reads the
+    same stream as a period-by-period walk."""
     taus = np.empty(hi - lo, dtype=np.int64)
     rises = 0
     for j, idx in enumerate(range(lo, hi)):
@@ -101,11 +109,13 @@ def _count_exceed(p, model, rule, z0, k_max, eps, seed, lo, hi):
         while cur >= eps and k < k_max:
             k += 1
             s = generate_snapshot(p, rng, model, rule)
-            if s.events:
-                z = step(z, s, p.dt)
-                new = off_consensus_sq(z)
-                rises += new > cur * (1.0 + 1e-12) + 1e-15
-                cur = new
+            if not s.events:
+                k += idle_run(p, rng, model, k_max - k)
+                continue
+            z = step(z, s, p.dt)
+            new = off_consensus_sq(z)
+            rises += new > cur * (1.0 + 1e-12) + 1e-15
+            cur = new
         taus[j] = k if cur < eps else k_max + 1
     return (hi - lo) - np.cumsum(np.bincount(taus, minlength=k_max + 2)[:-1]), rises
 

@@ -17,6 +17,7 @@ from .adn_model import (
     ModelParams,
     Snapshot,
     TieBreakRule,
+    UNIFORM_TIE_BREAK,
     center_sets,
     snapshot_laplacian,
 )
@@ -26,20 +27,33 @@ from .spectral import lambda_second_largest
 MAX_BRANCHES = 10**7
 
 
-def enumeration_size(p: ModelParams, model: str) -> int:
-    """Exact number of weighted configurations enumeration would visit."""
+def enumeration_size(
+    p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK
+) -> int:
+    """Exact number of weighted configurations enumeration would visit.
+    Under ``fastswitch`` that is one per survivor of positive weight: each
+    member of each activated set under the uniform rule, and under a table
+    rule each lone node plus each positive weight of the table's sets."""
     C = math.comb(p.n - 1, p.m)
     if model == "sparse":
         return 1 + p.n * C
     if model == "full":
         return (1 + C) ** p.n
     if model == "fastswitch":
-        return 1 + p.n * 2 ** (p.n - 1) * C
+        if rule.mode == "uniform":
+            survivors = p.n * 2 ** (p.n - 1)
+        else:
+            survivors = p.n + sum(
+                sum(w > 0.0 for w in weights.values())
+                for s, weights in rule.table.items()
+                if max(s) <= p.n
+            )
+        return 1 + survivors * C
     raise ValueError(f"unknown model tag {model!r}")
 
 
-def _require_enumerable(p: ModelParams, model: str):
-    size = enumeration_size(p, model)
+def _require_enumerable(p: ModelParams, model: str, rule: TieBreakRule):
+    size = enumeration_size(p, model, rule)
     if size > MAX_BRANCHES:
         raise ValueError(
             f"enumeration for model={model!r} needs {size} branches, "
@@ -63,11 +77,11 @@ def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule):
 
 
 def enumerate_expected_exponential(
-    p: ModelParams, model: str, rule: TieBreakRule = TieBreakRule("uniform")
+    p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK
 ) -> np.ndarray:
     """Exact E[e**(-2*dt*L)] as the probability-weighted sum of dense
     exponentials over every configuration. Refuses oversized enumerations."""
-    _require_enumerable(p, model)
+    _require_enumerable(p, model, rule)
     T = 2.0 * p.dt
     acc = np.zeros((p.n, p.n))
     total = 0.0
@@ -113,7 +127,7 @@ def verify_fast_switch_inequality(
     # Both sizes are checked before either enumeration starts, since either
     # can be the larger one (the fastswitch count when m = n-1).
     for model in ("full", "fastswitch"):
-        _require_enumerable(p, model)
+        _require_enumerable(p, model, rule)
     samples = []
     for T in T_grid:
         if not (T > 0):

@@ -17,7 +17,8 @@ from adn_consensus import (
     snapshot_count,
     snapshot_laplacian,
 )
-from adn_consensus.adn_model import activation_sets
+from adn_consensus import adn_model
+from adn_consensus.adn_model import activation_sets, idle_run
 
 
 class TestModelParams:
@@ -275,6 +276,55 @@ class TestVariantLaws:
         for centres, prob in law.items():
             sigma = math.sqrt(prob * (1 - prob) / trials)
             assert abs(counts[centres] / trials - prob) <= 5 * sigma, centres
+
+
+def _stars(s) -> tuple:
+    return tuple((e.center, e.neighbors) for e in s.events)
+
+
+class TestIdleRun:
+    """idle_run followed by generate_snapshot reads each variant's stream
+    draw for draw like generate_snapshot called once per period: the same
+    idle count, the same next snapshot and the same generator state."""
+
+    # P(idle) about 0.95: idle runs average 19 periods, so with a 10-draw
+    # chunk (2 periods at n=5, 10 under sparse) most span several chunks.
+    P = ModelParams(5, 2, (0.01, 0.005, 0.015, 0.01, 0.01), 1.0)
+
+    @staticmethod
+    def per_period(p, rng, model, rule, limit):
+        """The idle periods before the first active one, at most limit,
+        and that period's stars (None when limit idle periods came first)."""
+        for k in range(limit):
+            s = generate_snapshot(p, rng, model, rule)
+            if s.events:
+                return k, _stars(s)
+        return limit, None
+
+    @pytest.mark.parametrize("chunk", [None, 10])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_matches_per_period_walk(self, variant, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(adn_model, "_IDLE_CHUNK", chunk)
+        model, rule = VARIANTS[variant]
+        fast, ref = np.random.default_rng(31), np.random.default_rng(31)
+        outcomes = set()
+        for trial in range(300):
+            if trial % 2:
+                # Enter with the 32-bit half-word that choice and integers
+                # buffer; restoring the saved state must keep it.
+                state = fast.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, 1000 + trial
+                fast.bit_generator.state = ref.bit_generator.state = state
+            limit = (0, 1, 5, 40, 400)[trial % 5]
+            k = idle_run(self.P, fast, model, limit)
+            assert 0 <= k <= limit
+            stars = _stars(generate_snapshot(self.P, fast, model, rule)) if k < limit else None
+            assert (k, stars) == self.per_period(self.P, ref, model, rule, limit)
+            assert fast.bit_generator.state == ref.bit_generator.state
+            outcomes.add((trial % 2, "limit" if k == limit else "active", k > 0))
+        # Both endings, from both kinds of entry state, after idle periods.
+        assert {(b, end, True) for b in (0, 1) for end in ("limit", "active")} <= outcomes
 
 
 class TestActivationSets:

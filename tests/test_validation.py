@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -48,6 +49,22 @@ class TestEnumerationSize:
         # empty, three singletons with 2 subsets each, then sets of size
         # 2 and 3 with one survivor choice per member per subset
         assert enumeration_size(p, "fastswitch") == 1 + 6 + (3 * 2 + 1 * 3) * 2
+
+    def test_table_rule_counts_only_positive_weights(self):
+        """A zero tie-break weight removes that survivor's branches: one
+        zero per 3-set takes 4 survivors times C(3, 2) subsets off 97."""
+        p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.25), 1.0)
+        table = {}
+        for size in (2, 3, 4):
+            for s in combinations(range(1, 5), size):
+                w = dict.fromkeys(s, 1.0 / size)
+                if size == 3:
+                    w = {s[0]: 0.0, s[1]: 0.5, s[2]: 0.5}
+                table[frozenset(s)] = w
+        rule = TieBreakRule("table", table)
+        branches = list(_enumerate_branches(p, "fastswitch", rule))
+        assert enumeration_size(p, "fastswitch", rule) == len(branches) == 85
+        assert enumeration_size(p, "fastswitch") == 97
 
     def test_unknown_model_rejected(self):
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
