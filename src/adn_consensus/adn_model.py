@@ -10,7 +10,7 @@ parallel streams derive one generator per unit of work as
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -26,8 +26,8 @@ class ModelParams:
 
     ``a`` holds per-node activity rates in (0, 1]. ``dt`` is the sampling
     period; 0 is admitted so the no-motion limit stays representable.
-    The sparse variant additionally needs sum(a) <= 1, checked at the point
-    of use by ``require_sparse`` rather than here.
+    The sparse variant additionally needs sum(a) <= 1 (``sparse_regime``),
+    checked at the point of use by ``require_sparse`` rather than here.
     """
 
     n: int
@@ -49,10 +49,6 @@ class ModelParams:
             raise ValueError(f"sampling period must be >= 0, got {self.dt}")
 
     @cached_property
-    def rate_sum(self) -> float:
-        return float(sum(self.a))
-
-    @cached_property
     def rates(self) -> np.ndarray:
         """``a`` as a read-only float64 array, for vectorized comparisons."""
         a = np.array(self.a)
@@ -64,9 +60,19 @@ class ModelParams:
         """Running sums a_1, a_1 + a_2, ..., the sparse generator's bins."""
         return tuple(accumulate(self.a))
 
+    @cached_property
+    def rate_sum(self) -> float:
+        """sum(a), added left to right: the last of ``rates_cumsum``."""
+        return self.rates_cumsum[-1]
+
+    @property
+    def sparse_regime(self) -> bool:
+        """sum(a) <= 1, the sparse variant's condition."""
+        return self.rate_sum <= 1.0
+
     def require_sparse(self):
-        """The sparse variant's gate: sum(a) <= 1."""
-        if self.rate_sum > 1.0:
+        """The sparse variant's gate: ``sparse_regime``."""
+        if not self.sparse_regime:
             raise ValueError(
                 f"activity: rate sum {self.rate_sum} exceeds 1; the sparse variant "
                 "requires sum(a) <= 1"
@@ -159,10 +165,11 @@ def _sample_m_subset(n: int, center: int, m: int, rng) -> tuple:
     """Uniform m-subset of {1..n} minus the center, without replacement.
 
     Draws distinct indices over the n-1 candidates (partial shuffle inside
-    ``Generator.choice``) and remaps them around the excluded center.
+    ``Generator.choice``) and remaps them around the excluded center, in
+    draw order (``StarSpec`` sorts them).
     """
     idx = rng.choice(n - 1, size=m, replace=False).tolist()
-    return tuple(sorted(i + 1 if i + 1 < center else i + 2 for i in idx))
+    return tuple(i + 1 if i + 1 < center else i + 2 for i in idx)
 
 
 def center_sets(p: ModelParams, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK):
@@ -199,7 +206,8 @@ def _survivor(active: list, rule: TieBreakRule, rng) -> int:
         return active[int(rng.integers(len(active)))]
     weights = rule.weights_for(frozenset(active))
     cum = list(accumulate(weights.get(i, 0.0) for i in active))
-    return active[min(bisect_right(cum, rng.random()), len(active) - 1)]
+    # A draw at or past cum[-1] goes to the last node of positive weight.
+    return active[min(bisect_right(cum, rng.random()), bisect_left(cum, cum[-1]))]
 
 
 def _draw_activity(p: ModelParams, rng, model: str, periods: tuple = ()):
@@ -212,7 +220,7 @@ def _draw_activity(p: ModelParams, rng, model: str, periods: tuple = ()):
     if model == "sparse":
         p.require_sparse()
         u = rng.random(periods + (1,))
-        return u, u < p.rates_cumsum[-1]
+        return u, u < p.rate_sum
     if model == "full" or model == "fastswitch":
         u = rng.random(periods + (p.n,))
         return u, u < p.rates

@@ -241,10 +241,7 @@ def resolve_config(cfg: dict):
         a = cfg["activity"]["values"]
     else:
         a = draw_activity_rates(cfg["n"], cfg["activity"]["upper"], cfg["seed"])
-    try:
-        params = ModelParams(cfg["n"], cfg["m"], a, cfg["dt"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = ModelParams(cfg["n"], cfg["m"], a, cfg["dt"])
     if cfg["z0"]["mode"] == "explicit":
         z0 = np.asarray(cfg["z0"]["values"], dtype=float)
     else:
@@ -289,7 +286,7 @@ def _bound_for(params: ModelParams, model: str, rule: TieBreakRule):
     <= 1, the fast-switching bound covers fastswitch runs."""
     if model == "fastswitch":
         return gamma_fs(params, rule)
-    if params.rate_sum <= 1.0:
+    if params.sparse_regime:
         return gamma_sp(params)
     return None
 
@@ -388,7 +385,7 @@ def cmd_validate(args) -> int:
     for model in ("sparse", "fastswitch"):
         name = f"{model}-kernel-vs-enumeration"
         size = enumeration_size(params, model, rule)
-        if model == "sparse" and params.rate_sum > 1.0:
+        if model == "sparse" and not params.sparse_regime:
             record(name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None)
         elif size > MAX_BRANCHES:
             record(name, f"refused: size ({size} branches)", None)

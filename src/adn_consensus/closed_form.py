@@ -52,32 +52,26 @@ def activation_expectation(p: ModelParams, center: int) -> np.ndarray:
     """Expected heat kernel over 2*dt of a single activation at ``center``,
     averaged over all uniform m-subsets of neighbors.
 
-    Writing T = 2*dt, x = exp(-(m+1)T), y = exp(-T), n the node count:
-      diag at the center     1 - m*(1-x)/(m+1)
-      diag elsewhere         1 + ((m**2-1)*y + x - m**2) / ((m+1)*(n-1))
-      center row/column      m*(1-x) / ((m+1)*(n-1))
-      remaining off-diagonal (m-1)*(m + x - (m+1)*y) / ((m+1)*(n-1)*(n-2))
-    The last case never arises for n = 2. Each such matrix is symmetric,
-    entrywise nonnegative and doubly stochastic.
+    Each entry of the star kernel (``star_kernel_scalars`` at T = 2*dt) is
+    weighted by the chance that the subset holds its nodes, q1 = m/(n-1)
+    for one node and q2 = m(m-1)/((n-1)(n-2)) for a pair:
+      diag at the center     center
+      diag elsewhere         1 + q1*(y + w - 1)
+      center row/column      q1*edge
+      remaining off-diagonal q2*w
+    Each such matrix is symmetric, entrywise nonnegative and doubly
+    stochastic.
     """
     if not (1 <= center <= p.n):
         raise ValueError(f"center {center} outside 1..{p.n}")
     n, m = p.n, p.m
-    T = 2.0 * p.dt
-    x = math.exp(-(m + 1) * T)
-    y = math.exp(-T)
-    diag_center = 1.0 - m * (1.0 - x) / (m + 1)
-    diag_other = 1.0 + ((m * m - 1.0) * y + x - m * m) / ((m + 1) * (n - 1))
-    center_off = m * (1.0 - x) / ((m + 1) * (n - 1))
-    if n > 2:
-        pair_off = (m - 1.0) * (m + x - (m + 1) * y) / ((m + 1) * (n - 1) * (n - 2))
-    else:
-        pair_off = 0.0
-    M = np.full((n, n), pair_off)
-    np.fill_diagonal(M, diag_other)
+    diag_center, edge, y, w = star_kernel_scalars(m, 2.0 * p.dt)
+    q1 = m / (n - 1)
+    q2 = m * (m - 1) / ((n - 1) * (n - 2)) if m > 1 else 0.0  # m > 1 means n > 2
+    M = np.full((n, n), q2 * w)
+    np.fill_diagonal(M, 1.0 + q1 * (y + w - 1.0))
     c = center - 1
-    M[c, :] = center_off
-    M[:, c] = center_off
+    M[c, :] = M[:, c] = q1 * edge
     M[c, c] = diag_center
     return M
 

@@ -44,7 +44,6 @@ class SurvivalCurve:
 @dataclass(frozen=True)
 class DecayFit:
     rate: float
-    slope: float
     r_squared: float
     n_points: int
     window: tuple
@@ -152,19 +151,14 @@ def run_paths(
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
-    if n_jobs <= 1:
-        parts = [_count_exceed(p, model, rule, z0, k_max, eps, seed, 0, n_paths)]
+    jobs = min(max(n_jobs, 1), n_paths)
+    cuts = [n_paths * j // jobs for j in range(jobs + 1)]
+    work = [(p, model, rule, z0, k_max, eps, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if jobs == 1:
+        parts = [_count_exceed(*work[0])]
     else:
-        q, r = divmod(n_paths, n_jobs)
-        bounds, lo = [], 0
-        for j in range(n_jobs):
-            hi = lo + q + (1 if j < r else 0)
-            if hi > lo:
-                bounds.append((lo, hi))
-            lo = hi
-        jobs = [(p, model, rule, z0, k_max, eps, seed, lo, hi) for lo, hi in bounds]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as ex:
-            parts = list(ex.map(_count_exceed, *zip(*jobs)))
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            parts = list(ex.map(_count_exceed, *zip(*work)))
     counts, rises = map(sum, zip(*parts))
     probs = counts / float(n_paths)
     return SurvivalCurve(eps=eps, probs=probs, paths=n_paths, norm_rises=rises)
@@ -197,7 +191,6 @@ def fit_decay_stats(curve: SurvivalCurve, window: tuple | None = None) -> DecayF
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayFit(
         rate=float(np.exp(slope)),
-        slope=float(slope),
         r_squared=r2,
         n_points=len(ks),
         window=(float(p_lo), float(p_hi)),

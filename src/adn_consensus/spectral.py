@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adn_model import ModelParams, TieBreakRule, center_sets
+from .adn_model import UNIFORM_TIE_BREAK, ModelParams, TieBreakRule, center_sets
 from .closed_form import activation_expectation
 from .graph_core import symmetrize
 
@@ -126,7 +126,7 @@ def gamma_sp(p: ModelParams) -> DecayBound:
     return _deflated_bound(p, p.a, "sparse")
 
 
-def gamma_fs(p: ModelParams, rule: TieBreakRule = TieBreakRule("uniform")) -> DecayBound:
+def gamma_fs(p: ModelParams, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> DecayBound:
     """Decay-rate bound for the fast-switching regime, built on the
     survivor rates. Meaningful when the sampling period is small."""
     b = survivor_rates(p, rule)

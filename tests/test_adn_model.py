@@ -21,6 +21,21 @@ from adn_consensus import adn_model
 from adn_consensus.adn_model import activation_sets, idle_run
 
 
+class _Draws:
+    """Stub generator: ``random`` returns the queued values in turn (filling
+    the requested shape), ``choice`` the first ``size`` candidates."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        v = self.values.pop(0)
+        return v if size is None else np.full(size, v)
+
+    def choice(self, k, size, replace):
+        return np.arange(size)
+
+
 class TestModelParams:
     def test_valid_construction(self):
         p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.05), 1.5)
@@ -60,6 +75,29 @@ class TestModelParams:
         p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
         with pytest.raises(ValueError, match=r"^activity: .*exceeds 1.*<= 1"):
             p.require_sparse()
+
+    def test_one_rate_sum_for_gate_law_and_sampler(self):
+        """sum(a) is the left-to-right running sum wherever it is read, even
+        where math.fsum rounds differently."""
+        over = ModelParams(4, 1, (0.2, 0.4, 0.3, 0.1), 1.0)  # fsum: exactly 1
+        assert math.fsum(over.a) == 1.0 < over.rate_sum == over.rates_cumsum[-1]
+        assert not over.sparse_regime
+        with pytest.raises(ValueError, match="exceeds 1"):
+            over.require_sparse()
+        with pytest.raises(ValueError, match="exceeds 1"):
+            center_sets(over, "sparse")
+
+        under = ModelParams(10, 1, (0.1,) * 10, 1.0)  # fsum: exactly 1
+        s = under.rate_sum
+        assert s == under.rates_cumsum[-1] < math.fsum(under.a) == 1.0
+        assert under.sparse_regime
+        under.require_sparse()
+        assert dict(center_sets(under, "sparse"))[()] == 1.0 - s > 0.0
+        # the sampler's threshold: a uniform of exactly sum(a) is idle, the
+        # next double down activates the last node
+        assert generate_snapshot(under, _Draws(s), "sparse").events == ()
+        star = generate_snapshot(under, _Draws(math.nextafter(s, 0.0)), "sparse")
+        assert [e.center for e in star.events] == [10]
 
 
 class TestSnapshot:
@@ -194,6 +232,23 @@ class TestGenerators:
             s = generate_snapshot(p, rng, "fastswitch", rule)
             assert len(s.events) == 1
             assert s.events[0].center == 3
+
+    def test_table_draw_past_the_weight_sum_skips_zero_weights(self):
+        """Weights may sum to just under 1; a draw at or past their sum goes
+        to the last node of positive weight, never to a weight of 0."""
+        active = [1, 2, 3]
+        for weights, last in (
+            ({1: 0.5, 2: 0.4999999999999, 3: 0.0}, 2),
+            ({1: 0.0, 2: 0.9999999999999, 3: 0.0}, 2),
+            ({1: 0.5, 2: 0.0, 3: 0.4999999999999}, 3),
+        ):
+            rule = TieBreakRule("table", {frozenset(active): weights})
+            for u in (0.9999999999999, 0.99999999999995, math.nextafter(1.0, 0.0)):
+                assert adn_model._survivor(active, rule, _Draws(u)) == last
+        # draws below the sum keep the node whose bin holds them
+        rule = TieBreakRule("table", {frozenset(active): {1: 0.5, 2: 0.4999999999999, 3: 0.0}})
+        for u, node in ((0.0, 1), (0.4999, 1), (0.5, 2), (0.99999999999985, 2)):
+            assert adn_model._survivor(active, rule, _Draws(u)) == node
 
     def test_fastswitch_empty_snapshot_possible(self):
         p = ModelParams(3, 1, (1e-9, 1e-9, 1e-9), 1.0)

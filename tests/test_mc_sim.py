@@ -172,6 +172,10 @@ class TestRunPaths:
         c = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 90, 0.02, 99, n_jobs=3)
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.probs, c.probs)
+        # more workers than paths: one path per worker
+        d = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 3, 0.02, 99, n_jobs=5)
+        e = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 3, 0.02, 99)
+        assert np.array_equal(d.probs, e.probs)
 
     def test_seed_changes_the_curve(self):
         # streams are derived as seed XOR path-index, so two seeds give

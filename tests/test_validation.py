@@ -33,12 +33,28 @@ def tiny_params(draw):
     return ModelParams(n, m, a, dt)
 
 
+def _random_table(n: int, data) -> TieBreakRule:
+    """A tie-break table over every set of two or more of n nodes, with
+    random weights of which some are 0."""
+    table = {}
+    for size in range(2, n + 1):
+        for s in combinations(range(1, n + 1), size):
+            raw = [data.draw(st.sampled_from([0.0, 0.25, 1.0, 3.0])) for _ in s]
+            if not any(raw):
+                raw[data.draw(st.integers(0, size - 1))] = 1.0
+            table[frozenset(s)] = {i: x / sum(raw) for i, x in zip(s, raw)}
+    return TieBreakRule("table", table)
+
+
 class TestEnumerationSize:
-    @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch"]))
-    @settings(max_examples=40, deadline=None)
-    def test_size_matches_generated_branch_count(self, p, model):
-        branches = list(_enumerate_branches(p, model, UNIFORM_TIE_BREAK))
-        assert len(branches) == enumeration_size(p, model)
+    @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_size_matches_generated_branch_count(self, p, model, data):
+        rule = UNIFORM_TIE_BREAK
+        if model == "table":  # fastswitch under a random table with zero weights
+            model, rule = "fastswitch", _random_table(p.n, data)
+        branches = list(_enumerate_branches(p, model, rule))
+        assert len(branches) == enumeration_size(p, model, rule)
         if model != "full":
             assert all(len(s.events) <= 1 for _, s in branches)
 
@@ -65,6 +81,13 @@ class TestEnumerationSize:
         branches = list(_enumerate_branches(p, "fastswitch", rule))
         assert enumeration_size(p, "fastswitch", rule) == len(branches) == 85
         assert enumeration_size(p, "fastswitch") == 97
+
+    def test_incomplete_table_refused(self):
+        p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
+        table = {frozenset(s): dict.fromkeys(s, 0.5) for s in ((1, 2), (1, 3), (2, 3))}
+        rule = TieBreakRule("table", table)
+        with pytest.raises(ValueError, match=r"\[1, 2, 3\] missing from tie-break table"):
+            enumeration_size(p, "fastswitch", rule)
 
     def test_unknown_model_rejected(self):
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
