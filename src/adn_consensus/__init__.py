@@ -16,12 +16,7 @@ from .adn_model import (
     snapshot_count,
     snapshot_laplacian,
 )
-from .closed_form import (
-    activation_expectation,
-    sparse_expected_exponential,
-    star_exponential,
-    weighted_expected_exponential,
-)
+from .closed_form import activation_expectation, star_exponential
 from .graph_core import (
     StarSpec,
     expm_sym,
@@ -46,7 +41,9 @@ from .spectral import (
     lambda_second_deflated,
     lambda_second_largest,
     poisson_binomial_pmf,
+    sparse_expected_exponential,
     survivor_rates,
+    weighted_expected_exponential,
 )
 from .validation import (
     FastSwitchReport,

@@ -17,7 +17,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph_core import StarSpec
+from .graph_core import StarSpec, star_union_laplacian
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class TieBreakRule:
             return {i: w for i in active}
         if active not in self.table:
             raise ValueError(
-                f"activated set {sorted(active)} missing from tie-break table"
+                f"tie_break: activated set {sorted(active)} missing from tie-break table"
             )
         return self.table[active]
 
@@ -292,16 +292,6 @@ def snapshot_count(n: int, m: int) -> int:
 
 
 def snapshot_laplacian(s: Snapshot) -> np.ndarray:
-    """Laplacian of the union of the snapshot's stars (int64).
-
-    The union is a simple graph: when two activated nodes pick each other
-    the duplicate edge collapses to a single edge of weight 1.
-    """
-    A = np.zeros((s.n, s.n), dtype=np.int64)
-    for e in s.events:
-        c = e.center - 1
-        for j in e.neighbors:
-            A[c, j - 1] = 1
-            A[j - 1, c] = 1
-    L = np.diag(A.sum(axis=1)) - A
-    return L
+    """Laplacian of the union of the snapshot's stars (int64), in which an
+    edge two activated nodes both pick counts once."""
+    return star_union_laplacian(s.n, s.events)

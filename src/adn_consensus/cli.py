@@ -28,10 +28,16 @@ from .adn_model import (
     UNIFORM_TIE_BREAK,
     snapshot_count,
 )
-from .closed_form import activation_expectation, weighted_expected_exponential
+from .closed_form import activation_expectation
 from .graph_core import StarSpec, expm_sym, star_laplacian
 from .mc_sim import fit_decay_stats, run_paths
-from .spectral import enumerated_survivor_rates, gamma_fs, gamma_sp, survivor_rates
+from .spectral import (
+    enumerated_survivor_rates,
+    gamma_fs,
+    gamma_sp,
+    survivor_rates,
+    weighted_expected_exponential,
+)
 from .validation import (
     MAX_BRANCHES,
     enumerate_expected_exponential,
@@ -86,18 +92,20 @@ def _as_int(raw: dict, key: str, lo: int, hi: int | None = None) -> int:
     return v
 
 
-def _as_real(raw: dict, key: str, lo: float, lo_open: bool = False) -> float:
+def _as_real(raw: dict, key: str, lo: float, lo_open=False, hi=math.inf, parent="") -> float:
+    name = parent + key  # the field as error messages name it
     if key not in raw:
-        raise ConfigError(f"{key}: missing required field")
+        raise ConfigError(f"{name}: missing required field")
     v = raw[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key}: must be a number, got {v!r}")
+        raise ConfigError(f"{name}: must be a number, got {v!r}")
     v = float(v)
     if not math.isfinite(v):
-        raise ConfigError(f"{key}: must be finite, got {v}")
-    if v < lo or (lo_open and v == lo):
+        raise ConfigError(f"{name}: must be finite, got {v}")
+    if v < lo or (lo_open and v == lo) or v > hi:
         op = ">" if lo_open else ">="
-        raise ConfigError(f"{key}: must be {op} {lo}, got {v}")
+        top = f" and <= {hi}" if hi < math.inf else ""
+        raise ConfigError(f"{name}: must be {op} {lo}{top}, got {v}")
     return v
 
 
@@ -122,9 +130,7 @@ def _parse_activity(raw: dict, n: int) -> dict:
     if mode == "explicit":
         return _explicit_values(spec, "activity", n, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
     if mode == "uniform_draw":
-        upper = _as_real(spec, "upper", 0.0, lo_open=True)
-        if upper > 1.0:
-            raise ConfigError(f"activity.upper: must be <= 1, got {upper}")
+        upper = _as_real(spec, "upper", 0.0, lo_open=True, hi=1.0, parent="activity.")
         return {"mode": "uniform_draw", "upper": upper}
     raise ConfigError(f"activity.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
 
@@ -252,13 +258,13 @@ def resolve_config(cfg: dict):
     return params, cfg["rule"], z0, manifest_config
 
 
-def _write_csv(out: str, name: str, header: str, rows) -> str:
-    """Write the header and the rows (lines without their newline) to
-    ``name`` in directory ``out``, creating it; return the path."""
+def _write(out: str, name: str, *lines: str) -> str:
+    """Write the lines, each ended by a newline, to ``name`` in directory
+    ``out``, creating it; return the path."""
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -275,7 +281,7 @@ def cmd_gamma(args) -> int:
     row = [bound.kind, str(params.n), str(params.m)]
     row += [_fmt(x) for x in (params.dt, bound.rate, bound.weight_sum, bound.lambda_second)]
     header = "kind,n,m,dt,rate,weight_sum,lambda_second"
-    path = _write_csv(args.out, "gamma.csv", header, [",".join(row)])
+    path = _write(args.out, "gamma.csv", header, ",".join(row))
     print(f"wrote {path}")
     return 0
 
@@ -302,6 +308,7 @@ def cmd_simulate(args) -> int:
     params, rule, z0, manifest = resolve_config(cfg)
     if args.threads < 1:
         raise ConfigError(f"threads: need >= 1, got {args.threads}")
+    bound = _bound_for(params, cfg["model"], rule)
     curve = run_paths(
         params,
         cfg["model"],
@@ -317,13 +324,8 @@ def cmd_simulate(args) -> int:
         fit = fit_decay_stats(curve)
     except ValueError:
         fit = None
-    bound = _bound_for(params, cfg["model"], rule)
-    csv_path = _write_csv(
-        args.out,
-        "survival.csv",
-        "K,prob,n_paths",
-        [f"{k},{_fmt(prob)},{curve.paths}" for k, prob in enumerate(curve.probs)],
-    )
+    rows = (f"{k},{_fmt(prob)},{curve.paths}" for k, prob in enumerate(curve.probs))
+    csv_path = _write(args.out, "survival.csv", "K,prob,n_paths", *rows)
     manifest["results"] = {
         "fitted_rate": fit.rate if fit is not None else None,
         "fit_r_squared": fit.r_squared if fit is not None else None,
@@ -333,10 +335,7 @@ def cmd_simulate(args) -> int:
         "bound_lambda_second": bound.lambda_second if bound is not None else None,
         "bound_weight_sum": bound.weight_sum if bound is not None else None,
     }
-    man_path = os.path.join(args.out, "manifest.json")
-    with open(man_path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    man_path = _write(args.out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
     print(f"paths = {curve.paths}")
     print(f"prob_start = {_fmt(curve.probs[0])}")
     print(f"fitted_rate = {_fmt(fit.rate) if fit is not None else 'none'}")
@@ -414,15 +413,15 @@ def cmd_validate(args) -> int:
     name = "fastswitch-inequality-grid"
     probe = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
     report = verify_fast_switch_inequality(probe, UNIFORM_TIE_BREAK, (0.01, 0.05, 0.1))
-    gaps_path = _write_csv(
+    gaps_path = _write(
         args.out,
         "gaps.csv",
         "T,lambda_full,lambda_fastswitch,gap,holds",
-        [
+        *(
             f"{_fmt(s.T)},{_fmt(s.lambda_full)},{_fmt(s.lambda_fastswitch)},"
             f"{_fmt(s.gap)},{1 if s.holds else 0}"
             for s in report.samples
-        ],
+        ),
     )
     min_gap = min(s.gap for s in report.samples)
     record(name, f"min gap {min_gap:.3g} over 3 grid points", report.holds_all)

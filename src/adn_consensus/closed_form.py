@@ -1,4 +1,5 @@
-"""Closed-form heat kernels of activation stars and their expectations.
+"""Closed-form heat kernel of one activation star, and its expectation over
+the star's uniform m-subsets of neighbors.
 
 Everything here is exact scalar arithmetic on a handful of exponentials,
 with no series truncation anywhere. The per-center conditional expectation
@@ -74,29 +75,3 @@ def activation_expectation(p: ModelParams, center: int) -> np.ndarray:
     M[c, :] = M[:, c] = q1 * edge
     M[c, c] = diag_center
     return M
-
-
-def weighted_expected_exponential(p: ModelParams, weights) -> np.ndarray:
-    """(1 - sum(w)) * I + sum_i w_i * activation_expectation(p, i).
-
-    Shared kernel for the sparse variant (w = activity rates) and the
-    fast-switching variant (w = survivor rates).
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (p.n,):
-        raise ValueError(f"weight vector has shape {w.shape}, expected ({p.n},)")
-    if (w < 0).any():
-        raise ValueError("weights must be >= 0")
-    total = float(w.sum())
-    if total > 1.0 + 1e-12:
-        raise ValueError(f"weights sum to {total}, must be <= 1")
-    E = (1.0 - total) * np.eye(p.n)
-    for i in range(p.n):
-        E += w[i] * activation_expectation(p, i + 1)
-    return E
-
-
-def sparse_expected_exponential(p: ModelParams) -> np.ndarray:
-    """Expected heat kernel over 2*dt of one sparse-variant snapshot."""
-    p.require_sparse()
-    return weighted_expected_exponential(p, p.a)

@@ -1,5 +1,5 @@
-"""Star-graph Laplacians, their exact integer powers, and a dense symmetric
-matrix exponential.
+"""Laplacians of unions of star graphs, the exact integer powers of a single
+star's, and a dense symmetric matrix exponential.
 
 Node ids are 1-based in all public interfaces; matrices are plain numpy
 arrays indexed from 0. Integer-valued matrices (Laplacians and their powers)
@@ -28,8 +28,6 @@ class StarSpec:
         object.__setattr__(self, "neighbors", ns)
         if len(ns) < 1 or len(set(ns)) != len(ns):
             raise ValueError("neighbors must be a nonempty set of distinct ids")
-        if len(ns) > self.n - 1:
-            raise ValueError(f"at most n-1={self.n - 1} neighbors, got {len(ns)}")
         if not (1 <= self.center <= self.n):
             raise ValueError(f"center {self.center} outside 1..{self.n}")
         if any(j < 1 or j > self.n for j in ns):
@@ -42,20 +40,25 @@ class StarSpec:
         return len(self.neighbors)
 
 
+def star_union_laplacian(n: int, stars) -> np.ndarray:
+    """Laplacian (int64) of the simple graph on n nodes whose edges join
+    each star's center to its neighbors: degrees minus adjacency, so an
+    edge that two stars share counts once."""
+    A = np.zeros((n, n), dtype=np.int64)
+    for e in stars:
+        c = e.center - 1
+        for j in e.neighbors:
+            A[c, j - 1] = A[j - 1, c] = 1
+    return np.diag(A.sum(axis=1)) - A
+
+
 def star_laplacian(spec: StarSpec) -> np.ndarray:
     """Laplacian of the star with the given center and neighbors (int64).
 
     Diagonal: m at the center, 1 at each neighbor, 0 elsewhere; -1 on each
     center-neighbor edge. Rows sum to zero.
     """
-    L = np.zeros((spec.n, spec.n), dtype=np.int64)
-    c = spec.center - 1
-    L[c, c] = spec.m
-    for j in spec.neighbors:
-        L[j - 1, j - 1] = 1
-        L[c, j - 1] = -1
-        L[j - 1, c] = -1
-    return L
+    return star_union_laplacian(spec.n, (spec,))
 
 
 def star_laplacian_power(spec: StarSpec, k: int) -> np.ndarray:

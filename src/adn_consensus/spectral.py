@@ -1,4 +1,5 @@
-"""Second-largest eigenvalues, the non-consensus probability bound, and the
+"""The activation-kernel mixtures behind the expected heat kernels,
+second-largest eigenvalues, the non-consensus probability bound, and the
 certified decay-rate bounds for the sparse and fast-switching regimes.
 """
 
@@ -19,6 +20,38 @@ class DecayBound:
     kind: str
     lambda_second: float
     weight_sum: float
+
+
+def _activation_mixture(p: ModelParams, w: np.ndarray) -> np.ndarray:
+    """S = sum_i w_i * activation_expectation(p, i): the matrix of both
+    bounds and, shifted by (1 - sum(w)) * I, of both expected kernels."""
+    S = np.zeros((p.n, p.n))
+    for i in range(p.n):
+        S += w[i] * activation_expectation(p, i + 1)
+    return S
+
+
+def weighted_expected_exponential(p: ModelParams, weights) -> np.ndarray:
+    """(1 - sum(w)) * I + sum_i w_i * activation_expectation(p, i).
+
+    Shared kernel for the sparse variant (w = activity rates) and the
+    fast-switching variant (w = survivor rates).
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (p.n,):
+        raise ValueError(f"weight vector has shape {w.shape}, expected ({p.n},)")
+    if (w < 0).any():
+        raise ValueError("weights must be >= 0")
+    total = float(w.sum())
+    if total > 1.0 + 1e-12:
+        raise ValueError(f"weights sum to {total}, must be <= 1")
+    return (1.0 - total) * np.eye(p.n) + _activation_mixture(p, w)
+
+
+def sparse_expected_exponential(p: ModelParams) -> np.ndarray:
+    """Expected heat kernel over 2*dt of one sparse-variant snapshot."""
+    p.require_sparse()
+    return weighted_expected_exponential(p, p.a)
 
 
 def lambda_second_largest(M: np.ndarray) -> float:
@@ -111,10 +144,7 @@ def enumerated_survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
 
 def _deflated_bound(p: ModelParams, weights, kind: str) -> DecayBound:
     w = np.asarray(weights, dtype=np.float64)
-    S = np.zeros((p.n, p.n))
-    for i in range(p.n):
-        S += w[i] * activation_expectation(p, i + 1)
-    lam = lambda_second_deflated(S)
+    lam = lambda_second_deflated(_activation_mixture(p, w))
     total = float(w.sum())
     return DecayBound(rate=1.0 - total + lam, kind=kind, lambda_second=lam, weight_sum=total)
 

@@ -19,6 +19,7 @@ from .adn_model import (
     TieBreakRule,
     UNIFORM_TIE_BREAK,
     center_sets,
+    snapshot_count,
     snapshot_laplacian,
 )
 from .graph_core import StarSpec, expm_sym
@@ -37,7 +38,7 @@ def enumeration_size(
     if model == "sparse":
         return 1 + p.n * C
     if model == "full":
-        return (1 + C) ** p.n
+        return snapshot_count(p.n, p.m)
     if model == "fastswitch" and rule.mode == "table":
         return sum(C ** len(centres) for centres, _ in center_sets(p, model, rule))
     if model == "fastswitch":

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -29,10 +30,14 @@ BASE = {
 }
 
 
+# A make_config override that removes the field.
+DROP = object()
+
+
 def make_config(**overrides):
     cfg = json.loads(json.dumps(BASE))
     cfg.update(overrides)
-    return cfg
+    return {k: v for k, v in cfg.items() if v is not DROP}
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -101,13 +106,18 @@ class TestParseConfig:
                 {"activity": {"mode": "explicit", "values": [0.1, 0.2, 0.3, 0.4, True]}},
                 "values",
             ),
-            ({"activity": {"mode": "uniform_draw"}}, "upper"),
-            ({"activity": {"mode": "uniform_draw", "upper": 0.0}}, "upper"),
-            ({"activity": {"mode": "uniform_draw", "upper": 1.5}}, "upper"),
+            ({"activity": {"mode": "uniform_draw"}}, "^activity[.]upper:"),
+            ({"activity": {"mode": "uniform_draw", "upper": 0.0}}, "^activity[.]upper:"),
+            ({"activity": {"mode": "uniform_draw", "upper": 1.5}}, "^activity[.]upper:"),
             ({"z0": {"mode": "explicit", "values": [1.0, 2.0]}}, "z0"),
             ({"z0": {"mode": "gauss"}}, "z0"),
             ({"z0": [1, 2, 3, 4, 5]}, "z0"),
             ({"tie_break": "random"}, "tie_break"),
+            ({"activity": {"mode": "uniform_draw", "upper": True}}, "^activity[.]upper:"),
+            ({"k_max": DROP}, "^k_max: missing required field"),
+            ({"dt": DROP}, "^dt: missing required field"),
+            ({"dt": "2"}, "^dt: must be a number"),
+            ({"eps": math.nan}, "^eps: must be finite"),
         ],
     )
     def test_field_validation(self, patch, fragment):
@@ -334,6 +344,32 @@ class TestSimulateCommand:
         assert rc == 2
         assert "activity" in capsys.readouterr().err
 
+    def test_bound_refusal_comes_before_any_path(self, tmp_path, capsys, monkeypatch):
+        # a table listing only the pairs has no entry for a set of three;
+        # the bound visits every activated set, so it refuses the config
+        # before any path is drawn
+        pairs = itertools.combinations(range(1, 6), 2)
+        entries = [{"set": list(s), "weights": [0.5, 0.5]} for s in pairs]
+        cfg = write_config(
+            tmp_path,
+            model="fastswitch",
+            k_max=400,
+            eps=1e-3,
+            activity={"mode": "explicit", "values": [0.01] * 5},
+            tie_break={"mode": "table", "entries": entries},
+        )
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("run_paths called before the config was refused")
+
+        monkeypatch.setattr(cli, "run_paths", no_paths)
+        rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: tie_break: ")
+        assert "[1, 2, 3]" in err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_dt_rejected_naming_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dt=0)
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -392,6 +428,23 @@ class TestValidateCommand:
         assert out.count("refused: size") == 2
         assert "validate: PASS" in out
         assert "2 skipped" in out
+
+    def test_subset_average_refused_and_sparse_skipped(self, tmp_path, capsys):
+        # C(19, 10) = 92378 subsets per center refuses check 1, and a rate
+        # sum of 2 skips the sparse enumeration
+        cfg = write_config(
+            tmp_path,
+            n=20,
+            m=10,
+            model="full",
+            activity={"mode": "explicit", "values": [0.1] * 20},
+        )
+        rc = main(["validate", "--config", cfg, "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "refused: size (92378 subsets per center)" in out
+        assert "skipped (rate sum 2 > 1)" in out
+        assert "validate: PASS (1 passed, 4 skipped, 0 failed)" in out
 
 
 class TestCountSnapshots:
@@ -464,6 +517,14 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg] + flag)
         assert exc.value.code == 2
+
+    def test_out_naming_a_file_is_an_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["gamma-sp", "--config", cfg, "--out", str(taken)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("io error: [Errno 17] File exists")
 
     def test_invalid_field_reported_on_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model="markov")

@@ -50,6 +50,10 @@ class TestStarSpec:
         with pytest.raises(ValueError):
             StarSpec(4, 1, ())
 
+    def test_fewer_than_two_nodes_rejected(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            StarSpec(1, 1, (2,))
+
 
 class TestStarLaplacian:
     def test_explicit_four_node_example(self):
