@@ -80,46 +80,42 @@ def _load_json(path: str) -> dict:
     return raw
 
 
-def _as_int(raw: dict, key: str, lo: int, hi: int | None = None) -> int:
-    if key not in raw:
-        raise ConfigError(f"{key}: missing required field")
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key}: must be an integer, got {v!r}")
-    if v < lo or (hi is not None and v > hi):
-        top = f" and <= {hi}" if hi is not None else ""
-        raise ConfigError(f"{key}: must be >= {lo}{top}, got {v}")
+def _number(v, name: str, lo, hi=math.inf, integer=False, lo_open=False):
+    """Check one number from outside the program: its JSON type (an
+    integer if ``integer``, else any number), finiteness and the range
+    lo..hi, lo excluded if ``lo_open``. Return it as an int or a float."""
+    if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
+        raise ConfigError(f"{name}: must be {'an integer' if integer else 'a number'}, got {v!r}")
+    if not integer:
+        try:
+            v = float(v)
+        except OverflowError:
+            raise ConfigError(
+                f"{name}: must be finite, got an integer past the float range"
+            ) from None
+        if not math.isfinite(v):
+            raise ConfigError(f"{name}: must be finite, got {v}")
+    if v < lo or (lo_open and v == lo) or v > hi:
+        top = f" and <= {hi}" if hi < math.inf else ""
+        raise ConfigError(f"{name}: must be {'>' if lo_open else '>='} {lo}{top}, got {v}")
     return v
 
 
-def _as_real(raw: dict, key: str, lo: float, lo_open=False, hi=math.inf, parent="") -> float:
-    name = parent + key  # the field as error messages name it
+def _field(raw: dict, name: str, *bounds, **kw):
+    """``_number`` on the key that ends the dotted path ``name``."""
+    key = name.rpartition(".")[2]
     if key not in raw:
         raise ConfigError(f"{name}: missing required field")
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{name}: must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{name}: must be finite, got {v}")
-    if v < lo or (lo_open and v == lo) or v > hi:
-        op = ">" if lo_open else ">="
-        top = f" and <= {hi}" if hi < math.inf else ""
-        raise ConfigError(f"{name}: must be {op} {lo}{top}, got {v}")
-    return v
+    return _number(raw[key], name, *bounds, **kw)
 
 
-def _explicit_values(spec: dict, field: str, n: int, ok, need: str) -> dict:
-    """An explicit list of n numbers, each passing ``ok``."""
+def _explicit_values(spec: dict, field: str, n: int, *bounds, **kw) -> dict:
+    """An explicit list of n numbers, each read by ``_number``."""
     values = spec.get("values")
     if not isinstance(values, list) or len(values) != n:
         raise ConfigError(f"{field}.values: need a list of {n} numbers")
-    for k, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{field}.values[{k}]: must be a number, got {v!r}")
-        if not ok(float(v)):
-            raise ConfigError(f"{field}.values[{k}]: must {need}, got {v}")
-    return {"mode": "explicit", "values": tuple(float(v) for v in values)}
+    values = (_number(v, f"{field}.values[{k}]", *bounds, **kw) for k, v in enumerate(values))
+    return {"mode": "explicit", "values": tuple(values)}
 
 
 def _parse_activity(raw: dict, n: int) -> dict:
@@ -128,9 +124,9 @@ def _parse_activity(raw: dict, n: int) -> dict:
         raise ConfigError("activity: missing or not an object")
     mode = spec.get("mode")
     if mode == "explicit":
-        return _explicit_values(spec, "activity", n, lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+        return _explicit_values(spec, "activity", n, 0.0, 1.0, lo_open=True)
     if mode == "uniform_draw":
-        upper = _as_real(spec, "upper", 0.0, lo_open=True, hi=1.0, parent="activity.")
+        upper = _field(spec, "activity.upper", 0.0, 1.0, lo_open=True)
         return {"mode": "uniform_draw", "upper": upper}
     raise ConfigError(f"activity.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
 
@@ -143,13 +139,13 @@ def _parse_z0(raw: dict, n: int) -> dict:
     if mode == "uniform_draw":
         return {"mode": "uniform_draw"}
     if mode == "explicit":
-        return _explicit_values(spec, "z0", n, math.isfinite, "be finite")
+        return _explicit_values(spec, "z0", n, -math.inf)
     raise ConfigError(f"z0.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
 
 
 def _parse_n_m(raw: dict) -> tuple:
-    n = _as_int(raw, "n", 2)
-    m = _as_int(raw, "m", 1)
+    n = _field(raw, "n", 2, integer=True)
+    m = _field(raw, "m", 1, integer=True)
     if m > n - 1:
         raise ConfigError(f"m: need 1 <= m <= n-1, got m={m} with n={n}")
     return n, m
@@ -178,20 +174,16 @@ def _parse_tie_break(raw: dict, n: int):
                 raise ConfigError(
                     f"{path}: need 'set' and 'weights' lists of equal length"
                 )
-            for x in nodes:
-                if isinstance(x, bool) or not isinstance(x, int) or not (1 <= x <= n):
-                    raise ConfigError(
-                        f"{path}.set: node ids must be integers in 1..{n}, got {x!r}"
-                    )
+            nodes = [_number(x, f"{path}.set", 1, n, integer=True) for x in nodes]
             key = frozenset(nodes)
             if len(key) != len(nodes):
                 raise ConfigError(f"{path}.set: repeated node id")
             if key in table:
                 raise ConfigError(f"{path}.set: {sorted(key)} is listed twice")
+            weights = {i: _number(w, f"{path}.weights", 0.0) for i, w in zip(nodes, ws)}
             try:
-                weights = {i: float(w) for i, w in zip(nodes, ws)}
                 TieBreakRule.check_entry(key, weights)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
             table[key] = weights
         return TieBreakRule("table", table), spec
@@ -209,11 +201,11 @@ def parse_config(raw: dict, seed_override: int | None = None) -> dict:
     cfg = {
         "n": n,
         "m": m,
-        "dt": _as_real(raw, "dt", 0.0),
-        "eps": _as_real(raw, "eps", 0.0, lo_open=True),
-        "k_max": _as_int(raw, "k_max", 1, K_MAX_LIMIT),
-        "n_paths": _as_int(raw, "n_paths", 1),
-        "seed": _as_int(raw, "seed", 0, U64 - 1),
+        "dt": _field(raw, "dt", 0.0),
+        "eps": _field(raw, "eps", 0.0, lo_open=True),
+        "k_max": _field(raw, "k_max", 1, K_MAX_LIMIT, integer=True),
+        "n_paths": _field(raw, "n_paths", 1, integer=True),
+        "seed": _field(raw, "seed", 0, U64 - 1, integer=True),
         "model": raw.get("model"),
     }
     if cfg["model"] not in ("full", "sparse", "fastswitch"):
@@ -306,8 +298,7 @@ def cmd_simulate(args) -> int:
             "refusing before any computation"
         )
     params, rule, z0, manifest = resolve_config(cfg)
-    if args.threads < 1:
-        raise ConfigError(f"threads: need >= 1, got {args.threads}")
+    _number(args.threads, "threads", 1, integer=True)
     bound = _bound_for(params, cfg["model"], rule)
     curve = run_paths(
         params,

@@ -39,13 +39,11 @@ def star_exponential(spec: StarSpec, t: float) -> np.ndarray:
         raise ValueError(f"time must be >= 0, got {t}")
     center, edge, y, w = star_kernel_scalars(spec.m, t)
     E = np.eye(spec.n)
-    c = spec.center - 1
+    c, idx = spec.center - 1, np.array(spec.neighbors) - 1
     E[c, c] = center
-    for j in spec.neighbors:
-        E[c, j - 1] = edge
-        E[j - 1, c] = edge
-        for l in spec.neighbors:
-            E[j - 1, l - 1] = w + (y if j == l else 0.0)
+    E[c, idx] = E[idx, c] = edge
+    E[np.ix_(idx, idx)] = w
+    E[idx, idx] += y
     return E
 
 

@@ -78,13 +78,11 @@ def star_laplacian_power(spec: StarSpec, k: int) -> np.ndarray:
     if m * r > INT64_MAX:
         raise OverflowError(f"entry m*(m+1)**(k-1) = {m * r} exceeds int64")
     L = np.zeros((spec.n, spec.n), dtype=np.int64)
-    c = spec.center - 1
+    c, idx = spec.center - 1, np.array(spec.neighbors) - 1
     L[c, c] = m * r
-    for j in spec.neighbors:
-        L[c, j - 1] = -r
-        L[j - 1, c] = -r
-        for l in spec.neighbors:
-            L[j - 1, l - 1] = off + (1 if j == l else 0)
+    L[c, idx] = L[idx, c] = -r
+    L[np.ix_(idx, idx)] = off
+    L[idx, idx] += 1
     return L
 
 

@@ -134,7 +134,7 @@ def enumerated_survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     """Survivor rates as the per-node marginals of the fast-switching centre
     law (all 2**n activation sets), under any tie-break rule; refused above n = 20."""
     if p.n > 20:
-        raise ValueError(f"survivor-rate enumeration is 2**n; refused for n={p.n} > 20")
+        raise ValueError(f"tie_break: survivor-rate enumeration is 2**n; refused for n={p.n} > 20")
     b = np.zeros(p.n)
     for centres, prob in center_sets(p, "fastswitch", rule):
         if centres:

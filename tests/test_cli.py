@@ -40,6 +40,11 @@ def make_config(**overrides):
     return {k: v for k, v in cfg.items() if v is not DROP}
 
 
+def one_entry_table(nodes, weights):
+    """A make_config override: a tie-break table of one entry."""
+    return {"tie_break": {"mode": "table", "entries": [{"set": nodes, "weights": weights}]}}
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(make_config(**overrides)))
@@ -118,6 +123,33 @@ class TestParseConfig:
             ({"dt": DROP}, "^dt: missing required field"),
             ({"dt": "2"}, "^dt: must be a number"),
             ({"eps": math.nan}, "^eps: must be finite"),
+            # integers past the float range are not finite numbers
+            ({"dt": 10**400}, "^dt: must be finite"),
+            ({"eps": 10**400}, "^eps: must be finite"),
+            (
+                {"activity": {"mode": "uniform_draw", "upper": 10**400}},
+                "^activity[.]upper: must be finite",
+            ),
+            (
+                {"activity": {"mode": "explicit", "values": [0.1, 0.2, 0.3, 0.4, 10**400]}},
+                r"^activity[.]values\[4\]: must be finite",
+            ),
+            (
+                {"z0": {"mode": "explicit", "values": [0.1, 0.2, -(10**400), 0.4, 0.5]}},
+                r"^z0[.]values\[2\]: must be finite",
+            ),
+            (
+                one_entry_table([1, 2], ["0.25", "0.75"]),
+                r"^tie_break[.]entries\[0\][.]weights: must be a number",
+            ),
+            (
+                one_entry_table([1, 2], [True, False]),
+                r"^tie_break[.]entries\[0\][.]weights: must be a number",
+            ),
+            (
+                one_entry_table([1.5, 2], [0.5, 0.5]),
+                r"^tie_break[.]entries\[0\][.]set: must be an integer",
+            ),
         ],
     )
     def test_field_validation(self, patch, fragment):
@@ -370,6 +402,31 @@ class TestSimulateCommand:
         assert "[1, 2, 3]" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["gamma-fs", "simulate"])
+    def test_table_enumeration_refusal_names_tie_break(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # a table makes the survivor rates an enumeration of all 2**n
+        # activation sets, which is refused above n = 20
+        cfg = write_config(
+            tmp_path,
+            n=21,
+            model="fastswitch",
+            activity={"mode": "explicit", "values": [0.01] * 21},
+            **one_entry_table([1, 2], [0.5, 0.5]),
+        )
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("run_paths called before the config was refused")
+
+        monkeypatch.setattr(cli, "run_paths", no_paths)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: tie_break: ")
+        assert "n=21 > 20" in err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_dt_rejected_naming_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dt=0)
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -525,6 +582,12 @@ class TestErrorPaths:
         rc = main(["gamma-sp", "--config", cfg, "--out", str(taken)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("io error: [Errno 17] File exists")
+
+    def test_integer_literal_past_float_range_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dt=10**400)  # written as a 401-digit literal
+        rc = main(["gamma-sp", "--config", cfg, "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: dt: ")
 
     def test_invalid_field_reported_on_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model="markov")
