@@ -35,6 +35,7 @@ from .spectral import (
     enumerated_survivor_rates,
     gamma_fs,
     gamma_sp,
+    kernel_weights,
     survivor_rates,
     weighted_expected_exponential,
 )
@@ -57,6 +58,8 @@ STEP_BUDGET = 2_000_000_000
 K_MAX_LIMIT = 10**6
 # Printing the exact snapshot count is quadratic in its digit count.
 COUNT_DIGITS_LIMIT = 200_000
+# The dense bounds hold n x n float64 matrices, 800 MB each at this n.
+N_LIMIT = 10_000
 
 
 class ConfigError(Exception):
@@ -73,8 +76,9 @@ def _load_json(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # bad syntax or UTF-8, or an integer literal over the digit limit
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise ConfigError(f"{path}: not valid JSON ({reason})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return raw
@@ -143,8 +147,8 @@ def _parse_z0(raw: dict, n: int) -> dict:
     raise ConfigError(f"z0.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
 
 
-def _parse_n_m(raw: dict) -> tuple:
-    n = _field(raw, "n", 2, integer=True)
+def _parse_n_m(raw: dict, n_max=math.inf) -> tuple:
+    n = _field(raw, "n", 2, n_max, integer=True)
     m = _field(raw, "m", 1, integer=True)
     if m > n - 1:
         raise ConfigError(f"m: need 1 <= m <= n-1, got m={m} with n={n}")
@@ -197,7 +201,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> dict:
     'results' block) are ignored so manifests replay as configs."""
     if seed_override is not None:
         raw = {**raw, "seed": seed_override}
-    n, m = _parse_n_m(raw)
+    n, m = _parse_n_m(raw, N_LIMIT)
     cfg = {
         "n": n,
         "m": m,
@@ -337,71 +341,59 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _max_diff(a, b) -> float:
-    return float(np.max(np.abs(a - b)))
+def _diff_row(name: str, diffs, tol: float) -> tuple:
+    """A check row: the largest entry of the arrays ``diffs`` within ``tol``."""
+    d = max(float(np.max(np.abs(x))) for x in diffs)
+    return name, f"max diff {d:.3g}, tol {tol:g}", d <= tol
+
+
+def _check_rows(params: ModelParams, rule: TieBreakRule):
+    """Yield validate's checks 1-4 as (name, detail, ok) rows, ok None for
+    a refused or skipped check."""
+    n, m, T = params.n, params.m, 2.0 * params.dt
+    # 1. Per-activation closed form against the plain subset average.
+    name = "activation-kernel-vs-subset-average"
+    C = math.comb(n - 1, m)
+    if C * n > 200_000:
+        yield name, f"refused: size ({C} subsets per center)", None
+    else:
+        diffs = (
+            sum(
+                expm_sym(star_laplacian(StarSpec(n, i, N)), T)
+                for N in combinations([j for j in range(1, n + 1) if j != i], m)
+            ) / C
+            - activation_expectation(params, i)
+            for i in range(1, n + 1)
+        )
+        yield _diff_row(name, diffs, 1e-10)
+    # 2-3. Sparse and fast-switching expected kernels against enumeration.
+    for model in ("sparse", "fastswitch"):
+        name = f"{model}-kernel-vs-enumeration"
+        size = enumeration_size(params, model, rule)
+        if model == "sparse" and not params.sparse_regime:
+            yield name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None
+        elif size > MAX_BRANCHES:
+            yield name, f"refused: size ({size} branches)", None
+        else:
+            kernel = weighted_expected_exponential(params, kernel_weights(params, model, rule))
+            exact = enumerate_expected_exponential(params, model, rule)
+            yield _diff_row(name, [kernel - exact], 1e-10)
+    # 4. Uniform-rule survivor rates: the recurrence against all activation sets.
+    name = "survivor-rates-dp-vs-exhaustive"
+    if n > 12:
+        yield name, f"refused: size (2**{n} activation sets)", None
+    else:
+        b = survivor_rates(params, UNIFORM_TIE_BREAK)
+        yield _diff_row(name, [b - enumerated_survivor_rates(params, UNIFORM_TIE_BREAK)], 1e-12)
 
 
 def cmd_validate(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
     params, rule, _, _ = resolve_config(cfg)
-    lines = []
-    tally = {True: 0, None: 0, False: 0}
-
-    def record(name: str, detail: str, ok: bool | None):
-        tally[ok] += 1
-        if ok is not None:
-            detail = f"{'pass' if ok else 'FAIL'} ({detail})"
-        lines.append(f"check {name}: {detail}")
-
-    # 1. Per-activation closed form against the plain subset average.
-    name = "activation-kernel-vs-subset-average"
-    C = math.comb(params.n - 1, params.m)
-    if C * params.n > 200_000:
-        record(name, f"refused: size ({C} subsets per center)", None)
-    else:
-        T = 2.0 * params.dt
-        worst = 0.0
-        for i in range(1, params.n + 1):
-            others = [j for j in range(1, params.n + 1) if j != i]
-            acc = np.zeros((params.n, params.n))
-            for N in combinations(others, params.m):
-                acc += expm_sym(star_laplacian(StarSpec(params.n, i, N)), T)
-            acc /= C
-            worst = max(worst, _max_diff(acc, activation_expectation(params, i)))
-        record(name, f"max diff {worst:.3g}, tol 1e-10", worst <= 1e-10)
-
-    # 2-3. Sparse and fast-switching expected kernels against exact
-    #      enumeration.
-    for model in ("sparse", "fastswitch"):
-        name = f"{model}-kernel-vs-enumeration"
-        size = enumeration_size(params, model, rule)
-        if model == "sparse" and not params.sparse_regime:
-            record(name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None)
-        elif size > MAX_BRANCHES:
-            record(name, f"refused: size ({size} branches)", None)
-        else:
-            weights = params.a if model == "sparse" else survivor_rates(params, rule)
-            diff = _max_diff(
-                weighted_expected_exponential(params, weights),
-                enumerate_expected_exponential(params, model, rule),
-            )
-            record(name, f"max diff {diff:.3g}, tol 1e-10", diff <= 1e-10)
-
-    # 4. Survivor-rate recurrence against exhaustive enumeration of the
-    #    activation sets, both under the uniform rule.
-    name = "survivor-rates-dp-vs-exhaustive"
-    if params.n > 12:
-        record(name, f"refused: size (2**{params.n} activation sets)", None)
-    else:
-        diff = _max_diff(
-            survivor_rates(params, UNIFORM_TIE_BREAK),
-            enumerated_survivor_rates(params, UNIFORM_TIE_BREAK),
-        )
-        record(name, f"max diff {diff:.3g}, tol 1e-12", diff <= 1e-12)
+    rows = list(_check_rows(params, rule))
 
     # 5. Fast-switching eigenvalue inequality on the small-T grid, with a
     #    per-T gap CSV for plotting.
-    name = "fastswitch-inequality-grid"
     probe = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
     report = verify_fast_switch_inequality(probe, UNIFORM_TIE_BREAK, (0.01, 0.05, 0.1))
     gaps_path = _write(
@@ -415,12 +407,14 @@ def cmd_validate(args) -> int:
         ),
     )
     min_gap = min(s.gap for s in report.samples)
-    record(name, f"min gap {min_gap:.3g} over 3 grid points", report.holds_all)
+    detail = f"min gap {min_gap:.3g} over {len(report.samples)} grid points"
+    rows.append(("fastswitch-inequality-grid", detail, report.holds_all))
 
-    for line in lines:
-        print(line)
-    passes, skips, failures = tally[True], tally[None], tally[False]
-    verdict = "PASS" if failures == 0 else "FAIL"
+    for name, detail, ok in rows:
+        detail = detail if ok is None else f"{'pass' if ok else 'FAIL'} ({detail})"
+        print(f"check {name}: {detail}")
+    passes, skips, failures = map([ok for *_, ok in rows].count, (True, None, False))
+    verdict = "FAIL" if failures else "PASS"
     print(f"validate: {verdict} ({passes} passed, {skips} skipped, {failures} failed)")
     print(f"wrote {gaps_path}")
     return 1 if failures else 0

@@ -10,6 +10,7 @@ period-by-period walk would make. Each path runs on its own RNG stream,
 integers, so results are identical for any degree of parallelism.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -157,7 +158,8 @@ def run_paths(
     if jobs == 1:
         parts = [_count_exceed(*work[0])]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        # A fork-started pool launches all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
             parts = list(ex.map(_count_exceed, *zip(*work)))
     counts, rises = map(sum, zip(*parts))
     probs = counts / float(n_paths)

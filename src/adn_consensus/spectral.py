@@ -50,8 +50,19 @@ def weighted_expected_exponential(p: ModelParams, weights) -> np.ndarray:
 
 def sparse_expected_exponential(p: ModelParams) -> np.ndarray:
     """Expected heat kernel over 2*dt of one sparse-variant snapshot."""
-    p.require_sparse()
-    return weighted_expected_exponential(p, p.a)
+    return weighted_expected_exponential(p, kernel_weights(p, "sparse"))
+
+
+def kernel_weights(p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK):
+    """The activation-kernel weights of a variant's expected kernel and
+    bound: the activity rates under ``sparse``, which requires sum(a) <= 1,
+    and the survivor rates under ``fastswitch``."""
+    if model == "sparse":
+        p.require_sparse()
+        return p.a
+    if model == "fastswitch":
+        return survivor_rates(p, rule)
+    raise ValueError(f"model: no activation-kernel weights for {model!r}")
 
 
 def lambda_second_largest(M: np.ndarray) -> float:
@@ -142,22 +153,20 @@ def enumerated_survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     return b
 
 
-def _deflated_bound(p: ModelParams, weights, kind: str) -> DecayBound:
-    w = np.asarray(weights, dtype=np.float64)
+def _deflated_bound(p: ModelParams, model: str, rule: TieBreakRule) -> DecayBound:
+    w = np.asarray(kernel_weights(p, model, rule), dtype=np.float64)
     lam = lambda_second_deflated(_activation_mixture(p, w))
     total = float(w.sum())
-    return DecayBound(rate=1.0 - total + lam, kind=kind, lambda_second=lam, weight_sum=total)
+    return DecayBound(rate=1.0 - total + lam, kind=model, lambda_second=lam, weight_sum=total)
 
 
 def gamma_sp(p: ModelParams) -> DecayBound:
     """Decay-rate bound for the sparse variant:
     1 - sum(a) + lambda_second(sum_i a_i * activation_expectation(i))."""
-    p.require_sparse()
-    return _deflated_bound(p, p.a, "sparse")
+    return _deflated_bound(p, "sparse", UNIFORM_TIE_BREAK)
 
 
 def gamma_fs(p: ModelParams, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> DecayBound:
     """Decay-rate bound for the fast-switching regime, built on the
     survivor rates. Meaningful when the sampling period is small."""
-    b = survivor_rates(p, rule)
-    return _deflated_bound(p, b, "fastswitch")
+    return _deflated_bound(p, "fastswitch", rule)

@@ -150,6 +150,9 @@ class TestParseConfig:
                 one_entry_table([1.5, 2], [0.5, 0.5]),
                 r"^tie_break[.]entries\[0\][.]set: must be an integer",
             ),
+            # the dense bounds keep n x n matrices
+            ({"n": 10**30}, "^n: must be >= 2 and <= 10000, got "),
+            ({"n": 10_001}, "^n: must be >= 2 and <= 10000, got 10001$"),
         ],
     )
     def test_field_validation(self, patch, fragment):
@@ -588,6 +591,37 @@ class TestErrorPaths:
         rc = main(["gamma-sp", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: dt: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"\xff" + json.dumps(BASE).encode(),
+            # an integer literal past the interpreter's 4,300-digit limit
+            json.dumps(BASE).replace('"dt": 0.5', '"dt": ' + "9" * 5001).encode(),
+        ],
+        ids=["not-utf8", "5001-digit-literal"],
+    )
+    def test_undecodable_config_named_by_path(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        rc = main(["gamma-sp", "--config", str(path), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: {path}: not valid JSON (")
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("n", [10**30, 10_001])
+    def test_oversized_n_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, n):
+        cfg = write_config(tmp_path, n=n, activity={"mode": "uniform_draw", "upper": 0.1})
+
+        def no_draw(*args):
+            raise AssertionError("activity rates drawn before n was refused")
+
+        monkeypatch.setattr(cli, "draw_activity_rates", no_draw)
+        rc = main(["gamma-sp", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: n: must be >= 2 and <= 10000, ")
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_field_reported_on_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model="markov")

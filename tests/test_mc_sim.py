@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from itertools import combinations, product
 from pathlib import Path
 
@@ -176,6 +177,37 @@ class TestRunPaths:
         d = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 3, 0.02, 99, n_jobs=5)
         e = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 3, 0.02, 99)
         assert np.array_equal(d.probs, e.probs)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # a fork-started pool launches every worker at its first submit, so
+        # the paths still split into n_jobs parts (at most one per path) but
+        # the pool is sized by the CPUs; an in-process executor stands in
+        pools, parts = [], []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                work = list(zip(*iterables))
+                parts.append(len(work))
+                return [fn(*args) for args in work]
+
+        monkeypatch.setattr(mc_sim, "ProcessPoolExecutor", InlineExecutor)
+        p = ModelParams(4, 2, (0.2, 0.3, 0.1, 0.25), 1.0)
+        z0 = np.array([1.0, -0.5, 0.25, 0.0])
+        many = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 64, 0.02, 99, n_jobs=10**6)
+        one = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 64, 0.02, 99)
+        assert np.array_equal(many.probs, one.probs)
+        assert many.norm_rises == one.norm_rises
+        assert parts == [64]
+        assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
 
     def test_seed_changes_the_curve(self):
         # streams are derived as seed XOR path-index, so two seeds give

@@ -19,7 +19,7 @@ from adn_consensus import (
     survivor_rates,
     symmetrize,
 )
-from adn_consensus.spectral import enumerated_survivor_rates
+from adn_consensus.spectral import enumerated_survivor_rates, kernel_weights
 from oracles import (
     bruteforce_poisson_binomial,
     exhaustive_survivor_rates,
@@ -176,6 +176,34 @@ class TestSurvivorRates:
         rule = TieBreakRule("table", {frozenset({1, 2}): {1: 0.5, 2: 0.5}})
         with pytest.raises(ValueError, match="missing"):
             survivor_rates(p, rule)
+
+
+class TestKernelWeights:
+    def test_sparse_weights_are_the_rates(self):
+        p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.15), 1.0)
+        assert kernel_weights(p, "sparse") == p.a
+
+    def test_sparse_refuses_rate_sum_above_one(self):
+        p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
+        with pytest.raises(ValueError, match=r"^activity: rate sum .* exceeds 1"):
+            kernel_weights(p, "sparse")
+
+    def test_fastswitch_weights_are_the_survivor_rates(self):
+        n = 4
+        table = {}
+        for mask in range(1 << n):
+            members = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+            if len(members) >= 2:
+                table[members] = {i: i / sum(members) for i in members}
+        p = ModelParams(n, 2, (0.3, 0.8, 0.1, 0.55), 1.0)
+        for rule in (UNIFORM_TIE_BREAK, TieBreakRule("table", table)):
+            assert np.array_equal(kernel_weights(p, "fastswitch", rule), survivor_rates(p, rule))
+
+    @pytest.mark.parametrize("model", ["full", "markov"])
+    def test_other_tags_refused_by_name(self, model):
+        p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.15), 1.0)
+        with pytest.raises(ValueError, match=repr(model)):
+            kernel_weights(p, model)
 
 
 def deflated_rate_oracle(p: ModelParams, weights) -> float:
