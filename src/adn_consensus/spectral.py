@@ -24,10 +24,20 @@ class DecayBound:
 
 def _activation_mixture(p: ModelParams, w: np.ndarray) -> np.ndarray:
     """S = sum_i w_i * activation_expectation(p, i): the matrix of both
-    bounds and, shifted by (1 - sum(w)) * I, of both expected kernels."""
-    S = np.zeros((p.n, p.n))
-    for i in range(p.n):
-        S += w[i] * activation_expectation(p, i + 1)
+    bounds and, shifted by (1 - sum(w)) * I, of both expected kernels.
+
+    Each activation kernel is the centre-1 kernel with nodes 1 and i
+    swapped, so one kernel's four distinct entries give S in O(n^2): with
+    W = sum(w), S[j, j] = w_j * dc + (W - w_j) * do and, off the diagonal,
+    S[j, k] = (w_j + w_k) * edge + (W - w_j - w_k) * pair.
+    """
+    K = activation_expectation(p, 1)
+    dc, do, edge = K[0, 0], K[1, 1], K[0, 1]
+    pair = K[1, 2] if p.n > 2 else 0.0  # n = 2: no pair off the centre
+    W = w.sum()
+    ends = w[:, None] + w
+    S = ends * edge + (W - ends) * pair
+    np.fill_diagonal(S, w * dc + (W - w) * do)
     return S
 
 
@@ -110,13 +120,17 @@ def convergence_bound(pz0_sq: float, eps: float, lam: float, K: int) -> float:
 
 def poisson_binomial_pmf(probs) -> np.ndarray:
     """PMF of the number of successes among independent Bernoulli trials,
-    by the standard O(n^2) convolution recurrence."""
+    by the standard O(n^2) convolution recurrence along the last axis: a
+    stack of rate vectors gives the stack of their PMFs. Step k updates
+    counts 0..k+1 only; the higher ones are still 0."""
     probs = np.asarray(probs, dtype=np.float64)
-    pmf = np.zeros(len(probs) + 1)
-    pmf[0] = 1.0
-    for q in probs:
-        pmf[1:] = pmf[1:] * (1.0 - q) + pmf[:-1] * q
-        pmf[0] *= 1.0 - q
+    n = probs.shape[-1]
+    pmf = np.zeros(probs.shape[:-1] + (n + 1,))
+    pmf[..., 0] = 1.0
+    for k in range(n):
+        q = probs[..., k : k + 1]
+        pmf[..., 1 : k + 2] = pmf[..., 1 : k + 2] * (1.0 - q) + pmf[..., : k + 1] * q
+        pmf[..., 0] *= 1.0 - q[..., 0]
     return pmf
 
 
@@ -127,17 +141,15 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     Uniform rule: a node survives its own activation with probability
     1/(1 + number of co-activated nodes), so its rate is the activity rate
     times the mean reciprocal, taken against the Poisson-binomial count of
-    the others via the convolution recurrence; this stays polynomial at any
-    n. Table rule: ``enumerated_survivor_rates``.
+    the others. The n leave-one-out rate vectors form one (n, n-1) stack
+    and go through one batched recurrence, O(n^3) flops in O(n) numpy
+    steps at any n. Table rule: ``enumerated_survivor_rates``.
     """
     if rule.mode == "uniform":
-        a = np.asarray(p.a)
-        b = np.empty(p.n)
-        ks = np.arange(p.n, dtype=np.float64)
-        for i in range(p.n):
-            pmf = poisson_binomial_pmf(np.delete(a, i))
-            b[i] = a[i] * float(np.sum(pmf / (ks + 1.0)))
-        return b
+        a = np.asarray(p.a, dtype=np.float64)
+        others = np.broadcast_to(a, (p.n, p.n))[~np.eye(p.n, dtype=bool)].reshape(p.n, p.n - 1)
+        pmf = poisson_binomial_pmf(others)
+        return a * np.sum(pmf / np.arange(1.0, p.n + 1.0), axis=1)
     return enumerated_survivor_rates(p, rule)
 
 

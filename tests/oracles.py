@@ -3,9 +3,11 @@
 Everything here favors obviousness over speed: exact integer matrix
 algebra over Python lists, truncated Taylor series with scaling and
 squaring, cyclic Jacobi rotations, exhaustive bitmask enumerations. None
-of it routes through the package under test, except that the survival-curve
-reference takes the package's sampling primitives as arguments: exact
-equality with the package needs the package's own random streams.
+of it routes through the package under test, except that two references
+take package primitives as arguments: the survival-curve reference its
+sampling primitives, since exact equality with the package needs the
+package's own random streams, and the per-centre mixture the closed-form
+activation kernel, which its own subset-average oracle gates.
 """
 
 import math
@@ -89,6 +91,15 @@ def jacobi_eigenvalues(M, max_sweeps=100, tol=1e-13):
                 J[q, p] = -s
                 A = J.T @ A @ J
     return np.sort(np.diag(A))
+
+
+def per_centre_mixture(expectation, p, w):
+    """S = sum_i w_i * expectation(p, i) with one dense n x n kernel per
+    centre, O(n^3): the direct sum behind the activation mixture."""
+    S = np.zeros((p.n, p.n))
+    for i in range(p.n):
+        S += w[i] * expectation(p, i + 1)
+    return S
 
 
 def exhaustive_survivor_rates(a):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adn_consensus import (
     ModelParams,
@@ -130,6 +130,20 @@ class TestActivationExpectation:
         assert len({round(M[c, k], 15) for k in others}) == 1
         pair_vals = {round(M[k, l], 15) for k in others for l in others if k != l}
         assert len(pair_vals) == 1
+
+    @given(small_params(max_n=9))
+    @example(ModelParams(2, 1, (0.5, 0.5), 0.5))
+    @example(ModelParams(6, 5, (0.1,) * 6, 1.3))
+    @example(ModelParams(7, 1, (0.1,) * 7, 0.0))
+    @settings(max_examples=60, deadline=None)
+    def test_every_centre_is_centre_one_relabelled(self, p):
+        # the O(n^2) activation mixture reads all n kernels off the
+        # centre-1 one, with nodes 1 and i swapped
+        K1 = activation_expectation(p, 1)
+        for i in range(1, p.n + 1):
+            perm = np.arange(p.n)
+            perm[0], perm[i - 1] = i - 1, 0
+            assert np.array_equal(activation_expectation(p, i), K1[np.ix_(perm, perm)]), i
 
     def test_rejects_center_out_of_range(self):
         p = ModelParams(4, 2, (0.1,) * 4, 1.0)

@@ -1,8 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adn_consensus import (
     ModelParams,
@@ -19,12 +21,20 @@ from adn_consensus import (
     survivor_rates,
     symmetrize,
 )
-from adn_consensus.spectral import enumerated_survivor_rates, kernel_weights
+from adn_consensus.cli import parse_config, resolve_config
+from adn_consensus.spectral import (
+    _activation_mixture,
+    enumerated_survivor_rates,
+    kernel_weights,
+)
 from oracles import (
     bruteforce_poisson_binomial,
     exhaustive_survivor_rates,
     jacobi_eigenvalues,
+    per_centre_mixture,
 )
+
+CERTIFY_BOUND = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "certify_bound.json"
 
 
 class TestLambdaSecond:
@@ -108,6 +118,23 @@ class TestPoissonBinomial:
     def test_sums_to_one(self, probs):
         assert abs(poisson_binomial_pmf(probs).sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 6), (4, 1)])
+    def test_stack_rows_match_single_calls(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        probs = rng.uniform(0.0, 1.0, shape)
+        probs.flat[::5] = 0.0
+        probs.flat[1::7] = 1.0
+        got = poisson_binomial_pmf(probs)
+        assert got.shape == shape[:-1] + (shape[-1] + 1,)
+        for idx in np.ndindex(shape[:-1]):
+            assert np.array_equal(got[idx], poisson_binomial_pmf(probs[idx])), idx
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 4, 0)])
+    def test_empty_last_axis_is_certain_zero(self, shape):
+        got = poisson_binomial_pmf(np.zeros(shape))
+        assert got.shape == shape[:-1] + (1,)
+        assert np.array_equal(got, np.ones(got.shape))
+
 
 class TestSurvivorRates:
     def test_frozen_two_node_value(self):
@@ -143,6 +170,16 @@ class TestSurvivorRates:
         b = survivor_rates(p, UNIFORM_TIE_BREAK)
         none_active = math.prod(1.0 - x for x in a)
         assert abs(b.sum() - (1.0 - none_active)) < 1e-12
+
+    def test_batched_recurrence_matches_per_node_loop(self):
+        n = 300
+        a = np.random.default_rng(300).uniform(0.0, 1.0, n)
+        p = ModelParams(n, 1, tuple(a), 1.0)
+        ks = np.arange(1.0, n + 1.0)
+        pmfs = (poisson_binomial_pmf(np.delete(a, i)) for i in range(n))
+        ref = a * np.array([np.sum(pmf / ks) for pmf in pmfs])
+        got = survivor_rates(p, UNIFORM_TIE_BREAK)
+        assert np.max(np.abs(got - ref) / ref) < 1e-14
 
     def test_uniform_table_matches_uniform_mode(self):
         n = 4
@@ -208,12 +245,41 @@ class TestKernelWeights:
 
 def deflated_rate_oracle(p: ModelParams, weights) -> float:
     """Recompute 1 - sum(w) + lambda_max(P S P) with Jacobi rotations."""
-    S = np.zeros((p.n, p.n))
-    for i in range(p.n):
-        S += weights[i] * activation_expectation(p, i + 1)
+    S = per_centre_mixture(activation_expectation, p, weights)
     P = np.eye(p.n) - np.full((p.n, p.n), 1.0 / p.n)
     lam = jacobi_eigenvalues(symmetrize(P @ S @ P))[-1]
     return 1.0 - float(np.sum(weights)) + lam
+
+
+@st.composite
+def mixture_cases(draw, max_n=10):
+    n = draw(st.integers(2, max_n))
+    m = draw(st.integers(1, n - 1))
+    dt = draw(st.floats(0.0, 3.0))
+    w = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0 / n))) for _ in range(n)]
+    return ModelParams(n, m, (0.5 / n,) * n, dt), np.array(w)
+
+
+class TestActivationMixture:
+    @given(mixture_cases())
+    @example((ModelParams(2, 1, (0.25, 0.25), 0.7), np.array([0.3, 0.0])))
+    @example((ModelParams(5, 4, (0.1,) * 5, 1.1), np.array([0.0, 0.2, 0.0, 0.05, 0.15])))
+    @example((ModelParams(4, 3, (0.1,) * 4, 0.4), np.zeros(4)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_centre_sum(self, case):
+        p, w = case
+        got = _activation_mixture(p, w)
+        ref = per_centre_mixture(activation_expectation, p, w)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("model", ["sparse", "fastswitch"])
+    def test_certify_bounds_match_per_centre_path(self, model):
+        p, rule, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
+        got = gamma_sp(p) if model == "sparse" else gamma_fs(p, rule)
+        w = np.asarray(kernel_weights(p, model, rule), dtype=np.float64)
+        lam = lambda_second_deflated(per_centre_mixture(activation_expectation, p, w))
+        ref = 1.0 - float(w.sum()) + lam
+        assert abs(got.rate - ref) <= 1e-12 * ref
 
 
 class TestDecayBounds:
