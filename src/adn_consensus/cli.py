@@ -58,7 +58,8 @@ STEP_BUDGET = 2_000_000_000
 K_MAX_LIMIT = 10**6
 # Printing the exact snapshot count is quadratic in its digit count.
 COUNT_DIGITS_LIMIT = 200_000
-# The dense bounds hold n x n float64 matrices, 800 MB each at this n.
+# The bounds' activation mixture and its eigen-solve hold n x n float64
+# matrices, 800 MB each at this n; the survivor rates hold only n-vectors.
 N_LIMIT = 10_000
 
 

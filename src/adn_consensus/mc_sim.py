@@ -11,7 +11,6 @@ integers, so results are identical for any degree of parallelism.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +157,11 @@ def run_paths(
     if jobs == 1:
         parts = [_count_exceed(*work[0])]
     else:
-        # A fork-started pool launches all its workers at the first submit.
+        # Imported here so that a single-process run does not load
+        # multiprocessing. A fork-started pool launches all its workers at
+        # the first submit.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
             parts = list(ex.map(_count_exceed, *zip(*work)))
     counts, rises = map(sum, zip(*parts))

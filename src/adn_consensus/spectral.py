@@ -92,14 +92,19 @@ def lambda_second_deflated(M: np.ndarray) -> float:
     P the off-consensus projection), which sidesteps any ordering ambiguity
     when the spectrum crowds the top. Only valid for matrices, like the
     expected heat kernels here, that fix the all-ones vector and are
-    positive semidefinite on its complement.
+    positive semidefinite on its complement. P M P is formed in O(n^2) as
+    M minus its row means and its column means plus its grand mean, so the
+    one eigen-solve is the only O(n^3) step.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if n < 2:
         raise ValueError("second-largest eigenvalue needs n >= 2")
-    P = np.eye(n) - np.full((n, n), 1.0 / n)
-    w = np.linalg.eigvalsh(symmetrize(P @ M @ P))
+    rows = M.mean(axis=1)
+    PMP = M - rows[:, None]
+    PMP -= M.mean(axis=0)
+    PMP += rows.mean()
+    w = np.linalg.eigvalsh(symmetrize(PMP))
     return float(w[-1])
 
 
@@ -122,7 +127,8 @@ def poisson_binomial_pmf(probs) -> np.ndarray:
     """PMF of the number of successes among independent Bernoulli trials,
     by the standard O(n^2) convolution recurrence along the last axis: a
     stack of rate vectors gives the stack of their PMFs. Step k updates
-    counts 0..k+1 only; the higher ones are still 0."""
+    counts 0..k+1 only; the higher ones are still 0. ``survivor_rates``
+    calls it once, on all n rates."""
     probs = np.asarray(probs, dtype=np.float64)
     n = probs.shape[-1]
     pmf = np.zeros(probs.shape[:-1] + (n + 1,))
@@ -134,6 +140,23 @@ def poisson_binomial_pmf(probs) -> np.ndarray:
     return pmf
 
 
+def _removed_trial_means(pmf: np.ndarray, q: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * L[k] for each rate in q, where L is ``pmf`` with
+    one Bernoulli(q) trial taken out: pmf[k] = (1 - q) L[k] + q L[k-1].
+
+    Peels L off from count 0 upward, one (len(q),) step per count; each
+    step scales the error it carries by q / (1 - q), at most 1 for q <= 1/2.
+    """
+    s = 1.0 / (1.0 - q)
+    r = q * s
+    L = np.zeros_like(q)
+    total = np.zeros_like(q)
+    for k in range(len(pmf) - 1):
+        L = pmf[k] * s - r * L
+        total += weights[k] * L
+    return total
+
+
 def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     """Per-node probability of ending up the sole surviving activated node
     in one fast-switching step.
@@ -141,16 +164,22 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     Uniform rule: a node survives its own activation with probability
     1/(1 + number of co-activated nodes), so its rate is the activity rate
     times the mean reciprocal, taken against the Poisson-binomial count of
-    the others. The n leave-one-out rate vectors form one (n, n-1) stack
-    and go through one batched recurrence, O(n^3) flops in O(n) numpy
-    steps at any n. Table rule: ``enumerated_survivor_rates``.
+    the others. One recurrence gives the PMF of all n counts; each node's
+    leave-one-out PMF comes out of it by deconvolution, forward for a rate
+    <= 1/2 and, for a larger rate, backward (forward on the mirrored counts
+    n - k, whose trial rates are 1 - a). O(n^2) flops in O(n) memory.
+    Table rule: ``enumerated_survivor_rates``.
     """
-    if rule.mode == "uniform":
-        a = np.asarray(p.a, dtype=np.float64)
-        others = np.broadcast_to(a, (p.n, p.n))[~np.eye(p.n, dtype=bool)].reshape(p.n, p.n - 1)
-        pmf = poisson_binomial_pmf(others)
-        return a * np.sum(pmf / np.arange(1.0, p.n + 1.0), axis=1)
-    return enumerated_survivor_rates(p, rule)
+    if rule.mode != "uniform":
+        return enumerated_survivor_rates(p, rule)
+    a = np.asarray(p.a, dtype=np.float64)
+    pmf = poisson_binomial_pmf(a)
+    recip = 1.0 / np.arange(1.0, p.n + 1.0)  # 1 / (1 + co-activated count)
+    low = a <= 0.5
+    mean_recip = np.empty(p.n)
+    mean_recip[low] = _removed_trial_means(pmf, a[low], recip)
+    mean_recip[~low] = _removed_trial_means(pmf[::-1], 1.0 - a[~low], recip[::-1])
+    return a * mean_recip
 
 
 def enumerated_survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:

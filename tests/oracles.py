@@ -6,8 +6,10 @@ squaring, cyclic Jacobi rotations, exhaustive bitmask enumerations. None
 of it routes through the package under test, except that two references
 take package primitives as arguments: the survival-curve reference its
 sampling primitives, since exact equality with the package needs the
-package's own random streams, and the per-centre mixture the closed-form
-activation kernel, which its own subset-average oracle gates.
+package's own random streams, the per-centre mixture the closed-form
+activation kernel, which its own subset-average oracle gates, and the
+leave-one-out survivor rates the Poisson-binomial PMF, which its
+brute-force oracle gates.
 """
 
 import math
@@ -100,6 +102,25 @@ def per_centre_mixture(expectation, p, w):
     for i in range(p.n):
         S += w[i] * expectation(p, i + 1)
     return S
+
+
+def projected_top_eigenvalue(M):
+    """Largest eigenvalue of P M P, with P = I - J/n the off-consensus
+    projection built as a dense n x n matrix: two O(n^3) products."""
+    M = np.asarray(M, dtype=np.float64)
+    n = M.shape[0]
+    P = np.eye(n) - np.full((n, n), 1.0 / n)
+    PMP = P @ M @ P
+    return float(np.linalg.eigvalsh((PMP + PMP.T) / 2.0)[-1])
+
+
+def leave_one_out_survivor_rates(a, pmf):
+    """Per-node survivor rates under the uniform tie break, a_i times the
+    mean of 1/(1 + K) over the count K of the others, with one call of the
+    Poisson-binomial ``pmf`` per node on its leave-one-out rate vector."""
+    a = np.asarray(a, dtype=np.float64)
+    ks = np.arange(1.0, len(a) + 1.0)
+    return a * np.array([np.sum(pmf(np.delete(a, i)) / ks) for i in range(len(a))])
 
 
 def exhaustive_survivor_rates(a):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -199,7 +200,7 @@ class TestRunPaths:
                 parts.append(len(work))
                 return [fn(*args) for args in work]
 
-        monkeypatch.setattr(mc_sim, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         p = ModelParams(4, 2, (0.2, 0.3, 0.1, 0.25), 1.0)
         z0 = np.array([1.0, -0.5, 0.25, 0.0])
         many = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 64, 0.02, 99, n_jobs=10**6)

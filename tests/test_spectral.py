@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from adn_consensus import (
     survivor_rates,
     symmetrize,
 )
-from adn_consensus.cli import parse_config, resolve_config
+from adn_consensus.cli import N_LIMIT, draw_activity_rates, parse_config, resolve_config
 from adn_consensus.spectral import (
     _activation_mixture,
     enumerated_survivor_rates,
@@ -31,7 +32,9 @@ from oracles import (
     bruteforce_poisson_binomial,
     exhaustive_survivor_rates,
     jacobi_eigenvalues,
+    leave_one_out_survivor_rates,
     per_centre_mixture,
+    projected_top_eigenvalue,
 )
 
 CERTIFY_BOUND = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "certify_bound.json"
@@ -60,6 +63,27 @@ class TestLambdaSecond:
         p = ModelParams(5, 2, (0.05, 0.1, 0.02, 0.2, 0.01), 0.8)
         E = sparse_expected_exponential(p)
         assert abs(lambda_second_deflated(E) - lambda_second_largest(E)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 400])
+    def test_deflated_matches_dense_projector(self, n):
+        # convex mixtures of permutation matrices (doubly stochastic, not
+        # symmetric), and general matrices, whose row and column means differ
+        rng = np.random.default_rng(n)
+        perms = [np.eye(n)[rng.permutation(n)] for _ in range(4)]
+        for M in (
+            sum(w * P for w, P in zip(rng.dirichlet(np.ones(4)), perms)),
+            rng.normal(size=(n, n)),
+            rng.uniform(0.0, 1.0, (n, n)) + np.arange(n),
+        ):
+            ref = projected_top_eigenvalue(M)
+            assert abs(lambda_second_deflated(M) - ref) <= 1e-13 * np.max(np.abs(M))
+
+    @pytest.mark.parametrize("model", ["sparse", "fastswitch"])
+    def test_deflated_matches_dense_projector_on_certify_mixture(self, model):
+        p, rule, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
+        S = _activation_mixture(p, np.asarray(kernel_weights(p, model, rule), dtype=np.float64))
+        ref = projected_top_eigenvalue(S)
+        assert abs(lambda_second_deflated(S) - ref) <= 1e-13 * np.max(np.abs(S))
 
     def test_deflated_scope_is_narrower(self):
         # diag(5, 1) does not have the all-ones vector on top, so the two
@@ -180,6 +204,42 @@ class TestSurvivorRates:
         ref = a * np.array([np.sum(pmf / ks) for pmf in pmfs])
         got = survivor_rates(p, UNIFORM_TIE_BREAK)
         assert np.max(np.abs(got - ref) / ref) < 1e-14
+
+    @pytest.mark.parametrize(
+        "kind", ["uniform", "half", "near_half", "with_ones", "clamped", "tiny_and_near_one", "mixed"]
+    )
+    def test_deconvolution_matches_leave_one_out_loop(self, kind):
+        rng = np.random.default_rng(len(kind))
+        draws = {
+            "uniform": lambda n: rng.uniform(0.0, 1.0, n),
+            "half": lambda n: np.full(n, 0.5),
+            "near_half": lambda n: 0.5 + rng.uniform(-1e-3, 1e-3, n),
+            "with_ones": lambda n: rng.choice([1.0, 0.5, rng.uniform()], n),
+            "clamped": lambda n: rng.choice([1e-300, 0.5, 1.0, rng.uniform()], n),
+            "tiny_and_near_one": lambda n: rng.choice([1e-9, 1e-300, 1.0 - 1e-9, 0.999], n),
+        }
+        parts = list(draws.values())
+        draws["mixed"] = lambda n: np.concatenate([draw(n // len(parts)) for draw in parts])
+        for n in (2, 3, 17, 150) if kind != "mixed" else (600,):
+            a = rng.permutation(draws[kind](n))
+            p = ModelParams(len(a), 1, tuple(a), 1.0)
+            got = survivor_rates(p, UNIFORM_TIE_BREAK)
+            ref = leave_one_out_survivor_rates(a, poisson_binomial_pmf)
+            assert np.max(np.abs(got - ref) / ref) < 1e-13, n
+
+    @pytest.mark.parametrize("upper", [2.0 / N_LIMIT, 1.0])
+    def test_total_and_memory_at_the_size_limit(self, upper):
+        a = draw_activity_rates(N_LIMIT, upper, 2025)
+        p = ModelParams(N_LIMIT, 1, a, 1.0)
+        tracemalloc.start()
+        try:
+            b = survivor_rates(p, UNIFORM_TIE_BREAK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        none_active = float(np.prod(1.0 - np.asarray(a)))
+        assert abs(b.sum() - (1.0 - none_active)) < 1e-12
+        assert peak < 16 * 2**20, peak
 
     def test_uniform_table_matches_uniform_mode(self):
         n = 4
