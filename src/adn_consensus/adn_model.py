@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -170,6 +170,13 @@ def _sample_m_subset(n: int, center: int, m: int, rng) -> tuple:
     """
     idx = rng.choice(n - 1, size=m, replace=False).tolist()
     return tuple(i + 1 if i + 1 < center else i + 2 for i in idx)
+
+
+def center_stars(p: ModelParams) -> list:
+    """The law ``_sample_m_subset`` draws from, written out: for each centre
+    1..n, the list of its C(n-1, m) equally likely stars in ``combinations`` order."""
+    others = ([j for j in range(1, p.n + 1) if j != i] for i in range(1, p.n + 1))
+    return [[StarSpec(p.n, i, N) for N in combinations(js, p.m)] for i, js in enumerate(others, 1)]
 
 
 def center_sets(p: ModelParams, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK):

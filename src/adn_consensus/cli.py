@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from itertools import combinations
 
 import numpy as np
 
@@ -26,10 +25,11 @@ from .adn_model import (
     ModelParams,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
+    center_stars,
     snapshot_count,
 )
 from .closed_form import activation_expectation
-from .graph_core import StarSpec, expm_sym, star_laplacian
+from .graph_core import expm_sym, star_laplacian
 from .mc_sim import fit_decay_stats, run_paths
 from .spectral import (
     enumerated_survivor_rates,
@@ -148,7 +148,7 @@ def _parse_z0(raw: dict, n: int) -> dict:
     raise ConfigError(f"z0.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
 
 
-def _parse_n_m(raw: dict, n_max=math.inf) -> tuple:
+def _parse_n_m(raw: dict, n_max: int) -> tuple:
     n = _field(raw, "n", 2, n_max, integer=True)
     m = _field(raw, "m", 1, integer=True)
     if m > n - 1:
@@ -359,12 +359,9 @@ def _check_rows(params: ModelParams, rule: TieBreakRule):
         yield name, f"refused: size ({C} subsets per center)", None
     else:
         diffs = (
-            sum(
-                expm_sym(star_laplacian(StarSpec(n, i, N)), T)
-                for N in combinations([j for j in range(1, n + 1) if j != i], m)
-            ) / C
+            sum(expm_sym(star_laplacian(s), T) for s in stars) / C
             - activation_expectation(params, i)
-            for i in range(1, n + 1)
+            for i, stars in enumerate(center_stars(params), 1)
         )
         yield _diff_row(name, diffs, 1e-10)
     # 2-3. Sparse and fast-switching expected kernels against enumeration.
@@ -426,7 +423,9 @@ def cmd_count_snapshots(args) -> int:
     # here so that other commands do not pay its 0.4 MB of peak memory.
     from decimal import Decimal
 
-    n, m = _parse_n_m(_load_json(args.config))
+    # The count has at least n * log10(2) digits, so no larger n can pass the
+    # digit limit, and lgamma below never sees an n past the float range.
+    n, m = _parse_n_m(_load_json(args.config), int(COUNT_DIGITS_LIMIT / math.log10(2)))
     log_c = math.lgamma(n) - math.lgamma(m + 1) - math.lgamma(n - m)  # ln C(n-1, m)
     digits = n * (log_c + math.log1p(math.exp(-log_c))) / math.log(10)
     if digits > COUNT_DIGITS_LIMIT:

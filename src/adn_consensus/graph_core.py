@@ -6,7 +6,7 @@ arrays indexed from 0. Integer-valued matrices (Laplacians and their powers)
 use int64, everything floating-point uses float64.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ class StarSpec:
 
     n: int
     center: int
-    neighbors: tuple = field(default=())
+    neighbors: tuple
 
     def __post_init__(self):
         if self.n < 2:

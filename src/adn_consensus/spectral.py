@@ -124,19 +124,18 @@ def convergence_bound(pz0_sq: float, eps: float, lam: float, K: int) -> float:
 
 
 def poisson_binomial_pmf(probs) -> np.ndarray:
-    """PMF of the number of successes among independent Bernoulli trials,
-    by the standard O(n^2) convolution recurrence along the last axis: a
-    stack of rate vectors gives the stack of their PMFs. Step k updates
-    counts 0..k+1 only; the higher ones are still 0. ``survivor_rates``
-    calls it once, on all n rates."""
+    """PMF of the number of successes among independent Bernoulli trials
+    with the rates of the vector ``probs``, by the standard O(n^2)
+    convolution recurrence. Step k updates counts 0..k+1 only; the higher
+    ones are still 0."""
     probs = np.asarray(probs, dtype=np.float64)
-    n = probs.shape[-1]
-    pmf = np.zeros(probs.shape[:-1] + (n + 1,))
-    pmf[..., 0] = 1.0
-    for k in range(n):
-        q = probs[..., k : k + 1]
-        pmf[..., 1 : k + 2] = pmf[..., 1 : k + 2] * (1.0 - q) + pmf[..., : k + 1] * q
-        pmf[..., 0] *= 1.0 - q[..., 0]
+    if probs.ndim != 1:
+        raise ValueError(f"need one vector of rates, got shape {probs.shape}")
+    pmf = np.zeros(len(probs) + 1)
+    pmf[0] = 1.0
+    for k, q in enumerate(probs):
+        pmf[1 : k + 2] = pmf[1 : k + 2] * (1.0 - q) + pmf[: k + 1] * q
+        pmf[0] *= 1.0 - q
     return pmf
 
 
@@ -177,8 +176,10 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     recip = 1.0 / np.arange(1.0, p.n + 1.0)  # 1 / (1 + co-activated count)
     low = a <= 0.5
     mean_recip = np.empty(p.n)
-    mean_recip[low] = _removed_trial_means(pmf, a[low], recip)
-    mean_recip[~low] = _removed_trial_means(pmf[::-1], 1.0 - a[~low], recip[::-1])
+    if low.any():
+        mean_recip[low] = _removed_trial_means(pmf, a[low], recip)
+    if not low.all():
+        mean_recip[~low] = _removed_trial_means(pmf[::-1], 1.0 - a[~low], recip[::-1])
     return a * mean_recip
 
 

@@ -4,12 +4,12 @@ numerical probe of the fast-switching eigenvalue inequality.
 Enumeration is exact or refused: every reachable snapshot configuration is
 visited with its true probability (activation pattern times uniform subset
 choice), with no sampling anywhere. Configurations stream out one at a
-time; nothing is materialized.
+time; only the list of each centre's stars is held.
 """
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -19,13 +19,17 @@ from .adn_model import (
     TieBreakRule,
     UNIFORM_TIE_BREAK,
     center_sets,
+    center_stars,
     snapshot_count,
     snapshot_laplacian,
 )
-from .graph_core import StarSpec, expm_sym
+from .graph_core import expm_sym
 from .spectral import lambda_second_largest
 
 MAX_BRANCHES = 10**7
+# Floating-point floor below zero that a sample's eigenvalue gap may reach
+# and still hold.
+GAP_SLACK = 1e-9
 
 
 def enumeration_size(
@@ -56,18 +60,13 @@ def _require_enumerable(p: ModelParams, model: str, rule: TieBreakRule):
 
 
 def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule):
-    """Yield (probability, snapshot) over every reachable configuration:
-    each centre tuple of ``center_sets`` times each choice of an m-subset
-    per centre, all choices equally likely."""
-    n, m = p.n, p.m
-    C = math.comb(n - 1, m)
-    subsets = [
-        list(combinations([j for j in range(1, n + 1) if j != i], m)) for i in range(1, n + 1)
-    ]
+    """Yield (probability, snapshot) over every reachable configuration: each
+    centre tuple of ``center_sets`` times one of ``center_stars`` per centre."""
+    stars = center_stars(p)
     for centres, prob in center_sets(p, model, rule):
-        w = prob / C ** len(centres)
-        for choice in product(*(subsets[i - 1] for i in centres)):
-            yield w, Snapshot(n, tuple(StarSpec(n, i, N) for i, N in zip(centres, choice)))
+        w = prob / len(stars[0]) ** len(centres)
+        for choice in product(*(stars[i - 1] for i in centres)):
+            yield w, Snapshot(p.n, choice)
 
 
 def enumerate_expected_exponential(
@@ -103,18 +102,13 @@ class FastSwitchReport:
     first_violation: float | None
 
 
-def verify_fast_switch_inequality(
-    p: ModelParams,
-    rule: TieBreakRule,
-    T_grid,
-    slack: float = 1e-9,
-) -> FastSwitchReport:
+def verify_fast_switch_inequality(p: ModelParams, rule: TieBreakRule, T_grid) -> FastSwitchReport:
     """Probe, by exact enumeration at each exponent scale T in the grid,
     whether the full model's second-largest expected-kernel eigenvalue
     stays below the fast-switching variant's.
 
-    ``holds`` allows a floating-point floor of ``slack`` below zero on the
-    gap. Violations at large T are expected and merely reported; the
+    ``holds`` allows a floating-point floor of ``GAP_SLACK`` below zero on
+    the gap. Violations at large T are expected and merely reported; the
     smallest violating T, if any, is singled out.
     """
     # Both sizes are checked before either enumeration starts, since either
@@ -131,7 +125,7 @@ def verify_fast_switch_inequality(
             enumerate_expected_exponential(pT, "fastswitch", rule)
         )
         gap = lam_fs - lam_full
-        samples.append(GapSample(float(T), lam_full, lam_fs, gap, gap >= -slack))
+        samples.append(GapSample(float(T), lam_full, lam_fs, gap, gap >= -GAP_SLACK))
     violations = [s.T for s in samples if not s.holds]
     return FastSwitchReport(
         samples=tuple(samples),

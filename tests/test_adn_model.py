@@ -18,7 +18,7 @@ from adn_consensus import (
     snapshot_laplacian,
 )
 from adn_consensus import adn_model
-from adn_consensus.adn_model import activation_sets, idle_run
+from adn_consensus.adn_model import activation_sets, center_stars, idle_run
 
 
 class _Draws:
@@ -331,6 +331,28 @@ class TestVariantLaws:
         for centres, prob in law.items():
             sigma = math.sqrt(prob * (1 - prob) / trials)
             assert abs(counts[centres] / trials - prob) <= 5 * sigma, centres
+
+    def test_sampled_stars_match_center_stars(self):
+        """Each centre's list holds its C(n-1, m) distinct stars, neighbour
+        sets increasing, and 20,000 sparse draws give each star a_i / C(n-1, m),
+        each within 5 sigma."""
+        p = self.STREAM_PARAMS
+        C = math.comb(p.n - 1, p.m)
+        stars = center_stars(p)
+        for i, own in enumerate(stars, 1):
+            keys = [s.neighbors for s in own]
+            assert len(keys) == C and keys == sorted(set(keys))
+            assert all(s.center == i and i not in s.neighbors for s in own)
+        rng = np.random.default_rng(7)
+        trials = 20000
+        counts = {s: 0 for own in stars for s in own}
+        for _ in range(trials):
+            for e in generate_snapshot(p, rng, "sparse").events:
+                counts[e] += 1
+        for s, count in counts.items():
+            prob = p.a[s.center - 1] / C
+            sigma = math.sqrt(prob * (1 - prob) / trials)
+            assert abs(count / trials - prob) <= 5 * sigma, s
 
 
 def _stars(s) -> tuple:

@@ -518,9 +518,10 @@ class TestCountSnapshots:
 
     def test_huge_counts_print_exactly(self, tmp_path, capsys):
         # (1 + C(199, 100))**200 has 11,732 digits, past the interpreter's
-        # default int/str conversion limit of 4,300
+        # default int/str conversion limit of 4,300; 43,000**43,000 has
+        # 199,241, just under the 200,000-digit limit
         limit = sys.get_int_max_str_digits()
-        for n, m in ((40, 20), (200, 100)):
+        for n, m in ((40, 20), (200, 100), (43_000, 1)):
             cfg = write_config(tmp_path, n=n, m=m, n_paths=1)
             rc = main(["count-snapshots", "--config", cfg])
             out = capsys.readouterr().out.strip()
@@ -542,6 +543,23 @@ class TestCountSnapshots:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("config error: n: ")
+
+    def test_largest_admitted_n_refused_by_digit_count(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n=664_385, m=1, n_paths=1)
+        rc = main(["count-snapshots", "--config", cfg])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: n: the count for n=664385, ")
+
+    @pytest.mark.parametrize("n", [10**400, 2**1100, 664_386], ids=["10^400", "2^1100", "664386"])
+    def test_n_past_digit_limit_refused_by_range(self, tmp_path, capsys, n):
+        # the count has at least n * log10(2) digits, over 200,000 for every
+        # n above 664,385, including those past the float range
+        cfg = write_config(tmp_path, n=n, m=1, n_paths=1)
+        rc = main(["count-snapshots", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: n: must be >= 2 and <= 664385, got ")
 
 
 class TestErrorPaths:

@@ -142,22 +142,9 @@ class TestPoissonBinomial:
     def test_sums_to_one(self, probs):
         assert abs(poisson_binomial_pmf(probs).sum() - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 6), (4, 1)])
-    def test_stack_rows_match_single_calls(self, shape):
-        rng = np.random.default_rng(sum(shape))
-        probs = rng.uniform(0.0, 1.0, shape)
-        probs.flat[::5] = 0.0
-        probs.flat[1::7] = 1.0
-        got = poisson_binomial_pmf(probs)
-        assert got.shape == shape[:-1] + (shape[-1] + 1,)
-        for idx in np.ndindex(shape[:-1]):
-            assert np.array_equal(got[idx], poisson_binomial_pmf(probs[idx])), idx
-
-    @pytest.mark.parametrize("shape", [(3, 0), (2, 4, 0)])
-    def test_empty_last_axis_is_certain_zero(self, shape):
-        got = poisson_binomial_pmf(np.zeros(shape))
-        assert got.shape == shape[:-1] + (1,)
-        assert np.array_equal(got, np.ones(got.shape))
+    def test_stack_of_vectors_refused(self):
+        with pytest.raises(ValueError, match="one vector"):
+            poisson_binomial_pmf(np.zeros((3, 4)))
 
 
 class TestSurvivorRates:
@@ -195,13 +182,11 @@ class TestSurvivorRates:
         none_active = math.prod(1.0 - x for x in a)
         assert abs(b.sum() - (1.0 - none_active)) < 1e-12
 
-    def test_batched_recurrence_matches_per_node_loop(self):
+    def test_uniform_rates_at_n_300_match_leave_one_out_pmfs(self):
         n = 300
         a = np.random.default_rng(300).uniform(0.0, 1.0, n)
         p = ModelParams(n, 1, tuple(a), 1.0)
-        ks = np.arange(1.0, n + 1.0)
-        pmfs = (poisson_binomial_pmf(np.delete(a, i)) for i in range(n))
-        ref = a * np.array([np.sum(pmf / ks) for pmf in pmfs])
+        ref = leave_one_out_survivor_rates(a, poisson_binomial_pmf)
         got = survivor_rates(p, UNIFORM_TIE_BREAK)
         assert np.max(np.abs(got - ref) / ref) < 1e-14
 

@@ -18,6 +18,7 @@ from adn_consensus import (
     verify_fast_switch_inequality,
     weighted_expected_exponential,
 )
+from adn_consensus import validation
 from adn_consensus.validation import MAX_BRANCHES, _enumerate_branches
 from oracles import taylor_expm
 
@@ -192,16 +193,26 @@ class TestFastSwitchInequality:
             assert s.gap == pytest.approx(s.lambda_fastswitch - s.lambda_full, abs=1e-15)
             assert s.holds
 
-    def test_negative_slack_forces_violation_reporting(self):
-        # with a large negative slack every sample fails, exercising the
-        # violation bookkeeping without needing a true counterexample
+    def test_violations_reported_with_the_smallest_T(self, monkeypatch):
+        # No real violation is known at these scales, so a fake eigenvalue
+        # puts the fastswitch value below the full model's at T = 0.1 and
+        # T = 0.05. Each T takes two calls: the full model's, then the
+        # fastswitch variant's.
+        exact = validation.lambda_second_largest
+        calls = []
+
+        def fake(M):
+            calls.append(M)
+            return exact(M) - (1.0 if len(calls) in (2, 4) else 0.0)
+
+        monkeypatch.setattr(validation, "lambda_second_largest", fake)
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
-        report = verify_fast_switch_inequality(
-            p, UNIFORM_TIE_BREAK, (0.1, 0.05), slack=-10.0
-        )
+        report = verify_fast_switch_inequality(p, UNIFORM_TIE_BREAK, (0.1, 0.05, 0.2))
+        assert len(calls) == 6
         assert not report.holds_all
         assert report.first_violation == 0.05
-        assert all(not s.holds for s in report.samples)
+        assert [s.holds for s in report.samples] == [False, False, True]
+        assert report.samples[1].gap == pytest.approx(-1.0, abs=0.1)
 
     def test_rejects_nonpositive_grid(self):
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
