@@ -99,45 +99,47 @@ class Snapshot:
                 raise ValueError("event centers must be distinct")
 
 
+def _check_entry(s: frozenset, weights: dict):
+    """Raise ValueError unless ``weights`` is a survivor distribution over
+    the activated set ``s`` of two or more nodes."""
+    if len(s) < 2:
+        raise ValueError("table entries are for sets of >= 2 nodes")
+    if set(weights) - s:
+        raise ValueError(f"weights for {sorted(s)} name nodes outside the set")
+    vals = list(weights.values())
+    if any(not (math.isfinite(w) and w >= 0) for w in vals):
+        raise ValueError(f"tie-break weights must be finite and >= 0, got {vals}")
+    if abs(sum(vals) - 1.0) > 1e-12:
+        raise ValueError(f"weights for {sorted(s)} sum to {sum(vals)}, not 1")
+
+
 @dataclass(frozen=True)
 class TieBreakRule:
     """How the fast-switching variant picks the one surviving activated node.
 
-    ``uniform`` keeps each activated node with probability 1/|S|. ``table``
-    looks the activated set up in an explicit weight table (frozenset of
-    node ids -> {node id: weight}) and never falls back silently.
+    With no ``table`` (the uniform rule) each activated node survives with
+    probability 1/|S|. A ``table`` maps activated sets (frozensets of node
+    ids) to survivor weights ({node id: weight}), is checked here, each
+    entry once and in order, and never falls back silently.
     """
 
-    mode: str = "uniform"
     table: dict | None = None
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "table"):
-            raise ValueError(f"unknown tie-break mode {self.mode!r}")
-        if self.mode == "table":
-            if not self.table:
-                raise ValueError("table mode needs a weight table")
-            for s, weights in self.table.items():
-                self.check_entry(frozenset(s), weights)
-
-    @staticmethod
-    def check_entry(s: frozenset, weights: dict):
-        """Raise ValueError unless ``weights`` is a survivor distribution
-        over the activated set ``s`` of two or more nodes."""
-        if len(s) < 2:
-            raise ValueError("table entries are for sets of >= 2 nodes")
-        if set(weights) - s:
-            raise ValueError(f"weights for {sorted(s)} name nodes outside the set")
-        vals = list(weights.values())
-        if any(not (math.isfinite(w) and w >= 0) for w in vals):
-            raise ValueError(f"tie-break weights must be finite and >= 0, got {vals}")
-        if abs(sum(vals) - 1.0) > 1e-12:
-            raise ValueError(f"weights for {sorted(s)} sum to {sum(vals)}, not 1")
+        if self.table is None:
+            return
+        if not self.table:
+            raise ValueError("tie_break.entries: a table needs at least one entry")
+        for k, (s, weights) in enumerate(self.table.items()):
+            try:
+                _check_entry(frozenset(s), weights)
+            except ValueError as exc:
+                raise ValueError(f"tie_break.entries[{k}]: {exc}") from None
 
     def weights_for(self, active: frozenset) -> dict:
         """Survivor weights over a nonempty activated set; a lone activated
-        node survives with weight 1 under either mode."""
-        if self.mode == "uniform" or len(active) == 1:
+        node survives with weight 1 under either rule."""
+        if self.table is None or len(active) == 1:
             w = 1.0 / len(active)
             return {i: w for i in active}
         if active not in self.table:
@@ -147,7 +149,7 @@ class TieBreakRule:
         return self.table[active]
 
 
-UNIFORM_TIE_BREAK = TieBreakRule("uniform")
+UNIFORM_TIE_BREAK = TieBreakRule()
 
 
 def activation_sets(p: ModelParams):
@@ -209,7 +211,7 @@ def _survivor_sets(p: ModelParams, rule: TieBreakRule):
 
 def _survivor(active: list, rule: TieBreakRule, rng) -> int:
     """One survivor of two or more activated nodes, drawn per the rule."""
-    if rule.mode == "uniform":
+    if rule.table is None:
         return active[int(rng.integers(len(active)))]
     weights = rule.weights_for(frozenset(active))
     cum = list(accumulate(weights.get(i, 0.0) for i in active))

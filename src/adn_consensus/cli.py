@@ -63,10 +63,6 @@ COUNT_DIGITS_LIMIT = 200_000
 N_LIMIT = 10_000
 
 
-class ConfigError(Exception):
-    """Raised for malformed or infeasible configuration input."""
-
-
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
@@ -76,12 +72,12 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bad syntax or UTF-8, or an integer literal over the digit limit
         reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
-        raise ConfigError(f"{path}: not valid JSON ({reason})") from exc
+        raise ValueError(f"{path}: not valid JSON ({reason})") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+        raise ValueError(f"{path}: top level must be a JSON object")
     return raw
 
 
@@ -90,19 +86,19 @@ def _number(v, name: str, lo, hi=math.inf, integer=False, lo_open=False):
     integer if ``integer``, else any number), finiteness and the range
     lo..hi, lo excluded if ``lo_open``. Return it as an int or a float."""
     if isinstance(v, bool) or not isinstance(v, int if integer else (int, float)):
-        raise ConfigError(f"{name}: must be {'an integer' if integer else 'a number'}, got {v!r}")
+        raise ValueError(f"{name}: must be {'an integer' if integer else 'a number'}, got {v!r}")
     if not integer:
         try:
             v = float(v)
         except OverflowError:
-            raise ConfigError(
+            raise ValueError(
                 f"{name}: must be finite, got an integer past the float range"
             ) from None
         if not math.isfinite(v):
-            raise ConfigError(f"{name}: must be finite, got {v}")
+            raise ValueError(f"{name}: must be finite, got {v}")
     if v < lo or (lo_open and v == lo) or v > hi:
         top = f" and <= {hi}" if hi < math.inf else ""
-        raise ConfigError(f"{name}: must be {'>' if lo_open else '>='} {lo}{top}, got {v}")
+        raise ValueError(f"{name}: must be {'>' if lo_open else '>='} {lo}{top}, got {v}")
     return v
 
 
@@ -110,7 +106,7 @@ def _field(raw: dict, name: str, *bounds, **kw):
     """``_number`` on the key that ends the dotted path ``name``."""
     key = name.rpartition(".")[2]
     if key not in raw:
-        raise ConfigError(f"{name}: missing required field")
+        raise ValueError(f"{name}: missing required field")
     return _number(raw[key], name, *bounds, **kw)
 
 
@@ -118,7 +114,7 @@ def _explicit_values(spec: dict, field: str, n: int, *bounds, **kw) -> dict:
     """An explicit list of n numbers, each read by ``_number``."""
     values = spec.get("values")
     if not isinstance(values, list) or len(values) != n:
-        raise ConfigError(f"{field}.values: need a list of {n} numbers")
+        raise ValueError(f"{field}.values: need a list of {n} numbers")
     values = (_number(v, f"{field}.values[{k}]", *bounds, **kw) for k, v in enumerate(values))
     return {"mode": "explicit", "values": tuple(values)}
 
@@ -126,73 +122,62 @@ def _explicit_values(spec: dict, field: str, n: int, *bounds, **kw) -> dict:
 def _parse_activity(raw: dict, n: int) -> dict:
     spec = raw.get("activity")
     if not isinstance(spec, dict):
-        raise ConfigError("activity: missing or not an object")
+        raise ValueError("activity: missing or not an object")
     mode = spec.get("mode")
     if mode == "explicit":
         return _explicit_values(spec, "activity", n, 0.0, 1.0, lo_open=True)
     if mode == "uniform_draw":
         upper = _field(spec, "activity.upper", 0.0, 1.0, lo_open=True)
         return {"mode": "uniform_draw", "upper": upper}
-    raise ConfigError(f"activity.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
+    raise ValueError(f"activity.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
 
 
 def _parse_z0(raw: dict, n: int) -> dict:
     spec = raw.get("z0", {"mode": "uniform_draw"})
     if not isinstance(spec, dict):
-        raise ConfigError("z0: must be an object")
+        raise ValueError("z0: must be an object")
     mode = spec.get("mode")
     if mode == "uniform_draw":
         return {"mode": "uniform_draw"}
     if mode == "explicit":
         return _explicit_values(spec, "z0", n, -math.inf)
-    raise ConfigError(f"z0.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
+    raise ValueError(f"z0.mode: must be 'explicit' or 'uniform_draw', got {mode!r}")
 
 
 def _parse_n_m(raw: dict, n_max: int) -> tuple:
     n = _field(raw, "n", 2, n_max, integer=True)
     m = _field(raw, "m", 1, integer=True)
     if m > n - 1:
-        raise ConfigError(f"m: need 1 <= m <= n-1, got m={m} with n={n}")
+        raise ValueError(f"m: need 1 <= m <= n-1, got m={m} with n={n}")
     return n, m
 
 
 def _parse_tie_break(raw: dict, n: int):
+    """The rule and its manifest form; ``TieBreakRule`` checks the weights."""
     spec = raw.get("tie_break", "uniform")
-    if spec == "uniform" or spec == {"mode": "uniform"}:
+    if spec == "uniform":
         return UNIFORM_TIE_BREAK, "uniform"
     if isinstance(spec, dict) and spec.get("mode") == "table":
         entries = spec.get("entries")
         if not isinstance(entries, list) or not entries:
-            raise ConfigError("tie_break.entries: table mode needs a nonempty list")
+            raise ValueError("tie_break.entries: table mode needs a nonempty list")
         table = {}
         for k, ent in enumerate(entries):
             path = f"tie_break.entries[{k}]"
             if not isinstance(ent, dict):
-                raise ConfigError(f"{path}: must be an object")
-            nodes = ent.get("set")
-            ws = ent.get("weights")
-            if (
-                not isinstance(nodes, list)
-                or not isinstance(ws, list)
-                or len(nodes) != len(ws)
-            ):
-                raise ConfigError(
-                    f"{path}: need 'set' and 'weights' lists of equal length"
-                )
+                raise ValueError(f"{path}: must be an object")
+            nodes, ws = ent.get("set"), ent.get("weights")
+            if not (isinstance(nodes, list) and isinstance(ws, list) and len(nodes) == len(ws)):
+                raise ValueError(f"{path}: need 'set' and 'weights' lists of equal length")
             nodes = [_number(x, f"{path}.set", 1, n, integer=True) for x in nodes]
             key = frozenset(nodes)
             if len(key) != len(nodes):
-                raise ConfigError(f"{path}.set: repeated node id")
+                raise ValueError(f"{path}.set: repeated node id")
             if key in table:
-                raise ConfigError(f"{path}.set: {sorted(key)} is listed twice")
-            weights = {i: _number(w, f"{path}.weights", 0.0) for i, w in zip(nodes, ws)}
-            try:
-                TieBreakRule.check_entry(key, weights)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-            table[key] = weights
-        return TieBreakRule("table", table), spec
-    raise ConfigError(f"tie_break: must be 'uniform' or a table object, got {spec!r}")
+                raise ValueError(f"{path}.set: {sorted(key)} is listed twice")
+            table[key] = {i: _number(w, f"{path}.weights", 0.0) for i, w in zip(nodes, ws)}
+        return TieBreakRule(table), spec
+    raise ValueError(f"tie_break: must be 'uniform' or a table object, got {spec!r}")
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> dict:
@@ -214,7 +199,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> dict:
         "model": raw.get("model"),
     }
     if cfg["model"] not in ("full", "sparse", "fastswitch"):
-        raise ConfigError(
+        raise ValueError(
             f"model: must be 'full', 'sparse' or 'fastswitch', got {cfg['model']!r}"
         )
     cfg["rule"], cfg["tie_break"] = _parse_tie_break(raw, n)
@@ -298,7 +283,7 @@ def cmd_simulate(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
     budget = cfg["n_paths"] * cfg["k_max"]
     if budget > STEP_BUDGET:
-        raise ConfigError(
+        raise ValueError(
             f"n_paths*k_max = {budget} steps exceeds the {STEP_BUDGET} budget; "
             "refusing before any computation"
         )
@@ -429,7 +414,7 @@ def cmd_count_snapshots(args) -> int:
     log_c = math.lgamma(n) - math.lgamma(m + 1) - math.lgamma(n - m)  # ln C(n-1, m)
     digits = n * (log_c + math.log1p(math.exp(-log_c))) / math.log(10)
     if digits > COUNT_DIGITS_LIMIT:
-        raise ConfigError(
+        raise ValueError(
             f"n: the count for n={n}, m={m} has about {digits:.3g} digits, "
             f"over the {COUNT_DIGITS_LIMIT} limit"
         )
@@ -486,7 +471,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

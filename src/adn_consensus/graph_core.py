@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 INT64_MAX = 2**63 - 1
+_EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarSpec:
     """One activation event: a center node wired to m distinct neighbors."""
 
@@ -100,8 +101,8 @@ def expm_sym(M: np.ndarray, t: float) -> np.ndarray:
     oracle for the closed-form star exponential.
     """
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     if not np.array_equal(M, M.T):
@@ -109,5 +110,15 @@ def expm_sym(M: np.ndarray, t: float) -> np.ndarray:
     if not (t >= 0.0):
         raise ValueError(f"time must be >= 0, got {t}")
     w, V = np.linalg.eigh(M)
-    E = (V * np.exp(-t * w)) @ V.T
-    return symmetrize(E)
+    # eigh returns each eigenvalue only to about n * _EPS * max|w|, and
+    # e**(-t*w) turns that residue on a zero eigenvalue into an error about
+    # t times as large. Once the error could show, eigenvalues within the
+    # resolution count as exactly 0, with e**0 = 1 even at t = inf.
+    resolution = len(w) * _EPS * max(-w.item(0), w.item(-1))
+    if t == np.inf or t * resolution > 1e-11:
+        decay = np.ones_like(w)
+        kept = np.abs(w) > resolution
+        decay[kept] = np.exp(-t * w[kept])
+    else:
+        decay = np.exp(-t * w)
+    return symmetrize((V * decay) @ V.T)

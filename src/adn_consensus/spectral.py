@@ -169,7 +169,7 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     n - k, whose trial rates are 1 - a). O(n^2) flops in O(n) memory.
     Table rule: ``enumerated_survivor_rates``.
     """
-    if rule.mode != "uniform":
+    if rule.table is not None:
         return enumerated_survivor_rates(p, rule)
     a = np.asarray(p.a, dtype=np.float64)
     pmf = poisson_binomial_pmf(a)

@@ -43,7 +43,7 @@ def enumeration_size(
         return 1 + p.n * C
     if model == "full":
         return snapshot_count(p.n, p.m)
-    if model == "fastswitch" and rule.mode == "table":
+    if model == "fastswitch" and rule.table is not None:
         return sum(C ** len(centres) for centres, _ in center_sets(p, model, rule))
     if model == "fastswitch":
         return 1 + p.n * 2 ** (p.n - 1) * C

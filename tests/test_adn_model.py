@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -121,33 +123,48 @@ class TestTieBreakRule:
         assert w == {1: pytest.approx(1 / 3), 3: pytest.approx(1 / 3), 4: pytest.approx(1 / 3)}
 
     def test_table_lookup(self):
-        rule = TieBreakRule("table", {frozenset({1, 2}): {1: 0.25, 2: 0.75}})
+        rule = TieBreakRule({frozenset({1, 2}): {1: 0.25, 2: 0.75}})
         assert rule.weights_for(frozenset({1, 2})) == {1: 0.25, 2: 0.75}
-        # a lone activated node survives under either mode
+        # a lone activated node survives under either rule
         assert rule.weights_for(frozenset({3})) == {3: 1.0}
         assert UNIFORM_TIE_BREAK.weights_for(frozenset({3})) == {3: 1.0}
 
     def test_table_missing_set_raises(self):
-        rule = TieBreakRule("table", {frozenset({1, 2}): {1: 0.25, 2: 0.75}})
+        rule = TieBreakRule({frozenset({1, 2}): {1: 0.25, 2: 0.75}})
         with pytest.raises(ValueError, match="missing"):
             rule.weights_for(frozenset({1, 3}))
 
     def test_table_validation(self):
+        with pytest.raises(ValueError, match=r"^tie_break\.entries: "):
+            TieBreakRule({})
         with pytest.raises(ValueError):
-            TieBreakRule("table", None)
+            TieBreakRule({frozenset({1}): {1: 1.0}})
         with pytest.raises(ValueError):
-            TieBreakRule("table", {frozenset({1}): {1: 1.0}})
+            TieBreakRule({frozenset({1, 2}): {1: 0.5, 3: 0.5}})
         with pytest.raises(ValueError):
-            TieBreakRule("table", {frozenset({1, 2}): {1: 0.5, 3: 0.5}})
+            TieBreakRule({frozenset({1, 2}): {1: -0.1, 2: 1.1}})
         with pytest.raises(ValueError):
-            TieBreakRule("table", {frozenset({1, 2}): {1: -0.1, 2: 1.1}})
-        with pytest.raises(ValueError):
-            TieBreakRule("table", {frozenset({1, 2}): {1: 0.6, 2: 0.6}})
+            TieBreakRule({frozenset({1, 2}): {1: 0.6, 2: 0.6}})
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                TieBreakRule("table", {frozenset({1, 2}): {1: bad, 2: 0.5}})
-        with pytest.raises(ValueError):
-            TieBreakRule("lottery")
+                TieBreakRule({frozenset({1, 2}): {1: bad, 2: 0.5}})
+
+    def test_table_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(TieBreakRule)] == ["table"]
+        assert UNIFORM_TIE_BREAK == TieBreakRule() and UNIFORM_TIE_BREAK.table is None
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_error_names_the_entry_position(self, k):
+        table = {
+            frozenset({1, 2}): {1: 0.5, 2: 0.5},
+            frozenset({1, 3}): {1: 0.25, 3: 0.75},
+            frozenset({2, 3}): {2: 1.0, 3: 0.0},
+        }
+        bad = list(table)[k]
+        table[bad] = {i: 0.6 for i in bad}
+        message = rf"^tie_break\.entries\[{k}\]: weights for .* sum to 1\.2"
+        with pytest.raises(ValueError, match=message):
+            TieBreakRule(table)
 
 
 class TestSnapshotCount:
@@ -226,7 +243,7 @@ class TestGenerators:
     def test_fastswitch_table_rule_is_respected(self):
         p = ModelParams(3, 1, (1.0, 1.0, 1.0), 1.0)
         table = {frozenset({1, 2, 3}): {3: 1.0}}
-        rule = TieBreakRule("table", table)
+        rule = TieBreakRule(table)
         rng = np.random.default_rng(9)
         for _ in range(50):
             s = generate_snapshot(p, rng, "fastswitch", rule)
@@ -242,11 +259,11 @@ class TestGenerators:
             ({1: 0.0, 2: 0.9999999999999, 3: 0.0}, 2),
             ({1: 0.5, 2: 0.0, 3: 0.4999999999999}, 3),
         ):
-            rule = TieBreakRule("table", {frozenset(active): weights})
+            rule = TieBreakRule({frozenset(active): weights})
             for u in (0.9999999999999, 0.99999999999995, math.nextafter(1.0, 0.0)):
                 assert adn_model._survivor(active, rule, _Draws(u)) == last
         # draws below the sum keep the node whose bin holds them
-        rule = TieBreakRule("table", {frozenset(active): {1: 0.5, 2: 0.4999999999999, 3: 0.0}})
+        rule = TieBreakRule({frozenset(active): {1: 0.5, 2: 0.4999999999999, 3: 0.0}})
         for u, node in ((0.0, 1), (0.4999, 1), (0.5, 2), (0.99999999999985, 2)):
             assert adn_model._survivor(active, rule, _Draws(u)) == node
 
@@ -271,7 +288,7 @@ def _id_weighted_table(n: int) -> TieBreakRule:
     for size in range(2, n + 1):
         for s in combinations(range(1, n + 1), size):
             table[frozenset(s)] = {i: i / sum(s) for i in s}
-    return TieBreakRule("table", table)
+    return TieBreakRule(table)
 
 
 VARIANTS = {
@@ -331,6 +348,21 @@ class TestVariantLaws:
         for centres, prob in law.items():
             sigma = math.sqrt(prob * (1 - prob) / trials)
             assert abs(counts[centres] / trials - prob) <= 5 * sigma, centres
+
+    def test_center_stars_memory_per_star(self):
+        """A held star costs about 128 bytes with its neighbour tuple, 168
+        if StarSpec had an instance dict: at n = 20, m = 3 (19,380 stars)
+        the peak stays under 144 bytes a star."""
+        p = ModelParams(20, 3, (0.01,) * 20, 1.0)
+        tracemalloc.start()
+        try:
+            stars = center_stars(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = sum(map(len, stars))
+        assert count == 20 * math.comb(19, 3)
+        assert peak / count < 144, peak / count
 
     def test_sampled_stars_match_center_stars(self):
         """Each centre's list holds its C(n-1, m) distinct stars, neighbour

@@ -7,9 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from adn_consensus import ModelParams, cli, gamma_sp, snapshot_count
+from adn_consensus import ModelParams, adn_model, cli, gamma_sp, snapshot_count
 from adn_consensus.cli import (
-    ConfigError,
     draw_activity_rates,
     draw_initial_state,
     main,
@@ -74,9 +73,9 @@ class TestParseConfig:
     def test_seed_override(self):
         cfg = parse_config(make_config(), seed_override=7)
         assert cfg["seed"] == 7
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ValueError, match="seed"):
             parse_config(make_config(), seed_override=-1)
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(ValueError, match="seed"):
             parse_config(make_config(), seed_override=2**64)
 
     @pytest.mark.parametrize(
@@ -153,10 +152,12 @@ class TestParseConfig:
             # the dense bounds keep n x n matrices
             ({"n": 10**30}, "^n: must be >= 2 and <= 10000, got "),
             ({"n": 10_001}, "^n: must be >= 2 and <= 10000, got 10001$"),
+            # tie_break is exactly "uniform" or a table object
+            ({"tie_break": {"mode": "uniform"}}, "^tie_break: must be 'uniform' or a table"),
         ],
     )
     def test_field_validation(self, patch, fragment):
-        with pytest.raises(ConfigError, match=fragment):
+        with pytest.raises(ValueError, match=fragment):
             parse_config(make_config(**patch))
 
     def test_table_tie_break_parses_to_frozenset_keys(self):
@@ -176,7 +177,7 @@ class TestParseConfig:
         )
         parsed = parse_config(cfg)
         rule = parsed["rule"]
-        assert rule.mode == "table"
+        assert rule.table is not None
         assert rule.weights_for(frozenset({1, 2})) == {1: 0.25, 2: 0.75}
 
     @pytest.mark.parametrize(
@@ -196,8 +197,34 @@ class TestParseConfig:
     )
     def test_bad_tables_rejected(self, entries):
         cfg = make_config(tie_break={"mode": "table", "entries": entries})
-        with pytest.raises(ConfigError, match=r"^tie_break\.entries"):
+        with pytest.raises(ValueError, match=r"^tie_break\.entries"):
             parse_config(cfg)
+
+
+    def test_each_table_entry_checked_once(self, monkeypatch):
+        calls = []
+        check = adn_model._check_entry
+        monkeypatch.setattr(
+            adn_model, "_check_entry", lambda s, w: calls.append(s) or check(s, w)
+        )
+        entries = [
+            {"set": [1, 2], "weights": [0.25, 0.75]},
+            {"set": [1, 3], "weights": [1.0, 0.0]},
+            {"set": [2, 3, 4], "weights": [0.2, 0.3, 0.5]},
+        ]
+        parse_config(make_config(tie_break={"mode": "table", "entries": entries}))
+        assert calls == [frozenset(e["set"]) for e in entries]
+
+    def test_table_error_reaches_stderr_unwrapped(self, tmp_path, capsys):
+        entries = [
+            {"set": [1, 2], "weights": [0.5, 0.5]},
+            {"set": [1, 3], "weights": [0.6, 0.6]},
+        ]
+        tie_break = {"mode": "table", "entries": entries}
+        cfg = write_config(tmp_path, model="fastswitch", tie_break=tie_break)
+        assert main(["gamma-fs", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: tie_break.entries[1]: weights for [1, 3] sum to 1.2, not 1\n"
 
 
 class TestSeededDraws:
@@ -452,6 +479,13 @@ class TestValidateCommand:
         assert gaps[0] == "T,lambda_full,lambda_fastswitch,gap,holds"
         assert len(gaps) == 4
         assert all(row.endswith(",1") for row in gaps[1:])
+
+    @pytest.mark.parametrize("dt", [1e6, 1e10, 1e300])
+    def test_passes_at_large_dt(self, tmp_path, capsys, dt):
+        # the dense exponentials must not amplify eigh's zero-eigenvalue residue
+        cfg = write_config(tmp_path, dt=dt)
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "validate: PASS (5 passed, 0 skipped, 0 failed)" in capsys.readouterr().out
 
     def test_perturbation_is_caught(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, n=4, m=2, activity={

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from adn_consensus import (
     StarSpec,
     expm_sym,
+    star_exponential,
     star_laplacian,
     star_laplacian_power,
     symmetrize,
@@ -123,6 +124,23 @@ class TestExpmSym:
         ref = taylor_expm(star_laplacian_ints(spec.n, spec.center, spec.neighbors), t)
         assert np.max(np.abs(got - ref)) < 1e-12
 
+    @pytest.mark.parametrize("t", [1e6, 1e12, 1e300])
+    def test_matches_star_exponential_at_large_t(self, t):
+        # eigh leaves a residue on the zero eigenvalue that t would amplify
+        for spec in (StarSpec(5, 2, (1, 4)), StarSpec(8, 3, (1, 2, 5, 7, 8))):
+            got = expm_sym(star_laplacian(spec), t)
+            assert np.max(np.abs(got - star_exponential(spec, t))) < 1e-12
+
+    def test_zero_eigenvalues_keep_weight_one_at_infinite_t(self):
+        L = star_laplacian(StarSpec(4, 1, (2, 3))).astype(float)
+        E = expm_sym(L, math.inf)
+        # the limit projects onto the kernel: the component {1, 2, 3} and node 4
+        ref = np.zeros((4, 4))
+        ref[:3, :3] = 1.0 / 3.0
+        ref[3, 3] = 1.0
+        assert np.max(np.abs(E - ref)) < 1e-12
+        assert np.array_equal(expm_sym(np.zeros((3, 3)), math.inf), np.eye(3))
+
     def test_matches_taylor_on_generic_symmetric(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
@@ -142,8 +160,9 @@ class TestExpmSym:
         assert np.max(np.abs(E - E.T)) < 1e-13
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            expm_sym(np.ones((2, 3)), 1.0)
+        for shape in ((2, 3), (0, 0)):
+            with pytest.raises(ValueError, match="nonempty square"):
+                expm_sym(np.ones(shape), 1.0)
         M = np.eye(3)
         M[0, 1] = 1e-12
         with pytest.raises(ValueError):

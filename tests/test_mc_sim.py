@@ -287,7 +287,7 @@ def oracle_case(case: int) -> dict:
             for s in combinations(range(1, n + 1), size):
                 w = rng.uniform(0.1, 1.0, size)
                 table[frozenset(s)] = dict(zip(s, (w / w.sum()).tolist()))
-        rule = TieBreakRule("table", table)
+        rule = TieBreakRule(table)
     return dict(
         p=p,
         model=model,

@@ -233,7 +233,7 @@ class TestSurvivorRates:
             members = frozenset(i + 1 for i in range(n) if mask >> i & 1)
             if len(members) >= 2:
                 table[members] = {i: 1.0 / len(members) for i in members}
-        rule = TieBreakRule("table", table)
+        rule = TieBreakRule(table)
         p = ModelParams(n, 2, (0.3, 0.8, 0.1, 0.55), 1.0)
         got = survivor_rates(p, rule)
         ref = survivor_rates(p, UNIFORM_TIE_BREAK)
@@ -241,7 +241,7 @@ class TestSurvivorRates:
 
     def test_biased_table_shifts_mass(self):
         table = {frozenset({1, 2}): {1: 1.0, 2: 0.0}}
-        rule = TieBreakRule("table", table)
+        rule = TieBreakRule(table)
         p = ModelParams(2, 1, (0.5, 0.5), 1.0)
         b = survivor_rates(p, rule)
         # node 1 survives alone (0.25) or wins every tie (0.25)
@@ -249,13 +249,13 @@ class TestSurvivorRates:
 
     def test_table_mode_size_guard(self):
         p = ModelParams(21, 1, (0.01,) * 21, 1.0)
-        rule = TieBreakRule("table", {frozenset({1, 2}): {1: 0.5, 2: 0.5}})
+        rule = TieBreakRule({frozenset({1, 2}): {1: 0.5, 2: 0.5}})
         with pytest.raises(ValueError, match="refused"):
             survivor_rates(p, rule)
 
     def test_table_mode_missing_set_raises(self):
         p = ModelParams(3, 1, (0.5, 0.5, 0.5), 1.0)
-        rule = TieBreakRule("table", {frozenset({1, 2}): {1: 0.5, 2: 0.5}})
+        rule = TieBreakRule({frozenset({1, 2}): {1: 0.5, 2: 0.5}})
         with pytest.raises(ValueError, match="missing"):
             survivor_rates(p, rule)
 
@@ -278,7 +278,7 @@ class TestKernelWeights:
             if len(members) >= 2:
                 table[members] = {i: i / sum(members) for i in members}
         p = ModelParams(n, 2, (0.3, 0.8, 0.1, 0.55), 1.0)
-        for rule in (UNIFORM_TIE_BREAK, TieBreakRule("table", table)):
+        for rule in (UNIFORM_TIE_BREAK, TieBreakRule(table)):
             assert np.array_equal(kernel_weights(p, "fastswitch", rule), survivor_rates(p, rule))
 
     @pytest.mark.parametrize("model", ["full", "markov"])

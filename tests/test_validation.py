@@ -44,7 +44,7 @@ def _random_table(n: int, data) -> TieBreakRule:
             if not any(raw):
                 raw[data.draw(st.integers(0, size - 1))] = 1.0
             table[frozenset(s)] = {i: x / sum(raw) for i, x in zip(s, raw)}
-    return TieBreakRule("table", table)
+    return TieBreakRule(table)
 
 
 class TestEnumerationSize:
@@ -78,7 +78,7 @@ class TestEnumerationSize:
                 if size == 3:
                     w = {s[0]: 0.0, s[1]: 0.5, s[2]: 0.5}
                 table[frozenset(s)] = w
-        rule = TieBreakRule("table", table)
+        rule = TieBreakRule(table)
         branches = list(_enumerate_branches(p, "fastswitch", rule))
         assert enumeration_size(p, "fastswitch", rule) == len(branches) == 85
         assert enumeration_size(p, "fastswitch") == 97
@@ -86,7 +86,7 @@ class TestEnumerationSize:
     def test_incomplete_table_refused(self):
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
         table = {frozenset(s): dict.fromkeys(s, 0.5) for s in ((1, 2), (1, 3), (2, 3))}
-        rule = TieBreakRule("table", table)
+        rule = TieBreakRule(table)
         with pytest.raises(ValueError, match=r"\[1, 2, 3\] missing from tie-break table"):
             enumeration_size(p, "fastswitch", rule)
 
@@ -120,7 +120,7 @@ class TestBranchProbabilities:
             frozenset({2, 3}): {2: 0.5, 3: 0.5},
             frozenset({1, 2, 3}): {1: 0.5, 2: 0.5, 3: 0.0},
         }
-        rule = TieBreakRule("table", table)
+        rule = TieBreakRule(table)
         p = ModelParams(3, 1, (0.5, 0.5, 0.5), 1.0)
         total = sum(w for w, _ in _enumerate_branches(p, "fastswitch", rule))
         assert abs(total - 1.0) < 1e-12
@@ -147,7 +147,7 @@ class TestEnumerateExpectedExponential:
             frozenset({2, 3}): {2: 1.0, 3: 0.0},
             frozenset({1, 2, 3}): {1: 0.2, 2: 0.3, 3: 0.5},
         }
-        rule = TieBreakRule("table", table)
+        rule = TieBreakRule(table)
         p = ModelParams(3, 1, (0.4, 0.6, 0.25), 0.6)
         b = survivor_rates(p, rule)
         got = enumerate_expected_exponential(p, "fastswitch", rule)
