@@ -22,18 +22,27 @@ class DecayBound:
     weight_sum: float
 
 
+def _kernel_entries(p: ModelParams) -> tuple:
+    """(dc, do, edge, pair): the centre diagonal, the other diagonal, the
+    centre row and the remaining off-diagonal entry of the centre-1
+    activation kernel, as floats. pair is 0 at n = 2, which has no pair
+    off the centre."""
+    K = activation_expectation(p, 1)
+    pair = float(K[1, 2]) if p.n > 2 else 0.0
+    return float(K[0, 0]), float(K[1, 1]), float(K[0, 1]), pair
+
+
 def _activation_mixture(p: ModelParams, w: np.ndarray) -> np.ndarray:
-    """S = sum_i w_i * activation_expectation(p, i): the matrix of both
-    bounds and, shifted by (1 - sum(w)) * I, of both expected kernels.
+    """S = sum_i w_i * activation_expectation(p, i): the matrix of
+    ``dense_bound`` and, shifted by (1 - sum(w)) * I, of both expected
+    kernels.
 
     Each activation kernel is the centre-1 kernel with nodes 1 and i
     swapped, so one kernel's four distinct entries give S in O(n^2): with
     W = sum(w), S[j, j] = w_j * dc + (W - w_j) * do and, off the diagonal,
     S[j, k] = (w_j + w_k) * edge + (W - w_j - w_k) * pair.
     """
-    K = activation_expectation(p, 1)
-    dc, do, edge = K[0, 0], K[1, 1], K[0, 1]
-    pair = K[1, 2] if p.n > 2 else 0.0  # n = 2: no pair off the centre
+    dc, do, edge, pair = _kernel_entries(p)
     W = w.sum()
     ends = w[:, None] + w
     S = ends * edge + (W - ends) * pair
@@ -93,8 +102,9 @@ def lambda_second_deflated(M: np.ndarray) -> float:
     when the spectrum crowds the top. Only valid for matrices, like the
     expected heat kernels here, that fix the all-ones vector and are
     positive semidefinite on its complement. P M P is formed in O(n^2) as
-    M minus its row means and its column means plus its grand mean, so the
-    one eigen-solve is the only O(n^3) step.
+    M minus its row means and its column means plus its grand mean; the
+    one eigen-solve is O(n^3). The bounds use it only through
+    ``dense_bound``, their reference.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
@@ -195,7 +205,59 @@ def enumerated_survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     return b
 
 
-def _deflated_bound(p: ModelParams, model: str, rule: TieBreakRule) -> DecayBound:
+def _top_projected_diagonal(w: np.ndarray) -> float:
+    """Largest eigenvalue of P diag(w) P on the complement of the all-ones
+    vector, P the off-consensus projection, in O(n) per bisection step.
+
+    A value shared by c >= 2 nodes is an eigenvalue (c - 1 times); every
+    other eigenvalue x solves the secular equation sum_k c_k / (v_k - x) = 0
+    over the distinct values v_k and their counts c_k, one root strictly
+    between each two neighbouring v_k (Golub, SIAM Rev. 1973). So the
+    largest is the top value when it is shared and otherwise the root above
+    the second value, which bisection finds down to adjacent floats: the
+    secular function increases from -inf to +inf across that gap.
+    """
+    v, c = np.unique(w, return_counts=True)
+    if c[-1] >= 2:
+        return float(v[-1])
+    lo, hi = float(v[-2]), float(v[-1])
+    mid = lo + (hi - lo) / 2
+    # Only a gap narrower than about n * 1e-308 overflows the terms next to
+    # both ends (a sum of nan); any point of it is then as good as the root.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lo < mid < hi:
+            if np.sum(c / (v - mid)) > 0:
+                hi = mid
+            else:
+                lo = mid
+            mid = lo + (hi - lo) / 2
+    return mid
+
+
+def _bound(p: ModelParams, model: str, rule: TieBreakRule) -> DecayBound:
+    """The bound of ``dense_bound`` without the n x n mixture S.
+
+    S = W*pair*J + (edge - pair)*(w 1' + 1 w') + W*(do - pair)*I + xi*diag(w)
+    with W = sum(w) and xi = dc - do - 2*(edge - pair), so on the complement
+    of the all-ones vector it is W*(do - pair) plus xi times P diag(w) P,
+    whose top (xi > 0) or bottom (xi < 0) eigenvalue is the one needed.
+    """
+    w = np.asarray(kernel_weights(p, model, rule), dtype=np.float64)
+    dc, do, edge, pair = _kernel_entries(p)
+    total = float(w.sum())
+    xi = dc - do - 2.0 * (edge - pair)
+    lam = total * (do - pair)
+    if xi > 0:
+        lam += xi * _top_projected_diagonal(w)
+    elif xi < 0:
+        lam -= xi * _top_projected_diagonal(-w)
+    return DecayBound(rate=1.0 - total + lam, kind=model, lambda_second=lam, weight_sum=total)
+
+
+def dense_bound(p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> DecayBound:
+    """The reference for ``gamma_sp`` and ``gamma_fs``: the same bound from
+    the dense mixture S and one O(n^3) eigen-solve. Validate's checks 2
+    and 3 gate the closed form against it."""
     w = np.asarray(kernel_weights(p, model, rule), dtype=np.float64)
     lam = lambda_second_deflated(_activation_mixture(p, w))
     total = float(w.sum())
@@ -205,10 +267,10 @@ def _deflated_bound(p: ModelParams, model: str, rule: TieBreakRule) -> DecayBoun
 def gamma_sp(p: ModelParams) -> DecayBound:
     """Decay-rate bound for the sparse variant:
     1 - sum(a) + lambda_second(sum_i a_i * activation_expectation(i))."""
-    return _deflated_bound(p, "sparse", UNIFORM_TIE_BREAK)
+    return _bound(p, "sparse", UNIFORM_TIE_BREAK)
 
 
 def gamma_fs(p: ModelParams, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> DecayBound:
     """Decay-rate bound for the fast-switching regime, built on the
     survivor rates. Meaningful when the sampling period is small."""
-    return _deflated_bound(p, "fastswitch", rule)
+    return _bound(p, "fastswitch", rule)

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ BASE = {
     "activity": {"mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15, 0.08]},
 }
 
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # A make_config override that removes the field.
 DROP = object()
@@ -457,6 +461,28 @@ class TestSimulateCommand:
         assert "n=21 > 20" in err
         assert not (tmp_path / "o").exists()
 
+    def test_fastswitch_bound_labelled_as_an_estimate(self, tmp_path, capsys):
+        # at dt = 1 the fitted rate lies above gamma_fs, which holds only
+        # for small dt; the printed label says so, the manifest is unchanged
+        cfg = json.loads((CONFIGS / "fastswitch_table.json").read_text())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "dt": 1.0}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+        lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                     if " = " in line)
+        rate, label = lines["bound_rate"].split(" ", 1)
+        assert label == "(fastswitch: a small-dt estimate, not certified)"
+        assert float(lines["fitted_rate"]) > float(rate)
+        results = json.loads((tmp_path / "manifest.json").read_text())["results"]
+        assert results["bound_kind"] == "fastswitch"
+        assert results["bound_rate"] == float(rate)
+
+    def test_sparse_bound_label_is_the_kind(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_paths=5)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [x for x in lines if x.startswith("bound_rate = ")][0].endswith(" (sparse)")
+
     def test_zero_dt_rejected_naming_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dt=0)
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -505,6 +531,29 @@ class TestValidateCommand:
         assert rc == 1
         assert "validate: FAIL" in out
         assert "check activation-kernel-vs-subset-average: FAIL" in out
+
+    @pytest.mark.parametrize("bound, check", [
+        ("gamma_sp", "sparse-kernel-vs-enumeration"),
+        ("gamma_fs", "fastswitch-kernel-vs-enumeration"),
+    ])
+    def test_bound_drift_from_dense_reference_is_caught(
+        self, tmp_path, capsys, monkeypatch, bound, check
+    ):
+        cfg = write_config(tmp_path, n=4, m=2, activity={
+            "mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15],
+        })
+        exact = getattr(cli, bound)
+
+        def drifted(*args):
+            b = exact(*args)
+            return dataclasses.replace(b, rate=b.rate + 1e-9)
+
+        monkeypatch.setattr(cli, bound, drifted)
+        rc = main(["validate", "--config", cfg, "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert f"check {check}: FAIL (max diff 1e-09, tol 1e-10)" in out
+        assert "validate: FAIL (4 passed, 0 skipped, 1 failed)" in out
 
     def test_oversized_checks_are_refused_not_failed(self, tmp_path, capsys):
         # n=15 pushes the fastswitch enumeration past the branch cap and

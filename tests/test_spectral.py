@@ -13,6 +13,7 @@ from adn_consensus import (
     UNIFORM_TIE_BREAK,
     activation_expectation,
     convergence_bound,
+    dense_bound,
     gamma_fs,
     gamma_sp,
     lambda_second_deflated,
@@ -22,6 +23,7 @@ from adn_consensus import (
     survivor_rates,
     symmetrize,
 )
+from adn_consensus import spectral
 from adn_consensus.cli import N_LIMIT, draw_activity_rates, parse_config, resolve_config
 from adn_consensus.spectral import (
     _activation_mixture,
@@ -365,3 +367,76 @@ class TestDecayBounds:
         p = ModelParams(4, 2, (0.9, 0.8, 0.9, 0.7), 0.1)
         bound = gamma_fs(p)
         assert 0.0 < bound.rate <= 1.0
+
+
+def bounds_on_weights(p: ModelParams, w: np.ndarray, model: str) -> tuple:
+    """(closed form, dense reference) of ``model``'s bound with the kernel
+    weights replaced by ``w``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "kernel_weights", lambda *_: w)
+        got = gamma_sp(p) if model == "sparse" else gamma_fs(p)
+        return got, dense_bound(p, model)
+
+
+class TestSecularBound:
+    @pytest.mark.parametrize("model", ["sparse", "fastswitch"])
+    @given(mixture_cases(max_n=40))
+    @example((ModelParams(2, 1, (0.25, 0.25), 0.7), np.array([0.3, 0.1])))  # n = 2
+    @example((ModelParams(6, 2, (0.1,) * 6, 0.9), np.full(6, 0.15)))  # all equal
+    @example((ModelParams(5, 2, (0.1,) * 5, 0.4), np.array([0.1, 0.0, 0.2, 0.05, 0.3])))  # a 0
+    @example((ModelParams(5, 4, (0.1,) * 5, 50.0), np.array([0.0, 0.2, 0.1, 0.05, 0.15])))  # m=n-1
+    @example((ModelParams(7, 3, (0.1,) * 7, 2.0), np.linspace(0.0, 0.14, 7)))  # xi < 0
+    @example((ModelParams(4, 2, (0.1,) * 4, 0.0), np.array([0.1, 0.2, 0.3, 0.4])))  # dt = 0
+    @example((ModelParams(9, 4, (0.1,) * 9, 1e3), np.array([0.1] * 8 + [0.02])))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_bound(self, model, case):
+        p, w = case
+        got, ref = bounds_on_weights(p, w, model)
+        assert got.kind == ref.kind == model
+        assert got.weight_sum == ref.weight_sum
+        assert abs(got.lambda_second - ref.lambda_second) <= 1e-13
+        assert abs(got.rate - ref.rate) <= 1e-13
+
+    @pytest.mark.parametrize("m, dt, sign", [(3, 2.0, -1.0), (3, 0.0, 0.0), (4, 50.0, None)])
+    def test_sign_of_xi(self, m, dt, sign):
+        # xi is < 0 on every kernel tried and 0 at dt = 0; at m = n - 1 and
+        # large dt it is 0 up to rounding
+        dc, do, edge, pair = spectral._kernel_entries(ModelParams(5, m, (0.1,) * 5, dt))
+        xi = dc - do - 2.0 * (edge - pair)
+        assert np.sign(xi) == sign if sign is not None else abs(xi) <= 1e-15
+
+    @pytest.mark.parametrize("w", [
+        [0.3, 0.1], [0.2, 0.2, 0.2], [0.0, 0.0, 0.1, 0.3], [0.1, 0.4, 0.4, 0.0],
+        [0.05, 0.2, 0.1, 0.15, 0.0, 0.3], [1e-300, 0.0, 0.5],
+    ])
+    def test_top_and_bottom_match_dense_eigenvalues(self, w):
+        w = np.array(w)
+        n = len(w)
+        # orthonormal basis of the complement of the all-ones vector
+        Q = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, : n - 1]]))[0][:, 1:]
+        ref = np.linalg.eigvalsh(Q.T @ np.diag(w) @ Q)
+        assert abs(spectral._top_projected_diagonal(w) - ref[-1]) <= 1e-15
+        assert abs(-spectral._top_projected_diagonal(-w) - ref[0]) <= 1e-15
+
+    def test_no_dense_mixture_or_eigen_solve(self, monkeypatch):
+        def refused(*_):
+            raise AssertionError("dense step on the bound path")
+
+        p, rule, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
+        ref = (dense_bound(p, "sparse"), dense_bound(p, "fastswitch", rule))
+        monkeypatch.setattr(spectral, "_activation_mixture", refused)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        for got, dense in zip((gamma_sp(p), gamma_fs(p, rule)), ref):
+            assert abs(got.rate - dense.rate) <= 1e-15
+
+    def test_memory_is_one_kernel_and_fields_are_floats(self):
+        n = 2_000
+        p = ModelParams(n, 3, tuple(np.linspace(1e-6, 9e-4, n)), 0.5)
+        tracemalloc.start()
+        try:
+            bound = gamma_sp(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
+        assert all(type(x) is float for x in (bound.rate, bound.lambda_second, bound.weight_sum))
