@@ -36,6 +36,7 @@ from .mc_sim import (
 from .spectral import (
     DecayBound,
     convergence_bound,
+    decay_bound,
     dense_bound,
     gamma_fs,
     gamma_sp,
@@ -68,6 +69,7 @@ __all__ = [
     "activation_expectation",
     "center_sets",
     "convergence_bound",
+    "decay_bound",
     "dense_bound",
     "enumerate_expected_exponential",
     "enumeration_size",

@@ -234,15 +234,17 @@ def _top_projected_diagonal(w: np.ndarray) -> float:
     return mid
 
 
-def _bound(p: ModelParams, model: str, rule: TieBreakRule) -> DecayBound:
-    """The bound of ``dense_bound`` without the n x n mixture S.
+def decay_bound(p: ModelParams, weights, kind: str) -> DecayBound:
+    """The bound 1 - W + lambda_second of ``dense_bound``, with W = sum(w),
+    without the n x n mixture S, for activation-kernel weights w of a
+    variant ``kind`` (``kernel_weights``).
 
     S = W*pair*J + (edge - pair)*(w 1' + 1 w') + W*(do - pair)*I + xi*diag(w)
-    with W = sum(w) and xi = dc - do - 2*(edge - pair), so on the complement
-    of the all-ones vector it is W*(do - pair) plus xi times P diag(w) P,
-    whose top (xi > 0) or bottom (xi < 0) eigenvalue is the one needed.
+    with xi = dc - do - 2*(edge - pair), so on the complement of the
+    all-ones vector it is W*(do - pair) plus xi times P diag(w) P, whose
+    top (xi > 0) or bottom (xi < 0) eigenvalue is the one needed.
     """
-    w = np.asarray(kernel_weights(p, model, rule), dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     dc, do, edge, pair = _kernel_entries(p)
     total = float(w.sum())
     xi = dc - do - 2.0 * (edge - pair)
@@ -251,26 +253,27 @@ def _bound(p: ModelParams, model: str, rule: TieBreakRule) -> DecayBound:
         lam += xi * _top_projected_diagonal(w)
     elif xi < 0:
         lam -= xi * _top_projected_diagonal(-w)
-    return DecayBound(rate=1.0 - total + lam, kind=model, lambda_second=lam, weight_sum=total)
+    return DecayBound(rate=1.0 - total + lam, kind=kind, lambda_second=lam, weight_sum=total)
 
 
-def dense_bound(p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> DecayBound:
-    """The reference for ``gamma_sp`` and ``gamma_fs``: the same bound from
-    the dense mixture S and one O(n^3) eigen-solve. Validate's checks 2
-    and 3 gate the closed form against it."""
-    w = np.asarray(kernel_weights(p, model, rule), dtype=np.float64)
+def dense_bound(p: ModelParams, weights, kind: str) -> DecayBound:
+    """The reference for ``decay_bound``: the same bound from the dense
+    mixture S and one O(n^3) eigen-solve. Validate's checks 2 and 3 gate
+    the closed form against it on the same weights."""
+    w = np.asarray(weights, dtype=np.float64)
     lam = lambda_second_deflated(_activation_mixture(p, w))
     total = float(w.sum())
-    return DecayBound(rate=1.0 - total + lam, kind=model, lambda_second=lam, weight_sum=total)
+    return DecayBound(rate=1.0 - total + lam, kind=kind, lambda_second=lam, weight_sum=total)
 
 
 def gamma_sp(p: ModelParams) -> DecayBound:
     """Decay-rate bound for the sparse variant:
     1 - sum(a) + lambda_second(sum_i a_i * activation_expectation(i))."""
-    return _bound(p, "sparse", UNIFORM_TIE_BREAK)
+    return decay_bound(p, kernel_weights(p, "sparse"), "sparse")
 
 
 def gamma_fs(p: ModelParams, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> DecayBound:
-    """Decay-rate bound for the fast-switching regime, built on the
-    survivor rates. Meaningful when the sampling period is small."""
-    return _bound(p, "fastswitch", rule)
+    """Decay-rate bound for the fast-switching variant, built on the
+    survivor rates: the exact second-largest eigenvalue of its expected
+    kernel, since each period holds at most one star."""
+    return decay_bound(p, kernel_weights(p, "fastswitch", rule), "fastswitch")

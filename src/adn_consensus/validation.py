@@ -1,10 +1,13 @@
 """Brute-force enumeration oracles for the expected heat kernels, and the
 numerical probe of the fast-switching eigenvalue inequality.
 
-Enumeration is exact or refused: every reachable snapshot configuration is
-visited with its true probability (activation pattern times uniform subset
-choice), with no sampling anywhere. Configurations stream out one at a
-time; only the list of each centre's stars is held.
+Enumeration is exact or refused, with no sampling anywhere. The variant's
+law of star centres (``center_sets``) is folded onto its distinct centre
+tuples, then each tuple is expanded, with its true probability, into every
+choice of one star per centre (``center_stars``); the configurations stream
+out one at a time. ``full`` and ``sparse`` rows are distinct already;
+``fastswitch`` has a row per (activated set, survivor) but only 1 + n
+tuples, so it takes 1 + n*C(n-1, m) dense exponentials under any rule.
 """
 
 import math
@@ -32,26 +35,24 @@ MAX_BRANCHES = 10**7
 GAP_SLACK = 1e-9
 
 
-def enumeration_size(
-    p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK
-) -> int:
-    """Exact number of weighted configurations enumeration would visit, the
-    sum of C(n-1, m)**len(centres) over ``center_sets``: counted off that law
-    under a table rule, and in closed form otherwise, so as to refuse at once."""
-    C = math.comb(p.n - 1, p.m)
+def enumeration_size(p: ModelParams, model: str) -> int:
+    """Closed-form bound on an enumeration's work, refused before any of it
+    starts when over ``MAX_BRANCHES``. ``sparse``: its 1 + n*C(n-1, m)
+    configurations. ``full``: its (1 + C(n-1, m))**n configurations
+    (``snapshot_count``), more than its 2**n centre rows. ``fastswitch``:
+    1 + n*2**(n-1), its centre-law rows under the uniform rule, which no
+    table exceeds and which outnumber its 1 + n*C(n-1, m) configurations."""
     if model == "sparse":
-        return 1 + p.n * C
+        return 1 + p.n * math.comb(p.n - 1, p.m)
     if model == "full":
         return snapshot_count(p.n, p.m)
-    if model == "fastswitch" and rule.table is not None:
-        return sum(C ** len(centres) for centres, _ in center_sets(p, model, rule))
     if model == "fastswitch":
-        return 1 + p.n * 2 ** (p.n - 1) * C
+        return 1 + p.n * 2 ** (p.n - 1)
     raise ValueError(f"unknown model tag {model!r}")
 
 
-def _require_enumerable(p: ModelParams, model: str, rule: TieBreakRule):
-    size = enumeration_size(p, model, rule)
+def _require_enumerable(p: ModelParams, model: str):
+    size = enumeration_size(p, model)
     if size > MAX_BRANCHES:
         raise ValueError(
             f"enumeration for model={model!r} needs {size} branches, "
@@ -60,10 +61,14 @@ def _require_enumerable(p: ModelParams, model: str, rule: TieBreakRule):
 
 
 def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule):
-    """Yield (probability, snapshot) over every reachable configuration: each
-    centre tuple of ``center_sets`` times one of ``center_stars`` per centre."""
-    stars = center_stars(p)
+    """Yield (probability, snapshot) over every reachable configuration: the
+    ``center_sets`` law folded onto its distinct centre tuples, each tuple
+    times one of ``center_stars`` per centre."""
+    law = {}
     for centres, prob in center_sets(p, model, rule):
+        law[centres] = law.get(centres, 0.0) + prob
+    stars = center_stars(p)
+    for centres, prob in law.items():
         w = prob / len(stars[0]) ** len(centres)
         for choice in product(*(stars[i - 1] for i in centres)):
             yield w, Snapshot(p.n, choice)
@@ -74,7 +79,7 @@ def enumerate_expected_exponential(
 ) -> np.ndarray:
     """Exact E[e**(-2*dt*L)] as the probability-weighted sum of dense
     exponentials over every configuration. Refuses oversized enumerations."""
-    _require_enumerable(p, model, rule)
+    _require_enumerable(p, model)
     T = 2.0 * p.dt
     acc = np.zeros((p.n, p.n))
     total = 0.0
@@ -114,7 +119,7 @@ def verify_fast_switch_inequality(p: ModelParams, rule: TieBreakRule, T_grid) ->
     # Both sizes are checked before either enumeration starts, since either
     # can be the larger one (the fastswitch count when m = n-1).
     for model in ("full", "fastswitch"):
-        _require_enumerable(p, model, rule)
+        _require_enumerable(p, model)
     samples = []
     for T in T_grid:
         if not (T > 0):

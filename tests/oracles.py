@@ -7,12 +7,15 @@ of it routes through the package under test, except that two references
 take package primitives as arguments: the survival-curve reference its
 sampling primitives, since exact equality with the package needs the
 package's own random streams, the per-centre mixture the closed-form
-activation kernel, which its own subset-average oracle gates, and the
+activation kernel, which its own subset-average oracle gates, the
 leave-one-out survivor rates the Poisson-binomial PMF, which its
-brute-force oracle gates.
+brute-force oracle gates, and the unfolded enumeration a centre law, the
+star lists and a dense heat kernel, which the package's enumeration reads
+too.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -186,3 +189,17 @@ def suffix_max_survival(draw, advance, norm, z0, k_max, n_paths, eps, seed):
         suffix = np.maximum.accumulate(np.asarray(norms)[::-1])[::-1]
         counts += suffix >= eps
     return counts / float(n_paths)
+
+
+def unfolded_expected_exponential(rows, stars, kernel, n):
+    """sum of probability * kernel(choice) with one dense kernel per branch:
+    each (centres, probability) row of a centre law, as given and repeated
+    centre tuples included, times each choice of one star per centre from
+    ``stars`` (each centre's equally likely stars); ``kernel(choice)`` is
+    the n x n heat kernel of the union of the chosen stars."""
+    acc = np.zeros((n, n))
+    for centres, prob in rows:
+        w = prob / len(stars[0]) ** len(centres)
+        for choice in product(*(stars[i - 1] for i in centres)):
+            acc += w * kernel(choice)
+    return acc

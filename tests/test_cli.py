@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adn_consensus import ModelParams, adn_model, cli, gamma_sp, snapshot_count
+from adn_consensus import ModelParams, adn_model, cli, gamma_sp, snapshot_count, spectral
 from adn_consensus.cli import (
     draw_activity_rates,
     draw_initial_state,
@@ -461,27 +461,36 @@ class TestSimulateCommand:
         assert "n=21 > 20" in err
         assert not (tmp_path / "o").exists()
 
-    def test_fastswitch_bound_labelled_as_an_estimate(self, tmp_path, capsys):
-        # at dt = 1 the fitted rate lies above gamma_fs, which holds only
-        # for small dt; the printed label says so, the manifest is unchanged
+    def test_bound_labels_say_what_each_bound_certifies(self, tmp_path, capsys):
+        # fastswitch and sparse have one star a period, so their bound is the
+        # exact second eigenvalue of their expected kernel at any dt; gamma_sp
+        # on a full run only approximates the full model's; the manifest
+        # records the kind alone
         cfg = json.loads((CONFIGS / "fastswitch_table.json").read_text())
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**cfg, "dt": 1.0}))
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
-        lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
-                     if " = " in line)
-        rate, label = lines["bound_rate"].split(" ", 1)
-        assert label == "(fastswitch: a small-dt estimate, not certified)"
-        assert float(lines["fitted_rate"]) > float(rate)
-        results = json.loads((tmp_path / "manifest.json").read_text())["results"]
-        assert results["bound_kind"] == "fastswitch"
-        assert results["bound_rate"] == float(rate)
+        runs = {
+            "fastswitch": ({**cfg, "dt": 1.0}, "fastswitch", "certified"),
+            "full": (make_config(model="full", n_paths=5), "sparse",
+                     "the sparse-regime approximation, not a bound"),
+        }
+        for model, (raw, kind, note) in runs.items():
+            path = tmp_path / f"{model}.json"
+            path.write_text(json.dumps(raw))
+            out = tmp_path / model
+            assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines()
+                         if " = " in line)
+            rate, label = lines["bound_rate"].split(" ", 1)
+            assert label == f"({kind}: {note})"
+            results = json.loads((out / "manifest.json").read_text())["results"]
+            assert results["bound_kind"] == kind
+            assert results["bound_rate"] == float(rate)
 
     def test_sparse_bound_label_is_the_kind(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n_paths=5)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [x for x in lines if x.startswith("bound_rate = ")][0].endswith(" (sparse)")
+        label = [x for x in lines if x.startswith("bound_rate = ")][0]
+        assert label.endswith(" (sparse: certified)")
 
     def test_zero_dt_rejected_naming_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dt=0)
@@ -532,38 +541,54 @@ class TestValidateCommand:
         assert "validate: FAIL" in out
         assert "check activation-kernel-vs-subset-average: FAIL" in out
 
-    @pytest.mark.parametrize("bound, check", [
-        ("gamma_sp", "sparse-kernel-vs-enumeration"),
-        ("gamma_fs", "fastswitch-kernel-vs-enumeration"),
+    @pytest.mark.parametrize("kind", ["sparse", "fastswitch"], ids=[
+        "gamma_sp-sparse-kernel-vs-enumeration", "gamma_fs-fastswitch-kernel-vs-enumeration",
     ])
-    def test_bound_drift_from_dense_reference_is_caught(
-        self, tmp_path, capsys, monkeypatch, bound, check
-    ):
+    def test_bound_drift_from_dense_reference_is_caught(self, tmp_path, capsys, monkeypatch, kind):
+        # gamma_sp and gamma_fs are decay_bound on their kernel weights
         cfg = write_config(tmp_path, n=4, m=2, activity={
             "mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15],
         })
-        exact = getattr(cli, bound)
+        exact = cli.decay_bound
 
-        def drifted(*args):
-            b = exact(*args)
-            return dataclasses.replace(b, rate=b.rate + 1e-9)
+        def drifted(p, w, k):
+            b = exact(p, w, k)
+            return dataclasses.replace(b, rate=b.rate + 1e-9) if k == kind else b
 
-        monkeypatch.setattr(cli, bound, drifted)
+        monkeypatch.setattr(cli, "decay_bound", drifted)
         rc = main(["validate", "--config", cfg, "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert f"check {check}: FAIL (max diff 1e-09, tol 1e-10)" in out
+        assert f"check {kind}-kernel-vs-enumeration: FAIL (max diff 1e-09, tol 1e-10)" in out
         assert "validate: FAIL (4 passed, 0 skipped, 1 failed)" in out
 
+    def test_kernel_weights_computed_once_per_check(self, tmp_path, capsys, monkeypatch):
+        # the kernel, the bound and its dense reference share one weight vector
+        cfg = write_config(tmp_path, n=4, m=2, activity={
+            "mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15],
+        })
+        calls = []
+        exact = spectral.kernel_weights
+
+        def counted(p, model, *rule):
+            calls.append(model)
+            return exact(p, model, *rule)
+
+        for module in (cli, spectral):
+            monkeypatch.setattr(module, "kernel_weights", counted)
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert calls == ["sparse", "fastswitch"]
+
     def test_oversized_checks_are_refused_not_failed(self, tmp_path, capsys):
-        # n=15 pushes the fastswitch enumeration past the branch cap and
+        # n=20 pushes the fastswitch enumeration past the branch cap and
         # the survivor-rate oracle past its mask cap; both must refuse
         # (skip) rather than fail, leaving the verdict PASS
         cfg = write_config(
             tmp_path,
-            n=15,
-            m=2,
-            activity={"mode": "explicit", "values": [0.01] * 15},
+            n=20,
+            m=1,
+            activity={"mode": "explicit", "values": [0.01] * 20},
         )
         rc = main(["validate", "--config", cfg, "--out", str(tmp_path)])
         out = capsys.readouterr().out

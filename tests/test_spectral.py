@@ -13,6 +13,7 @@ from adn_consensus import (
     UNIFORM_TIE_BREAK,
     activation_expectation,
     convergence_bound,
+    decay_bound,
     dense_bound,
     gamma_fs,
     gamma_sp,
@@ -369,15 +370,6 @@ class TestDecayBounds:
         assert 0.0 < bound.rate <= 1.0
 
 
-def bounds_on_weights(p: ModelParams, w: np.ndarray, model: str) -> tuple:
-    """(closed form, dense reference) of ``model``'s bound with the kernel
-    weights replaced by ``w``."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "kernel_weights", lambda *_: w)
-        got = gamma_sp(p) if model == "sparse" else gamma_fs(p)
-        return got, dense_bound(p, model)
-
-
 class TestSecularBound:
     @pytest.mark.parametrize("model", ["sparse", "fastswitch"])
     @given(mixture_cases(max_n=40))
@@ -391,7 +383,7 @@ class TestSecularBound:
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_bound(self, model, case):
         p, w = case
-        got, ref = bounds_on_weights(p, w, model)
+        got, ref = decay_bound(p, w, model), dense_bound(p, w, model)
         assert got.kind == ref.kind == model
         assert got.weight_sum == ref.weight_sum
         assert abs(got.lambda_second - ref.lambda_second) <= 1e-13
@@ -423,7 +415,7 @@ class TestSecularBound:
             raise AssertionError("dense step on the bound path")
 
         p, rule, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
-        ref = (dense_bound(p, "sparse"), dense_bound(p, "fastswitch", rule))
+        ref = [dense_bound(p, kernel_weights(p, k, rule), k) for k in ("sparse", "fastswitch")]
         monkeypatch.setattr(spectral, "_activation_mixture", refused)
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         for got, dense in zip((gamma_sp(p), gamma_fs(p, rule)), ref):

@@ -1,5 +1,7 @@
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,13 @@ from adn_consensus import (
     ModelParams,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
+    center_sets,
     enumerate_expected_exponential,
     enumeration_size,
+    expm_sym,
+    gamma_fs,
     generate_snapshot,
+    lambda_second_deflated,
     snapshot_laplacian,
     sparse_expected_exponential,
     survivor_rates,
@@ -19,8 +25,13 @@ from adn_consensus import (
     weighted_expected_exponential,
 )
 from adn_consensus import validation
+from adn_consensus.adn_model import center_stars
+from adn_consensus.cli import parse_config, resolve_config
+from adn_consensus.graph_core import star_union_laplacian
 from adn_consensus.validation import MAX_BRANCHES, _enumerate_branches
-from oracles import taylor_expm
+from oracles import taylor_expm, unfolded_expected_exponential
+
+FASTSWITCH_TABLE = Path(__file__).resolve().parents[1] / "configs" / "fastswitch_table.json"
 
 
 @st.composite
@@ -47,15 +58,38 @@ def _random_table(n: int, data) -> TieBreakRule:
     return TieBreakRule(table)
 
 
+def _count_exponentials(monkeypatch) -> list:
+    """Count the dense exponentials the enumeration computes: the returned
+    list grows by one entry per call."""
+    calls = []
+    exact = validation.expm_sym
+
+    def counted(L, t):
+        calls.append(t)
+        return exact(L, t)
+
+    monkeypatch.setattr(validation, "expm_sym", counted)
+    return calls
+
+
 class TestEnumerationSize:
     @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_size_matches_generated_branch_count(self, p, model, data):
+        # sparse and full: the size is the branch count; fastswitch: it is
+        # the uniform rule's centre-law rows, which bound a table's rows and
+        # the 1 + n * C(n-1, m) branches
         rule = UNIFORM_TIE_BREAK
         if model == "table":  # fastswitch under a random table with zero weights
             model, rule = "fastswitch", _random_table(p.n, data)
         branches = list(_enumerate_branches(p, model, rule))
-        assert len(branches) == enumeration_size(p, model, rule)
+        size = enumeration_size(p, model)
+        if model == "fastswitch":
+            rows = sum(1 for _ in center_sets(p, model, rule))
+            assert len(branches) == 1 + p.n * math.comb(p.n - 1, p.m)
+            assert rows <= size and (rows == size or rule.table is not None)
+        else:
+            assert len(branches) == size
         if model != "full":
             assert all(len(s.events) <= 1 for _, s in branches)
 
@@ -63,13 +97,20 @@ class TestEnumerationSize:
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
         assert enumeration_size(p, "sparse") == 1 + 3 * 2
         assert enumeration_size(p, "full") == 27
-        # empty, three singletons with 2 subsets each, then sets of size
-        # 2 and 3 with one survivor choice per member per subset
-        assert enumeration_size(p, "fastswitch") == 1 + 6 + (3 * 2 + 1 * 3) * 2
+        # the empty set, then each member of each nonempty activated set
+        assert enumeration_size(p, "fastswitch") == 1 + 3 * 4
+        # the folded law's 1 + 3 centre tuples times 2 stars a centre
+        assert len(list(_enumerate_branches(p, "fastswitch", UNIFORM_TIE_BREAK))) == 1 + 3 * 2
+        # n = 20 is the smallest n refused under fastswitch, whatever m is
+        for n, refused in ((19, False), (20, True)):
+            q = ModelParams(n, 1, (0.01,) * n, 1.0)
+            assert (enumeration_size(q, "fastswitch") > MAX_BRANCHES) == refused
 
     def test_table_rule_counts_only_positive_weights(self):
-        """A zero tie-break weight removes that survivor's branches: one
-        zero per 3-set takes 4 survivors times C(3, 2) subsets off 97."""
+        """A zero tie-break weight takes that survivor's rows out of the
+        centre law, one per 3-set here (33 rows to 29), but no branch: each
+        centre keeps its lone activation at weight 1, so both rules fold to
+        1 + 4 centre tuples, 13 branches with C(3, 2) stars a centre."""
         p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.25), 1.0)
         table = {}
         for size in (2, 3, 4):
@@ -79,16 +120,31 @@ class TestEnumerationSize:
                     w = {s[0]: 0.0, s[1]: 0.5, s[2]: 0.5}
                 table[frozenset(s)] = w
         rule = TieBreakRule(table)
-        branches = list(_enumerate_branches(p, "fastswitch", rule))
-        assert enumeration_size(p, "fastswitch", rule) == len(branches) == 85
-        assert enumeration_size(p, "fastswitch") == 97
+        assert sum(1 for _ in center_sets(p, "fastswitch", rule)) == 29
+        assert sum(1 for _ in center_sets(p, "fastswitch")) == 33
+        assert enumeration_size(p, "fastswitch") == 33
+        for r in (rule, UNIFORM_TIE_BREAK):
+            assert len(list(_enumerate_branches(p, "fastswitch", r))) == 13
 
-    def test_incomplete_table_refused(self):
+    def test_incomplete_table_refused(self, monkeypatch):
+        # the size no longer reads the law; the fold meets the missing set
+        # before the first dense exponential
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
         table = {frozenset(s): dict.fromkeys(s, 0.5) for s in ((1, 2), (1, 3), (2, 3))}
         rule = TieBreakRule(table)
+        calls = _count_exponentials(monkeypatch)
         with pytest.raises(ValueError, match=r"\[1, 2, 3\] missing from tie-break table"):
-            enumeration_size(p, "fastswitch", rule)
+            enumerate_expected_exponential(p, "fastswitch", rule)
+        assert calls == []
+
+    def test_refused_before_the_law_is_read(self, monkeypatch):
+        def unread(*_):
+            raise AssertionError("centre law read before the size was refused")
+
+        monkeypatch.setattr(validation, "center_sets", unread)
+        p = ModelParams(20, 3, (0.01,) * 20, 1.0)
+        with pytest.raises(ValueError, match="10485761 branches"):
+            enumerate_expected_exponential(p, "fastswitch")
 
     def test_unknown_model_rejected(self):
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
@@ -96,6 +152,43 @@ class TestEnumerationSize:
             enumeration_size(p, "other")
         with pytest.raises(ValueError):
             enumerate_expected_exponential(p, "other")
+
+
+class TestFoldedLaw:
+    @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_unfolded_enumeration(self, p, model, data):
+        rule = UNIFORM_TIE_BREAK
+        if model == "table":
+            model, rule = "fastswitch", _random_table(p.n, data)
+        T = 2.0 * p.dt
+        ref = unfolded_expected_exponential(
+            center_sets(p, model, rule),
+            center_stars(p),
+            lambda choice: expm_sym(star_union_laplacian(p.n, choice), T),
+            p.n,
+        )
+        got = enumerate_expected_exponential(p, model, rule)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("tabled", [False, True])
+    def test_one_exponential_per_distinct_kernel(self, monkeypatch, tabled):
+        # 1 + n * C(n-1, m) = 281 at n = 8, m = 3, under any rule: every
+        # centre's lone activation has weight 1
+        n = 8
+        p = ModelParams(n, 3, tuple(np.linspace(0.05, 0.4, n)), 0.5)
+        rule = UNIFORM_TIE_BREAK
+        if tabled:  # survivor weight 0 for the lowest member, 1/(|S| - 1) for the others
+            rule = TieBreakRule({
+                frozenset(s): {i: (0.0 if i == s[0] else 1.0 / (k - 1)) for i in s}
+                for k in range(2, n + 1)
+                for s in combinations(range(1, n + 1), k)
+            })
+        calls = _count_exponentials(monkeypatch)
+        E = enumerate_expected_exponential(p, "fastswitch", rule)
+        assert len(calls) == 1 + n * math.comb(n - 1, 3) == 281
+        ref = weighted_expected_exponential(p, survivor_rates(p, rule))
+        assert np.max(np.abs(E - ref)) <= 1e-12
 
 
 class TestBranchProbabilities:
@@ -174,6 +267,15 @@ class TestEnumerateExpectedExponential:
             E = enumerate_expected_exponential(p, model)
             assert np.max(np.abs(E.sum(axis=1) - 1.0)) < 1e-12
             assert np.max(np.abs(E - E.T)) < 1e-13
+
+    @pytest.mark.parametrize("dt", [0.2, 1.0, 2.0])
+    def test_gamma_fs_is_the_enumerated_second_eigenvalue(self, dt):
+        # one star a period: gamma_fs is the exact second eigenvalue of the
+        # fastswitch expected kernel at any dt, not only as dt goes to 0
+        raw = json.loads(FASTSWITCH_TABLE.read_text())
+        p, rule, _, _ = resolve_config(parse_config({**raw, "dt": dt}))
+        exact = lambda_second_deflated(enumerate_expected_exponential(p, "fastswitch", rule))
+        assert abs(gamma_fs(p, rule).rate - exact) <= 1e-15
 
     def test_size_guard_refuses_before_work(self):
         p = ModelParams(10, 4, (0.05,) * 10, 1.0)
