@@ -29,7 +29,7 @@ from .adn_model import (
     snapshot_count,
 )
 from .closed_form import activation_expectation
-from .graph_core import expm_sym, star_laplacian
+from .graph_core import expm_sym, stacks, star_laplacian
 from .mc_sim import fit_decay_stats, run_paths
 from .spectral import (
     decay_bound,
@@ -351,7 +351,11 @@ def _check_rows(params: ModelParams, rule: TieBreakRule):
         yield name, f"refused: size ({C} subsets per center)", None
     else:
         diffs = (
-            sum(expm_sym(star_laplacian(s), T) for s in stars) / C
+            sum(
+                E
+                for chunk in stacks(stars, n)
+                for E in expm_sym(np.array([star_laplacian(s) for s in chunk], dtype=float), T)
+            ) / C
             - activation_expectation(params, i)
             for i, stars in enumerate(center_stars(params), 1)
         )

@@ -7,11 +7,15 @@ use int64, everything floating-point uses float64.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 INT64_MAX = 2**63 - 1
 _EPS = float(np.finfo(np.float64).eps)
+# Bytes of one stack of matrices that ``stacks`` hands to ``expm_sym``; its
+# working copies come to a small multiple of this.
+STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,28 +92,33 @@ def star_laplacian_power(spec: StarSpec, k: int) -> np.ndarray:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """(M + M.T) / 2, restoring exact symmetry after float computation."""
-    return (M + M.T) / 2.0
+    """(M + M.T) / 2, restoring exact symmetry after float computation, for
+    one matrix or each matrix of a stack."""
+    return (M + M.swapaxes(-1, -2)) / 2.0
 
 
 def expm_sym(M: np.ndarray, t: float) -> np.ndarray:
-    """e**(-t*M) for symmetric M, via eigendecomposition.
+    """e**(-t*M) for symmetric M, or for each matrix of a stack (..., n, n),
+    via eigendecomposition.
 
     Diagonalize, exponentiate the eigenvalues, recompose, then symmetrize.
     Max-abs accuracy 1e-12 against the true exponential for desk-scale
     matrices; used both as the multi-activation snapshot kernel and as the
-    oracle for the closed-form star exponential.
+    oracle for the closed-form star exponential. Each matrix of a stack
+    comes out bit for bit as it would alone.
     """
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or not M.size:
         raise ValueError(f"expected a nonempty square matrix, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
-    if not np.array_equal(M, M.T):
+    if not np.array_equal(M, M.swapaxes(-1, -2)):
         raise ValueError("matrix is not exactly symmetric; symmetrize() first")
     if not (t >= 0.0):
         raise ValueError(f"time must be >= 0, got {t}")
     w, V = np.linalg.eigh(M)
+    if w.ndim > 1:
+        return _expm_stack(w, V, t)
     # eigh returns each eigenvalue only to about n * _EPS * max|w|, and
     # e**(-t*w) turns that residue on a zero eigenvalue into an error about
     # t times as large. Once the error could show, eigenvalues within the
@@ -122,3 +131,26 @@ def expm_sym(M: np.ndarray, t: float) -> np.ndarray:
     else:
         decay = np.exp(-t * w)
     return symmetrize((V * decay) @ V.T)
+
+
+def _expm_stack(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
+    """``expm_sym``'s recomposition for a stack of eigendecompositions, with
+    its zero-eigenvalue rule applied to each matrix on its own resolution."""
+    resolution = w.shape[-1] * _EPS * np.maximum(-w[..., :1], w[..., -1:])
+    zero = np.abs(w) <= resolution
+    if t != np.inf:
+        zero &= t * resolution > 1e-11
+    # -t*w is left at 0 where the eigenvalue counts as 0, so inf*0 never forms
+    decay = np.exp(np.multiply(-t, w, out=np.zeros_like(w), where=~zero))
+    return symmetrize((V * decay[..., None, :]) @ V.swapaxes(-1, -2))
+
+
+def stacks(items, n: int):
+    """Consecutive lists of ``items``, each as long as fits in
+    ``STACK_BYTES`` as n x n float64 matrices (at least one item), so that
+    an enumeration can take its exponentials in stacks without ever
+    holding all of them."""
+    items = iter(items)
+    size = max(1, STACK_BYTES // (8 * n * n))
+    while chunk := list(islice(items, size)):
+        yield chunk

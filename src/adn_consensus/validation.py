@@ -5,9 +5,13 @@ Enumeration is exact or refused, with no sampling anywhere. The variant's
 law of star centres (``center_sets``) is folded onto its distinct centre
 tuples, then each tuple is expanded, with its true probability, into every
 choice of one star per centre (``center_stars``); the configurations stream
-out one at a time. ``full`` and ``sparse`` rows are distinct already;
+out in order. ``full`` and ``sparse`` rows are distinct already;
 ``fastswitch`` has a row per (activated set, survivor) but only 1 + n
 tuples, so it takes 1 + n*C(n-1, m) dense exponentials under any rule.
+They are taken in stacks of consecutive configurations, each within
+``graph_core.STACK_BYTES``, and added one at a time in configuration
+order, so memory stays bounded at any size and the sum is the one the
+configurations give one call each.
 """
 
 import math
@@ -26,7 +30,7 @@ from .adn_model import (
     snapshot_count,
     snapshot_laplacian,
 )
-from .graph_core import expm_sym
+from .graph_core import expm_sym, stacks
 from .spectral import lambda_second_largest
 
 MAX_BRANCHES = 10**7
@@ -83,9 +87,11 @@ def enumerate_expected_exponential(
     T = 2.0 * p.dt
     acc = np.zeros((p.n, p.n))
     total = 0.0
-    for prob, snap in _enumerate_branches(p, model, rule):
-        acc += prob * expm_sym(snapshot_laplacian(snap), T)
-        total += prob
+    for chunk in stacks(_enumerate_branches(p, model, rule), p.n):
+        kernels = expm_sym(np.array([snapshot_laplacian(s) for _, s in chunk], dtype=float), T)
+        for (prob, _), E in zip(chunk, kernels):
+            acc += prob * E
+            total += prob
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
     return acc

@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from adn_consensus import (
     StarSpec,
     expm_sym,
+    graph_core,
     star_exponential,
     star_laplacian,
     star_laplacian_power,
     symmetrize,
 )
+from adn_consensus.graph_core import stacks, star_union_laplacian
 from oracles import int_matpow, jacobi_eigenvalues, star_laplacian_ints, taylor_expm
 
 
@@ -182,6 +184,69 @@ class TestExpmSym:
             E = expm_sym(M, 0.7)
             ref = np.exp(-0.7 * jacobi_eigenvalues(M))
             assert np.max(np.abs(np.sort(np.linalg.eigvalsh(E)) - np.sort(ref))) < 1e-10
+
+
+def _laplacian_stack() -> np.ndarray:
+    """Six 6 x 6 Laplacians: stars of several sizes, a union of two stars
+    and the empty graph."""
+    union = star_union_laplacian(6, (StarSpec(6, 1, (2, 3)), StarSpec(6, 4, (3, 5, 6))))
+    mats = [star_laplacian(s) for s in (StarSpec(6, 1, (2,)), StarSpec(6, 3, (1, 2, 5)),
+                                        StarSpec(6, 6, (1, 2, 3, 4, 5)))]
+    return np.array(mats + [union, np.zeros((6, 6)), 3 * union], dtype=float)
+
+
+class TestExpmSymStack:
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1e6, 1e18, math.inf])
+    def test_each_slice_equals_the_single_matrix_call(self, t):
+        S = _laplacian_stack()
+        E = expm_sym(S, t)
+        assert E.shape == S.shape
+        for M, got in zip(S, E):
+            assert np.array_equal(got, expm_sym(M, t))
+        # any leading shape
+        assert np.array_equal(expm_sym(S.reshape(2, 3, 6, 6), t), E.reshape(2, 3, 6, 6))
+
+    def test_zero_eigenvalue_rule_applied_per_slice(self):
+        # at t = 1e4 the star's eigenvalue residue could show (t times its
+        # resolution exceeds 1e-11) and the scaled-down copy's could not
+        L = star_laplacian(StarSpec(6, 3, (1, 2, 5))).astype(float)
+        S = np.array([L, L / 1024])
+        t = 1e4
+        resolution = 6 * np.finfo(float).eps * np.abs(np.linalg.eigvalsh(S)).max(axis=1)
+        assert list(t * resolution > 1e-11) == [True, False]
+        E = expm_sym(S, t)
+        for M, got in zip(S, E):
+            assert np.array_equal(got, expm_sym(M, t))
+        assert np.max(np.abs(E[0] - star_exponential(StarSpec(6, 3, (1, 2, 5)), t))) < 1e-12
+
+    def test_zero_matrix_in_stack_at_infinite_t_is_identity(self):
+        S = _laplacian_stack()
+        with np.errstate(all="raise"):
+            E = expm_sym(S, math.inf)
+        assert np.array_equal(E[4], np.eye(6))
+
+    def test_one_bad_slice_rejects_the_stack(self):
+        S = _laplacian_stack()
+        asym = S.copy()
+        asym[2, 0, 1] += 1e-12
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            expm_sym(asym, 1.0)
+        nonfinite = S.copy()
+        nonfinite[5, 3, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            expm_sym(nonfinite, 1.0)
+        for shape in ((3, 2, 3), (0, 3, 3)):
+            with pytest.raises(ValueError, match="nonempty square"):
+                expm_sym(np.zeros(shape), 1.0)
+
+
+class TestStacks:
+    def test_chunks_fit_the_byte_budget_in_order(self, monkeypatch):
+        monkeypatch.setattr(graph_core, "STACK_BYTES", 3 * 8 * 4 * 4)
+        assert list(stacks(range(7), 4)) == [[0, 1, 2], [3, 4, 5], [6]]
+        # a matrix larger than the budget still goes alone
+        assert list(stacks(iter("ab"), 40)) == [["a"], ["b"]]
+        assert list(stacks([], 4)) == []
 
 
 class TestSymmetrize:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -60,12 +61,12 @@ def _random_table(n: int, data) -> TieBreakRule:
 
 def _count_exponentials(monkeypatch) -> list:
     """Count the dense exponentials the enumeration computes: the returned
-    list grows by one entry per call."""
+    list grows by one entry per matrix, a stack counting each of its own."""
     calls = []
     exact = validation.expm_sym
 
     def counted(L, t):
-        calls.append(t)
+        calls.extend([t] * (L.shape[0] if L.ndim == 3 else 1))
         return exact(L, t)
 
     monkeypatch.setattr(validation, "expm_sym", counted)
@@ -282,6 +283,20 @@ class TestEnumerateExpectedExponential:
         assert enumeration_size(p, "full") > MAX_BRANCHES
         with pytest.raises(ValueError, match="branches"):
             enumerate_expected_exponential(p, "full")
+
+    def test_streams_its_stacks(self):
+        # sparse at n = 40, m = 1: 1,561 branches of 40 x 40, 20 MB for each
+        # copy of the whole stack; the oracle holds one stack of at most
+        # STACK_BYTES (256 KiB) and its working copies at a time
+        p = ModelParams(40, 1, (0.02,) * 40, 0.5)
+        tracemalloc.start()
+        try:
+            E = enumerate_expected_exponential(p, "sparse")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert np.max(np.abs(E - sparse_expected_exponential(p))) < 1e-10
 
 
 class TestFastSwitchInequality:
