@@ -1,12 +1,14 @@
 """The activity-driven model and its sparse and fast-switching variants:
 each variant's law of star centres, exact (``center_sets``) and sampled
-(``generate_snapshot``, with ``idle_run`` consuming runs of idle periods on
-the same draws), and the snapshot-count formula.
+(``EventSampler``, which draws for many paths at once; ``generate_snapshot``
+is its one-period call), and the snapshot-count formula.
 
-All randomness flows through an explicit ``numpy.random.Generator`` (PCG64
-via ``numpy.random.default_rng``). Callers that need scheduling-independent
-parallel streams derive one generator per unit of work as
-``default_rng(seed ^ index)``.
+All randomness flows through an explicit ``numpy.random.Generator`` (PCG64).
+Independent streams come from ``stream(seed, *key)``, which seeds one
+generator from ``SeedSequence([seed, *key])``: the Monte Carlo paths of
+block b read ``stream(seed, PATHS, b)``, and the drawn rates and initial
+state ``stream(seed, RATES)`` and ``stream(seed, STATE)``. No two keys
+share a stream, whatever the seeds.
 """
 
 import math
@@ -17,7 +19,15 @@ from itertools import accumulate, combinations
 
 import numpy as np
 
-from .graph_core import StarSpec, star_union_laplacian
+from .graph_core import STACK_BYTES, StarSpec, star_union_laplacian
+
+# Stream keys: the second word of each ``stream`` seed.
+PATHS, RATES, STATE = 0, 1, 2
+
+
+def stream(seed: int, *key: int):
+    """The generator of one keyed stream of a run seed."""
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
 @dataclass(frozen=True)
@@ -163,20 +173,10 @@ def activation_sets(p: ModelParams):
         yield tuple(i + 1 for i in range(p.n) if mask >> i & 1), prob
 
 
-def _sample_m_subset(n: int, center: int, m: int, rng) -> tuple:
-    """Uniform m-subset of {1..n} minus the center, without replacement.
-
-    Draws distinct indices over the n-1 candidates (partial shuffle inside
-    ``Generator.choice``) and remaps them around the excluded center, in
-    draw order (``StarSpec`` sorts them).
-    """
-    idx = rng.choice(n - 1, size=m, replace=False).tolist()
-    return tuple(i + 1 if i + 1 < center else i + 2 for i in idx)
-
-
 def center_stars(p: ModelParams) -> list:
-    """The law ``_sample_m_subset`` draws from, written out: for each centre
-    1..n, the list of its C(n-1, m) equally likely stars in ``combinations`` order."""
+    """The law ``EventSampler.neighbours`` draws from, written out: for each
+    centre 1..n, the list of its C(n-1, m) equally likely stars in
+    ``combinations`` order."""
     others = ([j for j in range(1, p.n + 1) if j != i] for i in range(1, p.n + 1))
     return [[StarSpec(p.n, i, N) for N in combinations(js, p.m)] for i, js in enumerate(others, 1)]
 
@@ -209,86 +209,112 @@ def _survivor_sets(p: ModelParams, rule: TieBreakRule):
                 yield (i,), prob * wi
 
 
-def _survivor(active: list, rule: TieBreakRule, rng) -> int:
-    """One survivor of two or more activated nodes, drawn per the rule."""
-    if rule.table is None:
-        return active[int(rng.integers(len(active)))]
+def _survivor(active: list, rule: TieBreakRule, u: float) -> int:
+    """The survivor of two or more activated nodes under a table rule, for
+    a uniform u in [0, 1)."""
     weights = rule.weights_for(frozenset(active))
     cum = list(accumulate(weights.get(i, 0.0) for i in active))
     # A draw at or past cum[-1] goes to the last node of positive weight.
-    return active[min(bisect_right(cum, rng.random()), bisect_left(cum, cum[-1]))]
+    return active[min(bisect_right(cum, u), bisect_left(cum, cum[-1]))]
 
 
-def _draw_activity(p: ModelParams, rng, model: str, periods: tuple = ()):
-    """Draw the uniforms of ``periods`` sampling periods and apply the
-    variant's activation test, the one place it is written. ``sparse`` draws
-    one uniform per period, and some node activates when it falls below
-    sum(a); ``full`` and ``fastswitch`` draw one per node, and node i
-    activates when its uniform falls below a_i. Returns the uniforms and the
-    activation mask, both of shape ``periods + (1 or n,)``."""
-    if model == "sparse":
-        p.require_sparse()
-        u = rng.random(periods + (1,))
-        return u, u < p.rate_sum
-    if model == "full" or model == "fastswitch":
-        u = rng.random(periods + (p.n,))
-        return u, u < p.rates
-    raise ValueError(f"unknown model tag {model!r}")
+class EventSampler:
+    """A variant's law of one period's stars, drawn for many paths at once,
+    the one place each variant's sampling is written.
+
+    A period has a star with probability ``p_event``: sum(a) under
+    ``sparse``, 1 - prod(1 - a_i) otherwise (``log_idle`` is the log of its
+    complement). ``gaps`` draws the periods up to the next one with a star;
+    ``centres`` draws that period's centres given that it has one, and
+    ``neighbours`` each star's m neighbours. Each method reads its uniforms
+    in row order, so a stream's meaning depends only on the rows drawn.
+    """
+
+    def __init__(
+        self, p: ModelParams, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK
+    ):
+        self.p, self.model, self.rule = p, model, rule
+        if model == "sparse":
+            p.require_sparse()
+            self._bins = np.array(p.rates_cumsum)
+            self.p_event = p.rate_sum
+            self.log_idle = math.log1p(-p.rate_sum) if p.rate_sum < 1.0 else -math.inf
+        elif model == "full" or model == "fastswitch":
+            with np.errstate(divide="ignore"):  # log1p(-1) = -inf for a rate of 1
+                idle = np.cumsum(np.log1p(-p.rates))
+            # P(one of nodes 1..i activates), increasing to p_event
+            self._bins = -np.expm1(idle)
+            self.p_event = float(self._bins[-1])
+            self.log_idle = float(idle[-1])
+        else:
+            raise ValueError(f"unknown model tag {model!r}")
+
+    def gaps(self, rng, rows: int, cap: int) -> np.ndarray:
+        """Geometric(p_event) periods up to and including the next one with
+        a star, one uniform a row, capped at ``cap``: 1 + floor(log(1 - u) /
+        log_idle), which a rate near 0 sends past any integer."""
+        u = rng.random(rows)
+        with np.errstate(over="ignore"):
+            g = np.floor(np.log1p(-u) / self.log_idle)
+        return np.minimum(g, cap - 1).astype(np.int64) + 1
+
+    def centres(self, rng, rows: int) -> tuple:
+        """The stars' (row, centre) pairs of ``rows`` periods that each have
+        one, centres 0-based and increasing within a row, rows increasing.
+
+        ``sparse``: one uniform a row picks centre i with probability
+        a_i / sum(a) off the running rate sums. ``full``: one uniform a row
+        picks the first active node by inverse CDF, then n uniforms a row
+        test each node above it against its rate. ``fastswitch``: as
+        ``full``, then one more uniform a row picks the survivor by the
+        rule (``_survivor`` for a table)."""
+        n, row = self.p.n, np.arange(rows)
+        first = np.searchsorted(self._bins, rng.random(rows) * self.p_event, side="right")
+        first = np.minimum(first, n - 1)  # u * p_event rounded up to p_event
+        if self.model == "sparse":
+            return row, first
+        active = rng.random((rows, n)) < self.p.rates
+        active &= np.arange(n) > first[:, None]
+        active[row, first] = True
+        if self.model == "full":
+            return np.nonzero(active)
+        u, count = rng.random(rows), active.sum(axis=1)
+        pick = np.minimum((u * count).astype(np.int64), count - 1)
+        centre = np.argmax(np.cumsum(active, axis=1) > pick[:, None], axis=1)
+        if self.rule.table is not None:
+            for r in np.flatnonzero(count > 1).tolist():
+                members = (np.flatnonzero(active[r]) + 1).tolist()
+                centre[r] = _survivor(members, self.rule, u[r]) - 1
+        return row, centre
+
+    def neighbours(self, rng, centre: np.ndarray) -> np.ndarray:
+        """Each star's m neighbours, 0-based and increasing: the m smallest
+        of n uniform keys, the centre's excluded, a uniform m-subset of the
+        other nodes. Keys are drawn in chunks of at most ``STACK_BYTES``."""
+        n, m = self.p.n, self.p.m
+        out = np.empty((len(centre), m), dtype=np.intp)
+        size = max(1, STACK_BYTES // (8 * n))
+        for lo in range(0, len(centre), size):
+            c = centre[lo:lo + size]
+            keys = rng.random((len(c), n))
+            keys[np.arange(len(c)), c] = 2.0
+            out[lo:lo + size] = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
+        return out
 
 
 def generate_snapshot(
     p: ModelParams, rng, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK
 ) -> Snapshot:
-    """Draw the centres under the variant's law (``center_sets``), then wire
-    each in turn to a uniform m-subset of the other nodes. ``sparse`` reads
-    its centre off the running rate sums; the others activate each node
-    whose uniform falls below its rate."""
-    u, active = _draw_activity(p, rng, model)
-    if model == "sparse":
-        centres = [bisect_right(p.rates_cumsum, u[0]) + 1] if active[0] else []
-    else:
-        centres = [i for i, hit in enumerate(active.tolist(), 1) if hit]
-        if model == "fastswitch" and len(centres) > 1:
-            centres = [_survivor(centres, rule, rng)]
-    if not centres:
+    """One period of the variant's law (``center_sets``): a Bernoulli(p_event)
+    draw, then ``EventSampler``'s draw of the centres given a star, and of
+    each centre's neighbours, for one row."""
+    sampler = EventSampler(p, model, rule)
+    if not rng.random() < sampler.p_event:
         return Snapshot(p.n, ())
-    stars = (StarSpec(p.n, c, _sample_m_subset(p.n, c, p.m, rng)) for c in centres)
+    _, centre = sampler.centres(rng, 1)
+    nbs = (sampler.neighbours(rng, centre) + 1).tolist()
+    stars = (StarSpec(p.n, c + 1, tuple(N)) for c, N in zip(centre.tolist(), nbs))
     return Snapshot(p.n, tuple(stars))
-
-
-# Uniforms per chunk of ``idle_run``: enough to amortize a chunk's fixed
-# cost (a saved state and a few numpy calls, several microseconds) over a
-# typical idle run, few enough that the draws past its end stay cheap.
-_IDLE_CHUNK = 1024
-
-
-def idle_run(p: ModelParams, rng, model: str, limit: int) -> int:
-    """Consume the coming idle periods, at most ``limit``, and return how
-    many there were. The draws are exactly those ``generate_snapshot``
-    would make for them, taken in chunks of periods, so ``rng`` is left at
-    the start of the first period that activates a node and the stream
-    reads on as if each idle period had been drawn in turn.
-
-    ``Generator.random((B, w))`` yields the doubles of B calls to
-    ``random(w)`` and leaves the 32-bit buffer that ``choice`` and
-    ``integers`` may hold untouched. On a chunk with an active period the
-    state saved before the chunk is restored and only its idle rows are
-    drawn again; ``advance()`` would rewind too, but clears that buffer.
-    """
-    per_period = 1 if model == "sparse" else p.n  # as _draw_activity draws
-    done = 0
-    while done < limit:
-        rows = min(max(1, _IDLE_CHUNK // per_period), limit - done)
-        saved = rng.bit_generator.state
-        active = _draw_activity(p, rng, model, (rows,))[1]
-        first = int(active.argmax())  # flat index of the first activation
-        if active.flat[first]:
-            r = first // active.shape[1]
-            rng.bit_generator.state = saved
-            _draw_activity(p, rng, model, (r,))
-            return done + r
-        done += rows
-    return done
 
 
 def snapshot_count(n: int, m: int) -> int:

@@ -22,11 +22,14 @@ import sys
 import numpy as np
 
 from .adn_model import (
+    RATES,
+    STATE,
     ModelParams,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
     center_stars,
     snapshot_count,
+    stream,
 )
 from .closed_form import activation_expectation
 from .graph_core import expm_sym, stacks, star_laplacian
@@ -49,11 +52,6 @@ from .validation import (
 )
 
 U64 = 2**64
-
-# Stream salts keep the rate draw and the initial-state draw off the
-# per-path streams (which use seed ^ path_index with small indices).
-RATE_STREAM_SALT = 0x9E3779B97F4A7C15
-STATE_STREAM_SALT = 0xD1B54A32D192ED03
 
 STEP_BUDGET = 2_000_000_000
 # simulate writes k_max + 1 survival rows whatever n_paths is.
@@ -214,14 +212,13 @@ def draw_activity_rates(n: int, upper: float, seed: int) -> tuple:
     """Seeded U[0, upper] draw of n rates, clamped away from exact zero so
     the open-interval rate constraint cannot be tripped by a measure-zero
     draw."""
-    rng = np.random.default_rng(seed ^ RATE_STREAM_SALT)
-    vals = rng.uniform(0.0, upper, n)
+    vals = stream(seed, RATES).uniform(0.0, upper, n)
     return tuple(max(float(v), 1e-300) for v in vals)
 
 
 def draw_initial_state(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed ^ STATE_STREAM_SALT)
-    return rng.uniform(-1.0, 1.0, n)
+    """Seeded U[-1, 1] draw of the n initial values."""
+    return stream(seed, STATE).uniform(-1.0, 1.0, n)
 
 
 def resolve_config(cfg: dict):

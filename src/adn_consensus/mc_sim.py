@@ -3,11 +3,15 @@ estimation, and decay-rate fitting.
 
 Every snapshot kernel contracts the disagreement, so each path stops at its
 first passage below eps and the survival curve is one minus the empirical
-CDF of the first-passage times. After an idle period the walk consumes the
-idle periods that follow in bulk (``idle_run``), with the same draws a
-period-by-period walk would make. Each path runs on its own RNG stream,
-``default_rng(seed ^ path_index)``, and counts are aggregated as exact
-integers, so results are identical for any degree of parallelism.
+CDF of the first-passage times. The engine is event-driven and advances a
+block of up to ``BLOCK`` paths together: each round, every live path draws
+its gap to the next period with a star, paths pushed past k_max are
+censored, and the rest draw that period's stars and take its heat kernel,
+the closed form for a lone star and stacked dense exponentials for several
+(``EventSampler`` draws, ``_apply_stars`` applies). Block b reads
+``stream(seed, PATHS, b)``; workers take whole blocks and counts are
+aggregated as exact integers, so results are identical for any number of
+workers. ``step`` is the one-path reference the engine's update matches.
 """
 
 import os
@@ -16,16 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adn_model import (
+    PATHS,
+    EventSampler,
     ModelParams,
     Snapshot,
     TieBreakRule,
-    center_sets,
-    generate_snapshot,
-    idle_run,
     snapshot_laplacian,
+    stream,
 )
 from .closed_form import star_kernel_scalars
-from .graph_core import expm_sym
+from .graph_core import expm_sym, stacks
+
+# Paths advanced together, whatever the worker count: the unit of the
+# random streams and of the work handed to a worker.
+BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,15 +59,18 @@ class DecayFit:
 
 def project_off_consensus(z) -> np.ndarray:
     """Orthogonal projection onto the complement of the consensus line:
-    subtract the mean from every coordinate."""
+    subtract the mean from every coordinate (of each row of a stack)."""
     z = np.asarray(z, dtype=np.float64)
-    return z - z.mean()
+    return z - z.mean(axis=-1, keepdims=True)
 
 
-def off_consensus_sq(z) -> float:
-    """Squared norm of the off-consensus component (the disagreement)."""
+def off_consensus_sq(z):
+    """Squared norm of the off-consensus component (the disagreement): a
+    float for one state, an array for a stack of states, one per row with
+    each row's arithmetic as alone."""
     d = project_off_consensus(z)
-    return float(d @ d)
+    sq = (d * d).sum(axis=-1)
+    return float(sq) if d.ndim == 1 else sq
 
 
 def step(z, s: Snapshot, dt: float) -> np.ndarray:
@@ -91,32 +102,70 @@ def step(z, s: Snapshot, dt: float) -> np.ndarray:
     return E @ z
 
 
-def _count_exceed(p, model, rule, z0, k_max, eps, seed, lo, hi):
-    """Survival counts over paths lo..hi-1 from each path's first-passage
-    time tau below eps (k_max + 1 if it never drops): counts[K] = #{paths
-    with tau > K}. Also returns the paths' total norm rises.
+def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
+    """One period of each row of Z under its stars (``row``, ``centre`` and
+    neighbours ``nbs``, 0-based, rows increasing), with ``step``'s
+    arithmetic: a row with one star takes the closed-form kernel on its
+    m + 1 touched coordinates, gathered across rows; rows with several go
+    through ``expm_sym`` in stacks of at most ``STACK_BYTES``."""
+    n = Z.shape[1]
+    count = np.bincount(row, minlength=len(Z))
+    lone = count[row] == 1
+    if lone.any():
+        r, c, idx = row[lone], centre[lone], nbs[lone]
+        cw, edge, y, w = star_kernel_scalars(m, dt)
+        zc, zn = Z[r, c], Z[r[:, None], idx]
+        tot = zn.sum(axis=1)
+        Z[r, c] = cw * zc + edge * tot
+        Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
+    multi = np.flatnonzero(count > 1)
+    stars = np.flatnonzero(~lone)  # grouped by row, as the rows of multi
+    ends = np.cumsum(count[multi])
+    for chunk in stacks(range(len(multi)), n):
+        lo, hi = chunk[0], chunk[-1] + 1
+        rows = multi[lo:hi]
+        s = stars[ends[lo] - count[rows[0]]:ends[hi - 1]]
+        b = np.repeat(np.arange(hi - lo), count[rows] * m)
+        c, j = np.repeat(centre[s], m), nbs[s].ravel()
+        L = np.zeros((hi - lo, n, n))
+        L[b, c, j] = L[b, j, c] = -1.0
+        L[:, np.arange(n), np.arange(n)] = -L.sum(axis=2)
+        Z[rows] = np.matmul(expm_sym(L, dt), Z[rows, :, None])[..., 0]
+    return Z
 
-    An idle draw leaves the state unchanged, so the idle periods after it
-    are consumed in bulk by ``idle_run``, which draws what
-    ``generate_snapshot`` would have drawn for them: each path reads the
-    same stream as a period-by-period walk."""
-    taus = np.empty(hi - lo, dtype=np.int64)
+
+def _count_block(sampler, z0, k_max, eps, seed, b, paths):
+    """Survival counts of block b's ``paths`` paths from their
+    first-passage times tau below eps (k_max + 1 if a path never drops):
+    counts[K] = #{paths with tau > K}, and the paths' total norm rises.
+
+    Rows leave the block at first passage or at censoring, so each round
+    draws and steps only the live ones."""
+    rng = stream(seed, PATHS, b)
+    taus = np.zeros(k_max + 2, dtype=np.int64)  # paths by first-passage time
+    rows = paths if off_consensus_sq(z0) >= eps else 0
+    taus[0] = paths - rows
+    Z = np.tile(z0, (rows, 1))
+    cur, k = off_consensus_sq(Z), np.zeros(rows, dtype=np.int64)
     rises = 0
-    for j, idx in enumerate(range(lo, hi)):
-        rng = np.random.default_rng(seed ^ idx)
-        z, cur, k = z0, off_consensus_sq(z0), 0
-        while cur >= eps and k < k_max:
-            k += 1
-            s = generate_snapshot(p, rng, model, rule)
-            if not s.events:
-                k += idle_run(p, rng, model, k_max - k)
-                continue
-            z = step(z, s, p.dt)
-            new = off_consensus_sq(z)
-            rises += new > cur * (1.0 + 1e-12) + 1e-15
-            cur = new
-        taus[j] = k if cur < eps else k_max + 1
-    return (hi - lo) - np.cumsum(np.bincount(taus, minlength=k_max + 2)[:-1]), rises
+    while len(k):
+        k += sampler.gaps(rng, len(k), k_max + 1)
+        out = k > k_max
+        if out.any():
+            taus[-1] += np.count_nonzero(out)
+            Z, cur, k = Z[~out], cur[~out], k[~out]
+            if not len(k):
+                break
+        row, centre = sampler.centres(rng, len(k))
+        Z = _apply_stars(Z, row, centre, sampler.neighbours(rng, centre), sampler.p.m, sampler.p.dt)
+        new = off_consensus_sq(Z)
+        rises += int(np.count_nonzero(new > cur * (1.0 + 1e-12) + 1e-15))
+        done = new < eps
+        if done.any():
+            np.add.at(taus, k[done], 1)
+            Z, new, k = Z[~done], new[~done], k[~done]
+        cur = new
+    return paths - np.cumsum(taus[:-1]), rises
 
 
 def run_paths(
@@ -135,9 +184,10 @@ def run_paths(
     Per path: simulate from z0 until the squared disagreement first drops
     below eps, at step tau. probs[K] = #{tau > K} / n_paths, which is the
     fraction whose suffix max from K on reaches eps because every snapshot
-    kernel contracts the disagreement. Deterministic for any n_jobs.
+    kernel contracts the disagreement. Deterministic for any n_jobs: the
+    paths run in blocks of ``BLOCK`` and a worker takes whole blocks.
     """
-    center_sets(p, model, rule)  # raises on an unknown tag or a sparse sum(a) > 1
+    sampler = EventSampler(p, model, rule)  # raises on an unknown tag or a sparse sum(a) > 1
     if k_max < 1 or n_paths < 1:
         raise ValueError(f"need k_max >= 1 and n_paths >= 1, got {k_max}, {n_paths}")
     if not (eps > 0):
@@ -151,11 +201,13 @@ def run_paths(
     if not (0 <= seed < 2**64):
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
-    jobs = min(max(n_jobs, 1), n_paths)
-    cuts = [n_paths * j // jobs for j in range(jobs + 1)]
-    work = [(p, model, rule, z0, k_max, eps, seed, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    work = [
+        (sampler, z0, k_max, eps, seed, b, min(BLOCK, n_paths - lo))
+        for b, lo in enumerate(range(0, n_paths, BLOCK))
+    ]
+    jobs = min(max(n_jobs, 1), len(work))
     if jobs == 1:
-        parts = [_count_exceed(*work[0])]
+        parts = [_count_block(*w) for w in work]
     else:
         # Imported here so that a single-process run does not load
         # multiprocessing. A fork-started pool launches all its workers at
@@ -163,7 +215,7 @@ def run_paths(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
-            parts = list(ex.map(_count_exceed, *zip(*work)))
+            parts = list(ex.map(_count_block, *zip(*work)))
     counts, rises = map(sum, zip(*parts))
     probs = counts / float(n_paths)
     return SurvivalCurve(eps=eps, probs=probs, paths=n_paths, norm_rises=rises)

@@ -5,8 +5,8 @@ algebra over Python lists, truncated Taylor series with scaling and
 squaring, cyclic Jacobi rotations, exhaustive bitmask enumerations. None
 of it routes through the package under test, except that two references
 take package primitives as arguments: the survival-curve reference its
-sampling primitives, since exact equality with the package needs the
-package's own random streams, the per-centre mixture the closed-form
+sampling primitives and block streams, since exact equality with the
+package needs the package's own random streams, the per-centre mixture the closed-form
 activation kernel, which its own subset-average oracle gates, the
 leave-one-out survivor rates the Poisson-binomial PMF, which its
 brute-force oracle gates, and the unfolded enumeration a centre law, the
@@ -167,27 +167,59 @@ def bruteforce_poisson_binomial(probs):
     return pmf
 
 
-def suffix_max_survival(draw, advance, norm, z0, k_max, n_paths, eps, seed):
-    """Survival curve by its definition: run path i the full k_max steps on
-    stream default_rng(seed ^ i), record the squared disagreement after
-    every step, take suffix maxima with one backward sweep, and count for
-    each K the paths whose suffix max from K on reaches eps.
+def block_walk_survival(sampler, block_rng, block, draw, advance, norm, z0, k_max, n_paths, eps):
+    """Survival curve by its definition, one path at a time on the
+    package's block streams: path lo + i, with lo a multiple of ``block``,
+    reads row i of each draw from ``block_rng(lo // block)``.
 
-    ``draw(rng)`` samples a snapshot, ``advance(z, snapshot)`` applies it
-    and ``norm(z)`` is the squared disagreement. Nothing here assumes that
-    the disagreement contracts."""
+    Each round the block's live paths draw their gaps to the next period
+    with a star (``sampler.gaps``, capped at k_max + 1), then those still
+    inside k_max draw that period's stars (``sampler.centres`` and
+    ``sampler.neighbours``). Each path applies its own stars, as 1-based
+    (centre, neighbours) pairs, with ``advance(z, stars)`` and records
+    ``norm(z)`` for every period it passed, idle ones included. A path
+    leaves the rounds at its first norm below eps, as the engine's rows
+    do, and runs on to k_max on a stream of its own, one ``draw(rng)``
+    (a period's star list) a period, so that the suffix maxima cover
+    every period: nothing here assumes that the disagreement contracts."""
     counts = np.zeros(k_max + 1, dtype=np.int64)
-    for i in range(n_paths):
-        rng = np.random.default_rng(seed ^ i)
-        z = np.array(z0, dtype=np.float64)
-        norms = [norm(z)]
-        for _ in range(k_max):
-            s = draw(rng)
-            if s.events:
-                z = advance(z, s)
-            norms.append(norm(z))
-        suffix = np.maximum.accumulate(np.asarray(norms)[::-1])[::-1]
-        counts += suffix >= eps
+    for b, lo in enumerate(range(0, n_paths, block)):
+        rows = min(block, n_paths - lo)
+        rng, tail = block_rng(b), np.random.default_rng([b, 1])
+        z = [np.array(z0, dtype=np.float64) for _ in range(rows)]
+        norms = [[norm(z[i])] for i in range(rows)]
+        live = [i for i in range(rows) if norms[i][0] >= eps]
+        left = []
+        while live:
+            events = []
+            for i, g in zip(live, sampler.gaps(rng, len(live), k_max + 1).tolist()):
+                k = len(norms[i]) - 1
+                norms[i] += [norms[i][-1]] * min(g - 1, k_max - k)
+                if k + g <= k_max:
+                    events.append(i)
+            live = events
+            if not live:
+                break
+            row, centre = sampler.centres(rng, len(live))
+            stars = [[] for _ in live]
+            nbs = sampler.neighbours(rng, centre).tolist()
+            for j, c, N in zip(row.tolist(), centre.tolist(), nbs):
+                stars[j].append((c + 1, tuple(x + 1 for x in N)))
+            for i, own in zip(live, stars):
+                z[i] = advance(z[i], own)
+                norms[i].append(norm(z[i]))
+            left += [i for i in live if norms[i][-1] < eps]
+            live = [i for i in live if norms[i][-1] >= eps]
+        for i in left:
+            while len(norms[i]) <= k_max:
+                own = draw(tail)
+                if own:
+                    z[i] = advance(z[i], own)
+                norms[i].append(norm(z[i]))
+        for seq in norms:
+            seq += [seq[-1]] * (k_max + 1 - len(seq))
+            suffix = np.maximum.accumulate(np.asarray(seq)[::-1])[::-1]
+            counts += suffix >= eps
     return counts / float(n_paths)
 
 

@@ -20,12 +20,12 @@ from adn_consensus import (
     snapshot_laplacian,
 )
 from adn_consensus import adn_model
-from adn_consensus.adn_model import activation_sets, center_stars, idle_run
+from adn_consensus.adn_model import activation_sets, center_stars
 
 
 class _Draws:
     """Stub generator: ``random`` returns the queued values in turn (filling
-    the requested shape), ``choice`` the first ``size`` candidates."""
+    the requested shape)."""
 
     def __init__(self, *values):
         self.values = list(values)
@@ -33,9 +33,6 @@ class _Draws:
     def random(self, size=None):
         v = self.values.pop(0)
         return v if size is None else np.full(size, v)
-
-    def choice(self, k, size, replace):
-        return np.arange(size)
 
 
 class TestModelParams:
@@ -96,9 +93,11 @@ class TestModelParams:
         under.require_sparse()
         assert dict(center_sets(under, "sparse"))[()] == 1.0 - s > 0.0
         # the sampler's threshold: a uniform of exactly sum(a) is idle, the
-        # next double down activates the last node
+        # next double down has a star, and a centre draw just under 1 picks
+        # the last node
         assert generate_snapshot(under, _Draws(s), "sparse").events == ()
-        star = generate_snapshot(under, _Draws(math.nextafter(s, 0.0)), "sparse")
+        below = math.nextafter(s, 0.0)
+        star = generate_snapshot(under, _Draws(below, math.nextafter(1.0, 0.0), 0.5), "sparse")
         assert [e.center for e in star.events] == [10]
 
 
@@ -261,11 +260,11 @@ class TestGenerators:
         ):
             rule = TieBreakRule({frozenset(active): weights})
             for u in (0.9999999999999, 0.99999999999995, math.nextafter(1.0, 0.0)):
-                assert adn_model._survivor(active, rule, _Draws(u)) == last
+                assert adn_model._survivor(active, rule, u) == last
         # draws below the sum keep the node whose bin holds them
         rule = TieBreakRule({frozenset(active): {1: 0.5, 2: 0.4999999999999, 3: 0.0}})
         for u, node in ((0.0, 1), (0.4999, 1), (0.5, 2), (0.99999999999985, 2)):
-            assert adn_model._survivor(active, rule, _Draws(u)) == node
+            assert adn_model._survivor(active, rule, u) == node
 
     def test_fastswitch_empty_snapshot_possible(self):
         p = ModelParams(3, 1, (1e-9, 1e-9, 1e-9), 1.0)
@@ -301,15 +300,16 @@ VARIANTS = {
 
 class TestVariantLaws:
     # sha256 (first 16 hex digits) of the first 400 snapshots' (centre,
-    # neighbours) tuples at seed 2718 on STREAM_PARAMS, recorded from the
-    # separate per-variant generators this sampler replaced. A change here
-    # changes every simulate output of that variant.
+    # neighbours) tuples at seed 2718 on STREAM_PARAMS, recorded from
+    # EventSampler's one-period call (a Bernoulli draw, then the centres and
+    # neighbours given a star). A change here changes every simulate output
+    # of that variant.
     STREAM_PARAMS = ModelParams(5, 2, (0.3, 0.15, 0.2, 0.1, 0.15), 1.0)
     STREAM_DIGESTS = {
-        "full": "b266e9d78821cf1a",
-        "sparse": "2a5e62993f9ed4e2",
-        "fastswitch-uniform": "ca91f01f867841e6",
-        "fastswitch-table": "1a55539d10df7a4a",
+        "full": "2b3db4f61f9e0ccf",
+        "sparse": "e5b1b884cf182d36",
+        "fastswitch-uniform": "8051495e08c21926",
+        "fastswitch-table": "780a7a3cce7d5138",
     }
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -385,55 +385,6 @@ class TestVariantLaws:
             prob = p.a[s.center - 1] / C
             sigma = math.sqrt(prob * (1 - prob) / trials)
             assert abs(count / trials - prob) <= 5 * sigma, s
-
-
-def _stars(s) -> tuple:
-    return tuple((e.center, e.neighbors) for e in s.events)
-
-
-class TestIdleRun:
-    """idle_run followed by generate_snapshot reads each variant's stream
-    draw for draw like generate_snapshot called once per period: the same
-    idle count, the same next snapshot and the same generator state."""
-
-    # P(idle) about 0.95: idle runs average 19 periods, so with a 10-draw
-    # chunk (2 periods at n=5, 10 under sparse) most span several chunks.
-    P = ModelParams(5, 2, (0.01, 0.005, 0.015, 0.01, 0.01), 1.0)
-
-    @staticmethod
-    def per_period(p, rng, model, rule, limit):
-        """The idle periods before the first active one, at most limit,
-        and that period's stars (None when limit idle periods came first)."""
-        for k in range(limit):
-            s = generate_snapshot(p, rng, model, rule)
-            if s.events:
-                return k, _stars(s)
-        return limit, None
-
-    @pytest.mark.parametrize("chunk", [None, 10])
-    @pytest.mark.parametrize("variant", list(VARIANTS))
-    def test_matches_per_period_walk(self, variant, chunk, monkeypatch):
-        if chunk is not None:
-            monkeypatch.setattr(adn_model, "_IDLE_CHUNK", chunk)
-        model, rule = VARIANTS[variant]
-        fast, ref = np.random.default_rng(31), np.random.default_rng(31)
-        outcomes = set()
-        for trial in range(300):
-            if trial % 2:
-                # Enter with the 32-bit half-word that choice and integers
-                # buffer; restoring the saved state must keep it.
-                state = fast.bit_generator.state
-                state["has_uint32"], state["uinteger"] = 1, 1000 + trial
-                fast.bit_generator.state = ref.bit_generator.state = state
-            limit = (0, 1, 5, 40, 400)[trial % 5]
-            k = idle_run(self.P, fast, model, limit)
-            assert 0 <= k <= limit
-            stars = _stars(generate_snapshot(self.P, fast, model, rule)) if k < limit else None
-            assert (k, stars) == self.per_period(self.P, ref, model, rule, limit)
-            assert fast.bit_generator.state == ref.bit_generator.state
-            outcomes.add((trial % 2, "limit" if k == limit else "active", k > 0))
-        # Both endings, from both kinds of entry state, after idle periods.
-        assert {(b, end, True) for b in (0, 1) for end in ("limit", "active")} <= outcomes
 
 
 class TestActivationSets:

@@ -12,6 +12,15 @@ import adn_consensus.cli  # noqa: F401  (the trace rebinds names in cli)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
+# The event-driven engine draws a block's stars through
+# ``adn_model.EventSampler`` and updates its rows in ``mc_sim._apply_stars``,
+# so the per-period sampler binding is gone from mc_sim and two spans the
+# benchmark still wraps record nothing on a simulate: ``generate_snapshot``
+# and ``step``, now the one-path references the engine is tested against.
+# They stay pinned here, exactly, until the benchmark's trace drops them.
+RETIRED_BINDINGS = ["mc_sim.generate_snapshot"]
+RETIRED_SPANS = ["mc_sim.step", "adn_model.generate_snapshot"]
+
 SMALL = {
     "n": 5,
     "m": 2,
@@ -34,13 +43,13 @@ def _load_spans():
 
 def test_every_traced_binding_exists():
     spans = _load_spans()
-    assert spans.Tracer(adn_consensus).absent == []
+    assert spans.Tracer(adn_consensus).absent == RETIRED_BINDINGS
 
 
 def test_every_traced_span_records_calls(tmp_path, capsys):
     # A sparse config for the bounds, validate and one simulate, and busy
     # full-model and fastswitch configs so that simulate steps through
-    # events. Every variant's draws go through the one traced sampler.
+    # events. Every variant's engine rounds end in one traced norm call.
     configs = {}
     busy = {"mode": "explicit", "values": [0.3] * 5}
     for model, patch in (
@@ -52,7 +61,7 @@ def test_every_traced_span_records_calls(tmp_path, capsys):
         configs[model].write_text(json.dumps({**SMALL, **patch}))
     spans = _load_spans()
     tracer = spans.Tracer(adn_consensus)
-    draw = spans.INDEX["adn_model.generate_snapshot"]
+    draw = spans.INDEX["mc_sim.off_consensus_sq"]
     draws = {}
     out = str(tmp_path / "out")
     with tracer.installed():
@@ -69,4 +78,4 @@ def test_every_traced_span_records_calls(tmp_path, capsys):
     capsys.readouterr()
     assert all(draws.values()), draws
     silent = [name for name in spans.WRAPPED if tracer.calls[spans.INDEX[name]] == 0]
-    assert silent == []
+    assert silent == RETIRED_SPANS

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import tracemalloc
 from itertools import combinations, product
 from pathlib import Path
 
@@ -26,8 +27,10 @@ from adn_consensus import (
     snapshot_laplacian,
     step,
 )
+from adn_consensus.adn_model import PATHS, EventSampler, stream
+from adn_consensus.graph_core import STACK_BYTES
 from adn_consensus.cli import parse_config, resolve_config
-from oracles import star_laplacian_ints, suffix_max_survival, taylor_expm
+from oracles import block_walk_survival, star_laplacian_ints, taylor_expm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -181,8 +184,9 @@ class TestRunPaths:
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
         # a fork-started pool launches every worker at its first submit, so
-        # the paths still split into n_jobs parts (at most one per path) but
-        # the pool is sized by the CPUs; an in-process executor stands in
+        # the work is one item a block of paths whatever n_jobs is, and the
+        # pool is sized by the blocks and the CPUs; an in-process executor
+        # stands in
         pools, parts = [], []
 
         class InlineExecutor:
@@ -203,22 +207,28 @@ class TestRunPaths:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         p = ModelParams(4, 2, (0.2, 0.3, 0.1, 0.25), 1.0)
         z0 = np.array([1.0, -0.5, 0.25, 0.0])
-        many = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 64, 0.02, 99, n_jobs=10**6)
-        one = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 64, 0.02, 99)
+        n_paths = 2 * mc_sim.BLOCK + 1
+        many = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 5, n_paths, 0.02, 99, n_jobs=10**6)
+        one = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 5, n_paths, 0.02, 99)
         assert np.array_equal(many.probs, one.probs)
         assert many.norm_rises == one.norm_rises
-        assert parts == [64]
-        assert len(pools) == 1 and 1 <= pools[0] <= (os.cpu_count() or 1)
+        assert parts == [3]
+        assert len(pools) == 1 and 1 <= pools[0] <= min(3, os.cpu_count() or 1)
 
     def test_seed_changes_the_curve(self):
-        # streams are derived as seed XOR path-index, so two seeds give
-        # genuinely different path sets only when they differ above the
-        # index bits; use well-separated seeds here
+        # block streams are seeded from SeedSequence([seed, PATHS, b]), so
+        # even seeds that differ in one low bit share no path
         p = ModelParams(4, 2, (0.2, 0.3, 0.1, 0.25), 1.0)
         z0 = np.array([1.0, -0.5, 0.25, 0.0])
         a = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 200, 0.02, 12345)
         b = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 200, 0.02, 9876543)
         assert not np.array_equal(a.probs, b.probs)
+
+    def test_neighbouring_seeds_share_no_stream(self):
+        # seeds one bit apart, and neighbouring blocks, read different streams
+        draws = {s: stream(s, PATHS, 0).random(4).tolist() for s in (2024, 2025)}
+        assert draws[2024] != draws[2025]
+        assert stream(2025, PATHS, 0).random() != stream(2025, PATHS, 1).random()
 
     def test_matches_exact_enumeration(self):
         p = ModelParams(3, 1, (0.25, 0.3, 0.2), 1.2)
@@ -259,7 +269,8 @@ def oracle_case(case: int) -> dict:
     """Seeded random small run_paths arguments. The variant cycles with the
     case number; case % 10 picks a special start: 0 a consensus start
     (tau = 0), 1 an eps above the start value, 2 an eps so small that
-    paths are censored at k_max. Every 40th case runs on two workers."""
+    paths are censored at k_max. Every 40th case runs two blocks on two
+    workers."""
     rng = np.random.default_rng(5150 + case)
     model = ("full", "sparse", "fastswitch")[case % 3]
     n = int(rng.integers(3, 7))
@@ -288,39 +299,57 @@ def oracle_case(case: int) -> dict:
                 w = rng.uniform(0.1, 1.0, size)
                 table[frozenset(s)] = dict(zip(s, (w / w.sum()).tolist()))
         rule = TieBreakRule(table)
+    n_paths = int(rng.integers(5, 25))
+    two = case % 40 == 13
     return dict(
         p=p,
         model=model,
         rule=rule,
         z0=z0,
         k_max=k_max,
-        n_paths=int(rng.integers(5, 25)),
+        n_paths=mc_sim.BLOCK + n_paths if two else n_paths,
         eps=eps,
         seed=int(rng.integers(0, 2**63)),
-        n_jobs=2 if case % 40 == 13 else 1,
+        n_jobs=2 if two else 1,
+    )
+
+
+def oracle_walk(c: dict) -> np.ndarray:
+    """``block_walk_survival`` on run_paths arguments ``c``: the package's
+    sampler and block streams, ``step`` and ``off_consensus_sq``."""
+    p, model, rule = c["p"], c["model"], c["rule"]
+
+    def advance(z, stars):
+        return step(z, Snapshot(p.n, tuple(StarSpec(p.n, i, N) for i, N in stars)), p.dt)
+
+    def draw(rng):
+        return generate_snapshot(p, rng, model, rule).events
+
+    return block_walk_survival(
+        EventSampler(p, model, rule),
+        lambda b: stream(c["seed"], PATHS, b),
+        mc_sim.BLOCK,
+        lambda rng: [(e.center, e.neighbors) for e in draw(rng)],
+        advance,
+        off_consensus_sq,
+        c["z0"],
+        c["k_max"],
+        c["n_paths"],
+        c["eps"],
     )
 
 
 class TestFirstPassageOracle:
-    """run_paths reads the curve off first-passage times; the oracle runs
-    every path to k_max and takes suffix maxima. On the same streams the
-    two must agree exactly."""
+    """run_paths reads the curve off first-passage times, a block of paths
+    at a time; the oracle walks each path on its own through the same
+    block streams with ``step``, runs it on to k_max and takes suffix
+    maxima. The two must agree exactly."""
 
     @pytest.mark.parametrize("case", range(160))
     def test_matches_suffix_max_oracle(self, case):
         c = oracle_case(case)
-        p = c["p"]
         curve = run_paths(**c)
-        ref = suffix_max_survival(
-            lambda rng: generate_snapshot(p, rng, c["model"], c["rule"]),
-            lambda z, s: step(z, s, p.dt),
-            off_consensus_sq,
-            c["z0"],
-            c["k_max"],
-            c["n_paths"],
-            c["eps"],
-            c["seed"],
-        )
+        ref = oracle_walk(c)
         assert np.array_equal(curve.probs, ref)
         assert curve.norm_rises == 0
         kind = case % 10
@@ -328,6 +357,115 @@ class TestFirstPassageOracle:
             assert not curve.probs.any()
         elif kind == 2:
             assert curve.probs[-1] > 0
+
+
+def edge_survival(model, a, dt, events, k_max, n_paths, seed):
+    """A run at n = 2, m = 1 from z0 = (1, -1), with eps halfway (in log)
+    between the disagreement after ``events - 1`` and ``events`` events:
+    every event is the one edge and multiplies the squared disagreement by
+    e**(-4 dt), so tau is the period of the events-th event. Returns the
+    curve and the exact P(tau > K) = P(Binomial(K, p_event) < events)."""
+    p = ModelParams(2, 1, a, dt)
+    eps = 2.0 * math.exp(-4.0 * dt * (events - 0.5))
+    curve = run_paths(p, model, UNIFORM_TIE_BREAK, np.array([1.0, -1.0]), k_max, n_paths, eps, seed)
+    q = a[0] + a[1] if model == "sparse" else 1.0 - (1.0 - a[0]) * (1.0 - a[1])
+    exact = [
+        sum(math.comb(K, j) * q**j * (1.0 - q) ** (K - j) for j in range(min(events, K + 1)))
+        for K in range(k_max + 1)
+    ]
+    return curve, np.array(exact)
+
+
+class TestEdgeLaw:
+    """At n = 2, m = 1 the survival curve is an exact binomial tail; each
+    variant's curve lies within 5 sigma of it at every K."""
+
+    @pytest.mark.parametrize(
+        "model, a", [("full", (0.3, 0.2)), ("sparse", (0.3, 0.2)), ("fastswitch", (0.45, 0.6))]
+    )
+    @pytest.mark.parametrize("k_max, events", [(30, 3), (1, 1)])
+    def test_binomial_tail(self, model, a, k_max, events):
+        n_paths = 4000
+        curve, exact = edge_survival(model, a, 0.5, events, k_max, n_paths, 8128)
+        assert curve.norm_rises == 0
+        for K in range(k_max + 1):
+            sigma = math.sqrt(exact[K] * (1.0 - exact[K]) / n_paths)
+            assert abs(curve.probs[K] - exact[K]) <= 5.0 * sigma + 1e-12, K
+
+
+class TestGapDraw:
+    @pytest.mark.parametrize(
+        "model, a",
+        [("full", (1.0, 0.2, 0.5)), ("fastswitch", (0.3, 1.0, 0.5)), ("sparse", (0.5, 0.25, 0.25))],
+    )
+    def test_certain_event_every_period(self, model, a):
+        sampler = EventSampler(ModelParams(3, 1, a, 1.0), model)
+        assert sampler.p_event == 1.0 and sampler.log_idle == -math.inf
+        assert np.array_equal(sampler.gaps(np.random.default_rng(1), 1000, 50), np.ones(1000))
+
+    def test_certain_event_gives_tau_at_the_events_th_period(self):
+        curve, _ = edge_survival("full", (1.0, 0.5), 0.5, 3, 10, 50, 3)
+        assert np.array_equal(curve.probs, [1.0, 1.0, 1.0] + [0.0] * 8)
+
+    @pytest.mark.parametrize("rate", [1e-300, 5e-324])
+    @pytest.mark.parametrize("model", ["full", "sparse", "fastswitch"])
+    def test_vanishing_rates_cap_the_gap_without_overflow(self, model, rate):
+        # log(1 - u) / log_idle reaches 1e300 and beyond (inf for the
+        # smallest subnormal rate); every warning is an error here
+        p = ModelParams(4, 1, (rate,) * 4, 1.0)
+        sampler = EventSampler(p, model)
+        assert 0.0 < -sampler.log_idle < 1e-290
+        gaps = sampler.gaps(np.random.default_rng(2), 1000, 41)
+        assert gaps.dtype == np.int64 and np.array_equal(gaps, np.full(1000, 41))
+        curve = run_paths(p, model, UNIFORM_TIE_BREAK, np.arange(4.0), 40, 20, 0.1, 5)
+        assert np.array_equal(curve.probs, np.ones(41))
+
+    @pytest.mark.parametrize("model", ["full", "sparse", "fastswitch"])
+    def test_k_max_one(self, model):
+        c = dict(p=ModelParams(3, 1, (0.5, 0.3, 0.15), 0.8), model=model, rule=UNIFORM_TIE_BREAK,
+                 z0=np.array([1.0, 0.0, -1.0]), k_max=1, n_paths=300, eps=1.5, seed=17)
+        curve = run_paths(**c)
+        assert curve.probs[0] == 1.0 and 0.0 < curve.probs[1] < 1.0
+        assert np.array_equal(curve.probs, oracle_walk(c))
+
+    @pytest.mark.parametrize("model", ["full", "sparse", "fastswitch"])
+    def test_no_row_starts_below_or_at_consensus(self, model):
+        p = ModelParams(3, 1, (0.3, 0.2, 0.1), 1.0)
+        z0 = np.array([0.5, -0.5, 0.0])
+        for start, eps in ((np.full(3, 0.7), 0.01), (z0, off_consensus_sq(z0) * 1.01)):
+            curve = run_paths(p, model, UNIFORM_TIE_BREAK, start, 12, 40, eps, 9)
+            assert np.array_equal(curve.probs, np.zeros(13))
+
+
+class TestBoundedMemory:
+    @pytest.mark.parametrize("n_paths", [mc_sim.BLOCK, 2 * mc_sim.BLOCK + 1])
+    def test_peak_is_independent_of_the_path_count(self, n_paths, monkeypatch):
+        """full at n = 200 with about 10 stars a period: every period is
+        multi-star. The engine's peak stays under a few STACK_BYTES plus a
+        few block-sized state arrays however many blocks run. A stand-in
+        for expm_sym returns the identity (so no path ever finishes) and
+        checks that each stack it gets fits in STACK_BYTES; expm_sym's own
+        working copies are a small multiple of its stack."""
+        n = 200
+        per_stack = max(1, STACK_BYTES // (8 * n * n))
+        stacks_seen = []
+
+        def identity_kernel(L, t):
+            stacks_seen.append(len(L))
+            return np.broadcast_to(np.eye(n), L.shape).copy()
+
+        monkeypatch.setattr(mc_sim, "expm_sym", identity_kernel)
+        p = ModelParams(n, 3, (0.05,) * n, 1.0)
+        tracemalloc.start()
+        try:
+            z0 = np.linspace(-1.0, 1.0, n)
+            curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 2, n_paths, 1e-3, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(curve.probs, np.ones(3))
+        assert len(stacks_seen) >= 2 * n_paths * 0.99 and max(stacks_seen) <= per_stack
+        assert peak < 4 * STACK_BYTES + 4 * mc_sim.BLOCK * n * 8, peak
 
 
 def config_run(name: str, n_paths: int) -> SurvivalCurve:
@@ -346,7 +484,7 @@ class TestNormRises:
         assert curve.probs[0] == 1.0 and curve.probs[-1] < 1.0
 
     def test_counts_an_expanding_step(self, monkeypatch):
-        monkeypatch.setattr(mc_sim, "step", lambda z, s, dt: 1.5 * z)
+        monkeypatch.setattr(mc_sim, "_apply_stars", lambda Z, *args: 1.5 * Z)
         p = ModelParams(4, 2, (0.5, 0.4, 0.3, 0.6), 1.0)
         z0 = np.array([1.0, -0.5, 0.25, 0.0])
         curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 20, 10, 0.05, 3)
