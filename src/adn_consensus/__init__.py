@@ -54,45 +54,3 @@ from .validation import (
     enumeration_size,
     verify_fast_switch_inequality,
 )
-
-__all__ = [
-    "DecayBound",
-    "DecayFit",
-    "FastSwitchReport",
-    "GapSample",
-    "ModelParams",
-    "Snapshot",
-    "StarSpec",
-    "SurvivalCurve",
-    "TieBreakRule",
-    "UNIFORM_TIE_BREAK",
-    "activation_expectation",
-    "center_sets",
-    "convergence_bound",
-    "decay_bound",
-    "dense_bound",
-    "enumerate_expected_exponential",
-    "enumeration_size",
-    "expm_sym",
-    "fit_decay_stats",
-    "gamma_fs",
-    "gamma_sp",
-    "generate_snapshot",
-    "lambda_second_deflated",
-    "lambda_second_largest",
-    "off_consensus_sq",
-    "poisson_binomial_pmf",
-    "project_off_consensus",
-    "run_paths",
-    "snapshot_count",
-    "snapshot_laplacian",
-    "sparse_expected_exponential",
-    "star_exponential",
-    "star_laplacian",
-    "star_laplacian_power",
-    "step",
-    "survivor_rates",
-    "symmetrize",
-    "verify_fast_switch_inequality",
-    "weighted_expected_exponential",
-]

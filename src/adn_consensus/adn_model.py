@@ -181,6 +181,13 @@ def center_stars(p: ModelParams) -> list:
     return [[StarSpec(p.n, i, N) for N in combinations(js, p.m)] for i, js in enumerate(others, 1)]
 
 
+def center_star_table(p: ModelParams) -> np.ndarray:
+    """``center_stars``' neighbour sets as one (n, C(n-1, m), m) array of
+    0-based node ids, without a ``StarSpec`` per star."""
+    others = ([j for j in range(p.n) if j != i] for i in range(p.n))
+    return np.array([list(combinations(js, p.m)) for js in others], dtype=np.intp)
+
+
 def center_sets(p: ModelParams, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK):
     """The variant's exact law of one period's star centres: (centres,
     probability) pairs, centres increasing. ``full``: ``activation_sets``;

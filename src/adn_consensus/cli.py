@@ -27,12 +27,12 @@ from .adn_model import (
     ModelParams,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
-    center_stars,
+    center_star_table,
     snapshot_count,
     stream,
 )
 from .closed_form import activation_expectation
-from .graph_core import expm_sym, stacks, star_laplacian
+from .graph_core import expm_sym, stacks, star_union_laplacians
 from .mc_sim import fit_decay_stats, run_paths
 from .spectral import (
     decay_bound,
@@ -350,11 +350,13 @@ def _check_rows(params: ModelParams, rule: TieBreakRule):
         diffs = (
             sum(
                 E
-                for chunk in stacks(stars, n)
-                for E in expm_sym(np.array([star_laplacian(s) for s in chunk], dtype=float), T)
+                for chunk in stacks(range(C), n)
+                for E in expm_sym(
+                    star_union_laplacians(n, np.full((C, 1), i)[chunk], nbs[chunk, None]), T
+                )
             ) / C
-            - activation_expectation(params, i)
-            for i, stars in enumerate(center_stars(params), 1)
+            - activation_expectation(params, i + 1)
+            for i, nbs in enumerate(center_star_table(params))
         )
         yield _diff_row(name, diffs, 1e-10)
     # 2-3. Sparse and fast-switching expected kernels against enumeration,

@@ -1,9 +1,9 @@
 """Laplacians of unions of star graphs, the exact integer powers of a single
 star's, and a dense symmetric matrix exponential.
 
-Node ids are 1-based in all public interfaces; matrices are plain numpy
-arrays indexed from 0. Integer-valued matrices (Laplacians and their powers)
-use int64, everything floating-point uses float64.
+Node ids are 1-based in a ``StarSpec`` and 0-based in index arrays, as the
+matrices are. Integer-valued matrices (a Laplacian of stars and its powers)
+use int64, everything floating-point (a stack of them) uses float64.
 """
 
 from dataclasses import dataclass
@@ -45,16 +45,30 @@ class StarSpec:
         return len(self.neighbors)
 
 
+def star_union_laplacians(n: int, centre: np.ndarray, nbs: np.ndarray) -> np.ndarray:
+    """(k, n, n) float64 stack of Laplacians: row r's graph joins each of
+    its stars' centres ``centre[r, q]`` to its neighbours ``nbs[r, q]``
+    (0-based, shapes (k, s) and (k, s, m)). Degrees minus adjacency, so an
+    edge that two stars share counts once; a neighbour equal to its own
+    centre adds no edge, which pads rows of fewer or smaller stars."""
+    L = np.zeros((len(nbs), n, n))
+    b, c = np.arange(len(nbs))[:, None, None], centre[..., None]
+    L[b, c, nbs] = L[b, nbs, c] = -1.0
+    diagonal = L.reshape(len(nbs), n * n)[:, :: n + 1]  # a view into L
+    diagonal[...] = 0.0
+    diagonal[...] = -L.sum(axis=2)
+    return L
+
+
 def star_union_laplacian(n: int, stars) -> np.ndarray:
-    """Laplacian (int64) of the simple graph on n nodes whose edges join
-    each star's center to its neighbors: degrees minus adjacency, so an
-    edge that two stars share counts once."""
-    A = np.zeros((n, n), dtype=np.int64)
-    for e in stars:
-        c = e.center - 1
-        for j in e.neighbors:
-            A[c, j - 1] = A[j - 1, c] = 1
-    return np.diag(A.sum(axis=1)) - A
+    """Laplacian (int64) of the union of the stars, one row of
+    ``star_union_laplacians``: neighbours padded with the centre to equal m."""
+    stars = tuple(stars)
+    m = max((e.m for e in stars), default=1)
+    nbs = [[j - 1 for j in e.neighbors + (e.center,) * (m - e.m)] for e in stars]
+    centre = np.array([[e.center - 1 for e in stars]], dtype=np.intp)
+    nbs = np.array(nbs, dtype=np.intp).reshape(1, -1, m)
+    return star_union_laplacians(n, centre, nbs)[0].astype(np.int64)
 
 
 def star_laplacian(spec: StarSpec) -> np.ndarray:
@@ -97,7 +111,7 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return (M + M.swapaxes(-1, -2)) / 2.0
 
 
-def expm_sym(M: np.ndarray, t: float) -> np.ndarray:
+def expm_sym(M: np.ndarray, t) -> np.ndarray:
     """e**(-t*M) for symmetric M, or for each matrix of a stack (..., n, n),
     via eigendecomposition.
 
@@ -105,7 +119,8 @@ def expm_sym(M: np.ndarray, t: float) -> np.ndarray:
     Max-abs accuracy 1e-12 against the true exponential for desk-scale
     matrices; used both as the multi-activation snapshot kernel and as the
     oracle for the closed-form star exponential. Each matrix of a stack
-    comes out bit for bit as it would alone.
+    comes out bit for bit as it would alone, and so does each time of a
+    1-D array t, which gives (len(t), ..., n, n) from one decomposition.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2] or not M.size:
@@ -114,28 +129,27 @@ def expm_sym(M: np.ndarray, t: float) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     if not np.array_equal(M, M.swapaxes(-1, -2)):
         raise ValueError("matrix is not exactly symmetric; symmetrize() first")
-    if not (t >= 0.0):
-        raise ValueError(f"time must be >= 0, got {t}")
+    times = np.asarray(t, dtype=np.float64)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
+    bad = [x for x in times.ravel().tolist() if not x >= 0.0]
+    if bad:
+        raise ValueError(f"time must be >= 0, got {bad[0]}")
     w, V = np.linalg.eigh(M)
-    if w.ndim > 1:
-        return _expm_stack(w, V, t)
+    if not times.ndim:
+        return _recompose(w, V, t)
+    out = np.empty(times.shape + M.shape)
+    for i, ti in enumerate(times.tolist()):
+        out[i] = _recompose(w, V, ti)
+    return out
+
+
+def _recompose(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
+    """``expm_sym``'s recomposition of one eigendecomposition or a stack."""
     # eigh returns each eigenvalue only to about n * _EPS * max|w|, and
     # e**(-t*w) turns that residue on a zero eigenvalue into an error about
-    # t times as large. Once the error could show, eigenvalues within the
-    # resolution count as exactly 0, with e**0 = 1 even at t = inf.
-    resolution = len(w) * _EPS * max(-w.item(0), w.item(-1))
-    if t == np.inf or t * resolution > 1e-11:
-        decay = np.ones_like(w)
-        kept = np.abs(w) > resolution
-        decay[kept] = np.exp(-t * w[kept])
-    else:
-        decay = np.exp(-t * w)
-    return symmetrize((V * decay) @ V.T)
-
-
-def _expm_stack(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
-    """``expm_sym``'s recomposition for a stack of eigendecompositions, with
-    its zero-eigenvalue rule applied to each matrix on its own resolution."""
+    # t times as large. Once the error could show, eigenvalues within each
+    # matrix's resolution count as exactly 0, with e**0 = 1 even at t = inf.
     resolution = w.shape[-1] * _EPS * np.maximum(-w[..., :1], w[..., -1:])
     zero = np.abs(w) <= resolution
     if t != np.inf:
@@ -145,12 +159,12 @@ def _expm_stack(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
     return symmetrize((V * decay[..., None, :]) @ V.swapaxes(-1, -2))
 
 
-def stacks(items, n: int):
+def stacks(items, n: int, copies: int = 1):
     """Consecutive lists of ``items``, each as long as fits in
-    ``STACK_BYTES`` as n x n float64 matrices (at least one item), so that
-    an enumeration can take its exponentials in stacks without ever
-    holding all of them."""
+    ``STACK_BYTES`` as ``copies`` n x n float64 matrices an item (at least
+    one item), so that an enumeration can take its exponentials in stacks
+    without ever holding all of them."""
     items = iter(items)
-    size = max(1, STACK_BYTES // (8 * n * n))
+    size = max(1, STACK_BYTES // (8 * n * n * copies))
     while chunk := list(islice(items, size)):
         yield chunk

@@ -29,7 +29,7 @@ from .adn_model import (
     stream,
 )
 from .closed_form import star_kernel_scalars
-from .graph_core import expm_sym, stacks
+from .graph_core import expm_sym, stacks, star_union_laplacians
 
 # Paths advanced together, whatever the worker count: the unit of the
 # random streams and of the work handed to a worker.
@@ -107,7 +107,7 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
     neighbours ``nbs``, 0-based, rows increasing), with ``step``'s
     arithmetic: a row with one star takes the closed-form kernel on its
     m + 1 touched coordinates, gathered across rows; rows with several go
-    through ``expm_sym`` in stacks of at most ``STACK_BYTES``."""
+    through ``star_union_laplacians`` and ``expm_sym`` in ``stacks``."""
     n = Z.shape[1]
     count = np.bincount(row, minlength=len(Z))
     lone = count[row] == 1
@@ -120,16 +120,13 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
         Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
     multi = np.flatnonzero(count > 1)
     stars = np.flatnonzero(~lone)  # grouped by row, as the rows of multi
-    ends = np.cumsum(count[multi])
+    first = np.cumsum(count[multi]) - count[multi]
     for chunk in stacks(range(len(multi)), n):
         lo, hi = chunk[0], chunk[-1] + 1
-        rows = multi[lo:hi]
-        s = stars[ends[lo] - count[rows[0]]:ends[hi - 1]]
-        b = np.repeat(np.arange(hi - lo), count[rows] * m)
-        c, j = np.repeat(centre[s], m), nbs[s].ravel()
-        L = np.zeros((hi - lo, n, n))
-        L[b, c, j] = L[b, j, c] = -1.0
-        L[:, np.arange(n), np.arange(n)] = -L.sum(axis=2)
+        rows, many = multi[lo:hi], count[multi[lo:hi]]
+        # each row's stars, its last repeated (adding no edge) to the longest row's count
+        s = stars[first[lo:hi, None] + np.minimum(np.arange(many.max()), many[:, None] - 1)]
+        L = star_union_laplacians(n, centre[s], nbs[s])
         Z[rows] = np.matmul(expm_sym(L, dt), Z[rows, :, None])[..., 0]
     return Z
 

@@ -4,33 +4,31 @@ numerical probe of the fast-switching eigenvalue inequality.
 Enumeration is exact or refused, with no sampling anywhere. The variant's
 law of star centres (``center_sets``) is folded onto its distinct centre
 tuples, then each tuple is expanded, with its true probability, into every
-choice of one star per centre (``center_stars``); the configurations stream
-out in order. ``full`` and ``sparse`` rows are distinct already;
+choice of one star per centre (``center_star_table``) by index arithmetic,
+in ``product`` order. ``full`` and ``sparse`` rows are distinct already;
 ``fastswitch`` has a row per (activated set, survivor) but only 1 + n
 tuples, so it takes 1 + n*C(n-1, m) dense exponentials under any rule.
-They are taken in stacks of consecutive configurations, each within
-``graph_core.STACK_BYTES``, and added one at a time in configuration
-order, so memory stays bounded at any size and the sum is the one the
-configurations give one call each.
+Consecutive configurations are built as one Laplacian stack within
+``graph_core.STACK_BYTES`` (``star_union_laplacians``), decomposed once for
+every exponent scale asked for, and their exponentials added one at a time
+in configuration order, so memory stays bounded at any size and each sum is
+the one the configurations give one call each.
 """
 
 import math
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adn_model import (
     ModelParams,
-    Snapshot,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
     center_sets,
-    center_stars,
+    center_star_table,
     snapshot_count,
-    snapshot_laplacian,
 )
-from .graph_core import expm_sym, stacks
+from .graph_core import expm_sym, stacks, star_union_laplacians
 from .spectral import lambda_second_largest
 
 MAX_BRANCHES = 10**7
@@ -64,18 +62,50 @@ def _require_enumerable(p: ModelParams, model: str):
         )
 
 
-def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule):
-    """Yield (probability, snapshot) over every reachable configuration: the
+def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule, copies: int = 1):
+    """Yield (weights, centre, nbs) stacks of consecutive configurations,
+    each within ``STACK_BYTES`` at ``copies`` n x n matrices a row: the
     ``center_sets`` law folded onto its distinct centre tuples, each tuple
-    times one of ``center_stars`` per centre."""
+    times each choice of one neighbour set per centre from
+    ``center_star_table``, in ``product`` order. Row r's stars join
+    centre[r, q] to nbs[r, q] (0-based, as ``star_union_laplacians`` reads
+    them); a shorter tuple's row starts with node 0 joined to itself, which
+    adds no edge."""
     law = {}
     for centres, prob in center_sets(p, model, rule):
         law[centres] = law.get(centres, 0.0) + prob
-    stars = center_stars(p)
-    for centres, prob in law.items():
-        w = prob / len(stars[0]) ** len(centres)
-        for choice in product(*(stars[i - 1] for i in centres)):
-            yield w, Snapshot(p.n, choice)
+    table = center_star_table(p)
+    C, width = table.shape[1], max(map(len, law))
+    weights = np.array([prob / C ** len(centres) for centres, prob in law.items()])
+    lens = np.array([len(centres) for centres in law])
+    centre = np.array([[1] * (width - len(cs)) + list(cs) for cs in law], dtype=np.intp) - 1
+    real = np.arange(width) >= width - lens[:, None]
+    sizes = C**lens
+    starts = np.cumsum(sizes) - sizes
+    for chunk in stacks(range(sizes.sum()), p.n, copies):
+        q = np.arange(chunk[0], chunk[-1] + 1)
+        g = np.searchsorted(starts, q, side="right") - 1
+        # a tuple's choice, right-aligned: its digits in base C, last fastest
+        digit = np.stack(np.unravel_index(q - starts[g], (C,) * width), axis=-1)
+        c = centre[g]
+        yield weights[g], c, np.where(real[g][..., None], table[c, digit], c[..., None])
+
+
+def _expected_exponentials(p: ModelParams, model: str, rule: TieBreakRule, T: np.ndarray):
+    """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n):
+    the probability-weighted sum of dense exponentials over every
+    configuration, each Laplacian decomposed once for all of T."""
+    _require_enumerable(p, model)
+    acc = np.zeros((len(T), p.n, p.n))
+    total = 0.0
+    for weights, centre, nbs in _enumerate_branches(p, model, rule, max(len(T), 1)):
+        kernels = expm_sym(star_union_laplacians(p.n, centre, nbs), T)
+        for i, w in enumerate(weights.tolist()):
+            acc += w * kernels[:, i]
+            total += w
+    if abs(total - 1.0) > 1e-9:
+        raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
+    return acc
 
 
 def enumerate_expected_exponential(
@@ -83,18 +113,7 @@ def enumerate_expected_exponential(
 ) -> np.ndarray:
     """Exact E[e**(-2*dt*L)] as the probability-weighted sum of dense
     exponentials over every configuration. Refuses oversized enumerations."""
-    _require_enumerable(p, model)
-    T = 2.0 * p.dt
-    acc = np.zeros((p.n, p.n))
-    total = 0.0
-    for chunk in stacks(_enumerate_branches(p, model, rule), p.n):
-        kernels = expm_sym(np.array([snapshot_laplacian(s) for _, s in chunk], dtype=float), T)
-        for (prob, _), E in zip(chunk, kernels):
-            acc += prob * E
-            total += prob
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
-    return acc
+    return _expected_exponentials(p, model, rule, np.array([2.0 * p.dt]))[0]
 
 
 @dataclass(frozen=True)
@@ -122,19 +141,22 @@ def verify_fast_switch_inequality(p: ModelParams, rule: TieBreakRule, T_grid) ->
     the gap. Violations at large T are expected and merely reported; the
     smallest violating T, if any, is singled out.
     """
+    T_grid = tuple(T_grid)
+    for T in T_grid:
+        if not (0 < T < math.inf):
+            raise ValueError(f"exponent scales must be finite and > 0, got {T}")
     # Both sizes are checked before either enumeration starts, since either
     # can be the larger one (the fastswitch count when m = n-1).
     for model in ("full", "fastswitch"):
         _require_enumerable(p, model)
+    full, fastswitch = (
+        _expected_exponentials(p, model, rule, np.array(T_grid, dtype=float))
+        for model in ("full", "fastswitch")
+    )
     samples = []
-    for T in T_grid:
-        if not (T > 0):
-            raise ValueError(f"exponent scales must be > 0, got {T}")
-        pT = replace(p, dt=T / 2.0)
-        lam_full = lambda_second_largest(enumerate_expected_exponential(pT, "full", rule))
-        lam_fs = lambda_second_largest(
-            enumerate_expected_exponential(pT, "fastswitch", rule)
-        )
+    for T, E_full, E_fs in zip(T_grid, full, fastswitch):
+        lam_full = lambda_second_largest(E_full)
+        lam_fs = lambda_second_largest(E_fs)
         gap = lam_fs - lam_full
         samples.append(GapSample(float(T), lam_full, lam_fs, gap, gap >= -GAP_SLACK))
     violations = [s.T for s in samples if not s.holds]

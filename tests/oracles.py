@@ -50,6 +50,19 @@ def star_laplacian_ints(n, center, neighbors):
     return L
 
 
+def star_union_laplacian_ints(n, stars):
+    """Laplacian of the simple graph whose edges join each (center,
+    neighbors) star's center to its neighbors, as exact Python ints: an
+    edge two stars share is one edge."""
+    edges = {frozenset((c, j)) for c, neighbors in stars for j in neighbors}
+    L = [[0] * n for _ in range(n)]
+    for i, j in map(sorted, edges):
+        L[i - 1][j - 1] = L[j - 1][i - 1] = -1
+        L[i - 1][i - 1] += 1
+        L[j - 1][j - 1] += 1
+    return L
+
+
 def taylor_expm(M, t, terms=30):
     """e**(-t*M) by scaled Taylor summation plus repeated squaring."""
     M = np.asarray(M, dtype=np.float64)

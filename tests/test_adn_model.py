@@ -20,7 +20,7 @@ from adn_consensus import (
     snapshot_laplacian,
 )
 from adn_consensus import adn_model
-from adn_consensus.adn_model import activation_sets, center_stars
+from adn_consensus.adn_model import activation_sets, center_star_table, center_stars
 
 
 class _Draws:
@@ -385,6 +385,14 @@ class TestVariantLaws:
             prob = p.a[s.center - 1] / C
             sigma = math.sqrt(prob * (1 - prob) / trials)
             assert abs(count / trials - prob) <= 5 * sigma, s
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (5, 2), (6, 5), (8, 3)])
+    def test_star_table_is_center_stars_0_based(self, n, m):
+        p = ModelParams(n, m, (0.1,) * n, 1.0)
+        table = center_star_table(p)
+        assert table.shape == (n, math.comb(n - 1, m), m) and table.dtype == np.intp
+        ref = [[[j - 1 for j in s.neighbors] for s in own] for own in center_stars(p)]
+        assert table.tolist() == ref
 
 
 class TestActivationSets:

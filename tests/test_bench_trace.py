@@ -17,9 +17,13 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # so the per-period sampler binding is gone from mc_sim and two spans the
 # benchmark still wraps record nothing on a simulate: ``generate_snapshot``
 # and ``step``, now the one-path references the engine is tested against.
+# The enumeration oracles build their Laplacian stacks from index arrays
+# (``graph_core.star_union_laplacians``), so validation no longer imports
+# ``snapshot_laplacian`` and its span, otherwise bound only in mc_sim for
+# ``step``, records nothing either.
 # They stay pinned here, exactly, until the benchmark's trace drops them.
-RETIRED_BINDINGS = ["mc_sim.generate_snapshot"]
-RETIRED_SPANS = ["mc_sim.step", "adn_model.generate_snapshot"]
+RETIRED_BINDINGS = ["mc_sim.generate_snapshot", "validation.snapshot_laplacian"]
+RETIRED_SPANS = ["mc_sim.step", "adn_model.generate_snapshot", "adn_model.snapshot_laplacian"]
 
 SMALL = {
     "n": 5,

@@ -13,8 +13,14 @@ from adn_consensus import (
     star_laplacian_power,
     symmetrize,
 )
-from adn_consensus.graph_core import stacks, star_union_laplacian
-from oracles import int_matpow, jacobi_eigenvalues, star_laplacian_ints, taylor_expm
+from adn_consensus.graph_core import stacks, star_union_laplacian, star_union_laplacians
+from oracles import (
+    int_matpow,
+    jacobi_eigenvalues,
+    star_laplacian_ints,
+    star_union_laplacian_ints,
+    taylor_expm,
+)
 
 
 @st.composite
@@ -225,6 +231,29 @@ class TestExpmSymStack:
             E = expm_sym(S, math.inf)
         assert np.array_equal(E[4], np.eye(6))
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_time_grid_equals_each_time_alone(self, stacked):
+        S = _laplacian_stack()
+        M = S if stacked else S[1]
+        # the star of S[1] has eigenvalues up to 4: t * resolution passes
+        # 1e-11 between the two times around the crossing
+        resolution = 6 * np.finfo(float).eps * 4.0
+        cross = 1e-11 / resolution
+        times = (0.0, 0.3, cross * 0.999, cross * 1.001, math.inf)
+        E = expm_sym(M, np.array(times))
+        assert E.shape == (len(times),) + M.shape
+        for t, got in zip(times, E):
+            assert np.array_equal(got, expm_sym(M, t))
+        assert expm_sym(M, np.array([])).shape == (0,) + M.shape
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_bad_time_anywhere_in_the_grid_rejected(self, bad):
+        for M in (_laplacian_stack(), np.eye(3)):
+            with pytest.raises(ValueError, match="time must be >= 0"):
+                expm_sym(M, np.array([0.1, bad, 1.0]))
+        with pytest.raises(ValueError, match="scalar or a 1-D array"):
+            expm_sym(np.eye(3), np.ones((2, 2)))
+
     def test_one_bad_slice_rejects_the_stack(self):
         S = _laplacian_stack()
         asym = S.copy()
@@ -238,6 +267,60 @@ class TestExpmSymStack:
         for shape in ((3, 2, 3), (0, 3, 3)):
             with pytest.raises(ValueError, match="nonempty square"):
                 expm_sym(np.zeros(shape), 1.0)
+
+
+class TestStarUnionLaplacians:
+    # Rows of two stars each on n = 5, 0-based: centres 0 and 1 picking each
+    # other (one shared edge), m = n - 1 stars, and disjoint stars.
+    CENTRE = np.array([[0, 1], [0, 3], [2, 4]])
+    NBS = np.array([[[1, 2], [0, 4]], [[1, 2], [0, 1]], [[0, 1], [3, 1]]])
+
+    def _specs(self, row):
+        return [StarSpec(5, c + 1, tuple(N + 1)) for c, N in zip(self.CENTRE[row], self.NBS[row])]
+
+    def test_each_slice_is_the_star_union(self):
+        L = star_union_laplacians(5, self.CENTRE, self.NBS)
+        assert L.shape == (3, 5, 5) and L.dtype == np.float64
+        for row, got in enumerate(L):
+            stars = self._specs(row)
+            assert np.array_equal(got, star_union_laplacian(5, stars))
+            ref = star_union_laplacian_ints(5, [(s.center, s.neighbors) for s in stars])
+            assert np.array_equal(got, np.array(ref))
+        # the shared edge 1-2 counts once: node 1 has degree 2, not 3
+        assert L[0, 0, 0] == 2 and L[0, 0, 1] == -1
+
+    def test_all_others_as_neighbours(self):
+        n = 6
+        for c in range(n):
+            nbs = np.array([[[j for j in range(n) if j != c]]])
+            got = star_union_laplacians(n, np.array([[c]]), nbs)[0]
+            ref = star_laplacian_ints(n, c + 1, [j + 1 for j in nbs[0, 0]])
+            assert np.array_equal(got, np.array(ref))
+            assert got[c, c] == n - 1
+
+    def test_empty_configuration_is_zero(self):
+        none = np.zeros((2, 0, 3), dtype=np.intp)
+        L = star_union_laplacians(4, none[..., 0], none)
+        assert np.array_equal(L, np.zeros((2, 4, 4)))
+        assert np.array_equal(star_union_laplacian(4, ()), np.zeros((4, 4), dtype=np.int64))
+
+    def test_self_joined_padding_adds_no_edge(self):
+        # a row padded with its last star repeated, or with a star on node 0
+        # joined to itself, is the unpadded row's Laplacian
+        ref = star_union_laplacians(5, self.CENTRE[:, :1], self.NBS[:, :1])
+        repeated = star_union_laplacians(5, self.CENTRE[:, [0, 0]], self.NBS[:, [0, 0]])
+        selfed = star_union_laplacians(
+            5, np.column_stack([self.CENTRE[:, 0], [0, 0, 0]]),
+            np.concatenate([self.NBS[:, :1], np.zeros((3, 1, 2), dtype=int)], axis=1),
+        )
+        assert np.array_equal(repeated, ref) and np.array_equal(selfed, ref)
+
+    def test_stars_of_different_sizes(self):
+        stars = (StarSpec(6, 1, (2,)), StarSpec(6, 4, (3, 5, 6)), StarSpec(6, 2, (1, 3)))
+        got = star_union_laplacian(6, stars)
+        assert got.dtype == np.int64
+        ref = star_union_laplacian_ints(6, [(s.center, s.neighbors) for s in stars])
+        assert np.array_equal(got, np.array(ref))
 
 
 class TestStacks:

@@ -1,7 +1,8 @@
 import json
 import math
 import tracemalloc
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,17 @@ def _random_table(n: int, data) -> TieBreakRule:
     return TieBreakRule(table)
 
 
+def _branches(p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> list:
+    """``_enumerate_branches``' stacks unpacked to one (weight, stars) pair
+    per configuration, stars as 1-based (centre, neighbours) pairs without
+    the padding (a centre joined to itself)."""
+    return [
+        (w, [(c + 1, tuple(N + 1)) for c, N in zip(cs, nbs) if N[0] != c])
+        for ws, centre, nbs_stack in _enumerate_branches(p, model, rule)
+        for w, cs, nbs in zip(ws.tolist(), centre, nbs_stack)
+    ]
+
+
 def _count_exponentials(monkeypatch) -> list:
     """Count the dense exponentials the enumeration computes: the returned
     list grows by one entry per matrix, a stack counting each of its own."""
@@ -83,7 +95,7 @@ class TestEnumerationSize:
         rule = UNIFORM_TIE_BREAK
         if model == "table":  # fastswitch under a random table with zero weights
             model, rule = "fastswitch", _random_table(p.n, data)
-        branches = list(_enumerate_branches(p, model, rule))
+        branches = _branches(p, model, rule)
         size = enumeration_size(p, model)
         if model == "fastswitch":
             rows = sum(1 for _ in center_sets(p, model, rule))
@@ -92,7 +104,7 @@ class TestEnumerationSize:
         else:
             assert len(branches) == size
         if model != "full":
-            assert all(len(s.events) <= 1 for _, s in branches)
+            assert all(len(stars) <= 1 for _, stars in branches)
 
     def test_known_sizes(self):
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
@@ -101,7 +113,7 @@ class TestEnumerationSize:
         # the empty set, then each member of each nonempty activated set
         assert enumeration_size(p, "fastswitch") == 1 + 3 * 4
         # the folded law's 1 + 3 centre tuples times 2 stars a centre
-        assert len(list(_enumerate_branches(p, "fastswitch", UNIFORM_TIE_BREAK))) == 1 + 3 * 2
+        assert len(_branches(p, "fastswitch")) == 1 + 3 * 2
         # n = 20 is the smallest n refused under fastswitch, whatever m is
         for n, refused in ((19, False), (20, True)):
             q = ModelParams(n, 1, (0.01,) * n, 1.0)
@@ -125,7 +137,7 @@ class TestEnumerationSize:
         assert sum(1 for _ in center_sets(p, "fastswitch")) == 33
         assert enumeration_size(p, "fastswitch") == 33
         for r in (rule, UNIFORM_TIE_BREAK):
-            assert len(list(_enumerate_branches(p, "fastswitch", r))) == 13
+            assert len(_branches(p, "fastswitch", r)) == 13
 
     def test_incomplete_table_refused(self, monkeypatch):
         # the size no longer reads the law; the fold meets the missing set
@@ -192,18 +204,38 @@ class TestFoldedLaw:
         assert np.max(np.abs(E - ref)) <= 1e-12
 
 
+    @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_configurations_in_product_order(self, p, model, data):
+        # each folded centre tuple's choices in itertools.product order,
+        # at the weight the tuple's probability gives each
+        rule = UNIFORM_TIE_BREAK
+        if model == "table":
+            model, rule = "fastswitch", _random_table(p.n, data)
+        law = {}
+        for centres, prob in center_sets(p, model, rule):
+            law[centres] = law.get(centres, 0.0) + prob
+        stars = center_stars(p)
+        ref = [
+            (prob / len(stars[0]) ** len(centres), [(s.center, s.neighbors) for s in choice])
+            for centres, prob in law.items()
+            for choice in product(*(stars[i - 1] for i in centres))
+        ]
+        assert _branches(p, model, rule) == ref
+
+
 class TestBranchProbabilities:
     @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch"]))
     @settings(max_examples=40, deadline=None)
     def test_probabilities_sum_to_one(self, p, model):
-        total = sum(w for w, _ in _enumerate_branches(p, model, UNIFORM_TIE_BREAK))
+        total = sum(w for w, _ in _branches(p, model))
         assert abs(total - 1.0) < 1e-12
 
     def test_full_model_branch_weights_are_true_probabilities(self):
         # with unequal rates the configurations are not equiprobable; check
         # one explicit branch weight: nobody activates
         p = ModelParams(3, 1, (0.5, 0.25, 0.125), 1.0)
-        empty = [w for w, s in _enumerate_branches(p, "full", UNIFORM_TIE_BREAK) if not s.events]
+        empty = [w for w, stars in _branches(p, "full") if not stars]
         assert len(empty) == 1
         assert empty[0] == pytest.approx(0.5 * 0.75 * 0.875, abs=1e-15)
 
@@ -216,7 +248,7 @@ class TestBranchProbabilities:
         }
         rule = TieBreakRule(table)
         p = ModelParams(3, 1, (0.5, 0.5, 0.5), 1.0)
-        total = sum(w for w, _ in _enumerate_branches(p, "fastswitch", rule))
+        total = sum(w for w, _ in _branches(p, "fastswitch", rule))
         assert abs(total - 1.0) < 1e-12
 
 
@@ -251,14 +283,18 @@ class TestEnumerateExpectedExponential:
     def test_full_model_against_sampled_average(self):
         # independent cross-check through the snapshot generator: average
         # the Taylor kernel over sampled snapshots and compare loosely
+        # (the draws hold few distinct Laplacians: each kernel is taken once
+        # and weighted by its draw count)
         p = ModelParams(3, 1, (0.7, 0.2, 0.5), 0.4)
         exact = enumerate_expected_exponential(p, "full")
         rng = np.random.default_rng(2024)
         trials = 20000
+        draws = Counter(
+            snapshot_laplacian(generate_snapshot(p, rng)).tobytes() for _ in range(trials)
+        )
         acc = np.zeros((3, 3))
-        for _ in range(trials):
-            L = snapshot_laplacian(generate_snapshot(p, rng))
-            acc += taylor_expm(L, 2 * p.dt)
+        for L, count in draws.items():
+            acc += count * taylor_expm(np.frombuffer(L, dtype=np.int64).reshape(3, 3), 2 * p.dt)
         acc /= trials
         assert np.max(np.abs(acc - exact)) < 0.02
 
@@ -335,6 +371,36 @@ class TestFastSwitchInequality:
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
         with pytest.raises(ValueError):
             verify_fast_switch_inequality(p, UNIFORM_TIE_BREAK, (0.1, 0.0))
+
+    @pytest.mark.parametrize("grid", [(0.1, 0.0), (0.1, -1.0, 0.2), (0.1, math.nan), (math.inf,)])
+    def test_bad_grid_refused_before_the_law_is_read(self, monkeypatch, grid):
+        def unread(*_):
+            raise AssertionError("centre law read before the grid was refused")
+
+        monkeypatch.setattr(validation, "center_sets", unread)
+        p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
+        with pytest.raises(ValueError, match="exponent scales must be finite and > 0"):
+            verify_fast_switch_inequality(p, UNIFORM_TIE_BREAK, grid)
+
+    @pytest.mark.parametrize("tabled", [False, True])
+    def test_samples_equal_each_T_enumerated_alone(self, tabled):
+        p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
+        rule = UNIFORM_TIE_BREAK
+        if tabled:
+            rule = TieBreakRule({
+                frozenset(s): {i: (2.0 if i == s[-1] else 1.0) / (k + 1) for i in s}
+                for k in range(2, 5)
+                for s in combinations(range(1, 5), k)
+            })
+        grid = (0.01, 0.05, 0.1, 3.0)
+        report = verify_fast_switch_inequality(p, rule, grid)
+        for T, sample in zip(grid, report.samples):
+            pT = ModelParams(p.n, p.m, p.a, T / 2.0)
+            full = enumerate_expected_exponential(pT, "full", rule)
+            fs = enumerate_expected_exponential(pT, "fastswitch", rule)
+            assert sample.T == T
+            assert sample.lambda_full == validation.lambda_second_largest(full)
+            assert sample.lambda_fastswitch == validation.lambda_second_largest(fs)
 
     def test_oversized_probe_refused(self):
         p = ModelParams(12, 5, (0.05,) * 12, 0.5)
