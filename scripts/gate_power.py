@@ -24,7 +24,7 @@ import statistics
 import sys
 import time
 
-from adn_consensus import UNIFORM_TIE_BREAK, ModelParams, fit_decay_stats, gamma_sp, run_paths
+from adn_consensus import Full, ModelParams, fit_decay_stats, gamma_sp, run_paths
 from adn_consensus.cli import draw_activity_rates, draw_initial_state
 
 # name -> (n, m, rate upper bound, dt, k_max, eps, fit window top or None
@@ -51,7 +51,7 @@ def run_seed(seed: int, n_paths: int) -> dict:
     for name, (n, m, upper, dt, k_max, eps, top) in CRITERIA.items():
         p = ModelParams(n, m, draw_activity_rates(n, upper, seed), dt)
         z0 = draw_initial_state(n, seed)
-        curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, k_max, n_paths, eps, seed)
+        curve = run_paths(Full(p), z0, k_max, n_paths, eps, seed)
         try:
             fit = fit_decay_stats(curve, None if top is None else (10.0 / n_paths, top))
         except ValueError:

@@ -7,6 +7,9 @@ curve has a long saturation transient before the geometric tail sets in, so
 its asymptotic rate is read off the tail only (probabilities in
 [10/n_paths, 0.1]); both readings are printed.
 
+The configs are read from the checkout's configs/ directory, whatever the
+working directory; OUTROOT is relative to the working directory.
+
 Usage: python scripts/reproduce_experiments.py [OUTROOT] [--threads K]
 """
 
@@ -15,12 +18,14 @@ import csv
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from adn_consensus import SurvivalCurve, fit_decay_stats
 from adn_consensus.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENTS = [
     ("small10", "configs/small10.json", None),
     ("large50", "configs/large50.json", 0.1),
@@ -46,7 +51,8 @@ def run():
     for label, config, tail_hi in EXPERIMENTS:
         outdir = os.path.join(args.outroot, label)
         print(f"== {label}: {config} -> {outdir}")
-        argv = ["simulate", "--config", config, "--out", outdir, "--threads", str(args.threads)]
+        argv = ["simulate", "--config", str(ROOT / config), "--out", outdir]
+        argv += ["--threads", str(args.threads)]
         rc = main(argv)
         if rc != 0:
             return rc

@@ -7,11 +7,14 @@ the closed forms.
 """
 
 from .adn_model import (
+    UNIFORM_TIE_BREAK,
+    VARIANTS,
+    FastSwitch,
+    Full,
     ModelParams,
     Snapshot,
+    Sparse,
     TieBreakRule,
-    UNIFORM_TIE_BREAK,
-    center_sets,
     generate_snapshot,
     snapshot_count,
     snapshot_laplacian,
@@ -51,6 +54,5 @@ from .validation import (
     FastSwitchReport,
     GapSample,
     enumerate_expected_exponential,
-    enumeration_size,
     verify_fast_switch_inequality,
 )

@@ -1,7 +1,8 @@
-"""The activity-driven model and its sparse and fast-switching variants:
-each variant's law of star centres, exact (``center_sets``) and sampled
-(``EventSampler``, which draws for many paths at once; ``generate_snapshot``
-is its one-period call), and the snapshot-count formula.
+"""The activity-driven model and its three variants, ``Full``, ``Sparse``
+and ``FastSwitch``: each one class holding its law of star centres, exact
+(``law``) and sampled for many paths at once (``centres``;
+``generate_snapshot`` is the one-period call), and its enumeration size;
+and the snapshot-count formula.
 
 All randomness flows through an explicit ``numpy.random.Generator`` (PCG64).
 Independent streams come from ``stream(seed, *key)``, which seeds one
@@ -13,7 +14,7 @@ share a stream, whatever the seeds.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations
 
@@ -30,20 +31,75 @@ def stream(seed: int, *key: int):
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
+def _check_entry(s: frozenset, weights: dict):
+    """Raise ValueError unless ``weights`` is a survivor distribution over
+    the activated set ``s`` of two or more nodes."""
+    if len(s) < 2:
+        raise ValueError("table entries are for sets of >= 2 nodes")
+    if set(weights) - s:
+        raise ValueError(f"weights for {sorted(s)} name nodes outside the set")
+    vals = list(weights.values())
+    if any(not (math.isfinite(w) and w >= 0) for w in vals):
+        raise ValueError(f"tie-break weights must be finite and >= 0, got {vals}")
+    if abs(sum(vals) - 1.0) > 1e-12:
+        raise ValueError(f"weights for {sorted(s)} sum to {sum(vals)}, not 1")
+
+
+@dataclass(frozen=True)
+class TieBreakRule:
+    """How the fast-switching variant picks the one surviving activated node.
+
+    With no ``table`` (the uniform rule) each activated node survives with
+    probability 1/|S|. A ``table`` maps activated sets (frozensets of node
+    ids) to survivor weights ({node id: weight}), is checked here, each
+    entry once and in order, and never falls back silently.
+    """
+
+    table: dict | None = None
+
+    def __post_init__(self):
+        if self.table is None:
+            return
+        if not self.table:
+            raise ValueError("tie_break.entries: a table needs at least one entry")
+        for k, (s, weights) in enumerate(self.table.items()):
+            try:
+                _check_entry(frozenset(s), weights)
+            except ValueError as exc:
+                raise ValueError(f"tie_break.entries[{k}]: {exc}") from None
+
+    def weights_for(self, active: frozenset) -> dict:
+        """Survivor weights over a nonempty activated set; a lone activated
+        node survives with weight 1 under either rule."""
+        if self.table is None or len(active) == 1:
+            w = 1.0 / len(active)
+            return {i: w for i in active}
+        if active not in self.table:
+            raise ValueError(
+                f"tie_break: activated set {sorted(active)} missing from tie-break table"
+            )
+        return self.table[active]
+
+
+UNIFORM_TIE_BREAK = TieBreakRule()
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Activity-driven model parameters.
 
     ``a`` holds per-node activity rates in (0, 1]. ``dt`` is the sampling
     period; 0 is admitted so the no-motion limit stays representable.
-    The sparse variant additionally needs sum(a) <= 1 (``sparse_regime``),
-    checked at the point of use by ``require_sparse`` rather than here.
+    ``rule`` is the tie-break rule, which only ``FastSwitch`` reads. The
+    sparse variant additionally needs sum(a) <= 1 (``sparse_regime``),
+    checked by ``Sparse`` through ``require_sparse`` rather than here.
     """
 
     n: int
     m: int
     a: tuple
     dt: float
+    rule: TieBreakRule = field(default=UNIFORM_TIE_BREAK, hash=False)  # a table is a dict
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
@@ -109,59 +165,6 @@ class Snapshot:
                 raise ValueError("event centers must be distinct")
 
 
-def _check_entry(s: frozenset, weights: dict):
-    """Raise ValueError unless ``weights`` is a survivor distribution over
-    the activated set ``s`` of two or more nodes."""
-    if len(s) < 2:
-        raise ValueError("table entries are for sets of >= 2 nodes")
-    if set(weights) - s:
-        raise ValueError(f"weights for {sorted(s)} name nodes outside the set")
-    vals = list(weights.values())
-    if any(not (math.isfinite(w) and w >= 0) for w in vals):
-        raise ValueError(f"tie-break weights must be finite and >= 0, got {vals}")
-    if abs(sum(vals) - 1.0) > 1e-12:
-        raise ValueError(f"weights for {sorted(s)} sum to {sum(vals)}, not 1")
-
-
-@dataclass(frozen=True)
-class TieBreakRule:
-    """How the fast-switching variant picks the one surviving activated node.
-
-    With no ``table`` (the uniform rule) each activated node survives with
-    probability 1/|S|. A ``table`` maps activated sets (frozensets of node
-    ids) to survivor weights ({node id: weight}), is checked here, each
-    entry once and in order, and never falls back silently.
-    """
-
-    table: dict | None = None
-
-    def __post_init__(self):
-        if self.table is None:
-            return
-        if not self.table:
-            raise ValueError("tie_break.entries: a table needs at least one entry")
-        for k, (s, weights) in enumerate(self.table.items()):
-            try:
-                _check_entry(frozenset(s), weights)
-            except ValueError as exc:
-                raise ValueError(f"tie_break.entries[{k}]: {exc}") from None
-
-    def weights_for(self, active: frozenset) -> dict:
-        """Survivor weights over a nonempty activated set; a lone activated
-        node survives with weight 1 under either rule."""
-        if self.table is None or len(active) == 1:
-            w = 1.0 / len(active)
-            return {i: w for i in active}
-        if active not in self.table:
-            raise ValueError(
-                f"tie_break: activated set {sorted(active)} missing from tie-break table"
-            )
-        return self.table[active]
-
-
-UNIFORM_TIE_BREAK = TieBreakRule()
-
-
 def activation_sets(p: ModelParams):
     """Yield (members, probability) for each of the 2**n activation sets:
     the activated node ids in increasing order, and the product of a_i over
@@ -173,47 +176,12 @@ def activation_sets(p: ModelParams):
         yield tuple(i + 1 for i in range(p.n) if mask >> i & 1), prob
 
 
-def center_stars(p: ModelParams) -> list:
-    """The law ``EventSampler.neighbours`` draws from, written out: for each
-    centre 1..n, the list of its C(n-1, m) equally likely stars in
-    ``combinations`` order."""
-    others = ([j for j in range(1, p.n + 1) if j != i] for i in range(1, p.n + 1))
-    return [[StarSpec(p.n, i, N) for N in combinations(js, p.m)] for i, js in enumerate(others, 1)]
-
-
 def center_star_table(p: ModelParams) -> np.ndarray:
-    """``center_stars``' neighbour sets as one (n, C(n-1, m), m) array of
-    0-based node ids, without a ``StarSpec`` per star."""
+    """Each centre's C(n-1, m) equally likely neighbour sets, the law
+    ``Variant.neighbours`` draws from, written out as one (n, C(n-1, m), m)
+    array of 0-based node ids in ``combinations`` order."""
     others = ([j for j in range(p.n) if j != i] for i in range(p.n))
     return np.array([list(combinations(js, p.m)) for js in others], dtype=np.intp)
-
-
-def center_sets(p: ModelParams, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK):
-    """The variant's exact law of one period's star centres: (centres,
-    probability) pairs, centres increasing. ``full``: ``activation_sets``;
-    ``sparse``: () with 1 - sum(a), (i,) with a_i; ``fastswitch``: () with
-    P(none active), (i,) with P(S) * w_i(S) for each activated set S and
-    w_i(S) > 0. Checks the tag and the sparse gate on the call."""
-    if model == "full":
-        return activation_sets(p)
-    if model == "sparse":
-        p.require_sparse()
-        return [((), 1.0 - p.rate_sum)] + [((i + 1,), a) for i, a in enumerate(p.a)]
-    if model == "fastswitch":
-        return _survivor_sets(p, rule)
-    raise ValueError(f"unknown model tag {model!r}")
-
-
-def _survivor_sets(p: ModelParams, rule: TieBreakRule):
-    for members, prob in activation_sets(p):
-        if not members:
-            yield (), prob
-            continue
-        weights = rule.weights_for(frozenset(members))
-        for i in members:
-            wi = weights.get(i, 0.0)
-            if wi > 0.0:
-                yield (i,), prob * wi
 
 
 def _survivor(active: list, rule: TieBreakRule, u: float) -> int:
@@ -225,36 +193,25 @@ def _survivor(active: list, rule: TieBreakRule, u: float) -> int:
     return active[min(bisect_right(cum, u), bisect_left(cum, cum[-1]))]
 
 
-class EventSampler:
-    """A variant's law of one period's stars, drawn for many paths at once,
-    the one place each variant's sampling is written.
+class Variant:
+    """One regime of the model: a law of one period's star centres, exact
+    (``law``: (centres, probability) pairs, centres increasing), sized for
+    enumeration in closed form (``size``) and drawn for many paths at once
+    (``centres``, given that the period has a star).
 
-    A period has a star with probability ``p_event``: sum(a) under
-    ``sparse``, 1 - prod(1 - a_i) otherwise (``log_idle`` is the log of its
-    complement). ``gaps`` draws the periods up to the next one with a star;
-    ``centres`` draws that period's centres given that it has one, and
-    ``neighbours`` each star's m neighbours. Each method reads its uniforms
-    in row order, so a stream's meaning depends only on the rows drawn.
+    The draws all regimes share live here. A period has a star with
+    probability ``p_event``, the last of the increasing ``bins`` that the
+    first centre is read off by inverse CDF (``log_idle`` is the log of
+    1 - p_event). ``gaps`` draws the periods up to the next one with a
+    star, and ``neighbours`` each star's m neighbours. Each draw reads its
+    uniforms in row order, so a stream's meaning depends only on the rows.
     """
 
-    def __init__(
-        self, p: ModelParams, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK
-    ):
-        self.p, self.model, self.rule = p, model, rule
-        if model == "sparse":
-            p.require_sparse()
-            self._bins = np.array(p.rates_cumsum)
-            self.p_event = p.rate_sum
-            self.log_idle = math.log1p(-p.rate_sum) if p.rate_sum < 1.0 else -math.inf
-        elif model == "full" or model == "fastswitch":
-            with np.errstate(divide="ignore"):  # log1p(-1) = -inf for a rate of 1
-                idle = np.cumsum(np.log1p(-p.rates))
-            # P(one of nodes 1..i activates), increasing to p_event
-            self._bins = -np.expm1(idle)
-            self.p_event = float(self._bins[-1])
-            self.log_idle = float(idle[-1])
-        else:
-            raise ValueError(f"unknown model tag {model!r}")
+    name: str  # the config's model tag
+
+    def __init__(self, p: ModelParams, bins: np.ndarray, log_idle: float):
+        self.p, self._bins, self.log_idle = p, bins, log_idle
+        self.p_event = float(bins[-1])
 
     def gaps(self, rng, rows: int, cap: int) -> np.ndarray:
         """Geometric(p_event) periods up to and including the next one with
@@ -265,34 +222,10 @@ class EventSampler:
             g = np.floor(np.log1p(-u) / self.log_idle)
         return np.minimum(g, cap - 1).astype(np.int64) + 1
 
-    def centres(self, rng, rows: int) -> tuple:
-        """The stars' (row, centre) pairs of ``rows`` periods that each have
-        one, centres 0-based and increasing within a row, rows increasing.
-
-        ``sparse``: one uniform a row picks centre i with probability
-        a_i / sum(a) off the running rate sums. ``full``: one uniform a row
-        picks the first active node by inverse CDF, then n uniforms a row
-        test each node above it against its rate. ``fastswitch``: as
-        ``full``, then one more uniform a row picks the survivor by the
-        rule (``_survivor`` for a table)."""
-        n, row = self.p.n, np.arange(rows)
+    def _first(self, rng, rows: int) -> np.ndarray:
+        """One uniform a row: the first centre, 0-based, by inverse CDF."""
         first = np.searchsorted(self._bins, rng.random(rows) * self.p_event, side="right")
-        first = np.minimum(first, n - 1)  # u * p_event rounded up to p_event
-        if self.model == "sparse":
-            return row, first
-        active = rng.random((rows, n)) < self.p.rates
-        active &= np.arange(n) > first[:, None]
-        active[row, first] = True
-        if self.model == "full":
-            return np.nonzero(active)
-        u, count = rng.random(rows), active.sum(axis=1)
-        pick = np.minimum((u * count).astype(np.int64), count - 1)
-        centre = np.argmax(np.cumsum(active, axis=1) > pick[:, None], axis=1)
-        if self.rule.table is not None:
-            for r in np.flatnonzero(count > 1).tolist():
-                members = (np.flatnonzero(active[r]) + 1).tolist()
-                centre[r] = _survivor(members, self.rule, u[r]) - 1
-        return row, centre
+        return np.minimum(first, self.p.n - 1)  # u * p_event rounded up to p_event
 
     def neighbours(self, rng, centre: np.ndarray) -> np.ndarray:
         """Each star's m neighbours, 0-based and increasing: the m smallest
@@ -309,19 +242,116 @@ class EventSampler:
         return out
 
 
-def generate_snapshot(
-    p: ModelParams, rng, model: str = "full", rule: TieBreakRule = UNIFORM_TIE_BREAK
-) -> Snapshot:
-    """One period of the variant's law (``center_sets``): a Bernoulli(p_event)
-    draw, then ``EventSampler``'s draw of the centres given a star, and of
-    each centre's neighbours, for one row."""
-    sampler = EventSampler(p, model, rule)
-    if not rng.random() < sampler.p_event:
-        return Snapshot(p.n, ())
-    _, centre = sampler.centres(rng, 1)
-    nbs = (sampler.neighbours(rng, centre) + 1).tolist()
-    stars = (StarSpec(p.n, c + 1, tuple(N)) for c, N in zip(centre.tolist(), nbs))
-    return Snapshot(p.n, tuple(stars))
+class Sparse(Variant):
+    """At most one star a period: centre i with probability a_i, none with
+    1 - sum(a); requires sum(a) <= 1."""
+
+    name = "sparse"
+
+    def __init__(self, p: ModelParams):
+        p.require_sparse()
+        log_idle = math.log1p(-p.rate_sum) if p.rate_sum < 1.0 else -math.inf
+        super().__init__(p, np.array(p.rates_cumsum), log_idle)
+
+    def law(self):
+        return [((), 1.0 - self.p.rate_sum)] + [((i + 1,), a) for i, a in enumerate(self.p.a)]
+
+    def size(self) -> int:
+        """Its 1 + n*C(n-1, m) configurations."""
+        return 1 + self.p.n * math.comb(self.p.n - 1, self.p.m)
+
+    def centres(self, rng, rows: int) -> tuple:
+        """The stars' (row, centre) pairs of ``rows`` periods that each have
+        one: one uniform a row picks centre i with probability a_i / sum(a)
+        off the running rate sums."""
+        return np.arange(rows), self._first(rng, rows)
+
+
+class Full(Variant):
+    """Every activated node is a centre: the 2**n ``activation_sets``."""
+
+    name = "full"
+
+    def __init__(self, p: ModelParams):
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf for a rate of 1
+            idle = np.cumsum(np.log1p(-p.rates))
+        # P(one of nodes 1..i activates), increasing to p_event
+        super().__init__(p, -np.expm1(idle), float(idle[-1]))
+
+    def law(self):
+        return activation_sets(self.p)
+
+    def size(self) -> int:
+        """Its (1 + C(n-1, m))**n configurations (``snapshot_count``), more
+        than its 2**n centre rows."""
+        return snapshot_count(self.p.n, self.p.m)
+
+    def _active(self, rng, rows: int) -> np.ndarray:
+        """(rows, n) activation masks given a star: the first active node by
+        inverse CDF, then n uniforms a row test each node above it against
+        its rate."""
+        n, first = self.p.n, self._first(rng, rows)
+        active = rng.random((rows, n)) < self.p.rates
+        active &= np.arange(n) > first[:, None]
+        active[np.arange(rows), first] = True
+        return active
+
+    def centres(self, rng, rows: int) -> tuple:
+        """The stars' (row, centre) pairs of ``rows`` periods that each have
+        one, centres 0-based and increasing within a row, rows increasing."""
+        return np.nonzero(self._active(rng, rows))
+
+
+class FastSwitch(Full):
+    """One survivor of the activated nodes is the period's one centre, picked
+    by the tie-break rule ``p.rule``: () with P(none active), (i,) with
+    P(S) * w_i(S) for each activated set S and w_i(S) > 0."""
+
+    name = "fastswitch"
+
+    def law(self):
+        sets = activation_sets(self.p)
+        yield next(sets)  # the empty set, first, with P(none active)
+        for members, prob in sets:
+            weights = self.p.rule.weights_for(frozenset(members))
+            for i in members:
+                wi = weights.get(i, 0.0)
+                if wi > 0.0:
+                    yield (i,), prob * wi
+
+    def size(self) -> int:
+        """1 + n*2**(n-1), its law's rows under the uniform rule, which no
+        table exceeds and which outnumber its 1 + n*C(n-1, m) configurations."""
+        return 1 + self.p.n * 2 ** (self.p.n - 1)
+
+    def centres(self, rng, rows: int) -> tuple:
+        """As ``Full``'s activation, then one more uniform a row picks the
+        survivor by the rule (``_survivor`` for a table)."""
+        active = self._active(rng, rows)
+        u, count = rng.random(rows), active.sum(axis=1)
+        pick = np.minimum((u * count).astype(np.int64), count - 1)
+        centre = np.argmax(np.cumsum(active, axis=1) > pick[:, None], axis=1)
+        if self.p.rule.table is not None:
+            for r in np.flatnonzero(count > 1).tolist():
+                members = (np.flatnonzero(active[r]) + 1).tolist()
+                centre[r] = _survivor(members, self.p.rule, u[r]) - 1
+        return np.arange(rows), centre
+
+
+# The config's model tag -> its variant: the one place a tag is read.
+VARIANTS = {cls.name: cls for cls in (Full, Sparse, FastSwitch)}
+
+
+def generate_snapshot(v: Variant, rng) -> Snapshot:
+    """One period of the variant's law: a Bernoulli(p_event) draw, then its
+    draw of the centres given a star, and of each centre's neighbours, for
+    one row."""
+    if not rng.random() < v.p_event:
+        return Snapshot(v.p.n, ())
+    _, centre = v.centres(rng, 1)
+    nbs = (v.neighbours(rng, centre) + 1).tolist()
+    stars = (StarSpec(v.p.n, c + 1, tuple(N)) for c, N in zip(centre.tolist(), nbs))
+    return Snapshot(v.p.n, tuple(stars))
 
 
 def snapshot_count(n: int, m: int) -> int:

@@ -14,6 +14,7 @@ as --config reproduces the CSV byte for byte.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,9 +25,13 @@ import numpy as np
 from .adn_model import (
     RATES,
     STATE,
-    ModelParams,
-    TieBreakRule,
     UNIFORM_TIE_BREAK,
+    VARIANTS,
+    FastSwitch,
+    ModelParams,
+    Sparse,
+    TieBreakRule,
+    Variant,
     center_star_table,
     snapshot_count,
     stream,
@@ -44,12 +49,7 @@ from .spectral import (
     survivor_rates,
     weighted_expected_exponential,
 )
-from .validation import (
-    MAX_BRANCHES,
-    enumerate_expected_exponential,
-    enumeration_size,
-    verify_fast_switch_inequality,
-)
+from .validation import MAX_BRANCHES, enumerate_expected_exponential, verify_fast_switch_inequality
 
 U64 = 2**64
 
@@ -198,7 +198,7 @@ def parse_config(raw: dict, seed_override: int | None = None) -> dict:
         "seed": _field(raw, "seed", 0, U64 - 1, integer=True),
         "model": raw.get("model"),
     }
-    if cfg["model"] not in ("full", "sparse", "fastswitch"):
+    if cfg["model"] not in VARIANTS:
         raise ValueError(
             f"model: must be 'full', 'sparse' or 'fastswitch', got {cfg['model']!r}"
         )
@@ -222,13 +222,14 @@ def draw_initial_state(n: int, seed: int) -> np.ndarray:
 
 
 def resolve_config(cfg: dict):
-    """Materialize (params, rule, z0, manifest_config) from a parsed config.
-    Drawn quantities are resolved here, once, from the run seed."""
+    """Materialize (params, z0, manifest_config) from a parsed config, the
+    tie-break rule in params. Drawn quantities are resolved here, once,
+    from the run seed."""
     if cfg["activity"]["mode"] == "explicit":
         a = cfg["activity"]["values"]
     else:
         a = draw_activity_rates(cfg["n"], cfg["activity"]["upper"], cfg["seed"])
-    params = ModelParams(cfg["n"], cfg["m"], a, cfg["dt"])
+    params = ModelParams(cfg["n"], cfg["m"], a, cfg["dt"], cfg["rule"])
     if cfg["z0"]["mode"] == "explicit":
         z0 = np.asarray(cfg["z0"]["values"], dtype=float)
     else:
@@ -236,7 +237,7 @@ def resolve_config(cfg: dict):
     manifest_config = {k: v for k, v in cfg.items() if k != "rule"}
     manifest_config["activity"] = {"mode": "explicit", "values": [float(x) for x in params.a]}
     manifest_config["z0"] = {"mode": "explicit", "values": [float(x) for x in z0]}
-    return params, cfg["rule"], z0, manifest_config
+    return params, z0, manifest_config
 
 
 def _write(out: str, name: str, *lines: str) -> str:
@@ -251,11 +252,8 @@ def _write(out: str, name: str, *lines: str) -> str:
 
 def cmd_gamma(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
-    params, rule, _, _ = resolve_config(cfg)
-    if args.command == "gamma-sp":
-        bound = gamma_sp(params)
-    else:
-        bound = gamma_fs(params, rule)
+    params, _, _ = resolve_config(cfg)
+    bound = (gamma_sp if args.command == "gamma-sp" else gamma_fs)(params)
     print(f"{args.command.replace('-', '_')} = {_fmt(bound.rate)}")
     print(f"weight_sum = {_fmt(bound.weight_sum)}")
     print(f"lambda_second = {_fmt(bound.lambda_second)}")
@@ -267,14 +265,14 @@ def cmd_gamma(args) -> int:
     return 0
 
 
-def _bound_for(params: ModelParams, model: str, rule: TieBreakRule):
-    """The decay bound reported beside a simulated model, if any:
-    ``gamma_fs`` for fastswitch runs, ``gamma_sp`` for sparse runs and, as
-    an approximation only, for full runs with rate sum <= 1."""
-    if model == "fastswitch":
-        return gamma_fs(params, rule)
-    if params.sparse_regime:
-        return gamma_sp(params)
+def _bound_for(v: Variant):
+    """The decay bound reported beside a simulated variant, if any:
+    ``gamma_fs`` for ``FastSwitch`` runs, ``gamma_sp`` for ``Sparse`` runs
+    and, as an approximation only, for ``Full`` runs with rate sum <= 1."""
+    if isinstance(v, FastSwitch):
+        return gamma_fs(v.p)
+    if v.p.sparse_regime:
+        return gamma_sp(v.p)
     return None
 
 
@@ -286,13 +284,12 @@ def cmd_simulate(args) -> int:
             f"n_paths*k_max = {budget} steps exceeds the {STEP_BUDGET} budget; "
             "refusing before any computation"
         )
-    params, rule, z0, manifest = resolve_config(cfg)
+    params, z0, manifest = resolve_config(cfg)
     _number(args.threads, "threads", 1, integer=True)
-    bound = _bound_for(params, cfg["model"], rule)
+    v = VARIANTS[cfg["model"]](params)
+    bound = _bound_for(v)
     curve = run_paths(
-        params,
-        cfg["model"],
-        rule,
+        v,
         z0,
         cfg["k_max"],
         cfg["n_paths"],
@@ -323,7 +320,7 @@ def cmd_simulate(args) -> int:
         # A variant with at most one star a period has its bound as the exact
         # second eigenvalue of its expected kernel, at any dt; gamma_sp on a
         # full run stands in for the full model's, which it does not bound.
-        certified = bound.kind == cfg["model"]
+        certified = bound.kind == v.name
         note = "certified" if certified else "the sparse-regime approximation, not a bound"
         print(f"bound_rate = {_fmt(bound.rate)} ({bound.kind}: {note})")
     print(f"wrote {csv_path}")
@@ -337,7 +334,7 @@ def _diff_row(name: str, diffs, tol: float) -> tuple:
     return name, f"max diff {d:.3g}, tol {tol:g}", d <= tol
 
 
-def _check_rows(params: ModelParams, rule: TieBreakRule):
+def _check_rows(params: ModelParams):
     """Yield validate's checks 1-4 as (name, detail, ok) rows, ok None for
     a refused or skipped check."""
     n, m, T = params.n, params.m, 2.0 * params.dt
@@ -361,37 +358,37 @@ def _check_rows(params: ModelParams, rule: TieBreakRule):
         yield _diff_row(name, diffs, 1e-10)
     # 2-3. Sparse and fast-switching expected kernels against enumeration,
     #      and each bound's closed form against its dense reference.
-    for model in ("sparse", "fastswitch"):
-        name = f"{model}-kernel-vs-enumeration"
-        size = enumeration_size(params, model)
-        if model == "sparse" and not params.sparse_regime:
+    for cls in (Sparse, FastSwitch):
+        name = f"{cls.name}-kernel-vs-enumeration"
+        if cls is Sparse and not params.sparse_regime:
             yield name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None
-        elif size > MAX_BRANCHES:
+            continue
+        v = cls(params)
+        if (size := v.size()) > MAX_BRANCHES:
             yield name, f"refused: size ({size} branches)", None
         else:
-            w = kernel_weights(params, model, rule)
+            w = kernel_weights(v)
             kernel = weighted_expected_exponential(params, w)
-            exact = enumerate_expected_exponential(params, model, rule)
-            gap = decay_bound(params, w, model).rate - dense_bound(params, w, model).rate
-            yield _diff_row(name, [kernel - exact, [gap]], 1e-10)
+            gap = decay_bound(params, w, v.name).rate - dense_bound(params, w, v.name).rate
+            yield _diff_row(name, [kernel - enumerate_expected_exponential(v), [gap]], 1e-10)
     # 4. Uniform-rule survivor rates: the recurrence against all activation sets.
     name = "survivor-rates-dp-vs-exhaustive"
     if n > 12:
         yield name, f"refused: size (2**{n} activation sets)", None
     else:
-        b = survivor_rates(params, UNIFORM_TIE_BREAK)
-        yield _diff_row(name, [b - enumerated_survivor_rates(params, UNIFORM_TIE_BREAK)], 1e-12)
+        uniform = dataclasses.replace(params, rule=UNIFORM_TIE_BREAK)
+        yield _diff_row(name, [survivor_rates(uniform) - enumerated_survivor_rates(uniform)], 1e-12)
 
 
 def cmd_validate(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
-    params, rule, _, _ = resolve_config(cfg)
-    rows = list(_check_rows(params, rule))
+    params, _, _ = resolve_config(cfg)
+    rows = list(_check_rows(params))
 
     # 5. Fast-switching eigenvalue inequality on the small-T grid, with a
     #    per-T gap CSV for plotting.
     probe = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
-    report = verify_fast_switch_inequality(probe, UNIFORM_TIE_BREAK, (0.01, 0.05, 0.1))
+    report = verify_fast_switch_inequality(probe, (0.01, 0.05, 0.1))
     gaps_path = _write(
         args.out,
         "gaps.csv",

@@ -8,7 +8,7 @@ block of up to ``BLOCK`` paths together: each round, every live path draws
 its gap to the next period with a star, paths pushed past k_max are
 censored, and the rest draw that period's stars and take its heat kernel,
 the closed form for a lone star and stacked dense exponentials for several
-(``EventSampler`` draws, ``_apply_stars`` applies). Block b reads
+(the ``adn_model.Variant`` draws, ``_apply_stars`` applies). Block b reads
 ``stream(seed, PATHS, b)``; workers take whole blocks and counts are
 aggregated as exact integers, so results are identical for any number of
 workers. ``step`` is the one-path reference the engine's update matches.
@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adn_model import (
-    PATHS,
-    EventSampler,
-    ModelParams,
-    Snapshot,
-    TieBreakRule,
-    snapshot_laplacian,
-    stream,
-)
+from .adn_model import PATHS, Snapshot, Variant, snapshot_laplacian, stream
 from .closed_form import star_kernel_scalars
 from .graph_core import expm_sym, stacks, star_union_laplacians
 
@@ -131,7 +123,7 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
     return Z
 
 
-def _count_block(sampler, z0, k_max, eps, seed, b, paths):
+def _count_block(v, z0, k_max, eps, seed, b, paths):
     """Survival counts of block b's ``paths`` paths from their
     first-passage times tau below eps (k_max + 1 if a path never drops):
     counts[K] = #{paths with tau > K}, and the paths' total norm rises.
@@ -146,15 +138,15 @@ def _count_block(sampler, z0, k_max, eps, seed, b, paths):
     cur, k = off_consensus_sq(Z), np.zeros(rows, dtype=np.int64)
     rises = 0
     while len(k):
-        k += sampler.gaps(rng, len(k), k_max + 1)
+        k += v.gaps(rng, len(k), k_max + 1)
         out = k > k_max
         if out.any():
             taus[-1] += np.count_nonzero(out)
             Z, cur, k = Z[~out], cur[~out], k[~out]
             if not len(k):
                 break
-        row, centre = sampler.centres(rng, len(k))
-        Z = _apply_stars(Z, row, centre, sampler.neighbours(rng, centre), sampler.p.m, sampler.p.dt)
+        row, centre = v.centres(rng, len(k))
+        Z = _apply_stars(Z, row, centre, v.neighbours(rng, centre), v.p.m, v.p.dt)
         new = off_consensus_sq(Z)
         rises += int(np.count_nonzero(new > cur * (1.0 + 1e-12) + 1e-15))
         done = new < eps
@@ -166,9 +158,7 @@ def _count_block(sampler, z0, k_max, eps, seed, b, paths):
 
 
 def run_paths(
-    p: ModelParams,
-    model: str,
-    rule: TieBreakRule,
+    v: Variant,
     z0,
     k_max: int,
     n_paths: int,
@@ -176,7 +166,8 @@ def run_paths(
     seed: int,
     n_jobs: int = 1,
 ) -> SurvivalCurve:
-    """Estimate the survival curve from n_paths independent sample paths.
+    """Estimate the survival curve from n_paths independent sample paths
+    of the variant ``v``.
 
     Per path: simulate from z0 until the squared disagreement first drops
     below eps, at step tau. probs[K] = #{tau > K} / n_paths, which is the
@@ -184,7 +175,7 @@ def run_paths(
     kernel contracts the disagreement. Deterministic for any n_jobs: the
     paths run in blocks of ``BLOCK`` and a worker takes whole blocks.
     """
-    sampler = EventSampler(p, model, rule)  # raises on an unknown tag or a sparse sum(a) > 1
+    p = v.p
     if k_max < 1 or n_paths < 1:
         raise ValueError(f"need k_max >= 1 and n_paths >= 1, got {k_max}, {n_paths}")
     if not (eps > 0):
@@ -199,7 +190,7 @@ def run_paths(
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
 
     work = [
-        (sampler, z0, k_max, eps, seed, b, min(BLOCK, n_paths - lo))
+        (v, z0, k_max, eps, seed, b, min(BLOCK, n_paths - lo))
         for b, lo in enumerate(range(0, n_paths, BLOCK))
     ]
     jobs = min(max(n_jobs, 1), len(work))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adn_model import UNIFORM_TIE_BREAK, ModelParams, TieBreakRule, center_sets
+from .adn_model import FastSwitch, ModelParams, Sparse, Variant
 from .closed_form import activation_expectation
 from .graph_core import symmetrize
 
@@ -69,19 +69,18 @@ def weighted_expected_exponential(p: ModelParams, weights) -> np.ndarray:
 
 def sparse_expected_exponential(p: ModelParams) -> np.ndarray:
     """Expected heat kernel over 2*dt of one sparse-variant snapshot."""
-    return weighted_expected_exponential(p, kernel_weights(p, "sparse"))
+    return weighted_expected_exponential(p, kernel_weights(Sparse(p)))
 
 
-def kernel_weights(p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK):
-    """The activation-kernel weights of a variant's expected kernel and
-    bound: the activity rates under ``sparse``, which requires sum(a) <= 1,
-    and the survivor rates under ``fastswitch``."""
-    if model == "sparse":
-        p.require_sparse()
-        return p.a
-    if model == "fastswitch":
-        return survivor_rates(p, rule)
-    raise ValueError(f"model: no activation-kernel weights for {model!r}")
+def kernel_weights(v: Variant):
+    """The activation-kernel weights of a one-star variant's expected kernel
+    and bound: the survivor rates under ``FastSwitch``, the activity rates
+    under ``Sparse``."""
+    if isinstance(v, FastSwitch):
+        return survivor_rates(v.p)
+    if isinstance(v, Sparse):
+        return v.p.a
+    raise ValueError(f"model: no activation-kernel weights for {v.name!r}")
 
 
 def lambda_second_largest(M: np.ndarray) -> float:
@@ -166,9 +165,9 @@ def _removed_trial_means(pmf: np.ndarray, q: np.ndarray, weights: np.ndarray) ->
     return total
 
 
-def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
+def survivor_rates(p: ModelParams) -> np.ndarray:
     """Per-node probability of ending up the sole surviving activated node
-    in one fast-switching step.
+    in one fast-switching step, under the tie-break rule ``p.rule``.
 
     Uniform rule: a node survives its own activation with probability
     1/(1 + number of co-activated nodes), so its rate is the activity rate
@@ -179,8 +178,8 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     n - k, whose trial rates are 1 - a). O(n^2) flops in O(n) memory.
     Table rule: ``enumerated_survivor_rates``.
     """
-    if rule.table is not None:
-        return enumerated_survivor_rates(p, rule)
+    if p.rule.table is not None:
+        return enumerated_survivor_rates(p)
     a = np.asarray(p.a, dtype=np.float64)
     pmf = poisson_binomial_pmf(a)
     recip = 1.0 / np.arange(1.0, p.n + 1.0)  # 1 / (1 + co-activated count)
@@ -193,13 +192,13 @@ def survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
     return a * mean_recip
 
 
-def enumerated_survivor_rates(p: ModelParams, rule: TieBreakRule) -> np.ndarray:
-    """Survivor rates as the per-node marginals of the fast-switching centre
+def enumerated_survivor_rates(p: ModelParams) -> np.ndarray:
+    """Survivor rates as the per-node marginals of ``FastSwitch``'s centre
     law (all 2**n activation sets), under any tie-break rule; refused above n = 20."""
     if p.n > 20:
         raise ValueError(f"tie_break: survivor-rate enumeration is 2**n; refused for n={p.n} > 20")
     b = np.zeros(p.n)
-    for centres, prob in center_sets(p, "fastswitch", rule):
+    for centres, prob in FastSwitch(p).law():
         if centres:
             b[centres[0] - 1] += prob
     return b
@@ -237,7 +236,7 @@ def _top_projected_diagonal(w: np.ndarray) -> float:
 def decay_bound(p: ModelParams, weights, kind: str) -> DecayBound:
     """The bound 1 - W + lambda_second of ``dense_bound``, with W = sum(w),
     without the n x n mixture S, for activation-kernel weights w of a
-    variant ``kind`` (``kernel_weights``).
+    variant named ``kind`` (``kernel_weights``).
 
     S = W*pair*J + (edge - pair)*(w 1' + 1 w') + W*(do - pair)*I + xi*diag(w)
     with xi = dc - do - 2*(edge - pair), so on the complement of the
@@ -269,11 +268,11 @@ def dense_bound(p: ModelParams, weights, kind: str) -> DecayBound:
 def gamma_sp(p: ModelParams) -> DecayBound:
     """Decay-rate bound for the sparse variant:
     1 - sum(a) + lambda_second(sum_i a_i * activation_expectation(i))."""
-    return decay_bound(p, kernel_weights(p, "sparse"), "sparse")
+    return decay_bound(p, kernel_weights(Sparse(p)), Sparse.name)
 
 
-def gamma_fs(p: ModelParams, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> DecayBound:
+def gamma_fs(p: ModelParams) -> DecayBound:
     """Decay-rate bound for the fast-switching variant, built on the
-    survivor rates: the exact second-largest eigenvalue of its expected
-    kernel, since each period holds at most one star."""
-    return decay_bound(p, kernel_weights(p, "fastswitch", rule), "fastswitch")
+    survivor rates under ``p.rule``: the exact second-largest eigenvalue of
+    its expected kernel, since each period holds at most one star."""
+    return decay_bound(p, kernel_weights(FastSwitch(p)), FastSwitch.name)

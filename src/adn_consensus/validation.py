@@ -2,11 +2,11 @@
 numerical probe of the fast-switching eigenvalue inequality.
 
 Enumeration is exact or refused, with no sampling anywhere. The variant's
-law of star centres (``center_sets``) is folded onto its distinct centre
+law of star centres (``Variant.law``) is folded onto its distinct centre
 tuples, then each tuple is expanded, with its true probability, into every
 choice of one star per centre (``center_star_table``) by index arithmetic,
-in ``product`` order. ``full`` and ``sparse`` rows are distinct already;
-``fastswitch`` has a row per (activated set, survivor) but only 1 + n
+in ``product`` order. ``Full`` and ``Sparse`` rows are distinct already;
+``FastSwitch`` has a row per (activated set, survivor) but only 1 + n
 tuples, so it takes 1 + n*C(n-1, m) dense exponentials under any rule.
 Consecutive configurations are built as one Laplacian stack within
 ``graph_core.STACK_BYTES`` (``star_union_laplacians``), decomposed once for
@@ -20,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adn_model import (
-    ModelParams,
-    TieBreakRule,
-    UNIFORM_TIE_BREAK,
-    center_sets,
-    center_star_table,
-    snapshot_count,
-)
+from .adn_model import FastSwitch, Full, ModelParams, Variant, center_star_table
 from .graph_core import expm_sym, stacks, star_union_laplacians
 from .spectral import lambda_second_largest
 
@@ -37,42 +30,27 @@ MAX_BRANCHES = 10**7
 GAP_SLACK = 1e-9
 
 
-def enumeration_size(p: ModelParams, model: str) -> int:
-    """Closed-form bound on an enumeration's work, refused before any of it
-    starts when over ``MAX_BRANCHES``. ``sparse``: its 1 + n*C(n-1, m)
-    configurations. ``full``: its (1 + C(n-1, m))**n configurations
-    (``snapshot_count``), more than its 2**n centre rows. ``fastswitch``:
-    1 + n*2**(n-1), its centre-law rows under the uniform rule, which no
-    table exceeds and which outnumber its 1 + n*C(n-1, m) configurations."""
-    if model == "sparse":
-        return 1 + p.n * math.comb(p.n - 1, p.m)
-    if model == "full":
-        return snapshot_count(p.n, p.m)
-    if model == "fastswitch":
-        return 1 + p.n * 2 ** (p.n - 1)
-    raise ValueError(f"unknown model tag {model!r}")
-
-
-def _require_enumerable(p: ModelParams, model: str):
-    size = enumeration_size(p, model)
+def _require_enumerable(v: Variant):
+    """Refuse, before any work, an enumeration over ``MAX_BRANCHES``."""
+    size = v.size()
     if size > MAX_BRANCHES:
         raise ValueError(
-            f"enumeration for model={model!r} needs {size} branches, "
+            f"enumeration for model={v.name!r} needs {size} branches, "
             f"over the {MAX_BRANCHES} limit"
         )
 
 
-def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule, copies: int = 1):
+def _enumerate_branches(v: Variant, copies: int = 1):
     """Yield (weights, centre, nbs) stacks of consecutive configurations,
     each within ``STACK_BYTES`` at ``copies`` n x n matrices a row: the
-    ``center_sets`` law folded onto its distinct centre tuples, each tuple
+    variant's ``law`` folded onto its distinct centre tuples, each tuple
     times each choice of one neighbour set per centre from
     ``center_star_table``, in ``product`` order. Row r's stars join
     centre[r, q] to nbs[r, q] (0-based, as ``star_union_laplacians`` reads
     them); a shorter tuple's row starts with node 0 joined to itself, which
     adds no edge."""
-    law = {}
-    for centres, prob in center_sets(p, model, rule):
+    p, law = v.p, {}
+    for centres, prob in v.law():
         law[centres] = law.get(centres, 0.0) + prob
     table = center_star_table(p)
     C, width = table.shape[1], max(map(len, law))
@@ -91,15 +69,15 @@ def _enumerate_branches(p: ModelParams, model: str, rule: TieBreakRule, copies: 
         yield weights[g], c, np.where(real[g][..., None], table[c, digit], c[..., None])
 
 
-def _expected_exponentials(p: ModelParams, model: str, rule: TieBreakRule, T: np.ndarray):
+def _expected_exponentials(v: Variant, T: np.ndarray):
     """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n):
     the probability-weighted sum of dense exponentials over every
     configuration, each Laplacian decomposed once for all of T."""
-    _require_enumerable(p, model)
-    acc = np.zeros((len(T), p.n, p.n))
+    _require_enumerable(v)
+    acc = np.zeros((len(T), v.p.n, v.p.n))
     total = 0.0
-    for weights, centre, nbs in _enumerate_branches(p, model, rule, max(len(T), 1)):
-        kernels = expm_sym(star_union_laplacians(p.n, centre, nbs), T)
+    for weights, centre, nbs in _enumerate_branches(v, max(len(T), 1)):
+        kernels = expm_sym(star_union_laplacians(v.p.n, centre, nbs), T)
         for i, w in enumerate(weights.tolist()):
             acc += w * kernels[:, i]
             total += w
@@ -108,12 +86,10 @@ def _expected_exponentials(p: ModelParams, model: str, rule: TieBreakRule, T: np
     return acc
 
 
-def enumerate_expected_exponential(
-    p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK
-) -> np.ndarray:
+def enumerate_expected_exponential(v: Variant) -> np.ndarray:
     """Exact E[e**(-2*dt*L)] as the probability-weighted sum of dense
     exponentials over every configuration. Refuses oversized enumerations."""
-    return _expected_exponentials(p, model, rule, np.array([2.0 * p.dt]))[0]
+    return _expected_exponentials(v, np.array([2.0 * v.p.dt]))[0]
 
 
 @dataclass(frozen=True)
@@ -132,10 +108,10 @@ class FastSwitchReport:
     first_violation: float | None
 
 
-def verify_fast_switch_inequality(p: ModelParams, rule: TieBreakRule, T_grid) -> FastSwitchReport:
+def verify_fast_switch_inequality(p: ModelParams, T_grid) -> FastSwitchReport:
     """Probe, by exact enumeration at each exponent scale T in the grid,
     whether the full model's second-largest expected-kernel eigenvalue
-    stays below the fast-switching variant's.
+    stays below the fast-switching variant's under the rule ``p.rule``.
 
     ``holds`` allows a floating-point floor of ``GAP_SLACK`` below zero on
     the gap. Violations at large T are expected and merely reported; the
@@ -147,11 +123,11 @@ def verify_fast_switch_inequality(p: ModelParams, rule: TieBreakRule, T_grid) ->
             raise ValueError(f"exponent scales must be finite and > 0, got {T}")
     # Both sizes are checked before either enumeration starts, since either
     # can be the larger one (the fastswitch count when m = n-1).
-    for model in ("full", "fastswitch"):
-        _require_enumerable(p, model)
+    variants = (Full(p), FastSwitch(p))
+    for v in variants:
+        _require_enumerable(v)
     full, fastswitch = (
-        _expected_exponentials(p, model, rule, np.array(T_grid, dtype=float))
-        for model in ("full", "fastswitch")
+        _expected_exponentials(v, np.array(T_grid, dtype=float)) for v in variants
     )
     samples = []
     for T, E_full, E_fs in zip(T_grid, full, fastswitch):

@@ -4,14 +4,14 @@ Everything here favors obviousness over speed: exact integer matrix
 algebra over Python lists, truncated Taylor series with scaling and
 squaring, cyclic Jacobi rotations, exhaustive bitmask enumerations. None
 of it routes through the package under test, except that two references
-take package primitives as arguments: the survival-curve reference its
-sampling primitives and block streams, since exact equality with the
+take package primitives as arguments: the survival-curve reference a
+variant's draws and the block streams, since exact equality with the
 package needs the package's own random streams, the per-centre mixture the closed-form
 activation kernel, which its own subset-average oracle gates, the
 leave-one-out survivor rates the Poisson-binomial PMF, which its
-brute-force oracle gates, and the unfolded enumeration a centre law, the
-star lists and a dense heat kernel, which the package's enumeration reads
-too.
+brute-force oracle gates, and the unfolded enumeration a variant's centre
+law, the star lists and a dense heat kernel, which the package's
+enumeration reads too.
 """
 
 import math
@@ -180,15 +180,15 @@ def bruteforce_poisson_binomial(probs):
     return pmf
 
 
-def block_walk_survival(sampler, block_rng, block, draw, advance, norm, z0, k_max, n_paths, eps):
+def block_walk_survival(variant, block_rng, block, draw, advance, norm, z0, k_max, n_paths, eps):
     """Survival curve by its definition, one path at a time on the
     package's block streams: path lo + i, with lo a multiple of ``block``,
     reads row i of each draw from ``block_rng(lo // block)``.
 
     Each round the block's live paths draw their gaps to the next period
-    with a star (``sampler.gaps``, capped at k_max + 1), then those still
-    inside k_max draw that period's stars (``sampler.centres`` and
-    ``sampler.neighbours``). Each path applies its own stars, as 1-based
+    with a star (``variant.gaps``, capped at k_max + 1), then those still
+    inside k_max draw that period's stars (``variant.centres`` and
+    ``variant.neighbours``). Each path applies its own stars, as 1-based
     (centre, neighbours) pairs, with ``advance(z, stars)`` and records
     ``norm(z)`` for every period it passed, idle ones included. A path
     leaves the rounds at its first norm below eps, as the engine's rows
@@ -205,7 +205,7 @@ def block_walk_survival(sampler, block_rng, block, draw, advance, norm, z0, k_ma
         left = []
         while live:
             events = []
-            for i, g in zip(live, sampler.gaps(rng, len(live), k_max + 1).tolist()):
+            for i, g in zip(live, variant.gaps(rng, len(live), k_max + 1).tolist()):
                 k = len(norms[i]) - 1
                 norms[i] += [norms[i][-1]] * min(g - 1, k_max - k)
                 if k + g <= k_max:
@@ -213,9 +213,9 @@ def block_walk_survival(sampler, block_rng, block, draw, advance, norm, z0, k_ma
             live = events
             if not live:
                 break
-            row, centre = sampler.centres(rng, len(live))
+            row, centre = variant.centres(rng, len(live))
             stars = [[] for _ in live]
-            nbs = sampler.neighbours(rng, centre).tolist()
+            nbs = variant.neighbours(rng, centre).tolist()
             for j, c, N in zip(row.tolist(), centre.tolist(), nbs):
                 stars[j].append((c + 1, tuple(x + 1 for x in N)))
             for i, own in zip(live, stars):
@@ -238,7 +238,7 @@ def block_walk_survival(sampler, block_rng, block, draw, advance, norm, z0, k_ma
 
 def unfolded_expected_exponential(rows, stars, kernel, n):
     """sum of probability * kernel(choice) with one dense kernel per branch:
-    each (centres, probability) row of a centre law, as given and repeated
+    each (centres, probability) row of a variant's ``law``, as given and repeated
     centre tuples included, times each choice of one star per centre from
     ``stars`` (each centre's equally likely stars); ``kernel(choice)`` is
     the n x n heat kernel of the union of the chosen stars."""

@@ -9,9 +9,12 @@ import time
 import numpy as np
 
 from adn_consensus import (
+    VARIANTS,
+    FastSwitch,
+    Full,
     ModelParams,
+    Sparse,
     StarSpec,
-    UNIFORM_TIE_BREAK,
     activation_expectation,
     enumerate_expected_exponential,
     expm_sym,
@@ -73,7 +76,7 @@ def test_criterion_1():
                 diff = np.max(
                     np.abs(
                         sparse_expected_exponential(p)
-                        - enumerate_expected_exponential(p, "sparse")
+                        - enumerate_expected_exponential(Sparse(p))
                     )
                 )
                 worst_enum = max(worst_enum, float(diff))
@@ -150,7 +153,7 @@ def test_criterion_5():
     a = draw_activity_rates(10, 0.01, seed)
     p = ModelParams(10, 4, a, 2.0)
     z0 = draw_initial_state(10, seed)
-    curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 600, 10_000, 0.3, seed, n_jobs=1)
+    curve = run_paths(Full(p), z0, 600, 10_000, 0.3, seed, n_jobs=1)
     fit = fit_decay_stats(curve)
     bound = gamma_sp(p)
     elapsed = time.monotonic() - t0
@@ -173,7 +176,7 @@ def test_criterion_6():
     a = draw_activity_rates(50, 0.002, seed)
     p = ModelParams(50, 15, a, 3.0)
     z0 = draw_initial_state(50, seed)
-    curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 700, n_paths, 0.1, seed, n_jobs=1)
+    curve = run_paths(Full(p), z0, 700, n_paths, 0.1, seed, n_jobs=1)
     fit = fit_decay_stats(curve, (10.0 / n_paths, 0.1))
     bound = gamma_sp(p)
     rel_gap = abs(bound.rate - fit.rate) / fit.rate
@@ -191,7 +194,7 @@ def test_criterion_7():
     for n in range(2, 13):
         a = tuple(((i * 7) % 11 + 1) / 13.0 for i in range(1, n + 1))
         p = ModelParams(n, 1, a, 1.0)
-        got = survivor_rates(p, UNIFORM_TIE_BREAK)
+        got = survivor_rates(p)
         ref = exhaustive_survivor_rates(a)
         assert np.max(np.abs(np.asarray(got) - np.asarray(ref))) <= 1e-12, f"n={n}"
 
@@ -199,12 +202,12 @@ def test_criterion_7():
     for n in range(3, 6):
         for m in range(1, n):
             p = ModelParams(n, m, pool[:n], 0.8)
-            E = enumerate_expected_exponential(p, "fastswitch")
-            bound = gamma_fs(p, UNIFORM_TIE_BREAK)
+            E = enumerate_expected_exponential(FastSwitch(p))
+            bound = gamma_fs(p)
             assert abs(bound.rate - lambda_second_largest(E)) <= 1e-10, f"n={n} m={m}"
 
     probe = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
-    report = verify_fast_switch_inequality(probe, UNIFORM_TIE_BREAK, (0.01, 0.05, 0.1))
+    report = verify_fast_switch_inequality(probe, (0.01, 0.05, 0.1))
     assert report.holds_all, f"first violation at T={report.first_violation}"
 
 
@@ -224,7 +227,7 @@ def test_criterion_8():
         a = tuple(rng.uniform(0.2, 0.9, n))
         dt = float(rng.uniform(0.05, 2.5))
         p = ModelParams(n, m, a, dt)
-        snap = generate_snapshot(p, rng)
+        snap = generate_snapshot(Full(p), rng)
         E = expm_sym(snapshot_laplacian(snap), dt)
         assert np.max(np.abs(E.sum(axis=0) - 1.0)) <= 1e-12
         assert np.max(np.abs(E.sum(axis=1) - 1.0)) <= 1e-12
@@ -249,7 +252,7 @@ def test_criterion_8():
             E = sparse_expected_exponential(p)
         else:
             p = ModelParams(n, m, tuple(a), dt)
-            E = weighted_expected_exponential(p, survivor_rates(p, UNIFORM_TIE_BREAK))
+            E = weighted_expected_exponential(p, survivor_rates(p))
         assert np.max(np.abs(E.sum(axis=0) - 1.0)) <= 1e-12
         assert np.max(np.abs(E.sum(axis=1) - 1.0)) <= 1e-12
         assert np.max(np.abs(E - E.T)) <= 1e-12
@@ -267,9 +270,7 @@ def test_criterion_8():
         z0 = rng.uniform(-1.0, 1.0, n)
         n_paths = int(rng.integers(5, 13))
         curve = run_paths(
-            p,
-            model,
-            UNIFORM_TIE_BREAK,
+            VARIANTS[model](p),
             z0,
             int(rng.integers(10, 26)),
             n_paths,
@@ -289,7 +290,7 @@ def test_criterion_8():
         z = rng.uniform(-10.0, 10.0, n)
         mean0 = z.mean()
         for _k in range(200):
-            z = step(z, generate_snapshot(p, rng), p.dt)
+            z = step(z, generate_snapshot(Full(p), rng), p.dt)
         assert abs(z.mean() - mean0) <= 1e-10
         cases += 1
 

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,18 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adn_consensus import (
+    VARIANTS,
+    FastSwitch,
+    Full,
     ModelParams,
     Snapshot,
+    Sparse,
     StarSpec,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
-    center_sets,
     generate_snapshot,
     snapshot_count,
     snapshot_laplacian,
 )
 from adn_consensus import adn_model
-from adn_consensus.adn_model import activation_sets, center_star_table, center_stars
+from adn_consensus.adn_model import activation_sets, center_star_table
 
 
 class _Draws:
@@ -70,6 +72,13 @@ class TestModelParams:
     def test_dt_zero_is_allowed(self):
         assert ModelParams(3, 1, (0.1,) * 3, 0.0).dt == 0.0
 
+    def test_hashable_under_a_table_rule(self):
+        # the rule takes part in equality but not in the hash, since a
+        # table is a dict
+        table = TieBreakRule({frozenset({1, 2}): {1: 0.25, 2: 0.75}})
+        p, q = ModelParams(3, 1, (0.1,) * 3, 1.0), ModelParams(3, 1, (0.1,) * 3, 1.0, table)
+        assert hash(p) == hash(q) and p != q
+
     def test_require_sparse_rejects_large_rate_sum(self):
         p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
         with pytest.raises(ValueError, match=r"^activity: .*exceeds 1.*<= 1"):
@@ -84,20 +93,20 @@ class TestModelParams:
         with pytest.raises(ValueError, match="exceeds 1"):
             over.require_sparse()
         with pytest.raises(ValueError, match="exceeds 1"):
-            center_sets(over, "sparse")
+            Sparse(over)
 
         under = ModelParams(10, 1, (0.1,) * 10, 1.0)  # fsum: exactly 1
         s = under.rate_sum
         assert s == under.rates_cumsum[-1] < math.fsum(under.a) == 1.0
         assert under.sparse_regime
         under.require_sparse()
-        assert dict(center_sets(under, "sparse"))[()] == 1.0 - s > 0.0
+        assert dict(Sparse(under).law())[()] == 1.0 - s > 0.0
         # the sampler's threshold: a uniform of exactly sum(a) is idle, the
         # next double down has a star, and a centre draw just under 1 picks
         # the last node
-        assert generate_snapshot(under, _Draws(s), "sparse").events == ()
+        assert generate_snapshot(Sparse(under), _Draws(s)).events == ()
         below = math.nextafter(s, 0.0)
-        star = generate_snapshot(under, _Draws(below, math.nextafter(1.0, 0.0), 0.5), "sparse")
+        star = generate_snapshot(Sparse(under), _Draws(below, math.nextafter(1.0, 0.0), 0.5))
         assert [e.center for e in star.events] == [10]
 
 
@@ -193,10 +202,10 @@ class TestSnapshotCount:
 
 class TestGenerators:
     def test_full_snapshot_shape(self):
-        p = ModelParams(6, 2, (0.4,) * 6, 1.0)
+        v = Full(ModelParams(6, 2, (0.4,) * 6, 1.0))
         rng = np.random.default_rng(0)
         for _ in range(200):
-            s = generate_snapshot(p, rng)
+            s = generate_snapshot(v, rng)
             centers = [e.center for e in s.events]
             assert len(set(centers)) == len(centers)
             assert centers == sorted(centers)
@@ -205,12 +214,12 @@ class TestGenerators:
                 assert e.center not in e.neighbors
 
     def test_subset_choice_is_uniform(self):
-        p = ModelParams(5, 2, (1.0,) * 5, 1.0)
+        v = Full(ModelParams(5, 2, (1.0,) * 5, 1.0))
         rng = np.random.default_rng(7)
         trials = 12000
         counts = {}
         for _ in range(trials):
-            s = generate_snapshot(p, rng)
+            s = generate_snapshot(v, rng)
             e = s.events[0]
             counts[e.neighbors] = counts.get(e.neighbors, 0) + 1
         assert len(counts) == math.comb(4, 2)
@@ -221,18 +230,16 @@ class TestGenerators:
 
     def test_sparse_requires_small_rate_sum(self):
         p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
-        with pytest.raises(ValueError):
-            generate_snapshot(p, np.random.default_rng(0), "sparse")
-        with pytest.raises(ValueError):
-            center_sets(p, "sparse")
+        with pytest.raises(ValueError, match="exceeds 1"):
+            Sparse(p)
 
     def test_fastswitch_single_survivor_uniform(self):
-        p = ModelParams(3, 1, (1.0, 1.0, 1.0), 1.0)
+        v = FastSwitch(ModelParams(3, 1, (1.0, 1.0, 1.0), 1.0))
         rng = np.random.default_rng(5)
         trials = 15000
         hits = np.zeros(3)
         for _ in range(trials):
-            s = generate_snapshot(p, rng, "fastswitch")
+            s = generate_snapshot(v, rng)
             assert len(s.events) == 1
             hits[s.events[0].center - 1] += 1
         sigma = math.sqrt(trials * (1 / 3) * (2 / 3))
@@ -240,12 +247,11 @@ class TestGenerators:
             assert abs(c - trials / 3) < 5 * sigma
 
     def test_fastswitch_table_rule_is_respected(self):
-        p = ModelParams(3, 1, (1.0, 1.0, 1.0), 1.0)
         table = {frozenset({1, 2, 3}): {3: 1.0}}
-        rule = TieBreakRule(table)
+        v = FastSwitch(ModelParams(3, 1, (1.0, 1.0, 1.0), 1.0, TieBreakRule(table)))
         rng = np.random.default_rng(9)
         for _ in range(50):
-            s = generate_snapshot(p, rng, "fastswitch", rule)
+            s = generate_snapshot(v, rng)
             assert len(s.events) == 1
             assert s.events[0].center == 3
 
@@ -267,17 +273,17 @@ class TestGenerators:
             assert adn_model._survivor(active, rule, u) == node
 
     def test_fastswitch_empty_snapshot_possible(self):
-        p = ModelParams(3, 1, (1e-9, 1e-9, 1e-9), 1.0)
+        v = FastSwitch(ModelParams(3, 1, (1e-9, 1e-9, 1e-9), 1.0))
         rng = np.random.default_rng(1)
-        s = generate_snapshot(p, rng, "fastswitch")
+        s = generate_snapshot(v, rng)
         assert s.events == ()
 
     def test_unknown_model_rejected(self):
-        p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
-        with pytest.raises(ValueError):
-            generate_snapshot(p, np.random.default_rng(0), "other")
-        with pytest.raises(ValueError):
-            center_sets(p, "other")
+        # a config's model tag is read only through VARIANTS, whose classes
+        # carry their own tag; any other tag is no key of it
+        assert VARIANTS == {"full": Full, "sparse": Sparse, "fastswitch": FastSwitch}
+        assert all(cls.name == tag for tag, cls in VARIANTS.items())
+        assert "other" not in VARIANTS
 
 
 def _id_weighted_table(n: int) -> TieBreakRule:
@@ -290,18 +296,18 @@ def _id_weighted_table(n: int) -> TieBreakRule:
     return TieBreakRule(table)
 
 
-VARIANTS = {
-    "full": ("full", UNIFORM_TIE_BREAK),
-    "sparse": ("sparse", UNIFORM_TIE_BREAK),
-    "fastswitch-uniform": ("fastswitch", UNIFORM_TIE_BREAK),
-    "fastswitch-table": ("fastswitch", _id_weighted_table(5)),
+LAWS = {
+    "full": (Full, UNIFORM_TIE_BREAK),
+    "sparse": (Sparse, UNIFORM_TIE_BREAK),
+    "fastswitch-uniform": (FastSwitch, UNIFORM_TIE_BREAK),
+    "fastswitch-table": (FastSwitch, _id_weighted_table(5)),
 }
 
 
 class TestVariantLaws:
     # sha256 (first 16 hex digits) of the first 400 snapshots' (centre,
-    # neighbours) tuples at seed 2718 on STREAM_PARAMS, recorded from
-    # EventSampler's one-period call (a Bernoulli draw, then the centres and
+    # neighbours) tuples at seed 2718 on STREAM_PARAMS, recorded from the
+    # variant's one-period call (a Bernoulli draw, then the centres and
     # neighbours given a star). A change here changes every simulate output
     # of that variant.
     STREAM_PARAMS = ModelParams(5, 2, (0.3, 0.15, 0.2, 0.1, 0.15), 1.0)
@@ -312,74 +318,58 @@ class TestVariantLaws:
         "fastswitch-table": "780a7a3cce7d5138",
     }
 
-    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("variant", list(LAWS))
     def test_draw_stream_is_pinned(self, variant):
-        model, rule = VARIANTS[variant]
+        cls, rule = LAWS[variant]
+        v = cls(dataclasses.replace(self.STREAM_PARAMS, rule=rule))
         rng = np.random.default_rng(2718)
         stream = [
-            tuple(
-                (e.center, e.neighbors)
-                for e in generate_snapshot(self.STREAM_PARAMS, rng, model, rule).events
-            )
+            tuple((e.center, e.neighbors) for e in generate_snapshot(v, rng).events)
             for _ in range(400)
         ]
         digest = hashlib.sha256(repr(stream).encode()).hexdigest()[:16]
         assert digest == self.STREAM_DIGESTS[variant]
 
-    @pytest.mark.parametrize("variant", list(VARIANTS))
+    @pytest.mark.parametrize("variant", list(LAWS))
     def test_sampler_matches_exact_law(self, variant):
-        """Centre-tuple frequencies of 20,000 draws against center_sets,
-        each within 5 sigma; every drawn tuple is in the law's support, so
-        sparse and fastswitch draws hold at most one star."""
-        model, rule = VARIANTS[variant]
-        a = (0.1, 0.5, 0.3, 0.05) if model == "sparse" else (0.1, 0.5, 0.8, 0.3)
-        p = ModelParams(4, 1, a, 1.0)
+        """Centre-tuple frequencies of 20,000 draws against the variant's
+        law, each within 5 sigma; every drawn tuple is in the law's support,
+        so sparse and fastswitch draws hold at most one star."""
+        cls, rule = LAWS[variant]
+        a = (0.1, 0.5, 0.3, 0.05) if cls is Sparse else (0.1, 0.5, 0.8, 0.3)
+        v = cls(ModelParams(4, 1, a, 1.0, rule))
         law = {}  # fastswitch yields each survivor once per activation set
-        for centres, prob in center_sets(p, model, rule):
+        for centres, prob in v.law():
             law[centres] = law.get(centres, 0.0) + prob
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(123)
         trials = 20000
         counts = dict.fromkeys(law, 0)
         for _ in range(trials):
-            centres = tuple(e.center for e in generate_snapshot(p, rng, model, rule).events)
+            centres = tuple(e.center for e in generate_snapshot(v, rng).events)
             counts[centres] += 1
         assert len(counts) == len(law)
         for centres, prob in law.items():
             sigma = math.sqrt(prob * (1 - prob) / trials)
             assert abs(counts[centres] / trials - prob) <= 5 * sigma, centres
 
-    def test_center_stars_memory_per_star(self):
-        """A held star costs about 128 bytes with its neighbour tuple, 168
-        if StarSpec had an instance dict: at n = 20, m = 3 (19,380 stars)
-        the peak stays under 144 bytes a star."""
-        p = ModelParams(20, 3, (0.01,) * 20, 1.0)
-        tracemalloc.start()
-        try:
-            stars = center_stars(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        count = sum(map(len, stars))
-        assert count == 20 * math.comb(19, 3)
-        assert peak / count < 144, peak / count
-
     def test_sampled_stars_match_center_stars(self):
-        """Each centre's list holds its C(n-1, m) distinct stars, neighbour
-        sets increasing, and 20,000 sparse draws give each star a_i / C(n-1, m),
-        each within 5 sigma."""
+        """Each centre's C(n-1, m) stars, its neighbour sets in
+        ``combinations`` order, are drawn with a_i / C(n-1, m) each by
+        20,000 sparse draws, each within 5 sigma."""
         p = self.STREAM_PARAMS
         C = math.comb(p.n - 1, p.m)
-        stars = center_stars(p)
-        for i, own in enumerate(stars, 1):
-            keys = [s.neighbors for s in own]
-            assert len(keys) == C and keys == sorted(set(keys))
-            assert all(s.center == i and i not in s.neighbors for s in own)
+        counts = {
+            StarSpec(p.n, i, N): 0
+            for i in range(1, p.n + 1)
+            for N in combinations([j for j in range(1, p.n + 1) if j != i], p.m)
+        }
+        assert len(counts) == p.n * C
+        v = Sparse(p)
         rng = np.random.default_rng(7)
         trials = 20000
-        counts = {s: 0 for own in stars for s in own}
         for _ in range(trials):
-            for e in generate_snapshot(p, rng, "sparse").events:
+            for e in generate_snapshot(v, rng).events:
                 counts[e] += 1
         for s, count in counts.items():
             prob = p.a[s.center - 1] / C
@@ -391,7 +381,7 @@ class TestVariantLaws:
         p = ModelParams(n, m, (0.1,) * n, 1.0)
         table = center_star_table(p)
         assert table.shape == (n, math.comb(n - 1, m), m) and table.dtype == np.intp
-        ref = [[[j - 1 for j in s.neighbors] for s in own] for own in center_stars(p)]
+        ref = [[list(N) for N in combinations([j for j in range(n) if j != i], m)] for i in range(n)]
         assert table.tolist() == ref
 
 

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -11,9 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adn_consensus import (
+    VARIANTS,
+    FastSwitch,
+    Full,
     ModelParams,
     Snapshot,
     StarSpec,
+    Sparse,
     SurvivalCurve,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
@@ -27,7 +32,7 @@ from adn_consensus import (
     snapshot_laplacian,
     step,
 )
-from adn_consensus.adn_model import PATHS, EventSampler, stream
+from adn_consensus.adn_model import PATHS, stream
 from adn_consensus.graph_core import STACK_BYTES
 from adn_consensus.cli import parse_config, resolve_config
 from oracles import block_walk_survival, star_laplacian_ints, taylor_expm
@@ -147,7 +152,7 @@ def exact_sparse_survival(p: ModelParams, z0, k_max: int, eps: float):
 class TestRunPaths:
     def test_consensus_start_never_exceeds(self):
         p = ModelParams(4, 1, (0.2,) * 4, 1.0)
-        curve = run_paths(p, "sparse", UNIFORM_TIE_BREAK, np.ones(4), 10, 50, 0.01, 7)
+        curve = run_paths(Sparse(p), np.ones(4), 10, 50, 0.01, 7)
         assert np.array_equal(curve.probs, np.zeros(11))
 
     def test_threshold_above_start_stays_zero(self):
@@ -156,14 +161,14 @@ class TestRunPaths:
         p = ModelParams(3, 1, (0.2, 0.1, 0.15), 0.8)
         z0 = np.array([0.1, 0.0, -0.1])
         eps = off_consensus_sq(z0) + 0.05
-        curve = run_paths(p, "sparse", UNIFORM_TIE_BREAK, z0, 15, 80, eps, 11)
+        curve = run_paths(Sparse(p), z0, 15, 80, eps, 11)
         assert np.array_equal(curve.probs, np.zeros(16))
 
     def test_monotone_and_grid_valued(self):
         p = ModelParams(5, 2, (0.15,) * 5, 1.5)
         rng = np.random.default_rng(2)
         z0 = rng.uniform(-1, 1, 5)
-        curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 40, 300, 0.05, 123)
+        curve = run_paths(Full(p), z0, 40, 300, 0.05, 123)
         assert np.all(np.diff(curve.probs) <= 0)
         scaled = curve.probs * 300
         assert np.max(np.abs(scaled - np.round(scaled))) < 1e-9
@@ -172,14 +177,14 @@ class TestRunPaths:
     def test_deterministic_and_thread_invariant(self):
         p = ModelParams(4, 2, (0.2, 0.3, 0.1, 0.25), 1.0)
         z0 = np.array([1.0, -0.5, 0.25, 0.0])
-        a = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 90, 0.02, 99)
-        b = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 90, 0.02, 99)
-        c = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 90, 0.02, 99, n_jobs=3)
+        a = run_paths(FastSwitch(p), z0, 25, 90, 0.02, 99)
+        b = run_paths(FastSwitch(p), z0, 25, 90, 0.02, 99)
+        c = run_paths(FastSwitch(p), z0, 25, 90, 0.02, 99, n_jobs=3)
         assert np.array_equal(a.probs, b.probs)
         assert np.array_equal(a.probs, c.probs)
         # more workers than paths: one path per worker
-        d = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 3, 0.02, 99, n_jobs=5)
-        e = run_paths(p, "fastswitch", UNIFORM_TIE_BREAK, z0, 25, 3, 0.02, 99)
+        d = run_paths(FastSwitch(p), z0, 25, 3, 0.02, 99, n_jobs=5)
+        e = run_paths(FastSwitch(p), z0, 25, 3, 0.02, 99)
         assert np.array_equal(d.probs, e.probs)
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
@@ -208,8 +213,8 @@ class TestRunPaths:
         p = ModelParams(4, 2, (0.2, 0.3, 0.1, 0.25), 1.0)
         z0 = np.array([1.0, -0.5, 0.25, 0.0])
         n_paths = 2 * mc_sim.BLOCK + 1
-        many = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 5, n_paths, 0.02, 99, n_jobs=10**6)
-        one = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 5, n_paths, 0.02, 99)
+        many = run_paths(Full(p), z0, 5, n_paths, 0.02, 99, n_jobs=10**6)
+        one = run_paths(Full(p), z0, 5, n_paths, 0.02, 99)
         assert np.array_equal(many.probs, one.probs)
         assert many.norm_rises == one.norm_rises
         assert parts == [3]
@@ -220,8 +225,8 @@ class TestRunPaths:
         # even seeds that differ in one low bit share no path
         p = ModelParams(4, 2, (0.2, 0.3, 0.1, 0.25), 1.0)
         z0 = np.array([1.0, -0.5, 0.25, 0.0])
-        a = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 200, 0.02, 12345)
-        b = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 25, 200, 0.02, 9876543)
+        a = run_paths(Full(p), z0, 25, 200, 0.02, 12345)
+        b = run_paths(Full(p), z0, 25, 200, 0.02, 9876543)
         assert not np.array_equal(a.probs, b.probs)
 
     def test_neighbouring_seeds_share_no_stream(self):
@@ -235,7 +240,7 @@ class TestRunPaths:
         z0 = np.array([1.0, -1.0, 0.4])
         k_max, eps, n_paths = 3, 0.5, 4000
         exact = exact_sparse_survival(p, z0, k_max, eps)
-        curve = run_paths(p, "sparse", UNIFORM_TIE_BREAK, z0, k_max, n_paths, eps, 314)
+        curve = run_paths(Sparse(p), z0, k_max, n_paths, eps, 314)
         for k in range(k_max + 1):
             sigma = math.sqrt(max(exact[k] * (1 - exact[k]), 1e-12) / n_paths)
             assert abs(curve.probs[k] - exact[k]) < 5 * sigma + 1e-9, k
@@ -244,25 +249,23 @@ class TestRunPaths:
         p = ModelParams(3, 1, (0.2, 0.1, 0.1), 1.0)
         z0 = np.zeros(3)
         with pytest.raises(ValueError):
-            run_paths(p, "other", UNIFORM_TIE_BREAK, z0, 5, 5, 0.1, 0)
+            run_paths(Sparse(p), z0, 0, 5, 0.1, 0)
         with pytest.raises(ValueError):
-            run_paths(p, "sparse", UNIFORM_TIE_BREAK, z0, 0, 5, 0.1, 0)
+            run_paths(Sparse(p), z0, 5, 0, 0.1, 0)
         with pytest.raises(ValueError):
-            run_paths(p, "sparse", UNIFORM_TIE_BREAK, z0, 5, 0, 0.1, 0)
+            run_paths(Sparse(p), z0, 5, 5, 0.0, 0)
         with pytest.raises(ValueError):
-            run_paths(p, "sparse", UNIFORM_TIE_BREAK, z0, 5, 5, 0.0, 0)
+            run_paths(Sparse(p), np.array([1.0, np.nan, 0]), 5, 5, 0.1, 0)
         with pytest.raises(ValueError):
-            run_paths(p, "sparse", UNIFORM_TIE_BREAK, np.array([1.0, np.nan, 0]), 5, 5, 0.1, 0)
+            run_paths(Sparse(p), np.zeros(4), 5, 5, 0.1, 0)
         with pytest.raises(ValueError):
-            run_paths(p, "sparse", UNIFORM_TIE_BREAK, np.zeros(4), 5, 5, 0.1, 0)
-        with pytest.raises(ValueError):
-            run_paths(p, "sparse", UNIFORM_TIE_BREAK, z0, 5, 5, 0.1, -3)
+            run_paths(Sparse(p), z0, 5, 5, 0.1, -3)
         pz = ModelParams(3, 1, (0.2, 0.1, 0.1), 0.0)
         with pytest.raises(ValueError):
-            run_paths(pz, "sparse", UNIFORM_TIE_BREAK, z0, 5, 5, 0.1, 0)
+            run_paths(Sparse(pz), z0, 5, 5, 0.1, 0)
         big = ModelParams(3, 1, (0.9, 0.8, 0.7), 1.0)
         with pytest.raises(ValueError):
-            run_paths(big, "sparse", UNIFORM_TIE_BREAK, z0, 5, 5, 0.1, 0)
+            run_paths(Sparse(big), z0, 5, 5, 0.1, 0)
 
 
 def oracle_case(case: int) -> dict:
@@ -302,9 +305,7 @@ def oracle_case(case: int) -> dict:
     n_paths = int(rng.integers(5, 25))
     two = case % 40 == 13
     return dict(
-        p=p,
-        model=model,
-        rule=rule,
+        v=VARIANTS[model](dataclasses.replace(p, rule=rule)),
         z0=z0,
         k_max=k_max,
         n_paths=mc_sim.BLOCK + n_paths if two else n_paths,
@@ -316,17 +317,18 @@ def oracle_case(case: int) -> dict:
 
 def oracle_walk(c: dict) -> np.ndarray:
     """``block_walk_survival`` on run_paths arguments ``c``: the package's
-    sampler and block streams, ``step`` and ``off_consensus_sq``."""
-    p, model, rule = c["p"], c["model"], c["rule"]
+    variant's draws and block streams, ``step`` and ``off_consensus_sq``."""
+    v = c["v"]
+    p = v.p
 
     def advance(z, stars):
         return step(z, Snapshot(p.n, tuple(StarSpec(p.n, i, N) for i, N in stars)), p.dt)
 
     def draw(rng):
-        return generate_snapshot(p, rng, model, rule).events
+        return generate_snapshot(v, rng).events
 
     return block_walk_survival(
-        EventSampler(p, model, rule),
+        v,
         lambda b: stream(c["seed"], PATHS, b),
         mc_sim.BLOCK,
         lambda rng: [(e.center, e.neighbors) for e in draw(rng)],
@@ -367,7 +369,7 @@ def edge_survival(model, a, dt, events, k_max, n_paths, seed):
     curve and the exact P(tau > K) = P(Binomial(K, p_event) < events)."""
     p = ModelParams(2, 1, a, dt)
     eps = 2.0 * math.exp(-4.0 * dt * (events - 0.5))
-    curve = run_paths(p, model, UNIFORM_TIE_BREAK, np.array([1.0, -1.0]), k_max, n_paths, eps, seed)
+    curve = run_paths(VARIANTS[model](p), np.array([1.0, -1.0]), k_max, n_paths, eps, seed)
     q = a[0] + a[1] if model == "sparse" else 1.0 - (1.0 - a[0]) * (1.0 - a[1])
     exact = [
         sum(math.comb(K, j) * q**j * (1.0 - q) ** (K - j) for j in range(min(events, K + 1)))
@@ -399,9 +401,9 @@ class TestGapDraw:
         [("full", (1.0, 0.2, 0.5)), ("fastswitch", (0.3, 1.0, 0.5)), ("sparse", (0.5, 0.25, 0.25))],
     )
     def test_certain_event_every_period(self, model, a):
-        sampler = EventSampler(ModelParams(3, 1, a, 1.0), model)
-        assert sampler.p_event == 1.0 and sampler.log_idle == -math.inf
-        assert np.array_equal(sampler.gaps(np.random.default_rng(1), 1000, 50), np.ones(1000))
+        v = VARIANTS[model](ModelParams(3, 1, a, 1.0))
+        assert v.p_event == 1.0 and v.log_idle == -math.inf
+        assert np.array_equal(v.gaps(np.random.default_rng(1), 1000, 50), np.ones(1000))
 
     def test_certain_event_gives_tau_at_the_events_th_period(self):
         curve, _ = edge_survival("full", (1.0, 0.5), 0.5, 3, 10, 50, 3)
@@ -413,16 +415,16 @@ class TestGapDraw:
         # log(1 - u) / log_idle reaches 1e300 and beyond (inf for the
         # smallest subnormal rate); every warning is an error here
         p = ModelParams(4, 1, (rate,) * 4, 1.0)
-        sampler = EventSampler(p, model)
-        assert 0.0 < -sampler.log_idle < 1e-290
-        gaps = sampler.gaps(np.random.default_rng(2), 1000, 41)
+        v = VARIANTS[model](p)
+        assert 0.0 < -v.log_idle < 1e-290
+        gaps = v.gaps(np.random.default_rng(2), 1000, 41)
         assert gaps.dtype == np.int64 and np.array_equal(gaps, np.full(1000, 41))
-        curve = run_paths(p, model, UNIFORM_TIE_BREAK, np.arange(4.0), 40, 20, 0.1, 5)
+        curve = run_paths(v, np.arange(4.0), 40, 20, 0.1, 5)
         assert np.array_equal(curve.probs, np.ones(41))
 
     @pytest.mark.parametrize("model", ["full", "sparse", "fastswitch"])
     def test_k_max_one(self, model):
-        c = dict(p=ModelParams(3, 1, (0.5, 0.3, 0.15), 0.8), model=model, rule=UNIFORM_TIE_BREAK,
+        c = dict(v=VARIANTS[model](ModelParams(3, 1, (0.5, 0.3, 0.15), 0.8)),
                  z0=np.array([1.0, 0.0, -1.0]), k_max=1, n_paths=300, eps=1.5, seed=17)
         curve = run_paths(**c)
         assert curve.probs[0] == 1.0 and 0.0 < curve.probs[1] < 1.0
@@ -433,7 +435,7 @@ class TestGapDraw:
         p = ModelParams(3, 1, (0.3, 0.2, 0.1), 1.0)
         z0 = np.array([0.5, -0.5, 0.0])
         for start, eps in ((np.full(3, 0.7), 0.01), (z0, off_consensus_sq(z0) * 1.01)):
-            curve = run_paths(p, model, UNIFORM_TIE_BREAK, start, 12, 40, eps, 9)
+            curve = run_paths(VARIANTS[model](p), start, 12, 40, eps, 9)
             assert np.array_equal(curve.probs, np.zeros(13))
 
 
@@ -459,7 +461,7 @@ class TestBoundedMemory:
         tracemalloc.start()
         try:
             z0 = np.linspace(-1.0, 1.0, n)
-            curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 2, n_paths, 1e-3, 5)
+            curve = run_paths(Full(p), z0, 2, n_paths, 1e-3, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -470,10 +472,8 @@ class TestBoundedMemory:
 
 def config_run(name: str, n_paths: int) -> SurvivalCurve:
     cfg = parse_config(json.loads((CONFIGS / name).read_text()))
-    p, rule, z0, _ = resolve_config(cfg)
-    return run_paths(
-        p, cfg["model"], rule, z0, cfg["k_max"], n_paths, cfg["eps"], cfg["seed"]
-    )
+    p, z0, _ = resolve_config(cfg)
+    return run_paths(VARIANTS[cfg["model"]](p), z0, cfg["k_max"], n_paths, cfg["eps"], cfg["seed"])
 
 
 class TestNormRises:
@@ -487,7 +487,7 @@ class TestNormRises:
         monkeypatch.setattr(mc_sim, "_apply_stars", lambda Z, *args: 1.5 * Z)
         p = ModelParams(4, 2, (0.5, 0.4, 0.3, 0.6), 1.0)
         z0 = np.array([1.0, -0.5, 0.25, 0.0])
-        curve = run_paths(p, "full", UNIFORM_TIE_BREAK, z0, 20, 10, 0.05, 3)
+        curve = run_paths(Full(p), z0, 20, 10, 0.05, 3)
         assert curve.norm_rises > 0
         assert np.array_equal(curve.probs, np.ones(21))
 

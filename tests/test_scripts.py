@@ -3,7 +3,10 @@
 import importlib
 import json
 import os
+import sys
 from pathlib import Path
+
+from adn_consensus import cli
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -32,3 +35,21 @@ def test_gate_power_on_a_tiny_grid(tmp_path, capsys, monkeypatch):
         assert all(0.0 < r["bound"] < 1.0 for r in c["per_seed"])
         # the worker count changes nothing but the timing
         assert c == two["criteria"][name]
+
+
+def test_reproduce_experiments_from_another_directory(tmp_path, capsys, monkeypatch):
+    # the configs resolve from the checkout, not the working directory;
+    # each shipped config is read as it is, then cut to 300 paths
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    reproduce = importlib.import_module("reproduce_experiments")
+    load = cli._load_json
+    monkeypatch.setattr(cli, "_load_json", lambda path: {**load(path), "n_paths": 300})
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["reproduce_experiments.py"])
+    assert reproduce.run() == 0
+    out = capsys.readouterr().out
+    for label, config, _ in reproduce.EXPERIMENTS:
+        assert f"== {label}: {config} -> results{os.sep}{label}" in out
+        manifest = json.loads((tmp_path / "results" / label / "manifest.json").read_text())
+        assert manifest["n_paths"] == 300
+    assert out.count("bound rate") == 2 and "tail vs bound" in out

@@ -48,3 +48,20 @@ def test_every_private_name_is_referenced(module):
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     referenced = set().union(*(_loaded(tree) for tree in TREES.values()))
     assert sorted(private - referenced) == []
+
+
+def test_no_comparison_names_a_model_tag():
+    # a config's model tag is read only through adn_model.VARIANTS; a
+    # comparison against a tag literal (==, !=, in a tuple of tags, ...)
+    # would dispatch on it again
+    tags = {"full", "sparse", "fastswitch"}
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for leaf in ast.walk(operand)
+        if isinstance(leaf, ast.Constant) and leaf.value in tags
+    ]
+    assert found == []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,7 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adn_consensus import (
+    VARIANTS,
+    FastSwitch,
+    Full,
     ModelParams,
+    Sparse,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
     activation_expectation,
@@ -83,8 +88,8 @@ class TestLambdaSecond:
 
     @pytest.mark.parametrize("model", ["sparse", "fastswitch"])
     def test_deflated_matches_dense_projector_on_certify_mixture(self, model):
-        p, rule, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
-        S = _activation_mixture(p, np.asarray(kernel_weights(p, model, rule), dtype=np.float64))
+        p, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
+        S = _activation_mixture(p, np.asarray(kernel_weights(VARIANTS[model](p)), dtype=np.float64))
         ref = projected_top_eigenvalue(S)
         assert abs(lambda_second_deflated(S) - ref) <= 1e-13 * np.max(np.abs(S))
 
@@ -153,12 +158,12 @@ class TestPoissonBinomial:
 class TestSurvivorRates:
     def test_frozen_two_node_value(self):
         p = ModelParams(2, 1, (0.5, 0.5), 1.0)
-        b = survivor_rates(p, UNIFORM_TIE_BREAK)
+        b = survivor_rates(p)
         assert np.allclose(b, [0.375, 0.375], atol=1e-15)
 
     def test_all_always_active(self):
         p = ModelParams(4, 1, (1.0,) * 4, 1.0)
-        b = survivor_rates(p, UNIFORM_TIE_BREAK)
+        b = survivor_rates(p)
         assert np.allclose(b, [0.25] * 4, atol=1e-14)
 
     @given(st.integers(2, 8), st.data())
@@ -169,9 +174,9 @@ class TestSurvivorRates:
         )
         p = ModelParams(n, 1, a, 1.0)
         ref = exhaustive_survivor_rates(a)
-        got = survivor_rates(p, UNIFORM_TIE_BREAK)
+        got = survivor_rates(p)
         assert np.max(np.abs(got - ref)) < 1e-12
-        enumerated = enumerated_survivor_rates(p, UNIFORM_TIE_BREAK)
+        enumerated = enumerated_survivor_rates(p)
         assert np.max(np.abs(enumerated - ref)) < 1e-12
 
     @given(st.integers(2, 10), st.data())
@@ -181,7 +186,7 @@ class TestSurvivorRates:
             data.draw(st.floats(1e-6, 1.0, allow_nan=False)) for _ in range(n)
         )
         p = ModelParams(n, 1, a, 1.0)
-        b = survivor_rates(p, UNIFORM_TIE_BREAK)
+        b = survivor_rates(p)
         none_active = math.prod(1.0 - x for x in a)
         assert abs(b.sum() - (1.0 - none_active)) < 1e-12
 
@@ -190,7 +195,7 @@ class TestSurvivorRates:
         a = np.random.default_rng(300).uniform(0.0, 1.0, n)
         p = ModelParams(n, 1, tuple(a), 1.0)
         ref = leave_one_out_survivor_rates(a, poisson_binomial_pmf)
-        got = survivor_rates(p, UNIFORM_TIE_BREAK)
+        got = survivor_rates(p)
         assert np.max(np.abs(got - ref) / ref) < 1e-14
 
     @pytest.mark.parametrize(
@@ -211,7 +216,7 @@ class TestSurvivorRates:
         for n in (2, 3, 17, 150) if kind != "mixed" else (600,):
             a = rng.permutation(draws[kind](n))
             p = ModelParams(len(a), 1, tuple(a), 1.0)
-            got = survivor_rates(p, UNIFORM_TIE_BREAK)
+            got = survivor_rates(p)
             ref = leave_one_out_survivor_rates(a, poisson_binomial_pmf)
             assert np.max(np.abs(got - ref) / ref) < 1e-13, n
 
@@ -221,7 +226,7 @@ class TestSurvivorRates:
         p = ModelParams(N_LIMIT, 1, a, 1.0)
         tracemalloc.start()
         try:
-            b = survivor_rates(p, UNIFORM_TIE_BREAK)
+            b = survivor_rates(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -236,42 +241,40 @@ class TestSurvivorRates:
             members = frozenset(i + 1 for i in range(n) if mask >> i & 1)
             if len(members) >= 2:
                 table[members] = {i: 1.0 / len(members) for i in members}
-        rule = TieBreakRule(table)
         p = ModelParams(n, 2, (0.3, 0.8, 0.1, 0.55), 1.0)
-        got = survivor_rates(p, rule)
-        ref = survivor_rates(p, UNIFORM_TIE_BREAK)
+        got = survivor_rates(dataclasses.replace(p, rule=TieBreakRule(table)))
+        ref = survivor_rates(p)
         assert np.max(np.abs(got - ref)) < 1e-12
 
     def test_biased_table_shifts_mass(self):
         table = {frozenset({1, 2}): {1: 1.0, 2: 0.0}}
-        rule = TieBreakRule(table)
-        p = ModelParams(2, 1, (0.5, 0.5), 1.0)
-        b = survivor_rates(p, rule)
+        p = ModelParams(2, 1, (0.5, 0.5), 1.0, TieBreakRule(table))
+        b = survivor_rates(p)
         # node 1 survives alone (0.25) or wins every tie (0.25)
         assert np.allclose(b, [0.5, 0.25], atol=1e-15)
 
     def test_table_mode_size_guard(self):
-        p = ModelParams(21, 1, (0.01,) * 21, 1.0)
         rule = TieBreakRule({frozenset({1, 2}): {1: 0.5, 2: 0.5}})
+        p = ModelParams(21, 1, (0.01,) * 21, 1.0, rule)
         with pytest.raises(ValueError, match="refused"):
-            survivor_rates(p, rule)
+            survivor_rates(p)
 
     def test_table_mode_missing_set_raises(self):
-        p = ModelParams(3, 1, (0.5, 0.5, 0.5), 1.0)
         rule = TieBreakRule({frozenset({1, 2}): {1: 0.5, 2: 0.5}})
+        p = ModelParams(3, 1, (0.5, 0.5, 0.5), 1.0, rule)
         with pytest.raises(ValueError, match="missing"):
-            survivor_rates(p, rule)
+            survivor_rates(p)
 
 
 class TestKernelWeights:
     def test_sparse_weights_are_the_rates(self):
         p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.15), 1.0)
-        assert kernel_weights(p, "sparse") == p.a
+        assert kernel_weights(Sparse(p)) == p.a
 
     def test_sparse_refuses_rate_sum_above_one(self):
         p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
         with pytest.raises(ValueError, match=r"^activity: rate sum .* exceeds 1"):
-            kernel_weights(p, "sparse")
+            kernel_weights(Sparse(p))
 
     def test_fastswitch_weights_are_the_survivor_rates(self):
         n = 4
@@ -282,13 +285,15 @@ class TestKernelWeights:
                 table[members] = {i: i / sum(members) for i in members}
         p = ModelParams(n, 2, (0.3, 0.8, 0.1, 0.55), 1.0)
         for rule in (UNIFORM_TIE_BREAK, TieBreakRule(table)):
-            assert np.array_equal(kernel_weights(p, "fastswitch", rule), survivor_rates(p, rule))
+            q = dataclasses.replace(p, rule=rule)
+            assert np.array_equal(kernel_weights(FastSwitch(q)), survivor_rates(q))
 
     @pytest.mark.parametrize("model", ["full", "markov"])
     def test_other_tags_refused_by_name(self, model):
-        p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.15), 1.0)
+        # Full, or any other variant with several stars a period
+        v = type(model, (Full,), {"name": model})(ModelParams(4, 2, (0.1, 0.2, 0.3, 0.15), 1.0))
         with pytest.raises(ValueError, match=repr(model)):
-            kernel_weights(p, model)
+            kernel_weights(v)
 
 
 def deflated_rate_oracle(p: ModelParams, weights) -> float:
@@ -322,9 +327,9 @@ class TestActivationMixture:
 
     @pytest.mark.parametrize("model", ["sparse", "fastswitch"])
     def test_certify_bounds_match_per_centre_path(self, model):
-        p, rule, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
-        got = gamma_sp(p) if model == "sparse" else gamma_fs(p, rule)
-        w = np.asarray(kernel_weights(p, model, rule), dtype=np.float64)
+        p, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
+        got = gamma_sp(p) if model == "sparse" else gamma_fs(p)
+        w = np.asarray(kernel_weights(VARIANTS[model](p)), dtype=np.float64)
         lam = lambda_second_deflated(per_centre_mixture(activation_expectation, p, w))
         ref = 1.0 - float(w.sum()) + lam
         assert abs(got.rate - ref) <= 1e-12 * ref
@@ -354,7 +359,7 @@ class TestDecayBounds:
     def test_gamma_fs_fields_and_oracle(self):
         p = ModelParams(5, 2, (0.3, 0.8, 0.1, 0.55, 0.2), 0.05)
         bound = gamma_fs(p)
-        b = survivor_rates(p, UNIFORM_TIE_BREAK)
+        b = survivor_rates(p)
         assert bound.kind == "fastswitch"
         assert bound.weight_sum == pytest.approx(float(b.sum()), abs=1e-14)
         assert abs(bound.rate - deflated_rate_oracle(p, b)) < 1e-10
@@ -414,11 +419,11 @@ class TestSecularBound:
         def refused(*_):
             raise AssertionError("dense step on the bound path")
 
-        p, rule, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
-        ref = [dense_bound(p, kernel_weights(p, k, rule), k) for k in ("sparse", "fastswitch")]
+        p, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
+        ref = [dense_bound(p, kernel_weights(cls(p)), cls.name) for cls in (Sparse, FastSwitch)]
         monkeypatch.setattr(spectral, "_activation_mixture", refused)
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
-        for got, dense in zip((gamma_sp(p), gamma_fs(p, rule)), ref):
+        for got, dense in zip((gamma_sp(p), gamma_fs(p)), ref):
             assert abs(got.rate - dense.rate) <= 1e-15
 
     def test_memory_is_one_kernel_and_fields_are_floats(self):

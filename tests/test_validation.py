@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adn_consensus import (
+    VARIANTS,
+    FastSwitch,
+    Full,
     ModelParams,
+    Sparse,
+    StarSpec,
     TieBreakRule,
     UNIFORM_TIE_BREAK,
-    center_sets,
     enumerate_expected_exponential,
-    enumeration_size,
     expm_sym,
     gamma_fs,
     generate_snapshot,
@@ -27,7 +31,6 @@ from adn_consensus import (
     weighted_expected_exponential,
 )
 from adn_consensus import validation
-from adn_consensus.adn_model import center_stars
 from adn_consensus.cli import parse_config, resolve_config
 from adn_consensus.graph_core import star_union_laplacian
 from adn_consensus.validation import MAX_BRANCHES, _enumerate_branches
@@ -60,15 +63,35 @@ def _random_table(n: int, data) -> TieBreakRule:
     return TieBreakRule(table)
 
 
-def _branches(p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK) -> list:
+def _variant(p: ModelParams, model: str, rule: TieBreakRule = UNIFORM_TIE_BREAK):
+    """The variant of tag ``model`` on p under the tie-break ``rule``."""
+    return VARIANTS[model](dataclasses.replace(p, rule=rule))
+
+
+def _center_stars(p: ModelParams) -> list:
+    """Each centre's C(n-1, m) equally likely stars, in ``combinations`` order."""
+    others = ([j for j in range(1, p.n + 1) if j != i] for i in range(1, p.n + 1))
+    return [[StarSpec(p.n, i, N) for N in combinations(js, p.m)] for i, js in enumerate(others, 1)]
+
+
+def _branches(v) -> list:
     """``_enumerate_branches``' stacks unpacked to one (weight, stars) pair
     per configuration, stars as 1-based (centre, neighbours) pairs without
     the padding (a centre joined to itself)."""
     return [
         (w, [(c + 1, tuple(N + 1)) for c, N in zip(cs, nbs) if N[0] != c])
-        for ws, centre, nbs_stack in _enumerate_branches(p, model, rule)
+        for ws, centre, nbs_stack in _enumerate_branches(v)
         for w, cs, nbs in zip(ws.tolist(), centre, nbs_stack)
     ]
+
+
+def _unread(monkeypatch, message: str):
+    """Make reading any variant's centre law fail with ``message``."""
+    def unread(*_):
+        raise AssertionError(message)
+
+    for cls in (Full, Sparse, FastSwitch):
+        monkeypatch.setattr(cls, "law", unread)
 
 
 def _count_exponentials(monkeypatch) -> list:
@@ -95,10 +118,11 @@ class TestEnumerationSize:
         rule = UNIFORM_TIE_BREAK
         if model == "table":  # fastswitch under a random table with zero weights
             model, rule = "fastswitch", _random_table(p.n, data)
-        branches = _branches(p, model, rule)
-        size = enumeration_size(p, model)
+        v = _variant(p, model, rule)
+        branches = _branches(v)
+        size = v.size()
         if model == "fastswitch":
-            rows = sum(1 for _ in center_sets(p, model, rule))
+            rows = sum(1 for _ in v.law())
             assert len(branches) == 1 + p.n * math.comb(p.n - 1, p.m)
             assert rows <= size and (rows == size or rule.table is not None)
         else:
@@ -108,16 +132,16 @@ class TestEnumerationSize:
 
     def test_known_sizes(self):
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
-        assert enumeration_size(p, "sparse") == 1 + 3 * 2
-        assert enumeration_size(p, "full") == 27
+        assert Sparse(p).size() == 1 + 3 * 2
+        assert Full(p).size() == 27
         # the empty set, then each member of each nonempty activated set
-        assert enumeration_size(p, "fastswitch") == 1 + 3 * 4
+        assert FastSwitch(p).size() == 1 + 3 * 4
         # the folded law's 1 + 3 centre tuples times 2 stars a centre
-        assert len(_branches(p, "fastswitch")) == 1 + 3 * 2
+        assert len(_branches(FastSwitch(p))) == 1 + 3 * 2
         # n = 20 is the smallest n refused under fastswitch, whatever m is
         for n, refused in ((19, False), (20, True)):
             q = ModelParams(n, 1, (0.01,) * n, 1.0)
-            assert (enumeration_size(q, "fastswitch") > MAX_BRANCHES) == refused
+            assert (FastSwitch(q).size() > MAX_BRANCHES) == refused
 
     def test_table_rule_counts_only_positive_weights(self):
         """A zero tie-break weight takes that survivor's rows out of the
@@ -133,11 +157,11 @@ class TestEnumerationSize:
                     w = {s[0]: 0.0, s[1]: 0.5, s[2]: 0.5}
                 table[frozenset(s)] = w
         rule = TieBreakRule(table)
-        assert sum(1 for _ in center_sets(p, "fastswitch", rule)) == 29
-        assert sum(1 for _ in center_sets(p, "fastswitch")) == 33
-        assert enumeration_size(p, "fastswitch") == 33
+        assert sum(1 for _ in _variant(p, "fastswitch", rule).law()) == 29
+        assert sum(1 for _ in FastSwitch(p).law()) == 33
+        assert FastSwitch(p).size() == 33
         for r in (rule, UNIFORM_TIE_BREAK):
-            assert len(_branches(p, "fastswitch", r)) == 13
+            assert len(_branches(_variant(p, "fastswitch", r))) == 13
 
     def test_incomplete_table_refused(self, monkeypatch):
         # the size no longer reads the law; the fold meets the missing set
@@ -147,24 +171,14 @@ class TestEnumerationSize:
         rule = TieBreakRule(table)
         calls = _count_exponentials(monkeypatch)
         with pytest.raises(ValueError, match=r"\[1, 2, 3\] missing from tie-break table"):
-            enumerate_expected_exponential(p, "fastswitch", rule)
+            enumerate_expected_exponential(_variant(p, "fastswitch", rule))
         assert calls == []
 
     def test_refused_before_the_law_is_read(self, monkeypatch):
-        def unread(*_):
-            raise AssertionError("centre law read before the size was refused")
-
-        monkeypatch.setattr(validation, "center_sets", unread)
+        _unread(monkeypatch, "centre law read before the size was refused")
         p = ModelParams(20, 3, (0.01,) * 20, 1.0)
         with pytest.raises(ValueError, match="10485761 branches"):
-            enumerate_expected_exponential(p, "fastswitch")
-
-    def test_unknown_model_rejected(self):
-        p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
-        with pytest.raises(ValueError):
-            enumeration_size(p, "other")
-        with pytest.raises(ValueError):
-            enumerate_expected_exponential(p, "other")
+            enumerate_expected_exponential(FastSwitch(p))
 
 
 class TestFoldedLaw:
@@ -175,13 +189,14 @@ class TestFoldedLaw:
         if model == "table":
             model, rule = "fastswitch", _random_table(p.n, data)
         T = 2.0 * p.dt
+        v = _variant(p, model, rule)
         ref = unfolded_expected_exponential(
-            center_sets(p, model, rule),
-            center_stars(p),
+            v.law(),
+            _center_stars(p),
             lambda choice: expm_sym(star_union_laplacian(p.n, choice), T),
             p.n,
         )
-        got = enumerate_expected_exponential(p, model, rule)
+        got = enumerate_expected_exponential(v)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
     @pytest.mark.parametrize("tabled", [False, True])
@@ -198,9 +213,10 @@ class TestFoldedLaw:
                 for s in combinations(range(1, n + 1), k)
             })
         calls = _count_exponentials(monkeypatch)
-        E = enumerate_expected_exponential(p, "fastswitch", rule)
+        v = _variant(p, "fastswitch", rule)
+        E = enumerate_expected_exponential(v)
         assert len(calls) == 1 + n * math.comb(n - 1, 3) == 281
-        ref = weighted_expected_exponential(p, survivor_rates(p, rule))
+        ref = weighted_expected_exponential(p, survivor_rates(v.p))
         assert np.max(np.abs(E - ref)) <= 1e-12
 
 
@@ -212,30 +228,31 @@ class TestFoldedLaw:
         rule = UNIFORM_TIE_BREAK
         if model == "table":
             model, rule = "fastswitch", _random_table(p.n, data)
+        v = _variant(p, model, rule)
         law = {}
-        for centres, prob in center_sets(p, model, rule):
+        for centres, prob in v.law():
             law[centres] = law.get(centres, 0.0) + prob
-        stars = center_stars(p)
+        stars = _center_stars(p)
         ref = [
             (prob / len(stars[0]) ** len(centres), [(s.center, s.neighbors) for s in choice])
             for centres, prob in law.items()
             for choice in product(*(stars[i - 1] for i in centres))
         ]
-        assert _branches(p, model, rule) == ref
+        assert _branches(v) == ref
 
 
 class TestBranchProbabilities:
     @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch"]))
     @settings(max_examples=40, deadline=None)
     def test_probabilities_sum_to_one(self, p, model):
-        total = sum(w for w, _ in _branches(p, model))
+        total = sum(w for w, _ in _branches(_variant(p, model)))
         assert abs(total - 1.0) < 1e-12
 
     def test_full_model_branch_weights_are_true_probabilities(self):
         # with unequal rates the configurations are not equiprobable; check
         # one explicit branch weight: nobody activates
         p = ModelParams(3, 1, (0.5, 0.25, 0.125), 1.0)
-        empty = [w for w, stars in _branches(p, "full") if not stars]
+        empty = [w for w, stars in _branches(Full(p)) if not stars]
         assert len(empty) == 1
         assert empty[0] == pytest.approx(0.5 * 0.75 * 0.875, abs=1e-15)
 
@@ -246,23 +263,22 @@ class TestBranchProbabilities:
             frozenset({2, 3}): {2: 0.5, 3: 0.5},
             frozenset({1, 2, 3}): {1: 0.5, 2: 0.5, 3: 0.0},
         }
-        rule = TieBreakRule(table)
-        p = ModelParams(3, 1, (0.5, 0.5, 0.5), 1.0)
-        total = sum(w for w, _ in _branches(p, "fastswitch", rule))
+        p = ModelParams(3, 1, (0.5, 0.5, 0.5), 1.0, TieBreakRule(table))
+        total = sum(w for w, _ in _branches(FastSwitch(p)))
         assert abs(total - 1.0) < 1e-12
 
 
 class TestEnumerateExpectedExponential:
     def test_sparse_matches_closed_form(self):
         p = ModelParams(5, 2, (0.05, 0.1, 0.02, 0.2, 0.01), 0.75)
-        got = enumerate_expected_exponential(p, "sparse")
+        got = enumerate_expected_exponential(Sparse(p))
         ref = sparse_expected_exponential(p)
         assert np.max(np.abs(got - ref)) < 1e-10
 
     def test_fastswitch_matches_weighted_closed_form_uniform(self):
         p = ModelParams(4, 2, (0.3, 0.8, 0.1, 0.55), 0.4)
-        b = survivor_rates(p, UNIFORM_TIE_BREAK)
-        got = enumerate_expected_exponential(p, "fastswitch")
+        b = survivor_rates(p)
+        got = enumerate_expected_exponential(FastSwitch(p))
         ref = weighted_expected_exponential(p, b)
         assert np.max(np.abs(got - ref)) < 1e-10
 
@@ -273,10 +289,9 @@ class TestEnumerateExpectedExponential:
             frozenset({2, 3}): {2: 1.0, 3: 0.0},
             frozenset({1, 2, 3}): {1: 0.2, 2: 0.3, 3: 0.5},
         }
-        rule = TieBreakRule(table)
-        p = ModelParams(3, 1, (0.4, 0.6, 0.25), 0.6)
-        b = survivor_rates(p, rule)
-        got = enumerate_expected_exponential(p, "fastswitch", rule)
+        p = ModelParams(3, 1, (0.4, 0.6, 0.25), 0.6, TieBreakRule(table))
+        b = survivor_rates(p)
+        got = enumerate_expected_exponential(FastSwitch(p))
         ref = weighted_expected_exponential(p, b)
         assert np.max(np.abs(got - ref)) < 1e-10
 
@@ -286,11 +301,11 @@ class TestEnumerateExpectedExponential:
         # (the draws hold few distinct Laplacians: each kernel is taken once
         # and weighted by its draw count)
         p = ModelParams(3, 1, (0.7, 0.2, 0.5), 0.4)
-        exact = enumerate_expected_exponential(p, "full")
+        exact = enumerate_expected_exponential(Full(p))
         rng = np.random.default_rng(2024)
         trials = 20000
         draws = Counter(
-            snapshot_laplacian(generate_snapshot(p, rng)).tobytes() for _ in range(trials)
+            snapshot_laplacian(generate_snapshot(Full(p), rng)).tobytes() for _ in range(trials)
         )
         acc = np.zeros((3, 3))
         for L, count in draws.items():
@@ -300,8 +315,8 @@ class TestEnumerateExpectedExponential:
 
     def test_doubly_stochastic_output(self):
         p = ModelParams(4, 1, (0.25, 0.5, 0.125, 0.4), 0.9)
-        for model in ("full", "fastswitch"):
-            E = enumerate_expected_exponential(p, model)
+        for cls in (Full, FastSwitch):
+            E = enumerate_expected_exponential(cls(p))
             assert np.max(np.abs(E.sum(axis=1) - 1.0)) < 1e-12
             assert np.max(np.abs(E - E.T)) < 1e-13
 
@@ -310,15 +325,15 @@ class TestEnumerateExpectedExponential:
         # one star a period: gamma_fs is the exact second eigenvalue of the
         # fastswitch expected kernel at any dt, not only as dt goes to 0
         raw = json.loads(FASTSWITCH_TABLE.read_text())
-        p, rule, _, _ = resolve_config(parse_config({**raw, "dt": dt}))
-        exact = lambda_second_deflated(enumerate_expected_exponential(p, "fastswitch", rule))
-        assert abs(gamma_fs(p, rule).rate - exact) <= 1e-15
+        p, _, _ = resolve_config(parse_config({**raw, "dt": dt}))
+        exact = lambda_second_deflated(enumerate_expected_exponential(FastSwitch(p)))
+        assert abs(gamma_fs(p).rate - exact) <= 1e-15
 
     def test_size_guard_refuses_before_work(self):
         p = ModelParams(10, 4, (0.05,) * 10, 1.0)
-        assert enumeration_size(p, "full") > MAX_BRANCHES
+        assert Full(p).size() > MAX_BRANCHES
         with pytest.raises(ValueError, match="branches"):
-            enumerate_expected_exponential(p, "full")
+            enumerate_expected_exponential(Full(p))
 
     def test_streams_its_stacks(self):
         # sparse at n = 40, m = 1: 1,561 branches of 40 x 40, 20 MB for each
@@ -327,7 +342,7 @@ class TestEnumerateExpectedExponential:
         p = ModelParams(40, 1, (0.02,) * 40, 0.5)
         tracemalloc.start()
         try:
-            E = enumerate_expected_exponential(p, "sparse")
+            E = enumerate_expected_exponential(Sparse(p))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,7 +353,7 @@ class TestEnumerateExpectedExponential:
 class TestFastSwitchInequality:
     def test_holds_on_small_grid(self):
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
-        report = verify_fast_switch_inequality(p, UNIFORM_TIE_BREAK, (0.01, 0.05, 0.1))
+        report = verify_fast_switch_inequality(p, (0.01, 0.05, 0.1))
         assert report.holds_all
         assert report.first_violation is None
         assert len(report.samples) == 3
@@ -360,7 +375,7 @@ class TestFastSwitchInequality:
 
         monkeypatch.setattr(validation, "lambda_second_largest", fake)
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
-        report = verify_fast_switch_inequality(p, UNIFORM_TIE_BREAK, (0.1, 0.05, 0.2))
+        report = verify_fast_switch_inequality(p, (0.1, 0.05, 0.2))
         assert len(calls) == 6
         assert not report.holds_all
         assert report.first_violation == 0.05
@@ -370,17 +385,14 @@ class TestFastSwitchInequality:
     def test_rejects_nonpositive_grid(self):
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
         with pytest.raises(ValueError):
-            verify_fast_switch_inequality(p, UNIFORM_TIE_BREAK, (0.1, 0.0))
+            verify_fast_switch_inequality(p, (0.1, 0.0))
 
     @pytest.mark.parametrize("grid", [(0.1, 0.0), (0.1, -1.0, 0.2), (0.1, math.nan), (math.inf,)])
     def test_bad_grid_refused_before_the_law_is_read(self, monkeypatch, grid):
-        def unread(*_):
-            raise AssertionError("centre law read before the grid was refused")
-
-        monkeypatch.setattr(validation, "center_sets", unread)
+        _unread(monkeypatch, "centre law read before the grid was refused")
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
         with pytest.raises(ValueError, match="exponent scales must be finite and > 0"):
-            verify_fast_switch_inequality(p, UNIFORM_TIE_BREAK, grid)
+            verify_fast_switch_inequality(p, grid)
 
     @pytest.mark.parametrize("tabled", [False, True])
     def test_samples_equal_each_T_enumerated_alone(self, tabled):
@@ -393,11 +405,11 @@ class TestFastSwitchInequality:
                 for s in combinations(range(1, 5), k)
             })
         grid = (0.01, 0.05, 0.1, 3.0)
-        report = verify_fast_switch_inequality(p, rule, grid)
+        report = verify_fast_switch_inequality(dataclasses.replace(p, rule=rule), grid)
         for T, sample in zip(grid, report.samples):
-            pT = ModelParams(p.n, p.m, p.a, T / 2.0)
-            full = enumerate_expected_exponential(pT, "full", rule)
-            fs = enumerate_expected_exponential(pT, "fastswitch", rule)
+            pT = ModelParams(p.n, p.m, p.a, T / 2.0, rule)
+            full = enumerate_expected_exponential(Full(pT))
+            fs = enumerate_expected_exponential(FastSwitch(pT))
             assert sample.T == T
             assert sample.lambda_full == validation.lambda_second_largest(full)
             assert sample.lambda_fastswitch == validation.lambda_second_largest(fs)
@@ -405,4 +417,4 @@ class TestFastSwitchInequality:
     def test_oversized_probe_refused(self):
         p = ModelParams(12, 5, (0.05,) * 12, 0.5)
         with pytest.raises(ValueError, match="branches"):
-            verify_fast_switch_inequality(p, UNIFORM_TIE_BREAK, (0.1,))
+            verify_fast_switch_inequality(p, (0.1,))
