@@ -6,26 +6,31 @@ first passage below eps and the survival curve is one minus the empirical
 CDF of the first-passage times. The engine is event-driven and advances a
 block of up to ``BLOCK`` paths together: each round, every live path draws
 its gap to the next period with a star, paths pushed past k_max are
-censored, and the rest draw that period's stars and take its heat kernel,
-the closed form for a lone star and stacked dense exponentials for several
-(the ``adn_model.Variant`` draws, ``_apply_stars`` applies). Block b reads
+censored, and the rest draw that period's stars and take its heat kernel
+(the ``adn_model.Variant`` draws, ``_apply_stars`` applies): the closed
+form for a lone star; for several, the kernel's action on the states by a
+truncated Taylor series (``graph_core.expm_action``) below a cost switch in
+dt * ||L||, and stacked eigen-solves (``expm_sym``) above it. Block b reads
 ``stream(seed, PATHS, b)``; workers take whole blocks and counts are
 aggregated as exact integers, so results are identical for any number of
 workers. ``step`` is the one-path reference the engine's update matches.
 """
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adn_model import PATHS, Snapshot, Variant, snapshot_laplacian, stream
 from .closed_form import star_kernel_scalars
-from .graph_core import expm_sym, stacks, star_union_laplacians
+from .graph_core import expm_action, expm_sym, stacks, star_union_laplacians, taylor_plan
 
 # Paths advanced together, whatever the worker count: the unit of the
 # random streams and of the work handed to a worker.
 BLOCK = 256
+# The environment a worker process starts in, on top of its parent's.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +101,14 @@ def step(z, s: Snapshot, dt: float) -> np.ndarray:
 
 def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
     """One period of each row of Z under its stars (``row``, ``centre`` and
-    neighbours ``nbs``, 0-based, rows increasing), with ``step``'s
-    arithmetic: a row with one star takes the closed-form kernel on its
-    m + 1 touched coordinates, gathered across rows; rows with several go
-    through ``star_union_laplacians`` and ``expm_sym`` in ``stacks``."""
+    neighbours ``nbs``, 0-based, rows increasing). A row with one star
+    takes ``step``'s closed-form kernel on its m + 1 touched coordinates,
+    gathered across rows. Rows with several are taken in ``stacks`` of
+    ``star_union_laplacians``. A stack takes the kernel's action on its
+    states (``expm_action``, with (m, s) from ``taylor_plan`` at
+    dt * ||L||_inf, twice the largest degree) where ``_action_is_cheaper``,
+    and otherwise ``step``'s ``expm_sym`` and a product; the two agree to a
+    few ulps."""
     n = Z.shape[1]
     count = np.bincount(row, minlength=len(Z))
     lone = count[row] == 1
@@ -119,8 +128,24 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
         # each row's stars, its last repeated (adding no edge) to the longest row's count
         s = stars[first[lo:hi, None] + np.minimum(np.arange(many.max()), many[:, None] - 1)]
         L = star_union_laplacians(n, centre[s], nbs[s])
-        Z[rows] = np.matmul(expm_sym(L, dt), Z[rows, :, None])[..., 0]
+        z = Z[rows, :, None]  # a copy
+        plan = taylor_plan(2.0 * dt * L.diagonal(0, 1, 2).max())
+        if _action_is_cheaper(plan, len(L), n):
+            z = expm_action(L, dt, z, *plan)
+        else:
+            z = np.matmul(expm_sym(L, dt), z)
+        Z[rows] = z[..., 0]
     return Z
+
+
+def _action_is_cheaper(plan, k: int, n: int) -> bool:
+    """Whether ``expm_action`` with ``plan`` = (m, s) on a (k, n, n) stack
+    should beat ``expm_sym`` and a product. Cost model in microseconds,
+    fitted to timings on one core of a 2-core Xeon VM (numpy 2.4,
+    OpenBLAS): a Taylor term costs about 4 + 5e-4 k n^2 and the eigen-solve
+    route about 40 + 0.12 k n^2."""
+    size = k * n * n
+    return plan[0] * plan[1] * (4.0 + 5e-4 * size) < 40.0 + 0.12 * size
 
 
 def _count_block(v, z0, k_max, eps, seed, b, paths):
@@ -198,15 +223,36 @@ def run_paths(
         parts = [_count_block(*w) for w in work]
     else:
         # Imported here so that a single-process run does not load
-        # multiprocessing. A fork-started pool launches all its workers at
-        # the first submit.
+        # multiprocessing. Workers are spawned, so they load numpy afresh,
+        # with one BLAS thread each: forked ones keep the parent's BLAS
+        # thread pool and oversubscribe the cores (criterion 6's run took
+        # 6.1-9.9 s on two forked workers, 0.9 s on two spawned ones and
+        # 1.2-1.5 s on one, on 2 cores).
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
+        spawn = multiprocessing.get_context("spawn")
+        workers = min(jobs, os.cpu_count() or 1)
+        with _environ(_WORKER_ENV), ProcessPoolExecutor(workers, mp_context=spawn) as ex:
             parts = list(ex.map(_count_block, *zip(*work)))
     counts, rises = map(sum, zip(*parts))
     probs = counts / float(n_paths)
     return SurvivalCurve(eps=eps, probs=probs, paths=n_paths, norm_rises=rises)
+
+
+@contextmanager
+def _environ(pins: dict):
+    """Set ``pins`` in os.environ for the block, then restore what was there."""
+    saved = {name: os.environ.get(name) for name in pins}
+    os.environ.update(pins)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def fit_decay_stats(curve: SurvivalCurve, window: tuple | None = None) -> DecayFit:

@@ -3,7 +3,6 @@ stated tolerances against independently computed references. The terminal
 summary prints one PASS/FAIL line per criterion (see conftest)."""
 
 import itertools
-import math
 import time
 
 import numpy as np

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,14 @@ from adn_consensus import (
     star_laplacian_power,
     symmetrize,
 )
-from adn_consensus.graph_core import stacks, star_union_laplacian, star_union_laplacians
+from adn_consensus.graph_core import (
+    TAYLOR_MAX_DEGREE,
+    expm_action,
+    stacks,
+    star_union_laplacian,
+    star_union_laplacians,
+    taylor_plan,
+)
 from oracles import (
     int_matpow,
     jacobi_eigenvalues,
@@ -321,6 +329,76 @@ class TestStarUnionLaplacians:
         assert got.dtype == np.int64
         ref = star_union_laplacian_ints(6, [(s.center, s.neighbors) for s in stars])
         assert np.array_equal(got, np.array(ref))
+
+
+@st.composite
+def star_union_stacks(draw, max_n=30):
+    """(L, k) a (k, n, n) stack of star-union Laplacians: k rows of up to
+    four stars each, with m neighbours a star (padded with the centre)."""
+    n = draw(st.integers(2, max_n))
+    k, count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centre = rng.integers(0, n, (k, count))
+    nbs = np.empty((k, count, m), dtype=np.intp)
+    for r, q in np.ndindex(k, count):
+        others = np.delete(np.arange(n), centre[r, q])
+        nbs[r, q] = rng.choice(others, m, replace=False)
+        nbs[r, q, : int(rng.integers(0, m))] = centre[r, q]  # padding adds no edge
+    return star_union_laplacians(n, centre, nbs)
+
+
+def remainder_bound_holds(theta: float, m: int, s: int) -> bool:
+    """(theta / s)**(m+1) / (m+1)! <= 2**-53, in exact arithmetic."""
+    return (Fraction(theta) / s) ** (m + 1) / math.factorial(m + 1) <= Fraction(1, 2**53)
+
+
+class TestExpmAction:
+    @pytest.mark.parametrize(
+        "theta", [0.0, 1e-300, 1e-6, 0.01, 0.1, 0.4, 0.7, 0.99, 1.0, 1.1, 1.2, 2.0, 3.8, 12.0, 59.0, 400.0]
+    )
+    def test_plan_meets_the_remainder_bound(self, theta):
+        m, s = taylor_plan(theta)
+        assert 1 <= m <= TAYLOR_MAX_DEGREE and s >= 1
+        assert remainder_bound_holds(theta, m, s)
+        # the fewest steps at the largest degree, then the least degree
+        assert s == 1 or not remainder_bound_holds(theta, TAYLOR_MAX_DEGREE, s - 1)
+        assert m == 1 or not remainder_bound_holds(theta, m - 1, s)
+
+    def test_one_step_of_degree_at_most_18_up_to_theta_one(self):
+        assert taylor_plan(1.0) == (18, 1)
+        assert all(taylor_plan(x)[1] == 1 for x in np.linspace(0.0, 1.0, 101))
+
+    @given(star_union_stacks(), st.floats(0.0, 3.0), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_expm_sym(self, L, t, data):
+        # ||L||_inf is twice the largest degree of a Laplacian; within 32
+        # ulps of ||z||_2 a step, the eigen-solve reference's error included
+        k, n, _ = L.shape
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        z = np.random.default_rng(seed).uniform(-5.0, 5.0, (k, n, 1))
+        m, s = taylor_plan(2.0 * t * L.diagonal(0, 1, 2).max())
+        got = expm_action(L, t, z.copy(), m, s)
+        ref = np.matmul(expm_sym(L, t), z)
+        err = np.linalg.norm(got - ref, axis=1)
+        assert np.all(err <= 32 * s * np.finfo(float).eps * np.linalg.norm(z, axis=1))
+
+    @pytest.mark.parametrize("m, s", [(1, 1), (3, 2), (6, 1), (18, 3)])
+    def test_applies_the_degree_m_polynomial_s_times(self, m, s):
+        # v = (4, -1, -1, -1, -1) is the star's eigenvector of eigenvalue 5
+        L = star_union_laplacians(5, np.array([[0]]), np.array([[[1, 2, 3, 4]]]))
+        v = np.array([4.0, -1.0, -1.0, -1.0, -1.0])
+        x = -0.8 * 5 / s
+        poly = sum(x**j / math.factorial(j) for j in range(m + 1))
+        got = expm_action(L, 0.8, v[None, :, None].copy(), m, s)
+        assert np.allclose(got[0, :, 0], poly**s * v, rtol=1e-14, atol=1e-14)
+
+    def test_overwrites_and_returns_the_states(self):
+        L = star_union_laplacians(4, np.array([[0, 2]]), np.array([[[1, 3], [1, 3]]]))
+        z = np.array([[[1.0], [-1.0], [0.5], [0.0]]])
+        out = expm_action(L, 0.3, z, *taylor_plan(0.3 * 2 * 2))
+        assert out is z
+        assert np.allclose(z[0, :, 0], expm_sym(L[0], 0.3) @ [1.0, -1.0, 0.5, 0.0], atol=1e-15)
 
 
 class TestStacks:

@@ -38,6 +38,7 @@ from adn_consensus.cli import parse_config, resolve_config
 from oracles import block_walk_survival, star_laplacian_ints, taylor_expm
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUSY = CONFIGS.parent / "perfbench" / "inputs" / "busy.json"
 
 
 class TestProjection:
@@ -188,14 +189,13 @@ class TestRunPaths:
         assert np.array_equal(d.probs, e.probs)
 
     def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
-        # a fork-started pool launches every worker at its first submit, so
         # the work is one item a block of paths whatever n_jobs is, and the
         # pool is sized by the blocks and the CPUs; an in-process executor
         # stands in
         pools, parts = [], []
 
         class InlineExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 pools.append(max_workers)
 
             def __enter__(self):
@@ -219,6 +219,34 @@ class TestRunPaths:
         assert many.norm_rises == one.norm_rises
         assert parts == [3]
         assert len(pools) == 1 and 1 <= pools[0] <= min(3, os.cpu_count() or 1)
+
+    def test_workers_are_spawned_with_one_blas_thread(self, monkeypatch):
+        # workers start afresh (spawn) with one BLAS thread each, and the
+        # caller's environment is as it was afterwards
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        started = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, mp_context=None):
+                pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+                started.append((mp_context.get_start_method(), [os.environ.get(v) for v in pins]))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return [fn(*args) for args in zip(*iterables)]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        p = ModelParams(4, 2, (0.2, 0.3, 0.1, 0.25), 1.0)
+        run_paths(Full(p), np.array([1.0, -0.5, 0.25, 0.0]), 5, mc_sim.BLOCK + 1, 0.02, 99, n_jobs=2)
+        assert started == [("spawn", ["1", "1", "1"])]
+        assert dict(os.environ) == before
 
     def test_seed_changes_the_curve(self):
         # block streams are seeded from SeedSequence([seed, PATHS, b]), so
@@ -341,6 +369,58 @@ def oracle_walk(c: dict) -> np.ndarray:
     )
 
 
+def record_routes(monkeypatch) -> list:
+    """The names of the multi-star kernels (``expm_action``, ``expm_sym``)
+    that mc_sim calls from now on, in order."""
+    routes = []
+    for name in ("expm_action", "expm_sym"):
+        kernel = getattr(mc_sim, name)
+        monkeypatch.setattr(mc_sim, name, lambda *a, k=kernel, r=name: routes.append(r) or k(*a))
+    return routes
+
+
+class TestApplyStars:
+    """The engine's period update against ``step``, row by row, with the
+    multi-star stacks on either side of the switch between the Taylor
+    action and the eigen-solve route. n = 20, m = 3, dt = 0.1."""
+
+    N, M, DT = 20, 3, 0.1
+    ROWS = (
+        ((1, (2, 3, 4)),),  # one star: the closed form
+        ((1, (2, 3, 4)), (5, (6, 7, 8))),  # largest degree 3: theta = 0.6
+        # node 1 joined to 9 others: theta = 2 * 0.1 * 9 = 1.8
+        ((1, (2, 3, 4)), *((c, (1, c + 6, c + 7)) for c in range(5, 11))),
+    )
+
+    def apply(self, rows, monkeypatch):
+        """_apply_stars on ``rows`` (indices into ROWS) of random states,
+        the routes its stacks took, and ``step`` on each row alone."""
+        Z = np.random.default_rng(7).uniform(-1.0, 1.0, (len(rows), self.N))
+        stars = [(i, c, nb) for i, r in enumerate(rows) for c, nb in self.ROWS[r]]
+        row = np.array([i for i, _, _ in stars])
+        centre = np.array([c - 1 for _, c, _ in stars])
+        nbs = np.array([[j - 1 for j in nb] for _, _, nb in stars])
+        ref = [
+            step(z, Snapshot(self.N, tuple(StarSpec(self.N, c, nb) for c, nb in self.ROWS[r])), self.DT)
+            for z, r in zip(Z, rows)
+        ]
+        routes = record_routes(monkeypatch)
+        got = mc_sim._apply_stars(Z.copy(), row, centre, nbs, self.M, self.DT)
+        return got, routes, np.array(ref)
+
+    @pytest.mark.parametrize(
+        "rows, route",
+        [((0, 1), "expm_action"), ((2,), "expm_sym"), ((0, 1, 2), "expm_sym"), ((1, 0, 1), "expm_action")],
+    )
+    def test_matches_step_row_by_row(self, rows, route, monkeypatch):
+        # row 1 alone takes the action and row 2 the eigen-solve; a stack
+        # holding both follows its largest theta
+        got, routes, ref = self.apply(rows, monkeypatch)
+        assert routes == [route]
+        tol = 8 * np.finfo(float).eps * np.linalg.norm(ref, axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= tol)
+
+
 class TestFirstPassageOracle:
     """run_paths reads the curve off first-passage times, a block of paths
     at a time; the oracle walks each path on its own through the same
@@ -447,7 +527,8 @@ class TestBoundedMemory:
         few block-sized state arrays however many blocks run. A stand-in
         for expm_sym returns the identity (so no path ever finishes) and
         checks that each stack it gets fits in STACK_BYTES; expm_sym's own
-        working copies are a small multiple of its stack."""
+        working copies are a small multiple of its stack. The Taylor action,
+        the other route of a stack, gets an identity stand-in too."""
         n = 200
         per_stack = max(1, STACK_BYTES // (8 * n * n))
         stacks_seen = []
@@ -456,7 +537,12 @@ class TestBoundedMemory:
             stacks_seen.append(len(L))
             return np.broadcast_to(np.eye(n), L.shape).copy()
 
+        def identity_action(L, t, Z, m, s):
+            stacks_seen.append(len(L))
+            return Z
+
         monkeypatch.setattr(mc_sim, "expm_sym", identity_kernel)
+        monkeypatch.setattr(mc_sim, "expm_action", identity_action)
         p = ModelParams(n, 3, (0.05,) * n, 1.0)
         tracemalloc.start()
         try:
@@ -482,6 +568,16 @@ class TestNormRises:
         curve = config_run(name, n_paths)
         assert curve.norm_rises == 0
         assert curve.probs[0] == 1.0 and curve.probs[-1] < 1.0
+
+    def test_zero_on_the_busy_benchmark_input(self, monkeypatch):
+        # n = 20 at dt = 0.05: the multi-star stacks take the Taylor action
+        routes = record_routes(monkeypatch)
+        cfg = parse_config(json.loads(BUSY.read_text()))
+        p, z0, _ = resolve_config(cfg)
+        curve = run_paths(Full(p), z0, cfg["k_max"], 200, cfg["eps"], cfg["seed"])
+        assert curve.norm_rises == 0
+        assert curve.probs[0] == 1.0 and curve.probs[-1] == 0.0
+        assert routes and set(routes) == {"expm_action"}
 
     def test_counts_an_expanding_step(self, monkeypatch):
         monkeypatch.setattr(mc_sim, "_apply_stars", lambda Z, *args: 1.5 * Z)

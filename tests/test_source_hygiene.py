@@ -1,6 +1,7 @@
 """Static checks on the package source: each module uses every name it
 imports, and every module-level private name is referenced somewhere in
-the package, so that a moved function leaves no import or helper behind."""
+the package, so that a moved function leaves no import or helper behind.
+Each test module uses every name it imports, too."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,8 @@ TREES = {
     path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))
 }
 MODULES = [name for name in TREES if name != "__init__.py"]
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(path.name for path in TESTS.glob("*.py"))
 
 
 def _loaded(tree) -> set:
@@ -25,16 +28,24 @@ def _loaded(tree) -> set:
     return names
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_every_imported_name_is_used(module):
-    tree = TREES[module]
+def _unused_imports(tree) -> list:
     imported = {
         (alias.asname or alias.name).split(".")[0]
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    assert sorted(imported - _loaded(tree)) == []
+    return sorted(imported - _loaded(tree))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    assert _unused_imports(TREES[module]) == []
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_every_test_module_uses_its_imports(module):
+    assert _unused_imports(ast.parse((TESTS / module).read_text(encoding="utf-8"))) == []
 
 
 @pytest.mark.parametrize("module", MODULES)
