@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the two shipped survival-curve experiments and compare the
-fitted geometric decay of each curve with its certified bound.
+fitted geometric decay of each curve with the rate that ``simulate``
+reports beside it (printed as the "bound rate"). Both configs run the
+``full`` model, for which that rate is gamma_sp, the sparse-regime
+approximation, not a bound: ``simulate`` labels it so, and a tail fit
+above it ("tail vs bound ... ABOVE") breaks no guarantee.
 
 The 10-node run is fitted over the default probability window. The 50-node
 curve has a long saturation transient before the geometric tail sets in, so

@@ -1,8 +1,8 @@
 """The activity-driven model and its three variants, ``Full``, ``Sparse``
 and ``FastSwitch``: each one class holding its law of star centres, exact
 (``law``) and sampled for many paths at once (``centres``;
-``generate_snapshot`` is the one-period call), and its enumeration size;
-and the snapshot-count formula.
+``generate_snapshot`` is the one-period call), its enumeration size and
+its decay-rate ``bound``; and the snapshot-count formula.
 
 All randomness flows through an explicit ``numpy.random.Generator`` (PCG64).
 Independent streams come from ``stream(seed, *key)``, which seeds one
@@ -92,7 +92,7 @@ class ModelParams:
     period; 0 is admitted so the no-motion limit stays representable.
     ``rule`` is the tie-break rule, which only ``FastSwitch`` reads. The
     sparse variant additionally needs sum(a) <= 1 (``sparse_regime``),
-    checked by ``Sparse`` through ``require_sparse`` rather than here.
+    checked by ``Sparse`` rather than here.
     """
 
     n: int
@@ -135,14 +135,6 @@ class ModelParams:
     def sparse_regime(self) -> bool:
         """sum(a) <= 1, the sparse variant's condition."""
         return self.rate_sum <= 1.0
-
-    def require_sparse(self):
-        """The sparse variant's gate: ``sparse_regime``."""
-        if not self.sparse_regime:
-            raise ValueError(
-                f"activity: rate sum {self.rate_sum} exceeds 1; the sparse variant "
-                "requires sum(a) <= 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -205,6 +197,8 @@ class Variant:
     1 - p_event). ``gaps`` draws the periods up to the next one with a
     star, and ``neighbours`` each star's m neighbours. Each draw reads its
     uniforms in row order, so a stream's meaning depends only on the rows.
+    A variant with at most one star a period mixes the activation kernels
+    by its ``weights()``, which its ``bound()`` reads.
     """
 
     name: str  # the config's model tag
@@ -241,6 +235,11 @@ class Variant:
             out[lo:lo + size] = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
         return out
 
+    def bound(self):
+        """The certified decay rate of a one-star variant: ``decay_bound``."""
+        from .spectral import decay_bound  # spectral imports this module
+        return decay_bound(self.p, self.weights(), self.name)
+
 
 class Sparse(Variant):
     """At most one star a period: centre i with probability a_i, none with
@@ -249,7 +248,11 @@ class Sparse(Variant):
     name = "sparse"
 
     def __init__(self, p: ModelParams):
-        p.require_sparse()
+        if not p.sparse_regime:
+            raise ValueError(
+                f"activity: rate sum {p.rate_sum} exceeds 1; the sparse variant "
+                "requires sum(a) <= 1"
+            )
         log_idle = math.log1p(-p.rate_sum) if p.rate_sum < 1.0 else -math.inf
         super().__init__(p, np.array(p.rates_cumsum), log_idle)
 
@@ -259,6 +262,10 @@ class Sparse(Variant):
     def size(self) -> int:
         """Its 1 + n*C(n-1, m) configurations."""
         return 1 + self.p.n * math.comb(self.p.n - 1, self.p.m)
+
+    def weights(self) -> tuple:
+        """The activity rates a, centre i's probabilities."""
+        return self.p.a
 
     def centres(self, rng, rows: int) -> tuple:
         """The stars' (row, centre) pairs of ``rows`` periods that each have
@@ -285,6 +292,11 @@ class Full(Variant):
         """Its (1 + C(n-1, m))**n configurations (``snapshot_count``), more
         than its 2**n centre rows."""
         return snapshot_count(self.p.n, self.p.m)
+
+    def bound(self):
+        """While sum(a) <= 1, ``Sparse``'s, which approximates but does not
+        bound this variant's rate; else None."""
+        return Sparse(self.p).bound() if self.p.sparse_regime else None
 
     def _active(self, rng, rows: int) -> np.ndarray:
         """(rows, n) activation masks given a star: the first active node by
@@ -323,6 +335,13 @@ class FastSwitch(Full):
         """1 + n*2**(n-1), its law's rows under the uniform rule, which no
         table exceeds and which outnumber its 1 + n*C(n-1, m) configurations."""
         return 1 + self.p.n * 2 ** (self.p.n - 1)
+
+    def weights(self) -> np.ndarray:
+        """The survivor rates under ``p.rule`` (``survivor_rates``)."""
+        from .spectral import survivor_rates  # spectral imports this module
+        return survivor_rates(self.p)
+
+    bound = Variant.bound  # one star a period, unlike Full
 
     def centres(self, rng, rows: int) -> tuple:
         """As ``Full``'s activation, then one more uniform a row picks the

@@ -31,7 +31,6 @@ from .adn_model import (
     ModelParams,
     Sparse,
     TieBreakRule,
-    Variant,
     center_star_table,
     snapshot_count,
     stream,
@@ -45,7 +44,6 @@ from .spectral import (
     enumerated_survivor_rates,
     gamma_fs,
     gamma_sp,
-    kernel_weights,
     survivor_rates,
     weighted_expected_exponential,
 )
@@ -265,17 +263,6 @@ def cmd_gamma(args) -> int:
     return 0
 
 
-def _bound_for(v: Variant):
-    """The decay bound reported beside a simulated variant, if any:
-    ``gamma_fs`` for ``FastSwitch`` runs, ``gamma_sp`` for ``Sparse`` runs
-    and, as an approximation only, for ``Full`` runs with rate sum <= 1."""
-    if isinstance(v, FastSwitch):
-        return gamma_fs(v.p)
-    if v.p.sparse_regime:
-        return gamma_sp(v.p)
-    return None
-
-
 def cmd_simulate(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
     budget = cfg["n_paths"] * cfg["k_max"]
@@ -287,7 +274,7 @@ def cmd_simulate(args) -> int:
     params, z0, manifest = resolve_config(cfg)
     _number(args.threads, "threads", 1, integer=True)
     v = VARIANTS[cfg["model"]](params)
-    bound = _bound_for(v)
+    bound = v.bound()
     curve = run_paths(
         v,
         z0,
@@ -367,7 +354,7 @@ def _check_rows(params: ModelParams):
         if (size := v.size()) > MAX_BRANCHES:
             yield name, f"refused: size ({size} branches)", None
         else:
-            w = kernel_weights(v)
+            w = v.weights()
             kernel = weighted_expected_exponential(params, w)
             gap = decay_bound(params, w, v.name).rate - dense_bound(params, w, v.name).rate
             yield _diff_row(name, [kernel - enumerate_expected_exponential(v), [gap]], 1e-10)

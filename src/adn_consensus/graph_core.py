@@ -164,8 +164,10 @@ def _recompose(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
     zero = np.abs(w) <= resolution
     if t != np.inf:
         zero &= t * resolution > 1e-11
-    # -t*w is left at 0 where the eigenvalue counts as 0, so inf*0 never forms
-    decay = np.exp(np.multiply(-t, w, out=np.zeros_like(w), where=~zero))
+    # -t*w is left at 0 where the eigenvalue counts as 0, so inf*0 never
+    # forms; elsewhere it may overflow to -inf, and e**-inf = 0 is exact
+    with np.errstate(over="ignore"):
+        decay = np.exp(np.multiply(-t, w, out=np.zeros_like(w), where=~zero))
     return symmetrize((V * decay[..., None, :]) @ V.swapaxes(-1, -2))
 
 

@@ -107,8 +107,8 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
     ``star_union_laplacians``. A stack takes the kernel's action on its
     states (``expm_action``, with (m, s) from ``taylor_plan`` at
     dt * ||L||_inf, twice the largest degree) where ``_action_is_cheaper``,
-    and otherwise ``step``'s ``expm_sym`` and a product; the two agree to a
-    few ulps."""
+    else (and where the plan overflows) ``step``'s ``expm_sym`` and a
+    product; the two agree to a few ulps."""
     n = Z.shape[1]
     count = np.bincount(row, minlength=len(Z))
     lone = count[row] == 1
@@ -129,11 +129,12 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
         s = stars[first[lo:hi, None] + np.minimum(np.arange(many.max()), many[:, None] - 1)]
         L = star_union_laplacians(n, centre[s], nbs[s])
         z = Z[rows, :, None]  # a copy
-        plan = taylor_plan(2.0 * dt * L.diagonal(0, 1, 2).max())
-        if _action_is_cheaper(plan, len(L), n):
-            z = expm_action(L, dt, z, *plan)
-        else:
-            z = np.matmul(expm_sym(L, dt), z)
+        try:
+            plan = taylor_plan(2.0 * dt * float(L.diagonal(0, 1, 2).max()))
+            cheaper = _action_is_cheaper(plan, len(L), n)
+        except OverflowError:  # dt * ||L|| or the step count past the float range
+            cheaper = False
+        z = expm_action(L, dt, z, *plan) if cheaper else np.matmul(expm_sym(L, dt), z)
         Z[rows] = z[..., 0]
     return Z
 

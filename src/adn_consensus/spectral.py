@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adn_model import FastSwitch, ModelParams, Sparse, Variant
+from .adn_model import FastSwitch, ModelParams, Sparse
 from .closed_form import activation_expectation
 from .graph_core import symmetrize
 
@@ -69,18 +69,7 @@ def weighted_expected_exponential(p: ModelParams, weights) -> np.ndarray:
 
 def sparse_expected_exponential(p: ModelParams) -> np.ndarray:
     """Expected heat kernel over 2*dt of one sparse-variant snapshot."""
-    return weighted_expected_exponential(p, kernel_weights(Sparse(p)))
-
-
-def kernel_weights(v: Variant):
-    """The activation-kernel weights of a one-star variant's expected kernel
-    and bound: the survivor rates under ``FastSwitch``, the activity rates
-    under ``Sparse``."""
-    if isinstance(v, FastSwitch):
-        return survivor_rates(v.p)
-    if isinstance(v, Sparse):
-        return v.p.a
-    raise ValueError(f"model: no activation-kernel weights for {v.name!r}")
+    return weighted_expected_exponential(p, Sparse(p).weights())
 
 
 def lambda_second_largest(M: np.ndarray) -> float:
@@ -236,7 +225,7 @@ def _top_projected_diagonal(w: np.ndarray) -> float:
 def decay_bound(p: ModelParams, weights, kind: str) -> DecayBound:
     """The bound 1 - W + lambda_second of ``dense_bound``, with W = sum(w),
     without the n x n mixture S, for activation-kernel weights w of a
-    variant named ``kind`` (``kernel_weights``).
+    variant named ``kind``: ``Variant.bound()`` on its ``weights()``.
 
     S = W*pair*J + (edge - pair)*(w 1' + 1 w') + W*(do - pair)*I + xi*diag(w)
     with xi = dc - do - 2*(edge - pair), so on the complement of the
@@ -268,11 +257,11 @@ def dense_bound(p: ModelParams, weights, kind: str) -> DecayBound:
 def gamma_sp(p: ModelParams) -> DecayBound:
     """Decay-rate bound for the sparse variant:
     1 - sum(a) + lambda_second(sum_i a_i * activation_expectation(i))."""
-    return decay_bound(p, kernel_weights(Sparse(p)), Sparse.name)
+    return Sparse(p).bound()
 
 
 def gamma_fs(p: ModelParams) -> DecayBound:
     """Decay-rate bound for the fast-switching variant, built on the
     survivor rates under ``p.rule``: the exact second-largest eigenvalue of
     its expected kernel, since each period holds at most one star."""
-    return decay_bound(p, kernel_weights(FastSwitch(p)), FastSwitch.name)
+    return FastSwitch(p).bound()

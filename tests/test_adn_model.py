@@ -41,7 +41,7 @@ class TestModelParams:
     def test_valid_construction(self):
         p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.05), 1.5)
         assert p.rate_sum == pytest.approx(0.65)
-        p.require_sparse()
+        assert p.sparse_regime
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -79,10 +79,12 @@ class TestModelParams:
         p, q = ModelParams(3, 1, (0.1,) * 3, 1.0), ModelParams(3, 1, (0.1,) * 3, 1.0, table)
         assert hash(p) == hash(q) and p != q
 
-    def test_require_sparse_rejects_large_rate_sum(self):
+    def test_sparse_rejects_large_rate_sum(self):
+        # the parameters admit any rates; only the sparse variant gates them
         p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
+        assert not p.sparse_regime
         with pytest.raises(ValueError, match=r"^activity: .*exceeds 1.*<= 1"):
-            p.require_sparse()
+            Sparse(p)
 
     def test_one_rate_sum_for_gate_law_and_sampler(self):
         """sum(a) is the left-to-right running sum wherever it is read, even
@@ -91,15 +93,12 @@ class TestModelParams:
         assert math.fsum(over.a) == 1.0 < over.rate_sum == over.rates_cumsum[-1]
         assert not over.sparse_regime
         with pytest.raises(ValueError, match="exceeds 1"):
-            over.require_sparse()
-        with pytest.raises(ValueError, match="exceeds 1"):
             Sparse(over)
 
         under = ModelParams(10, 1, (0.1,) * 10, 1.0)  # fsum: exactly 1
         s = under.rate_sum
         assert s == under.rates_cumsum[-1] < math.fsum(under.a) == 1.0
         assert under.sparse_regime
-        under.require_sparse()
         assert dict(Sparse(under).law())[()] == 1.0 - s > 0.0
         # the sampler's threshold: a uniform of exactly sum(a) is idle, the
         # next double down has a star, and a centre draw just under 1 picks

@@ -12,8 +12,8 @@ import adn_consensus.cli  # noqa: F401  (the trace rebinds names in cli)
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# The event-driven engine draws a block's stars through
-# ``adn_model.EventSampler`` and updates its rows in ``mc_sim._apply_stars``,
+# The event-driven engine draws a block's stars through the variant classes
+# of ``adn_model`` and updates its rows in ``mc_sim._apply_stars``,
 # so the per-period sampler binding is gone from mc_sim and two spans the
 # benchmark still wraps record nothing on a simulate: ``generate_snapshot``
 # and ``step``, now the one-path references the engine is tested against.

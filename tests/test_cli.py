@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adn_consensus import ModelParams, adn_model, cli, gamma_sp, snapshot_count, spectral
+from adn_consensus import ModelParams, adn_model, cli, gamma_sp, snapshot_count
 from adn_consensus.cli import (
     draw_activity_rates,
     draw_initial_state,
@@ -491,6 +491,21 @@ class TestSimulateCommand:
         label = [x for x in lines if x.startswith("bound_rate = ")][0]
         assert label.endswith(" (sparse: certified)")
 
+    def test_huge_dt_takes_the_eigen_solve_route_silently(self, tmp_path, capsys):
+        # past dt ~ 1e307 the Taylor plan's step count, then dt * ||L|| itself,
+        # overflows; those stacks take expm_sym, whose e**(-t*w) may reach
+        # e**-inf = 0 exactly, so the curve is the one at dt = 1e300
+        curves = {}
+        for dt in (1e300, 1e307, 1e308):
+            cfg = write_config(tmp_path, model="full", dt=dt, activity={
+                "mode": "explicit", "values": [0.9] * 5,
+            })
+            out = tmp_path / str(dt)
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            curves[dt] = (out / "survival.csv").read_bytes()
+        capsys.readouterr()
+        assert curves[1e307] == curves[1e308] == curves[1e300]
+
     def test_zero_dt_rejected_naming_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dt=0)
         rc = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
@@ -567,14 +582,14 @@ class TestValidateCommand:
             "mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15],
         })
         calls = []
-        exact = spectral.kernel_weights
+        for cls in (adn_model.Sparse, adn_model.FastSwitch):
+            exact = cls.weights
 
-        def counted(v):
-            calls.append(v.name)
-            return exact(v)
+            def counted(v, exact=exact):
+                calls.append(v.name)
+                return exact(v)
 
-        for module in (cli, spectral):
-            monkeypatch.setattr(module, "kernel_weights", counted)
+            monkeypatch.setattr(cls, "weights", counted)
         assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert calls == ["sparse", "fastswitch"]

@@ -53,3 +53,16 @@ def test_reproduce_experiments_from_another_directory(tmp_path, capsys, monkeypa
         manifest = json.loads((tmp_path / "results" / label / "manifest.json").read_text())
         assert manifest["n_paths"] == 300
     assert out.count("bound rate") == 2 and "tail vs bound" in out
+
+
+def test_src_size_lists_every_module_and_sums_them(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    src_size = importlib.import_module("src_size")
+    src_size.main()
+    header, *rows, total = (line.split() for line in capsys.readouterr().out.splitlines())
+    assert header == ["module", "lines", "stmts"]
+    assert [name for name, *_ in rows] == sorted(p.name for p in src_size.SRC.glob("*.py"))
+    assert "cli.py" in [name for name, *_ in rows]
+    sizes = [(int(lines), int(stmts)) for _, lines, stmts in rows]
+    assert sizes == [src_size.size(src_size.SRC / name) for name, *_ in rows]
+    assert total == ["total", *(str(sum(col)) for col in zip(*sizes))]

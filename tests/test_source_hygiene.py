@@ -1,7 +1,8 @@
 """Static checks on the package source: each module uses every name it
 imports, and every module-level private name is referenced somewhere in
 the package, so that a moved function leaves no import or helper behind.
-Each test module uses every name it imports, too."""
+Each test module uses every name it imports, too. Nothing dispatches on a
+variant's tag or class."""
 
 import ast
 from pathlib import Path
@@ -74,5 +75,24 @@ def test_no_comparison_names_a_model_tag():
         for operand in (node.left, *node.comparators)
         for leaf in ast.walk(operand)
         if isinstance(leaf, ast.Constant) and leaf.value in tags
+    ]
+    assert found == []
+
+
+def test_no_type_check_names_a_variant_class():
+    # each variant answers for itself (weights(), bound(), ...); an
+    # isinstance or issubclass test against a variant class would decide
+    # for it from outside
+    classes = {"Variant", "Full", "Sparse", "FastSwitch"}
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("isinstance", "issubclass")
+        for arg in node.args[1:]
+        for leaf in ast.walk(arg)
+        if (leaf.id if isinstance(leaf, ast.Name) else getattr(leaf, "attr", None)) in classes
     ]
     assert found == []

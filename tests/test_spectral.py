@@ -31,11 +31,7 @@ from adn_consensus import (
 )
 from adn_consensus import spectral
 from adn_consensus.cli import N_LIMIT, draw_activity_rates, parse_config, resolve_config
-from adn_consensus.spectral import (
-    _activation_mixture,
-    enumerated_survivor_rates,
-    kernel_weights,
-)
+from adn_consensus.spectral import _activation_mixture, enumerated_survivor_rates
 from oracles import (
     bruteforce_poisson_binomial,
     exhaustive_survivor_rates,
@@ -89,7 +85,7 @@ class TestLambdaSecond:
     @pytest.mark.parametrize("model", ["sparse", "fastswitch"])
     def test_deflated_matches_dense_projector_on_certify_mixture(self, model):
         p, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
-        S = _activation_mixture(p, np.asarray(kernel_weights(VARIANTS[model](p)), dtype=np.float64))
+        S = _activation_mixture(p, np.asarray(VARIANTS[model](p).weights(), dtype=np.float64))
         ref = projected_top_eigenvalue(S)
         assert abs(lambda_second_deflated(S) - ref) <= 1e-13 * np.max(np.abs(S))
 
@@ -269,12 +265,14 @@ class TestSurvivorRates:
 class TestKernelWeights:
     def test_sparse_weights_are_the_rates(self):
         p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.15), 1.0)
-        assert kernel_weights(Sparse(p)) == p.a
+        assert Sparse(p).weights() == p.a
+        assert Sparse(p).bound() == decay_bound(p, p.a, "sparse") == gamma_sp(p)
 
     def test_sparse_refuses_rate_sum_above_one(self):
         p = ModelParams(3, 1, (0.5, 0.6, 0.7), 1.0)
         with pytest.raises(ValueError, match=r"^activity: rate sum .* exceeds 1"):
-            kernel_weights(Sparse(p))
+            Sparse(p)
+        assert Full(p).bound() is None
 
     def test_fastswitch_weights_are_the_survivor_rates(self):
         n = 4
@@ -286,14 +284,16 @@ class TestKernelWeights:
         p = ModelParams(n, 2, (0.3, 0.8, 0.1, 0.55), 1.0)
         for rule in (UNIFORM_TIE_BREAK, TieBreakRule(table)):
             q = dataclasses.replace(p, rule=rule)
-            assert np.array_equal(kernel_weights(FastSwitch(q)), survivor_rates(q))
+            v = FastSwitch(q)
+            assert np.array_equal(v.weights(), survivor_rates(q))
+            assert v.bound() == decay_bound(q, survivor_rates(q), "fastswitch") == gamma_fs(q)
 
-    @pytest.mark.parametrize("model", ["full", "markov"])
-    def test_other_tags_refused_by_name(self, model):
-        # Full, or any other variant with several stars a period
-        v = type(model, (Full,), {"name": model})(ModelParams(4, 2, (0.1, 0.2, 0.3, 0.15), 1.0))
-        with pytest.raises(ValueError, match=repr(model)):
-            kernel_weights(v)
+    def test_full_bound_is_the_sparse_one_while_sum_a_is_at_most_one(self):
+        # Full has several stars a period; its bound is gamma_sp, which
+        # simulate labels by its kind as the sparse-regime approximation
+        p = ModelParams(4, 2, (0.1, 0.2, 0.3, 0.15), 1.0)
+        assert Full(p).bound() == gamma_sp(p)
+        assert Full(p).bound().kind == "sparse"
 
 
 def deflated_rate_oracle(p: ModelParams, weights) -> float:
@@ -329,7 +329,7 @@ class TestActivationMixture:
     def test_certify_bounds_match_per_centre_path(self, model):
         p, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
         got = gamma_sp(p) if model == "sparse" else gamma_fs(p)
-        w = np.asarray(kernel_weights(VARIANTS[model](p)), dtype=np.float64)
+        w = np.asarray(VARIANTS[model](p).weights(), dtype=np.float64)
         lam = lambda_second_deflated(per_centre_mixture(activation_expectation, p, w))
         ref = 1.0 - float(w.sum()) + lam
         assert abs(got.rate - ref) <= 1e-12 * ref
@@ -420,7 +420,7 @@ class TestSecularBound:
             raise AssertionError("dense step on the bound path")
 
         p, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
-        ref = [dense_bound(p, kernel_weights(cls(p)), cls.name) for cls in (Sparse, FastSwitch)]
+        ref = [dense_bound(p, cls(p).weights(), cls.name) for cls in (Sparse, FastSwitch)]
         monkeypatch.setattr(spectral, "_activation_mixture", refused)
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         for got, dense in zip((gamma_sp(p), gamma_fs(p)), ref):
