@@ -45,7 +45,6 @@ from .spectral import (
     gamma_sp,
     lambda_second_deflated,
     lambda_second_largest,
-    poisson_binomial_pmf,
     sparse_expected_exponential,
     survivor_rates,
     weighted_expected_exponential,

@@ -5,7 +5,7 @@ Everything here is exact scalar arithmetic on a handful of exponentials,
 with no series truncation anywhere. The per-center conditional expectation
 averages the star kernel over all uniform m-subsets analytically, using the
 subset inclusion probabilities m/(n-1) for one node and m(m-1)/((n-1)(n-2))
-for a pair.
+for a pair; the bounds read only its four distinct entries.
 """
 
 import math
@@ -47,29 +47,34 @@ def star_exponential(spec: StarSpec, t: float) -> np.ndarray:
     return E
 
 
-def activation_expectation(p: ModelParams, center: int) -> np.ndarray:
-    """Expected heat kernel over 2*dt of a single activation at ``center``,
-    averaged over all uniform m-subsets of neighbors.
-
-    Each entry of the star kernel (``star_kernel_scalars`` at T = 2*dt) is
-    weighted by the chance that the subset holds its nodes, q1 = m/(n-1)
-    for one node and q2 = m(m-1)/((n-1)(n-2)) for a pair:
-      diag at the center     center
-      diag elsewhere         1 + q1*(y + w - 1)
-      center row/column      q1*edge
-      remaining off-diagonal q2*w
-    Each such matrix is symmetric, entrywise nonnegative and doubly
-    stochastic.
+def activation_entries(p: ModelParams) -> tuple:
+    """The four distinct entries of every ``activation_expectation``: each
+    entry of the star kernel (``star_kernel_scalars`` at T = 2*dt) weighted
+    by the chance that the subset holds its nodes, q1 = m/(n-1) for one
+    node and q2 = m(m-1)/((n-1)(n-2)) for a pair:
+      dc    diag at the center     center
+      do    diag elsewhere         1 + q1*(y + w - 1)
+      edge  center row/column      q1*edge
+      pair  remaining off-diagonal q2*w
     """
-    if not (1 <= center <= p.n):
-        raise ValueError(f"center {center} outside 1..{p.n}")
     n, m = p.n, p.m
-    diag_center, edge, y, w = star_kernel_scalars(m, 2.0 * p.dt)
+    center, edge, y, w = star_kernel_scalars(m, 2.0 * p.dt)
     q1 = m / (n - 1)
     q2 = m * (m - 1) / ((n - 1) * (n - 2)) if m > 1 else 0.0  # m > 1 means n > 2
-    M = np.full((n, n), q2 * w)
-    np.fill_diagonal(M, 1.0 + q1 * (y + w - 1.0))
+    return center, 1.0 + q1 * (y + w - 1.0), q1 * edge, q2 * w
+
+
+def activation_expectation(p: ModelParams, center: int) -> np.ndarray:
+    """Expected heat kernel over 2*dt of a single activation at ``center``,
+    averaged over all uniform m-subsets of neighbors (``activation_entries``).
+    Each such matrix is symmetric, entrywise nonnegative and doubly
+    stochastic."""
+    if not (1 <= center <= p.n):
+        raise ValueError(f"center {center} outside 1..{p.n}")
+    dc, do, edge, pair = activation_entries(p)
+    M = np.full((p.n, p.n), pair)
+    np.fill_diagonal(M, do)
     c = center - 1
-    M[c, :] = M[:, c] = q1 * edge
-    M[c, c] = diag_center
+    M[c, :] = M[:, c] = edge
+    M[c, c] = dc
     return M

@@ -1,16 +1,18 @@
 """The activation-kernel mixtures behind the expected heat kernels,
 second-largest eigenvalues, the non-consensus probability bound, and the
-certified decay-rate bounds for the sparse and fast-switching regimes.
+certified decay-rate bounds for the sparse and fast-switching regimes, which
+take O(n) time and memory.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .adn_model import FastSwitch, ModelParams, Sparse
-from .closed_form import activation_expectation
-from .graph_core import symmetrize
-
+from .closed_form import activation_entries
+from .graph_core import STACK_BYTES, symmetrize
 
 @dataclass(frozen=True)
 class DecayBound:
@@ -22,27 +24,17 @@ class DecayBound:
     weight_sum: float
 
 
-def _kernel_entries(p: ModelParams) -> tuple:
-    """(dc, do, edge, pair): the centre diagonal, the other diagonal, the
-    centre row and the remaining off-diagonal entry of the centre-1
-    activation kernel, as floats. pair is 0 at n = 2, which has no pair
-    off the centre."""
-    K = activation_expectation(p, 1)
-    pair = float(K[1, 2]) if p.n > 2 else 0.0
-    return float(K[0, 0]), float(K[1, 1]), float(K[0, 1]), pair
-
-
 def _activation_mixture(p: ModelParams, w: np.ndarray) -> np.ndarray:
     """S = sum_i w_i * activation_expectation(p, i): the matrix of
     ``dense_bound`` and, shifted by (1 - sum(w)) * I, of both expected
     kernels.
 
-    Each activation kernel is the centre-1 kernel with nodes 1 and i
-    swapped, so one kernel's four distinct entries give S in O(n^2): with
-    W = sum(w), S[j, j] = w_j * dc + (W - w_j) * do and, off the diagonal,
+    Every activation kernel has the same four distinct entries
+    (``activation_entries``), so S is O(n^2): with W = sum(w),
+    S[j, j] = w_j * dc + (W - w_j) * do and, off the diagonal,
     S[j, k] = (w_j + w_k) * edge + (W - w_j - w_k) * pair.
     """
-    dc, do, edge, pair = _kernel_entries(p)
+    dc, do, edge, pair = activation_entries(p)
     W = w.sum()
     ends = w[:, None] + w
     S = ends * edge + (W - ends) * pair
@@ -121,37 +113,19 @@ def convergence_bound(pz0_sq: float, eps: float, lam: float, K: int) -> float:
     return pz0_sq / eps * lam**K
 
 
-def poisson_binomial_pmf(probs) -> np.ndarray:
-    """PMF of the number of successes among independent Bernoulli trials
-    with the rates of the vector ``probs``, by the standard O(n^2)
-    convolution recurrence. Step k updates counts 0..k+1 only; the higher
-    ones are still 0."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1:
-        raise ValueError(f"need one vector of rates, got shape {probs.shape}")
-    pmf = np.zeros(len(probs) + 1)
-    pmf[0] = 1.0
-    for k, q in enumerate(probs):
-        pmf[1 : k + 2] = pmf[1 : k + 2] * (1.0 - q) + pmf[: k + 1] * q
-        pmf[0] *= 1.0 - q
-    return pmf
-
-
-def _removed_trial_means(pmf: np.ndarray, q: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] * L[k] for each rate in q, where L is ``pmf`` with
-    one Bernoulli(q) trial taken out: pmf[k] = (1 - q) L[k] + q L[k-1].
-
-    Peels L off from count 0 upward, one (len(q),) step per count; each
-    step scales the error it carries by q / (1 - q), at most 1 for q <= 1/2.
-    """
-    s = 1.0 / (1.0 - q)
-    r = q * s
-    L = np.zeros_like(q)
-    total = np.zeros_like(q)
-    for k in range(len(pmf) - 1):
-        L = pmf[k] * s - r * L
-        total += weights[k] * L
-    return total
+@cache
+def _gauss_legendre() -> tuple:
+    """The 16 Gauss-Legendre nodes and weights on [0, 1], within a few ulps:
+    Newton steps on P_N from the cosine guesses, by its recurrence."""
+    N = 16
+    x = np.cos(np.pi * (np.arange(N, 0, -1) - 0.25) / (N + 0.5))
+    for _ in range(5):
+        prev, P = np.ones(N), x
+        for k in range(2, N + 1):
+            prev, P = P, ((2 * k - 1) * x * P - (k - 1) * prev) / k
+        dP = N * (x * P - prev) / (x * x - 1.0)
+        x = x - P / dP
+    return (x + 1.0) / 2.0, 1.0 / ((1.0 - x * x) * dP * dP)
 
 
 def survivor_rates(p: ModelParams) -> np.ndarray:
@@ -159,26 +133,32 @@ def survivor_rates(p: ModelParams) -> np.ndarray:
     in one fast-switching step, under the tie-break rule ``p.rule``.
 
     Uniform rule: a node survives its own activation with probability
-    1/(1 + number of co-activated nodes), so its rate is the activity rate
-    times the mean reciprocal, taken against the Poisson-binomial count of
-    the others. One recurrence gives the PMF of all n counts; each node's
-    leave-one-out PMF comes out of it by deconvolution, forward for a rate
-    <= 1/2 and, for a larger rate, backward (forward on the mirrored counts
-    n - k, whose trial rates are 1 - a). O(n^2) flops in O(n) memory.
+    1/(1 + K), K the number of co-activated nodes, and E[1/(1 + K)] =
+    int_0^1 E[u**K] du, so b_i = a_i * int_0^1 F(u) / (1 - a_i u) du with
+    F(u) = prod_j (1 - a_j u) ~ exp(-W u), W = sum(a): Gauss-Legendre on
+    the panels [0, 2**-J], ..., [1/4, 1/2], [1/2, 1] with 2**-J <= 1/W, log F
+    summed in chunks of ``STACK_BYTES``, O(n) time and memory. An integrand
+    adds at most exp(-c (W - 1)) past c, and each integral is at least
+    (1 - exp(-W)) / (2W); panels past a c where that ratio is 2**-60 are cut.
     Table rule: ``enumerated_survivor_rates``.
     """
     if p.rule.table is not None:
         return enumerated_survivor_rates(p)
-    a = np.asarray(p.a, dtype=np.float64)
-    pmf = poisson_binomial_pmf(a)
-    recip = 1.0 / np.arange(1.0, p.n + 1.0)  # 1 / (1 + co-activated count)
-    low = a <= 0.5
-    mean_recip = np.empty(p.n)
-    if low.any():
-        mean_recip[low] = _removed_trial_means(pmf, a[low], recip)
-    if not low.all():
-        mean_recip[~low] = _removed_trial_means(pmf[::-1], 1.0 - a[~low], recip[::-1])
-    return a * mean_recip
+    a, W = p.rates, float(p.rates.sum())
+    ends = 2.0 ** -np.arange(max(0, math.ceil(math.log2(W))), -1.0, -1.0)
+    starts = np.append(0.0, ends[:-1])
+    keep = starts * (W - 1.0) < math.log(2.0**62 * max(W, 1.0))
+    width = (ends - starts)[keep, None]
+    x, w = _gauss_legendre()
+    u, weights = (starts[keep, None] + width * x).ravel(), (width * w).ravel()
+    rows = max(1, STACK_BYTES // (8 * len(u)))
+    chunks = range(0, p.n, rows)
+    # log F by chunks, the partial sums then added pairwise, node by node
+    parts = [np.log1p(np.multiply.outer(a[lo:lo + rows], -u)).sum(axis=0) for lo in chunks]
+    weighted_F = weights * np.exp(np.stack(parts, axis=1).sum(axis=1))
+    return a * np.concatenate(
+        [1.0 / (1.0 - np.multiply.outer(a[lo:lo + rows], u)) @ weighted_F for lo in chunks]
+    )
 
 
 def enumerated_survivor_rates(p: ModelParams) -> np.ndarray:
@@ -195,31 +175,43 @@ def enumerated_survivor_rates(p: ModelParams) -> np.ndarray:
 
 def _top_projected_diagonal(w: np.ndarray) -> float:
     """Largest eigenvalue of P diag(w) P on the complement of the all-ones
-    vector, P the off-consensus projection, in O(n) per bisection step.
+    vector, P the off-consensus projection, in a few O(n) steps.
 
-    A value shared by c >= 2 nodes is an eigenvalue (c - 1 times); every
-    other eigenvalue x solves the secular equation sum_k c_k / (v_k - x) = 0
-    over the distinct values v_k and their counts c_k, one root strictly
-    between each two neighbouring v_k (Golub, SIAM Rev. 1973). So the
-    largest is the top value when it is shared and otherwise the root above
-    the second value, which bisection finds down to adjacent floats: the
-    secular function increases from -inf to +inf across that gap.
+    A value shared by c >= 2 nodes is an eigenvalue; every other one solves
+    g(x) = sum_j 1/(w_j - x) = 0, one root between each two neighbouring
+    distinct values (Golub, SIAM Rev. 1973). So the largest is the top value
+    t if shared, else the root above the next value s, where g rises from
+    -inf to +inf. Each step fits g at x by C + S/(s - y) + 1/(t - y) in value
+    and slope (Bunch, Nielsen and Sorensen, Numer. Math. 1978) and moves to
+    its root, kept in the bracket lo < y < hi, g(lo) <= 0 < g(hi): past x it
+    is the float next to x, past the far end the midpoint. It stops once lo
+    and hi are adjacent floats.
     """
-    v, c = np.unique(w, return_counts=True)
-    if c[-1] >= 2:
-        return float(v[-1])
-    lo, hi = float(v[-2]), float(v[-1])
-    mid = lo + (hi - lo) / 2
+    top = w.max()
+    if np.count_nonzero(w == top) >= 2:
+        return float(top)
+    rest = w[w != top]
+    lo, hi = s, t = float(rest.max()), float(top)
+    x = lo + (hi - lo) / 2
     # Only a gap narrower than about n * 1e-308 overflows the terms next to
-    # both ends (a sum of nan); any point of it is then as good as the root.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while lo < mid < hi:
-            if np.sum(c / (v - mid)) > 0:
-                hi = mid
-            else:
-                lo = mid
-            mid = lo + (hi - lo) / 2
-    return mid
+    # both ends (a sum of nan); midpoint steps then close the bracket.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while np.nextafter(lo, hi) < hi:
+            r = 1.0 / (rest - x)
+            psi, dpsi, d_s, d_t = r.sum(), r @ r, s - x, t - x
+            g = psi + 1.0 / d_t
+            lo, hi = (lo, x) if g > 0 else (x, hi)
+            # tau = y - x solves C tau**2 - b tau + c = 0, the model at y
+            # times (s - y)(t - y); this root lies between s and t
+            C, c = psi - dpsi * d_s, d_s * d_t * g
+            b = C * (d_s + d_t) + dpsi * d_s * d_s + 1.0
+            sq = math.sqrt(max(b * b - 4.0 * C * c, 0.0))
+            y = x + (2.0 * c / (b + sq) if b >= 0 else (b - sq) / (2.0 * C))
+            if not lo < y < hi:
+                past_x = y >= hi if x == hi else y <= lo
+                y = np.nextafter(x, lo if x == hi else hi) if past_x else lo + (hi - lo) / 2
+            x = float(y)
+    return float(lo + (hi - lo) / 2)
 
 
 def decay_bound(p: ModelParams, weights, kind: str) -> DecayBound:
@@ -230,17 +222,14 @@ def decay_bound(p: ModelParams, weights, kind: str) -> DecayBound:
     S = W*pair*J + (edge - pair)*(w 1' + 1 w') + W*(do - pair)*I + xi*diag(w)
     with xi = dc - do - 2*(edge - pair), so on the complement of the
     all-ones vector it is W*(do - pair) plus xi times P diag(w) P, whose
-    top (xi > 0) or bottom (xi < 0) eigenvalue is the one needed.
+    top (xi > 0) or bottom (xi < 0) eigenvalue is the one needed: |xi|
+    times the top one of P diag(sign(xi) w) P.
     """
     w = np.asarray(weights, dtype=np.float64)
-    dc, do, edge, pair = _kernel_entries(p)
+    dc, do, edge, pair = activation_entries(p)
     total = float(w.sum())
     xi = dc - do - 2.0 * (edge - pair)
-    lam = total * (do - pair)
-    if xi > 0:
-        lam += xi * _top_projected_diagonal(w)
-    elif xi < 0:
-        lam -= xi * _top_projected_diagonal(-w)
+    lam = total * (do - pair) + abs(xi) * _top_projected_diagonal(np.sign(xi) * w)
     return DecayBound(rate=1.0 - total + lam, kind=kind, lambda_second=lam, weight_sum=total)
 
 

@@ -180,6 +180,59 @@ def bruteforce_poisson_binomial(probs):
     return pmf
 
 
+def poisson_binomial_pmf(probs):
+    """PMF of the number of successes among independent Bernoulli trials
+    with the rates of the vector ``probs``, by the standard O(n^2)
+    convolution recurrence. Step k updates counts 0..k+1 only; the higher
+    ones are still 0."""
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1:
+        raise ValueError(f"need one vector of rates, got shape {probs.shape}")
+    pmf = np.zeros(len(probs) + 1)
+    pmf[0] = 1.0
+    for k, q in enumerate(probs):
+        pmf[1 : k + 2] = pmf[1 : k + 2] * (1.0 - q) + pmf[: k + 1] * q
+        pmf[0] *= 1.0 - q
+    return pmf
+
+
+def _removed_trial_means(pmf, q, weights):
+    """sum_k weights[k] * L[k] for each rate in q, where L is ``pmf`` with
+    one Bernoulli(q) trial taken out: pmf[k] = (1 - q) L[k] + q L[k-1].
+
+    Peels L off from count 0 upward, one (len(q),) step per count; each
+    step scales the error it carries by q / (1 - q), at most 1 for q <= 1/2.
+    """
+    s = 1.0 / (1.0 - q)
+    r = q * s
+    L = np.zeros_like(q)
+    total = np.zeros_like(q)
+    for k in range(len(pmf) - 1):
+        L = pmf[k] * s - r * L
+        total += weights[k] * L
+    return total
+
+
+def recurrence_survivor_rates(a):
+    """Per-node survivor rates under the uniform tie break, a_i times the
+    mean of 1/(1 + K) over the count K of the others, in O(n^2) flops and
+    O(n) memory: one Poisson-binomial PMF of all n counts, and each node's
+    leave-one-out PMF out of it by deconvolution, forward for a rate <= 1/2
+    and, for a larger rate, backward (forward on the mirrored counts n - k,
+    whose trial rates are 1 - a)."""
+    a = np.asarray(a, dtype=np.float64)
+    n = len(a)
+    pmf = poisson_binomial_pmf(a)
+    recip = 1.0 / np.arange(1.0, n + 1.0)  # 1 / (1 + co-activated count)
+    low = a <= 0.5
+    mean_recip = np.empty(n)
+    if low.any():
+        mean_recip[low] = _removed_trial_means(pmf, a[low], recip)
+    if not low.all():
+        mean_recip[~low] = _removed_trial_means(pmf[::-1], 1.0 - a[~low], recip[::-1])
+    return a * mean_recip
+
+
 def block_walk_survival(variant, block_rng, block, draw, advance, norm, z0, k_max, n_paths, eps):
     """Survival curve by its definition, one path at a time on the
     package's block streams: path lo + i, with lo a multiple of ``block``,

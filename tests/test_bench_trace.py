@@ -22,8 +22,18 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # ``snapshot_laplacian`` and its span, otherwise bound only in mc_sim for
 # ``step``, records nothing either.
 # They stay pinned here, exactly, until the benchmark's trace drops them.
-RETIRED_BINDINGS = ["mc_sim.generate_snapshot", "validation.snapshot_laplacian"]
-RETIRED_SPANS = ["mc_sim.step", "adn_model.generate_snapshot", "adn_model.snapshot_laplacian"]
+RETIRED_BINDINGS = [
+    "mc_sim.generate_snapshot",
+    "validation.snapshot_laplacian",
+    "spectral.activation_expectation",
+    "spectral.poisson_binomial_pmf",
+]
+RETIRED_SPANS = [
+    "mc_sim.step",
+    "adn_model.generate_snapshot",
+    "adn_model.snapshot_laplacian",
+    "spectral.poisson_binomial_pmf",
+]
 
 SMALL = {
     "n": 5,

@@ -752,16 +752,43 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("n", [10**30, 10_001])
     def test_oversized_n_refused_before_any_draw(self, tmp_path, capsys, monkeypatch, n):
+        # simulate and validate hold n x n matrices; the bounds have a
+        # limit of their own
         cfg = write_config(tmp_path, n=n, activity={"mode": "uniform_draw", "upper": 0.1})
 
         def no_draw(*args):
             raise AssertionError("activity rates drawn before n was refused")
 
         monkeypatch.setattr(cli, "draw_activity_rates", no_draw)
-        rc = main(["gamma-sp", "--config", cfg, "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: n: must be >= 2 and <= 10000, ")
+        for command in ("simulate", "validate"):
+            rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: n: must be >= 2 and <= 10000, "), command
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["gamma-sp", "gamma-fs"])
+    def test_bounds_refuse_n_above_their_own_limit(self, tmp_path, capsys, monkeypatch, command):
+        n = cli.BOUND_N_LIMIT + 1
+        cfg = write_config(tmp_path, n=n, activity={"mode": "uniform_draw", "upper": 1e-7})
+
+        def no_draw(*args):
+            raise AssertionError("activity rates drawn before n was refused")
+
+        monkeypatch.setattr(cli, "draw_activity_rates", no_draw)
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: n: must be >= 2 and <= 1000000, got {n}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_bounds_accept_n_past_the_simulate_limit(self, tmp_path, capsys):
+        n = cli.N_LIMIT + 1
+        cfg = write_config(tmp_path, n=n, activity={"mode": "uniform_draw", "upper": 1.0 / n})
+        for command in ("gamma-sp", "gamma-fs"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+            row = (tmp_path / command / "gamma.csv").read_text().splitlines()[1].split(",")
+            assert row[1] == str(n) and 0.0 < float(row[4]) < 1.0
+        capsys.readouterr()
 
     def test_invalid_field_reported_on_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, model="markov")

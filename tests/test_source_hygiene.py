@@ -2,7 +2,8 @@
 imports, and every module-level private name is referenced somewhere in
 the package, so that a moved function leaves no import or helper behind.
 Each test module uses every name it imports, too. Nothing dispatches on a
-variant's tag or class."""
+variant's tag or class: no comparison names a tag, and no type check,
+identity or equality test names a variant class."""
 
 import ast
 from pathlib import Path
@@ -79,11 +80,22 @@ def test_no_comparison_names_a_model_tag():
     assert found == []
 
 
+VARIANT_CLASSES = {"Variant", "Full", "Sparse", "FastSwitch"}
+
+
+def _names_a_variant_class(node) -> bool:
+    """Whether a name or attribute in the tree ``node`` is a variant class."""
+    return any(
+        (leaf.id if isinstance(leaf, ast.Name) else getattr(leaf, "attr", None))
+        in VARIANT_CLASSES
+        for leaf in ast.walk(node)
+    )
+
+
 def test_no_type_check_names_a_variant_class():
     # each variant answers for itself (weights(), bound(), ...); an
     # isinstance or issubclass test against a variant class would decide
     # for it from outside
-    classes = {"Variant", "Full", "Sparse", "FastSwitch"}
     found = [
         f"{module}:{node.lineno}"
         for module, tree in TREES.items()
@@ -91,8 +103,21 @@ def test_no_type_check_names_a_variant_class():
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in ("isinstance", "issubclass")
-        for arg in node.args[1:]
-        for leaf in ast.walk(arg)
-        if (leaf.id if isinstance(leaf, ast.Name) else getattr(leaf, "attr", None)) in classes
+        and any(_names_a_variant_class(arg) for arg in node.args[1:])
+    ]
+    assert found == []
+
+
+def test_no_identity_or_equality_test_names_a_variant_class():
+    # ``cls is Sparse`` decides for a variant from outside just as an
+    # isinstance test does
+    ops = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, ops) for op in node.ops)
+        and any(_names_a_variant_class(x) for x in (node.left, *node.comparators))
     ]
     assert found == []

@@ -24,13 +24,13 @@ from adn_consensus import (
     gamma_sp,
     lambda_second_deflated,
     lambda_second_largest,
-    poisson_binomial_pmf,
     sparse_expected_exponential,
     survivor_rates,
     symmetrize,
 )
 from adn_consensus import spectral
 from adn_consensus.cli import N_LIMIT, draw_activity_rates, parse_config, resolve_config
+from adn_consensus.closed_form import activation_entries
 from adn_consensus.spectral import _activation_mixture, enumerated_survivor_rates
 from oracles import (
     bruteforce_poisson_binomial,
@@ -38,7 +38,9 @@ from oracles import (
     jacobi_eigenvalues,
     leave_one_out_survivor_rates,
     per_centre_mixture,
+    poisson_binomial_pmf,
     projected_top_eigenvalue,
+    recurrence_survivor_rates,
 )
 
 CERTIFY_BOUND = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "certify_bound.json"
@@ -151,6 +153,19 @@ class TestPoissonBinomial:
             poisson_binomial_pmf(np.zeros((3, 4)))
 
 
+@st.composite
+def rate_vectors(draw, max_n=300):
+    """Activity rates from 1e-300 up to 1, exact 1 and within an ulp of it
+    included, with sum(a) from about 0 up to n."""
+    n = draw(st.integers(2, max_n))
+    upper = draw(st.sampled_from([2.0 / n, 1.0]))
+    rate = st.one_of(
+        st.sampled_from([1e-300, 1.0, 1.0 - 1e-9, 1.0 - 2**-53, 0.5]),
+        st.floats(1e-300, upper),
+    )
+    return tuple(draw(st.lists(rate, min_size=n, max_size=n)))
+
+
 class TestSurvivorRates:
     def test_frozen_two_node_value(self):
         p = ModelParams(2, 1, (0.5, 0.5), 1.0)
@@ -229,6 +244,22 @@ class TestSurvivorRates:
         none_active = float(np.prod(1.0 - np.asarray(a)))
         assert abs(b.sum() - (1.0 - none_active)) < 1e-12
         assert peak < 16 * 2**20, peak
+
+    def test_gauss_rule_is_exact_on_polynomials(self):
+        u, w = spectral._gauss_legendre()
+        k = np.arange(32)  # 16 nodes integrate degree 31 exactly
+        assert np.max(np.abs((w[:, None] * u[:, None] ** k).sum(axis=0) * (k + 1) - 1.0)) <= 1e-15
+
+    @given(rate_vectors())
+    @example((1.0,) * 300)  # sum(a) = n
+    @example((1.0 - 1e-9,) * 250)
+    @example((1e-300,) * 40)
+    @example((1.0, 1e-300, 1.0 - 2**-53, 0.5))
+    @settings(max_examples=50, deadline=None)
+    def test_quadrature_matches_recurrence(self, a):
+        got = survivor_rates(ModelParams(len(a), 1, a, 1.0))
+        ref = recurrence_survivor_rates(a)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
 
     def test_uniform_table_matches_uniform_mode(self):
         n = 4
@@ -375,6 +406,34 @@ class TestDecayBounds:
         assert 0.0 < bound.rate <= 1.0
 
 
+class CountedSubtractions(np.ndarray):
+    """A weight vector that counts the numpy subtractions made on it: the
+    secular solver makes one, ``rest - x``, per evaluation of its function."""
+
+    count = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.subtract:
+            CountedSubtractions.count += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def secular_evaluations(w) -> int:
+    CountedSubtractions.count = 0
+    spectral._top_projected_diagonal(np.asarray(w, dtype=np.float64).view(CountedSubtractions))
+    return CountedSubtractions.count
+
+
+@st.composite
+def weight_vectors(draw, max_n=60):
+    """Weights in [0, 1] drawn from a few values, so that ties and zeros
+    are common."""
+    n = draw(st.integers(2, max_n))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=n))
+    return np.array(draw(st.lists(st.sampled_from([0.0, *values]), min_size=n, max_size=n)))
+
+
 class TestSecularBound:
     @pytest.mark.parametrize("model", ["sparse", "fastswitch"])
     @given(mixture_cases(max_n=40))
@@ -398,7 +457,7 @@ class TestSecularBound:
     def test_sign_of_xi(self, m, dt, sign):
         # xi is < 0 on every kernel tried and 0 at dt = 0; at m = n - 1 and
         # large dt it is 0 up to rounding
-        dc, do, edge, pair = spectral._kernel_entries(ModelParams(5, m, (0.1,) * 5, dt))
+        dc, do, edge, pair = activation_entries(ModelParams(5, m, (0.1,) * 5, dt))
         xi = dc - do - 2.0 * (edge - pair)
         assert np.sign(xi) == sign if sign is not None else abs(xi) <= 1e-15
 
@@ -425,6 +484,50 @@ class TestSecularBound:
         monkeypatch.setattr(np.linalg, "eigvalsh", refused)
         for got, dense in zip((gamma_sp(p), gamma_fs(p)), ref):
             assert abs(got.rate - dense.rate) <= 1e-15
+
+    @given(weight_vectors())
+    @example(np.array([0.3, 0.3, 0.1]))  # a shared top
+    @example(np.array([0.0, 0.0, 0.2]))  # a shared bottom
+    @example(np.zeros(5))
+    @settings(max_examples=80, deadline=None)
+    def test_solver_matches_dense_eigenvalues(self, w):
+        # top and, through -w, bottom (the xi < 0 side) off the ones vector;
+        # with w >= 0 the ones vector's eigenvalue 0 is the smallest
+        n = len(w)
+        P = np.eye(n) - np.full((n, n), 1.0 / n)
+        ref = np.linalg.eigvalsh(P @ np.diag(w) @ P)
+        assert abs(spectral._top_projected_diagonal(w) - ref[-1]) <= 1e-14
+        assert abs(-spectral._top_projected_diagonal(-w) - ref[1]) <= 1e-14
+
+    def test_few_secular_evaluations(self):
+        # Bisection needs about 50 evaluations at any n; the rational steps
+        # took 5 on each certify weight vector and at most 9 over 40,000
+        # random ones (n up to 20,000, both signs).
+        p, _, _ = resolve_config(parse_config(json.loads(CERTIFY_BOUND.read_text())))
+        certify = [np.asarray(cls(p).weights()) for cls in (Sparse, FastSwitch)]
+        assert [secular_evaluations(s * w) for w in certify for s in (1, -1)] == [5] * 4
+        rng = np.random.default_rng(23)
+        counts = []
+        for _ in range(400):
+            n = int(rng.integers(2, 2_000))
+            spread = rng.uniform(0.0, 1.0, n) ** rng.uniform(0.1, 20.0)
+            ties = rng.choice(rng.uniform(0.0, 1.0, int(rng.integers(1, n + 1))), n)
+            close = rng.uniform(0.0, 1.0, n)
+            close[0] = close.max() * (1.0 + 10.0 ** -rng.integers(1, 16))
+            counts += [secular_evaluations(s * w) for w in (spread, ties, close) for s in (1, -1)]
+        assert 0 < max(counts) <= 10
+
+    @pytest.mark.parametrize("bound", [gamma_sp, gamma_fs])
+    def test_memory_is_a_few_vectors_at_n_1e5(self, bound):
+        n = 100_000
+        p = ModelParams(n, 3, draw_activity_rates(n, 1.9 / n, 2025), 0.5)
+        tracemalloc.start()
+        try:
+            bound(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * n, peak  # 16 float64 n-vectors
 
     def test_memory_is_one_kernel_and_fields_are_floats(self):
         n = 2_000
