@@ -100,36 +100,36 @@ class ModelParams:
     a: tuple
     dt: float
     rule: TieBreakRule = field(default=UNIFORM_TIE_BREAK, hash=False)  # a table is a dict
+    # ``a`` as a read-only float64 array, for vectorized arithmetic
+    rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
+        rates = np.array(self.a, dtype=np.float64)
+        rates.flags.writeable = False
+        object.__setattr__(self, "a", tuple(rates.tolist()))
+        object.__setattr__(self, "rates", rates)
         if self.n < 2:
             raise ValueError(f"need n >= 2 nodes, got {self.n}")
         if not (1 <= self.m <= self.n - 1):
             raise ValueError(f"need 1 <= m <= n-1, got m={self.m}, n={self.n}")
-        if len(self.a) != self.n:
-            raise ValueError(f"activity vector has {len(self.a)} entries, n={self.n}")
-        if any(not (0.0 < x <= 1.0) for x in self.a):
+        if rates.shape != (self.n,):
+            raise ValueError(f"activity vector has {rates.size} entries, n={self.n}")
+        if not np.all((rates > 0.0) & (rates <= 1.0)):
             raise ValueError("activity rates must lie in (0, 1]")
         if not (self.dt >= 0.0) or not math.isfinite(self.dt):
             raise ValueError(f"sampling period must be >= 0, got {self.dt}")
 
     @cached_property
-    def rates(self) -> np.ndarray:
-        """``a`` as a read-only float64 array, for vectorized comparisons."""
-        a = np.array(self.a)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def rates_cumsum(self) -> tuple:
-        """Running sums a_1, a_1 + a_2, ..., the sparse generator's bins."""
-        return tuple(accumulate(self.a))
+    def rates_cumsum(self) -> np.ndarray:
+        """Running sums a_1, a_1 + a_2, ... (read-only), the sparse bins."""
+        s = np.cumsum(self.rates)
+        s.flags.writeable = False
+        return s
 
     @cached_property
     def rate_sum(self) -> float:
         """sum(a), added left to right: the last of ``rates_cumsum``."""
-        return self.rates_cumsum[-1]
+        return float(self.rates_cumsum[-1])
 
     @property
     def sparse_regime(self) -> bool:
@@ -254,7 +254,7 @@ class Sparse(Variant):
                 "requires sum(a) <= 1"
             )
         log_idle = math.log1p(-p.rate_sum) if p.rate_sum < 1.0 else -math.inf
-        super().__init__(p, np.array(p.rates_cumsum), log_idle)
+        super().__init__(p, p.rates_cumsum, log_idle)
 
     def law(self):
         return [((), 1.0 - self.p.rate_sum)] + [((i + 1,), a) for i, a in enumerate(self.p.a)]

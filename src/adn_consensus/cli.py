@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -109,13 +110,20 @@ def _field(raw: dict, name: str, *bounds, **kw):
     return _number(raw[key], name, *bounds, **kw)
 
 
-def _explicit_values(spec: dict, field: str, n: int, *bounds, **kw) -> dict:
-    """An explicit list of n numbers, each read by ``_number``."""
+def _explicit_values(spec: dict, field: str, n: int, lo, hi=math.inf, lo_open=False) -> dict:
+    """An explicit list of n numbers, each as ``_number`` reads it: checked
+    as one array, and one by one only to name the first that fails."""
     values = spec.get("values")
     if not isinstance(values, list) or len(values) != n:
         raise ValueError(f"{field}.values: need a list of {n} numbers")
-    values = (_number(v, f"{field}.values[{k}]", *bounds, **kw) for k, v in enumerate(values))
-    return {"mode": "explicit", "values": tuple(values)}
+    try:
+        x = np.array(values, dtype=np.float64) if set(map(type, values)) <= {int, float} else None
+    except OverflowError:  # an integer past the float range
+        x = None
+    if x is None or not np.all(np.isfinite(x) & (x > lo if lo_open else x >= lo) & (x <= hi)):
+        x = np.array([_number(v, f"{field}.values[{k}]", lo, hi, lo_open=lo_open)
+                      for k, v in enumerate(values)])
+    return {"mode": "explicit", "values": tuple(x.tolist())}
 
 
 def _parse_activity(raw: dict, n: int) -> dict:
@@ -207,12 +215,11 @@ def parse_config(raw: dict, seed_override: int | None = None, n_max: int = N_LIM
     return cfg
 
 
-def draw_activity_rates(n: int, upper: float, seed: int) -> tuple:
+def draw_activity_rates(n: int, upper: float, seed: int) -> np.ndarray:
     """Seeded U[0, upper] draw of n rates, clamped away from exact zero so
     the open-interval rate constraint cannot be tripped by a measure-zero
     draw."""
-    vals = stream(seed, RATES).uniform(0.0, upper, n)
-    return tuple(max(float(v), 1e-300) for v in vals)
+    return np.maximum(stream(seed, RATES).uniform(0.0, upper, n), 1e-300)
 
 
 def draw_initial_state(n: int, seed: int) -> np.ndarray:
@@ -223,7 +230,7 @@ def draw_initial_state(n: int, seed: int) -> np.ndarray:
 def resolve_config(cfg: dict):
     """Materialize (params, z0, manifest_config) from a parsed config, the
     tie-break rule in params. Drawn quantities are resolved here, once,
-    from the run seed."""
+    from the run seed; the manifest holds them as ``params.a`` and z0."""
     if cfg["activity"]["mode"] == "explicit":
         a = cfg["activity"]["values"]
     else:
@@ -234,8 +241,8 @@ def resolve_config(cfg: dict):
     else:
         z0 = draw_initial_state(cfg["n"], cfg["seed"])
     manifest_config = {k: v for k, v in cfg.items() if k != "rule"}
-    manifest_config["activity"] = {"mode": "explicit", "values": [float(x) for x in params.a]}
-    manifest_config["z0"] = {"mode": "explicit", "values": [float(x) for x in z0]}
+    manifest_config["activity"] = {"mode": "explicit", "values": params.a}
+    manifest_config["z0"] = {"mode": "explicit", "values": z0}
     return params, z0, manifest_config
 
 
@@ -264,6 +271,14 @@ def cmd_gamma(args) -> int:
     return 0
 
 
+def _survival_rows(curve) -> list:
+    """survival.csv's rows "K,prob,n_paths", each of the at most n_paths + 1
+    distinct probabilities (path counts over n_paths) formatted once."""
+    values, which = np.unique(curve.probs, return_inverse=True)
+    tails = [f",{_fmt(x)},{curve.paths}" for x in values.tolist()]
+    return [f"{k}{tails[i]}" for k, i in enumerate(which.tolist())]
+
+
 def cmd_simulate(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
     budget = cfg["n_paths"] * cfg["k_max"]
@@ -277,20 +292,13 @@ def cmd_simulate(args) -> int:
     v = VARIANTS[cfg["model"]](params)
     bound = v.bound()
     curve = run_paths(
-        v,
-        z0,
-        cfg["k_max"],
-        cfg["n_paths"],
-        cfg["eps"],
-        cfg["seed"],
-        n_jobs=args.threads,
+        v, z0, cfg["k_max"], cfg["n_paths"], cfg["eps"], cfg["seed"], n_jobs=args.threads
     )
     try:
         fit = fit_decay_stats(curve)
     except ValueError:
         fit = None
-    rows = (f"{k},{_fmt(prob)},{curve.paths}" for k, prob in enumerate(curve.probs))
-    csv_path = _write(args.out, "survival.csv", "K,prob,n_paths", *rows)
+    csv_path = _write(args.out, "survival.csv", "K,prob,n_paths", *_survival_rows(curve))
     manifest["results"] = {
         "fitted_rate": fit.rate if fit is not None else None,
         "fit_r_squared": fit.r_squared if fit is not None else None,
@@ -300,7 +308,8 @@ def cmd_simulate(args) -> int:
         "bound_lambda_second": bound.lambda_second if bound is not None else None,
         "bound_weight_sum": bound.weight_sum if bound is not None else None,
     }
-    man_path = _write(args.out, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    man_path = _write(args.out, "manifest.json", text)
     print(f"paths = {curve.paths}")
     print(f"prob_start = {_fmt(curve.probs[0])}")
     print(f"fitted_rate = {_fmt(fit.rate) if fit is not None else 'none'}")
@@ -335,10 +344,9 @@ def _check_rows(params: ModelParams):
         diffs = (
             sum(
                 E
-                for chunk in stacks(range(C), n)
-                for E in expm_sym(
-                    star_union_laplacians(n, np.full((C, 1), i)[chunk], nbs[chunk, None]), T
-                )
+                for q in stacks(range(C), n)
+                for E in expm_sym(star_union_laplacians(
+                    len(q), n, np.arange(len(q)), np.full(len(q), i), nbs[q]), T)
             ) / C
             - activation_expectation(params, i + 1)
             for i, nbs in enumerate(center_star_table(params))
@@ -436,20 +444,14 @@ FLAGS = {
 COMMANDS = {
     "gamma-sp": (cmd_gamma, "evaluate the sparse-regime decay bound", ("--out", "--seed")),
     "gamma-fs": (cmd_gamma, "evaluate the fast-switching decay bound", ("--out", "--seed")),
-    "simulate": (
-        cmd_simulate,
-        "run the Monte Carlo survival-curve experiment",
-        ("--out", "--seed", "--threads"),
-    ),
+    "simulate": (cmd_simulate, "run the Monte Carlo survival-curve experiment",
+                 ("--out", "--seed", "--threads")),
     "validate": (cmd_validate, "run the enumeration oracle suites", ("--out", "--seed")),
-    "count-snapshots": (
-        cmd_count_snapshots,
-        "print the exact number of distinct snapshots",
-        (),
-    ),
+    "count-snapshots": (cmd_count_snapshots, "print the exact number of distinct snapshots", ()),
 }
 
 
+@cache  # built once a process; main looks the handler up in COMMANDS at each call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adn",

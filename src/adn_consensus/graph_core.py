@@ -55,30 +55,28 @@ class StarSpec:
         return len(self.neighbors)
 
 
-def star_union_laplacians(n: int, centre: np.ndarray, nbs: np.ndarray) -> np.ndarray:
-    """(k, n, n) float64 stack of Laplacians: row r's graph joins each of
-    its stars' centres ``centre[r, q]`` to its neighbours ``nbs[r, q]``
-    (0-based, shapes (k, s) and (k, s, m)). Degrees minus adjacency, so an
-    edge that two stars share counts once; a neighbour equal to its own
-    centre adds no edge, which pads rows of fewer or smaller stars."""
-    L = np.zeros((len(nbs), n, n))
-    b, c = np.arange(len(nbs))[:, None, None], centre[..., None]
-    L[b, c, nbs] = L[b, nbs, c] = -1.0
-    diagonal = L.reshape(len(nbs), n * n)[:, :: n + 1]  # a view into L
+def star_union_laplacians(k: int, n: int, row, centre, nbs) -> np.ndarray:
+    """(k, n, n) float64 stack of Laplacians from a flat list of stars:
+    star q joins centre ``centre[q]`` to its neighbours ``nbs[q]`` in graph
+    ``row[q]`` (0-based, shapes (s,), (s,) and (s, m)). Degrees minus
+    adjacency, so an edge that two stars share counts once, a graph with no
+    star is 0, and a neighbour equal to its own centre adds no edge, which
+    pads a star of fewer neighbours."""
+    L = np.zeros((k, n, n))
+    r, c = row[:, None], centre[:, None]
+    L[r, c, nbs] = L[r, nbs, c] = -1.0
+    diagonal = L.reshape(k, n * n)[:, :: n + 1]  # a view into L
     diagonal[...] = 0.0
     diagonal[...] = -L.sum(axis=2)
     return L
 
 
 def star_union_laplacian(n: int, stars) -> np.ndarray:
-    """Laplacian (int64) of the union of the stars, one row of
-    ``star_union_laplacians``: neighbours padded with the centre to equal m."""
-    stars = tuple(stars)
-    m = max((e.m for e in stars), default=1)
-    nbs = [[j - 1 for j in e.neighbors + (e.center,) * (m - e.m)] for e in stars]
-    centre = np.array([[e.center - 1 for e in stars]], dtype=np.intp)
-    nbs = np.array(nbs, dtype=np.intp).reshape(1, -1, m)
-    return star_union_laplacians(n, centre, nbs)[0].astype(np.int64)
+    """Laplacian (int64) of the union of the stars, a one-graph call of
+    ``star_union_laplacians`` with a one-neighbour star per edge."""
+    edges = np.array([(e.center - 1, j - 1) for e in stars for j in e.neighbors], dtype=np.intp)
+    c, j = edges.reshape(-1, 2).T
+    return star_union_laplacians(1, n, np.zeros_like(c), c, j[:, None])[0].astype(np.int64)
 
 
 def star_laplacian(spec: StarSpec) -> np.ndarray:

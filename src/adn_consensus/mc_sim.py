@@ -121,13 +121,13 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
         Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
     multi = np.flatnonzero(count > 1)
     stars = np.flatnonzero(~lone)  # grouped by row, as the rows of multi
-    first = np.cumsum(count[multi]) - count[multi]
+    ends = np.cumsum(count[multi])
     for chunk in stacks(range(len(multi)), n):
         lo, hi = chunk[0], chunk[-1] + 1
         rows, many = multi[lo:hi], count[multi[lo:hi]]
-        # each row's stars, its last repeated (adding no edge) to the longest row's count
-        s = stars[first[lo:hi, None] + np.minimum(np.arange(many.max()), many[:, None] - 1)]
-        L = star_union_laplacians(n, centre[s], nbs[s])
+        s = stars[ends[lo] - many[0]:ends[hi - 1]]  # the stack's stars, in row order
+        L = star_union_laplacians(len(rows), n, np.repeat(np.arange(len(rows)), many),
+                                  centre[s], nbs[s])
         z = Z[rows, :, None]  # a copy
         try:
             plan = taylor_plan(2.0 * dt * float(L.diagonal(0, 1, 2).max()))

@@ -41,14 +41,13 @@ def _require_enumerable(v: Variant):
 
 
 def _enumerate_branches(v: Variant, copies: int = 1):
-    """Yield (weights, centre, nbs) stacks of consecutive configurations,
-    each within ``STACK_BYTES`` at ``copies`` n x n matrices a row: the
-    variant's ``law`` folded onto its distinct centre tuples, each tuple
-    times each choice of one neighbour set per centre from
-    ``center_star_table``, in ``product`` order. Row r's stars join
-    centre[r, q] to nbs[r, q] (0-based, as ``star_union_laplacians`` reads
-    them); a shorter tuple's row starts with node 0 joined to itself, which
-    adds no edge."""
+    """Yield (weights, row, centre, nbs) stacks of consecutive
+    configurations, each within ``STACK_BYTES`` at ``copies`` n x n matrices
+    a configuration: the variant's ``law`` folded onto its distinct centre
+    tuples, each tuple times each choice of one neighbour set per centre
+    from ``center_star_table``, in ``product`` order. Configuration r of a
+    stack has the stars q with row[q] == r, each joining centre[q] to
+    nbs[q] (0-based, the flat form ``star_union_laplacians`` reads)."""
     p, law = v.p, {}
     for centres, prob in v.law():
         law[centres] = law.get(centres, 0.0) + prob
@@ -65,8 +64,9 @@ def _enumerate_branches(v: Variant, copies: int = 1):
         g = np.searchsorted(starts, q, side="right") - 1
         # a tuple's choice, right-aligned: its digits in base C, last fastest
         digit = np.stack(np.unravel_index(q - starts[g], (C,) * width), axis=-1)
-        c = centre[g]
-        yield weights[g], c, np.where(real[g][..., None], table[c, digit], c[..., None])
+        row, col = np.nonzero(real[g])
+        c = centre[g[row], col]
+        yield weights[g], row, c, table[c, digit[row, col]]
 
 
 def _expected_exponentials(v: Variant, T: np.ndarray):
@@ -76,8 +76,8 @@ def _expected_exponentials(v: Variant, T: np.ndarray):
     _require_enumerable(v)
     acc = np.zeros((len(T), v.p.n, v.p.n))
     total = 0.0
-    for weights, centre, nbs in _enumerate_branches(v, max(len(T), 1)):
-        kernels = expm_sym(star_union_laplacians(v.p.n, centre, nbs), T)
+    for weights, row, centre, nbs in _enumerate_branches(v, max(len(T), 1)):
+        kernels = expm_sym(star_union_laplacians(len(weights), v.p.n, row, centre, nbs), T)
         for i, w in enumerate(weights.tolist()):
             acc += w * kernels[:, i]
             total += w

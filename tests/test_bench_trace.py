@@ -21,6 +21,12 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # (``graph_core.star_union_laplacians``), so validation no longer imports
 # ``snapshot_laplacian`` and its span, otherwise bound only in mc_sim for
 # ``step``, records nothing either.
+# The bounds are O(n): ``decay_bound`` reads the four distinct entries of
+# the activation kernel from ``closed_form.activation_entries``, so spectral
+# no longer imports ``activation_expectation``; and ``survivor_rates`` is a
+# quadrature, so the Poisson-binomial recurrence behind
+# ``spectral.poisson_binomial_pmf`` moved to ``tests/oracles.py`` and that
+# span records nothing.
 # They stay pinned here, exactly, until the benchmark's trace drops them.
 RETIRED_BINDINGS = [
     "mc_sim.generate_snapshot",

@@ -2,13 +2,16 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adn_consensus import ModelParams, adn_model, cli, gamma_sp, snapshot_count
+from adn_consensus import ModelParams, SurvivalCurve, adn_model, cli, gamma_sp, snapshot_count
 from adn_consensus.cli import (
     draw_activity_rates,
     draw_initial_state,
@@ -234,10 +237,10 @@ class TestSeededDraws:
     def test_rates_deterministic_and_in_range(self):
         a = draw_activity_rates(100, 0.02, 99)
         b = draw_activity_rates(100, 0.02, 99)
-        assert a == b
+        assert np.array_equal(a, b)
         assert all(0.0 < x <= 0.02 for x in a)
         c = draw_activity_rates(100, 0.02, 100)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     def test_initial_state_deterministic_and_bounded(self):
         z = draw_initial_state(64, 5)
@@ -261,7 +264,7 @@ class TestSeededDraws:
         assert tuple(manifest["activity"]["values"]) == params.a
         assert manifest["z0"]["mode"] == "explicit"
         assert np.array_equal(np.array(manifest["z0"]["values"]), z0)
-        assert params.a == draw_activity_rates(5, 0.3, 42)
+        assert params.a == tuple(draw_activity_rates(5, 0.3, 42).tolist())
 
 
 class TestGammaCommands:
@@ -796,3 +799,142 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("config error:")
+
+
+class TestExplicitValues:
+    # One bad value in an otherwise valid list, and today's message for it,
+    # which names its index; z0 has no range, so 0 and 1.5 are valid there.
+    BAD = [
+        (True, "must be a number, got True"),
+        ("0.5", "must be a number, got '0.5'"),
+        (math.nan, "must be finite, got nan"),
+        (math.inf, "must be finite, got inf"),
+        (10**400, "must be finite, got an integer past the float range"),
+    ]
+    OUT_OF_RANGE = [
+        (0, "must be > 0.0 and <= 1.0, got 0.0"),
+        (1.5, "must be > 0.0 and <= 1.0, got 1.5"),
+    ]
+
+    @staticmethod
+    def _message(field: str, values: list) -> str:
+        with pytest.raises(ValueError) as exc:
+            parse_config(make_config(**{field: {"mode": "explicit", "values": values}}))
+        return str(exc.value)
+
+    @pytest.mark.parametrize("k", [0, 3, 4])
+    @pytest.mark.parametrize("bad, message", BAD + OUT_OF_RANGE)
+    def test_activity_value_named_by_index(self, k, bad, message):
+        values = [0.05, 0.1, 0.2, 0.15, 0.08]
+        values[k] = bad
+        assert self._message("activity", values) == f"activity.values[{k}]: {message}"
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("bad, message", BAD + [(-math.inf, "must be finite, got -inf")])
+    def test_z0_value_named_by_index(self, k, bad, message):
+        values = [0.0, -1.0, 2.5, 1e300, -3]
+        values[k] = bad
+        assert self._message("z0", values) == f"z0.values[{k}]: {message}"
+
+    def test_first_bad_value_is_named(self):
+        values = [0.05, "x", 0.2, 2.0, True]
+        assert self._message("activity", values) == "activity.values[1]: must be a number, got 'x'"
+
+    def test_integers_and_edges_become_floats(self):
+        cfg = parse_config(make_config(
+            activity={"mode": "explicit", "values": [1, 5e-324, 1.0, 0.5, 2**-1074]},
+            z0={"mode": "explicit", "values": [-0.0, 0, 2**1000, -(2**63) - 1, 7]},
+        ))
+        assert repr(cfg["activity"]["values"]) == repr((1.0, 5e-324, 1.0, 0.5, 5e-324))
+        assert repr(cfg["z0"]["values"]) == repr((-0.0, 0.0, 2.0**1000, -(2.0**63), 7.0))
+
+    @given(
+        st.sampled_from([("activity", (0.0, 1.0), {"lo_open": True}), ("z0", (-math.inf,), {})]),
+        st.one_of(
+            # mostly numbers in range, which the array check takes alone
+            st.lists(st.floats(0.0, 1.0) | st.integers(0, 1), min_size=5, max_size=5),
+            st.lists(
+                st.floats()
+                | st.integers(-(2**1100), 2**1100)
+                | st.booleans()
+                | st.text(max_size=2)
+                | st.none(),
+                min_size=5,
+                max_size=5,
+            ),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_check_one_value_at_a_time(self, field, values):
+        name, bounds, kw = field
+        try:
+            ref = repr(tuple(
+                cli._number(v, f"{name}.values[{k}]", *bounds, **kw) for k, v in enumerate(values)
+            ))
+        except ValueError as exc:
+            ref = str(exc)
+        try:
+            cfg = parse_config(make_config(**{name: {"mode": "explicit", "values": values}}))
+            got = repr(cfg[name]["values"])
+        except ValueError as exc:
+            got = str(exc)
+        assert got == ref
+
+
+class TestSurvivalRows:
+    @given(st.integers(1, 10**9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), min_size=1, max_size=60))
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_formatting_each_row(self, case):
+        # any counts in 0..n_paths, in any order, as run_paths divides them
+        n, counts = case
+        curve = SurvivalCurve(eps=0.1, probs=np.array(counts) / float(n), paths=n)
+        expected = [f"{k},{cli._fmt(p)},{n}" for k, p in enumerate(curve.probs)]
+        assert cli._survival_rows(curve) == expected
+
+
+class TestRepeatedCalls:
+    SRC = str(Path(cli.__file__).resolve().parents[1])
+    ARGVS = [
+        ["gamma-sp", "--config", "cfg.json", "--out", "out/gamma-sp"],
+        ["gamma-fs", "--config", "cfg.json", "--out", "out/gamma-fs", "--seed", "3"],
+        ["simulate", "--config", "cfg.json", "--out", "out/simulate", "--threads", "1"],
+        ["validate", "--config", "cfg.json", "--out", "out/validate"],
+        ["count-snapshots", "--config", "cfg.json"],
+    ]
+
+    @staticmethod
+    def _files(root: Path) -> dict:
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_in_process_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        for d in (fresh, here):
+            d.mkdir()
+            write_config(d, k_max=60, z0={"mode": "explicit", "values": [1, -1, 0.5, 0, 0.25]})
+        env = {**os.environ, "PYTHONPATH": self.SRC}
+        expected = [
+            subprocess.run(
+                [sys.executable, "-m", "adn_consensus.cli", *argv],
+                cwd=fresh, env=env, capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for argv in self.ARGVS
+        ]
+        monkeypatch.chdir(here)
+        write_config(here, "bad.json", model="markov")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--out", "out"])  # no --config: an argparse error
+        assert exc.value.code == 2
+        assert main(["simulate", "--config", "bad.json", "--out", "out/bad"]) == 2
+        capsys.readouterr()
+        for _ in range(2):
+            got = []
+            for argv in self.ARGVS:
+                assert main(argv) == 0
+                got.append(capsys.readouterr().out)
+            assert got == expected
+            assert self._files(here / "out") == self._files(fresh / "out")

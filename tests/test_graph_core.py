@@ -277,8 +277,17 @@ class TestExpmSymStack:
                 expm_sym(np.zeros(shape), 1.0)
 
 
+def flat(n, centre, nbs) -> tuple:
+    """``star_union_laplacians``' arguments (k, n, row, centre, nbs) for k
+    graphs on n nodes of s stars each, given as (k, s) centres and (k, s, m)
+    neighbours."""
+    centre, nbs = np.asarray(centre), np.asarray(nbs)
+    k, s = centre.shape
+    return k, n, np.repeat(np.arange(k), s), centre.reshape(-1), nbs.reshape(k * s, -1)
+
+
 class TestStarUnionLaplacians:
-    # Rows of two stars each on n = 5, 0-based: centres 0 and 1 picking each
+    # Graphs of two stars each on n = 5, 0-based: centres 0 and 1 picking each
     # other (one shared edge), m = n - 1 stars, and disjoint stars.
     CENTRE = np.array([[0, 1], [0, 3], [2, 4]])
     NBS = np.array([[[1, 2], [0, 4]], [[1, 2], [0, 1]], [[0, 1], [3, 1]]])
@@ -287,7 +296,7 @@ class TestStarUnionLaplacians:
         return [StarSpec(5, c + 1, tuple(N + 1)) for c, N in zip(self.CENTRE[row], self.NBS[row])]
 
     def test_each_slice_is_the_star_union(self):
-        L = star_union_laplacians(5, self.CENTRE, self.NBS)
+        L = star_union_laplacians(*flat(5, self.CENTRE, self.NBS))
         assert L.shape == (3, 5, 5) and L.dtype == np.float64
         for row, got in enumerate(L):
             stars = self._specs(row)
@@ -300,27 +309,27 @@ class TestStarUnionLaplacians:
     def test_all_others_as_neighbours(self):
         n = 6
         for c in range(n):
-            nbs = np.array([[[j for j in range(n) if j != c]]])
-            got = star_union_laplacians(n, np.array([[c]]), nbs)[0]
-            ref = star_laplacian_ints(n, c + 1, [j + 1 for j in nbs[0, 0]])
+            nbs = np.array([[j for j in range(n) if j != c]])
+            got = star_union_laplacians(1, n, np.array([0]), np.array([c]), nbs)[0]
+            ref = star_laplacian_ints(n, c + 1, [j + 1 for j in nbs[0]])
             assert np.array_equal(got, np.array(ref))
             assert got[c, c] == n - 1
 
     def test_empty_configuration_is_zero(self):
-        none = np.zeros((2, 0, 3), dtype=np.intp)
-        L = star_union_laplacians(4, none[..., 0], none)
+        none = np.zeros((0, 3), dtype=np.intp)
+        L = star_union_laplacians(2, 4, none[:, 0], none[:, 0], none)
         assert np.array_equal(L, np.zeros((2, 4, 4)))
         assert np.array_equal(star_union_laplacian(4, ()), np.zeros((4, 4), dtype=np.int64))
 
     def test_self_joined_padding_adds_no_edge(self):
-        # a row padded with its last star repeated, or with a star on node 0
-        # joined to itself, is the unpadded row's Laplacian
-        ref = star_union_laplacians(5, self.CENTRE[:, :1], self.NBS[:, :1])
-        repeated = star_union_laplacians(5, self.CENTRE[:, [0, 0]], self.NBS[:, [0, 0]])
-        selfed = star_union_laplacians(
+        # a graph padded with its last star repeated, or with a star on node 0
+        # joined to itself, is the unpadded graph's Laplacian
+        ref = star_union_laplacians(*flat(5, self.CENTRE[:, :1], self.NBS[:, :1]))
+        repeated = star_union_laplacians(*flat(5, self.CENTRE[:, [0, 0]], self.NBS[:, [0, 0]]))
+        selfed = star_union_laplacians(*flat(
             5, np.column_stack([self.CENTRE[:, 0], [0, 0, 0]]),
             np.concatenate([self.NBS[:, :1], np.zeros((3, 1, 2), dtype=int)], axis=1),
-        )
+        ))
         assert np.array_equal(repeated, ref) and np.array_equal(selfed, ref)
 
     def test_stars_of_different_sizes(self):
@@ -330,10 +339,29 @@ class TestStarUnionLaplacians:
         ref = star_union_laplacian_ints(6, [(s.center, s.neighbors) for s in stars])
         assert np.array_equal(got, np.array(ref))
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flat_star_lists_match_the_integer_oracle(self, data):
+        # graphs with any number of stars, none included, in any order of
+        # graphs, and centres that may repeat within a graph
+        n = data.draw(st.integers(2, 9))
+        m = data.draw(st.integers(1, n - 1))
+        k = data.draw(st.integers(1, 5))
+        row = np.array(data.draw(st.lists(st.integers(0, k - 1), max_size=12)), dtype=np.intp)
+        centre = np.array([data.draw(st.integers(0, n - 1)) for _ in row], dtype=np.intp)
+        nbs = np.array(
+            [data.draw(st.permutations([j for j in range(n) if j != c]))[:m] for c in centre],
+            dtype=np.intp,
+        ).reshape(len(row), m)
+        L = star_union_laplacians(k, n, row, centre, nbs)
+        for r in range(k):
+            stars = [(c + 1, N + 1) for c, N in zip(centre[row == r], nbs[row == r])]
+            assert np.array_equal(L[r], np.array(star_union_laplacian_ints(n, stars)))
+
 
 @st.composite
 def star_union_stacks(draw, max_n=30):
-    """(L, k) a (k, n, n) stack of star-union Laplacians: k rows of up to
+    """(L, k) a (k, n, n) stack of star-union Laplacians: k graphs of up to
     four stars each, with m neighbours a star (padded with the centre)."""
     n = draw(st.integers(2, max_n))
     k, count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
@@ -345,7 +373,7 @@ def star_union_stacks(draw, max_n=30):
         others = np.delete(np.arange(n), centre[r, q])
         nbs[r, q] = rng.choice(others, m, replace=False)
         nbs[r, q, : int(rng.integers(0, m))] = centre[r, q]  # padding adds no edge
-    return star_union_laplacians(n, centre, nbs)
+    return star_union_laplacians(*flat(n, centre, nbs))
 
 
 def remainder_bound_holds(theta: float, m: int, s: int) -> bool:
@@ -386,7 +414,7 @@ class TestExpmAction:
     @pytest.mark.parametrize("m, s", [(1, 1), (3, 2), (6, 1), (18, 3)])
     def test_applies_the_degree_m_polynomial_s_times(self, m, s):
         # v = (4, -1, -1, -1, -1) is the star's eigenvector of eigenvalue 5
-        L = star_union_laplacians(5, np.array([[0]]), np.array([[[1, 2, 3, 4]]]))
+        L = star_union_laplacians(1, 5, np.array([0]), np.array([0]), np.array([[1, 2, 3, 4]]))
         v = np.array([4.0, -1.0, -1.0, -1.0, -1.0])
         x = -0.8 * 5 / s
         poly = sum(x**j / math.factorial(j) for j in range(m + 1))
@@ -394,7 +422,7 @@ class TestExpmAction:
         assert np.allclose(got[0, :, 0], poly**s * v, rtol=1e-14, atol=1e-14)
 
     def test_overwrites_and_returns_the_states(self):
-        L = star_union_laplacians(4, np.array([[0, 2]]), np.array([[[1, 3], [1, 3]]]))
+        L = star_union_laplacians(*flat(4, [[0, 2]], [[[1, 3], [1, 3]]]))
         z = np.array([[[1.0], [-1.0], [0.5], [0.0]]])
         out = expm_action(L, 0.3, z, *taylor_plan(0.3 * 2 * 2))
         assert out is z

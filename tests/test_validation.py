@@ -76,12 +76,11 @@ def _center_stars(p: ModelParams) -> list:
 
 def _branches(v) -> list:
     """``_enumerate_branches``' stacks unpacked to one (weight, stars) pair
-    per configuration, stars as 1-based (centre, neighbours) pairs without
-    the padding (a centre joined to itself)."""
+    per configuration, stars as 1-based (centre, neighbours) pairs."""
     return [
-        (w, [(c + 1, tuple(N + 1)) for c, N in zip(cs, nbs) if N[0] != c])
-        for ws, centre, nbs_stack in _enumerate_branches(v)
-        for w, cs, nbs in zip(ws.tolist(), centre, nbs_stack)
+        (w, [(c + 1, tuple(N + 1)) for c, N in zip(centre[row == r], nbs[row == r])])
+        for ws, row, centre, nbs in _enumerate_branches(v)
+        for r, w in enumerate(ws.tolist())
     ]
 
 
