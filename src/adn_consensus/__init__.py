@@ -20,13 +20,7 @@ from .adn_model import (
     snapshot_laplacian,
 )
 from .closed_form import activation_expectation, star_exponential
-from .graph_core import (
-    StarSpec,
-    expm_sym,
-    star_laplacian,
-    star_laplacian_power,
-    symmetrize,
-)
+from .graph_core import StarSpec, expm_sym, star_laplacian, star_laplacian_power, symmetrize
 from .mc_sim import (
     DecayFit,
     SurvivalCurve,

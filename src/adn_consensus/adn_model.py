@@ -148,24 +148,32 @@ class Snapshot:
         object.__setattr__(self, "events", tuple(self.events))
         for e in self.events:
             if e.n != self.n:
-                raise ValueError(
-                    f"event is sized for {e.n} nodes, snapshot has {self.n}"
-                )
+                raise ValueError(f"event is sized for {e.n} nodes, snapshot has {self.n}")
         if len(self.events) > 1:
             centers = [e.center for e in self.events]
             if len(set(centers)) != len(centers):
                 raise ValueError("event centers must be distinct")
 
 
+def activation_chunks(p: ModelParams):
+    """Yield the 2**n activation sets in mask order (bit i - 1 for node i)
+    as (active, prob) chunks of about ``STACK_BYTES``: (k, n) bool members,
+    and the product of a_i over them and 1 - a_i over the other nodes."""
+    size, nodes = max(1, STACK_BYTES // (8 * p.n)), np.arange(p.n)
+    for lo in range(0, 1 << p.n, size):
+        active = (np.arange(lo, min(lo + size, 1 << p.n))[:, None] >> nodes & 1).astype(bool)
+        prob = np.ones(len(active))
+        for i, a in enumerate(p.a):  # node by node from node 1
+            prob *= np.where(active[:, i], a, 1.0 - a)
+        yield active, prob
+
+
 def activation_sets(p: ModelParams):
-    """Yield (members, probability) for each of the 2**n activation sets:
-    the activated node ids in increasing order, and the product of a_i over
-    the members and 1 - a_i over the other nodes."""
-    for mask in range(1 << p.n):
-        prob = 1.0
-        for i in range(p.n):
-            prob *= p.a[i] if mask >> i & 1 else 1.0 - p.a[i]
-        yield tuple(i + 1 for i in range(p.n) if mask >> i & 1), prob
+    """Yield (members, probability) for each activation set of
+    ``activation_chunks``, the members 1-based and increasing."""
+    for active, prob in activation_chunks(p):
+        for row, pr in zip(active.tolist(), prob.tolist()):
+            yield tuple(i for i, x in enumerate(row, 1) if x), pr
 
 
 def center_star_table(p: ModelParams) -> np.ndarray:
@@ -234,6 +242,11 @@ class Variant:
             keys[np.arange(len(c)), c] = 2.0
             out[lo:lo + size] = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
         return out
+
+    def folded(self) -> tuple:
+        """``law`` as (centre tuples, probabilities), its rows being distinct;
+        ``FastSwitch`` folds its own."""
+        return tuple(zip(*self.law()))
 
     def bound(self):
         """The certified decay rate of a one-star variant: ``decay_bound``."""
@@ -327,9 +340,23 @@ class FastSwitch(Full):
         for members, prob in sets:
             weights = self.p.rule.weights_for(frozenset(members))
             for i in members:
-                wi = weights.get(i, 0.0)
-                if wi > 0.0:
+                if (wi := weights.get(i, 0.0)) > 0.0:
                     yield (i,), prob * wi
+
+    def folded(self) -> tuple:
+        """``law`` folded onto its 1 + n centre tuples (), (1,), ..., (n,), in
+        the order they first come: P(S) * w_i(S) added for each node i over the
+        activation sets S in mask order by ``np.bincount``, sums so far first."""
+        n, b, p_none, rule = self.p.n, np.zeros(self.p.n), None, self.p.rule
+        for active, prob in activation_chunks(self.p):
+            p_none = prob[0] if p_none is None else p_none  # the empty set, mask 0
+            rows, members = np.nonzero(active)
+            share = 1.0 / active.sum(axis=1)[rows]  # the uniform rule's 1/|S|
+            if rule.table is not None:  # a table is read set by set, in mask order
+                sets = ([i for i, x in enumerate(r, 1) if x] for r in active.tolist())
+                share = [rule.weights_for(frozenset(S)).get(i, 0.0) for S in sets for i in S]
+            b = np.bincount(np.r_[np.arange(n), members], np.r_[b, prob[rows] * share])
+        return ((),) + tuple((i,) for i in range(1, n + 1)), np.r_[p_none, b]
 
     def size(self) -> int:
         """1 + n*2**(n-1), its law's rows under the uniform rule, which no

@@ -163,14 +163,11 @@ def survivor_rates(p: ModelParams) -> np.ndarray:
 
 def enumerated_survivor_rates(p: ModelParams) -> np.ndarray:
     """Survivor rates as the per-node marginals of ``FastSwitch``'s centre
-    law (all 2**n activation sets), under any tie-break rule; refused above n = 20."""
+    law (all 2**n activation sets, ``FastSwitch.folded``), under any
+    tie-break rule; refused above n = 20."""
     if p.n > 20:
         raise ValueError(f"tie_break: survivor-rate enumeration is 2**n; refused for n={p.n} > 20")
-    b = np.zeros(p.n)
-    for centres, prob in FastSwitch(p).law():
-        if centres:
-            b[centres[0] - 1] += prob
-    return b
+    return FastSwitch(p).folded()[1][1:]
 
 
 def _top_projected_diagonal(w: np.ndarray) -> float:

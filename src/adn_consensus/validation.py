@@ -2,17 +2,18 @@
 numerical probe of the fast-switching eigenvalue inequality.
 
 Enumeration is exact or refused, with no sampling anywhere. The variant's
-law of star centres (``Variant.law``) is folded onto its distinct centre
-tuples, then each tuple is expanded, with its true probability, into every
-choice of one star per centre (``center_star_table``) by index arithmetic,
-in ``product`` order. ``Full`` and ``Sparse`` rows are distinct already;
-``FastSwitch`` has a row per (activated set, survivor) but only 1 + n
-tuples, so it takes 1 + n*C(n-1, m) dense exponentials under any rule.
-Consecutive configurations are built as one Laplacian stack within
+law of star centres folded onto its distinct centre tuples
+(``Variant.folded``) is expanded, each tuple with its true probability,
+into every choice of one star per centre (``center_star_table``) by index
+arithmetic, in ``product`` order. ``Full`` and ``Sparse`` rows are distinct
+already; ``FastSwitch`` has a row per (activated set, survivor) but only
+1 + n tuples, which it sums as arrays over the activation sets, so it
+takes 1 + n*C(n-1, m) dense exponentials under any rule. Consecutive
+configurations are built as one Laplacian stack within
 ``graph_core.STACK_BYTES`` (``star_union_laplacians``), decomposed once for
-every exponent scale asked for, and their exponentials added one at a time
-in configuration order, so memory stays bounded at any size and each sum is
-the one the configurations give one call each.
+every exponent scale asked for, and their weighted exponentials added in
+configuration order by one reduction a stack, so memory stays bounded at
+any size and each sum is, bit for bit, the one of adding them one at a time.
 """
 
 import math
@@ -43,21 +44,19 @@ def _require_enumerable(v: Variant):
 def _enumerate_branches(v: Variant, copies: int = 1):
     """Yield (weights, row, centre, nbs) stacks of consecutive
     configurations, each within ``STACK_BYTES`` at ``copies`` n x n matrices
-    a configuration: the variant's ``law`` folded onto its distinct centre
-    tuples, each tuple times each choice of one neighbour set per centre
-    from ``center_star_table``, in ``product`` order. Configuration r of a
+    a configuration: the variant's ``folded`` law, each centre tuple
+    times each choice of one neighbour set per centre from
+    ``center_star_table``, in ``product`` order. Configuration r of a
     stack has the stars q with row[q] == r, each joining centre[q] to
     nbs[q] (0-based, the flat form ``star_union_laplacians`` reads)."""
-    p, law = v.p, {}
-    for centres, prob in v.law():
-        law[centres] = law.get(centres, 0.0) + prob
+    p, (tuples, probs) = v.p, v.folded()
     table = center_star_table(p)
-    C, width = table.shape[1], max(map(len, law))
-    weights = np.array([prob / C ** len(centres) for centres, prob in law.items()])
-    lens = np.array([len(centres) for centres in law])
-    centre = np.array([[1] * (width - len(cs)) + list(cs) for cs in law], dtype=np.intp) - 1
-    real = np.arange(width) >= width - lens[:, None]
+    lens = np.array([len(centres) for centres in tuples])
+    C, width = table.shape[1], int(lens.max())
     sizes = C**lens
+    weights = np.asarray(probs) / sizes
+    centre = np.array([[1] * (width - len(cs)) + list(cs) for cs in tuples], dtype=np.intp) - 1
+    real = np.arange(width) >= width - lens[:, None]
     starts = np.cumsum(sizes) - sizes
     for chunk in stacks(range(sizes.sum()), p.n, copies):
         q = np.arange(chunk[0], chunk[-1] + 1)
@@ -72,15 +71,18 @@ def _enumerate_branches(v: Variant, copies: int = 1):
 def _expected_exponentials(v: Variant, T: np.ndarray):
     """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n):
     the probability-weighted sum of dense exponentials over every
-    configuration, each Laplacian decomposed once for all of T."""
+    configuration, each Laplacian decomposed once for all of T. A stack's
+    weighted kernels take the sum so far into their first and are added in
+    order by one ``np.add.reduce``, as if one at a time, bit for bit."""
     _require_enumerable(v)
     acc = np.zeros((len(T), v.p.n, v.p.n))
     total = 0.0
     for weights, row, centre, nbs in _enumerate_branches(v, max(len(T), 1)):
         kernels = expm_sym(star_union_laplacians(len(weights), v.p.n, row, centre, nbs), T)
-        for i, w in enumerate(weights.tolist()):
-            acc += w * kernels[:, i]
-            total += w
+        kernels *= weights[:, None, None]
+        kernels[:, 0] += acc
+        acc = np.add.reduce(kernels, axis=1)
+        total += float(weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
     return acc
@@ -126,18 +128,11 @@ def verify_fast_switch_inequality(p: ModelParams, T_grid) -> FastSwitchReport:
     variants = (Full(p), FastSwitch(p))
     for v in variants:
         _require_enumerable(v)
-    full, fastswitch = (
-        _expected_exponentials(v, np.array(T_grid, dtype=float)) for v in variants
-    )
+    full, fastswitch = (_expected_exponentials(v, np.array(T_grid, dtype=float)) for v in variants)
     samples = []
     for T, E_full, E_fs in zip(T_grid, full, fastswitch):
-        lam_full = lambda_second_largest(E_full)
-        lam_fs = lambda_second_largest(E_fs)
+        lam_full, lam_fs = lambda_second_largest(E_full), lambda_second_largest(E_fs)
         gap = lam_fs - lam_full
         samples.append(GapSample(float(T), lam_full, lam_fs, gap, gap >= -GAP_SLACK))
     violations = [s.T for s in samples if not s.holds]
-    return FastSwitchReport(
-        samples=tuple(samples),
-        holds_all=not violations,
-        first_violation=min(violations) if violations else None,
-    )
+    return FastSwitchReport(tuple(samples), not violations, min(violations, default=None))

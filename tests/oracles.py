@@ -9,9 +9,10 @@ variant's draws and the block streams, since exact equality with the
 package needs the package's own random streams, the per-centre mixture the closed-form
 activation kernel, which its own subset-average oracle gates, the
 leave-one-out survivor rates the Poisson-binomial PMF, which its
-brute-force oracle gates, and the unfolded enumeration a variant's centre
+brute-force oracle gates, the unfolded enumeration a variant's centre
 law, the star lists and a dense heat kernel, which the package's
-enumeration reads too.
+enumeration reads too, and the fast-switching law a tie-break rule's
+survivor weights.
 """
 
 import math
@@ -301,3 +302,50 @@ def unfolded_expected_exponential(rows, stars, kernel, n):
         for choice in product(*(stars[i - 1] for i in centres)):
             acc += w * kernel(choice)
     return acc
+
+
+def activation_sets_by_mask(a):
+    """Yield (members, probability) for each of the 2**n activation sets,
+    mask by mask (node i active when bit i - 1 is set): the 1-based members
+    in increasing order and the probability multiplied node by node from
+    node 1, a_i for a member and 1 - a_i for any other node."""
+    n = len(a)
+    for mask in range(1 << n):
+        prob = 1.0
+        for i in range(n):
+            prob *= a[i] if mask >> i & 1 else 1.0 - a[i]
+        yield tuple(i + 1 for i in range(n) if mask >> i & 1), prob
+
+
+def fastswitch_law(a, weights_for):
+    """The fast-switching centre law row by row: () with P(none active),
+    then, for each activated set S of ``activation_sets_by_mask`` and each
+    member i of positive survivor weight w_i(S) = ``weights_for(S)[i]``,
+    (i,) with P(S) * w_i(S)."""
+    sets = activation_sets_by_mask(a)
+    yield next(sets)
+    for members, prob in sets:
+        weights = weights_for(frozenset(members))
+        for i in members:
+            if weights.get(i, 0.0) > 0.0:
+                yield (i,), prob * weights[i]
+
+
+def folded_law(rows) -> dict:
+    """A centre law's (centres, probability) rows folded onto its distinct
+    centre tuples, in the order they first come, each tuple's probability
+    added row by row."""
+    law = {}
+    for centres, prob in rows:
+        law[centres] = law.get(centres, 0.0) + prob
+    return law
+
+
+def law_survivor_rates(rows, n):
+    """Per-node survivor rates: a one-star law's probabilities added row by
+    row onto each row's centre."""
+    b = np.zeros(n)
+    for centres, prob in rows:
+        if centres:
+            b[centres[0] - 1] += prob
+    return b

@@ -5,13 +5,23 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adn_consensus import ModelParams, SurvivalCurve, adn_model, cli, gamma_sp, snapshot_count
+from adn_consensus import (
+    ModelParams,
+    StarSpec,
+    SurvivalCurve,
+    adn_model,
+    cli,
+    gamma_sp,
+    snapshot_count,
+    star_laplacian,
+)
 from adn_consensus.cli import (
     draw_activity_rates,
     draw_initial_state,
@@ -34,6 +44,7 @@ BASE = {
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CERTIFY_VALIDATE = CONFIGS.parent / "perfbench" / "inputs" / "certify_validate.json"
 
 # A make_config override that removes the field.
 DROP = object()
@@ -596,6 +607,63 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert calls == ["sparse", "fastswitch"]
+
+    def test_certify_input_stdout(self, tmp_path, capsys):
+        # the benchmark's validate input, n = 8, m = 3: every check line as
+        # printed, so that a change in the order of a sum shows here
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(CERTIFY_VALIDATE), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "check activation-kernel-vs-subset-average: pass (max diff 2.22e-16, tol 1e-10)",
+            "check sparse-kernel-vs-enumeration: pass (max diff 2.55e-15, tol 1e-10)",
+            "check fastswitch-kernel-vs-enumeration: pass (max diff 4.22e-15, tol 1e-10)",
+            "check survivor-rates-quadrature-vs-exhaustive: pass (max diff 8.33e-17, tol 1e-12)",
+            "check fastswitch-inequality-grid: pass (min gap 0.00373 over 3 grid points)",
+            "validate: PASS (5 passed, 0 skipped, 0 failed)",
+            f"wrote {out / 'gaps.csv'}",
+        ]
+
+    def test_certify_input_eigen_solves(self, tmp_path, capsys, monkeypatch):
+        # 280 star kernels for check 1, 281 configurations each for checks 2
+        # and 3, 256 + 13 for check 5's full and fastswitch probe: each
+        # matrix decomposed once, in one eigh call a check or model
+        calls = []
+        exact = np.linalg.eigh
+
+        def counted(M):
+            calls.append(math.prod(M.shape[:-2]))
+            return exact(M)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        assert main(["validate", "--config", str(CERTIFY_VALIDATE), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert sum(calls) == 1111
+        assert len(calls) <= 5, calls
+
+    def test_subset_averages_stream(self):
+        # n = 40, m = 1: 1,560 star kernels of 40 x 40, 20 MB at once; check
+        # 1 holds one stack of at most STACK_BYTES and its working copies
+        p = ModelParams(40, 1, (0.02,) * 40, 0.5)
+        tracemalloc.start()
+        try:
+            rows = list(cli._check_rows(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        assert rows[0][0] == "activation-kernel-vs-subset-average" and rows[0][2]
+
+    @pytest.mark.parametrize("n, m", [(5, 2), (8, 3), (20, 1)])
+    def test_subset_averages_add_star_by_star(self, n, m):
+        # at n = 20, m = 1 a stack holds 81 stars, so centres span stacks
+        p = ModelParams(n, m, (0.1,) * n, 0.5)
+        others = [[j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
+        got = list(cli._subset_averages(p, 1.0))
+        assert [i for i, _ in got] == list(range(n))
+        for (i, avg), js in zip(got, others):
+            stars = itertools.combinations(js, m)
+            total = sum(cli.expm_sym(star_laplacian(StarSpec(n, i + 1, N)), 1.0) for N in stars)
+            assert np.array_equal(avg, total / math.comb(n - 1, m))
 
     def test_oversized_checks_are_refused_not_failed(self, tmp_path, capsys):
         # n=20 pushes the fastswitch enumeration past the branch cap and

@@ -245,6 +245,20 @@ class TestSurvivorRates:
         assert abs(b.sum() - (1.0 - none_active)) < 1e-12
         assert peak < 16 * 2**20, peak
 
+    def test_enumeration_is_chunked_at_n_18(self):
+        # 2**18 activation sets: a (2**n, n) float64 array alone would be
+        # 38 MB; the law is taken in chunks of about STACK_BYTES
+        a = tuple(np.linspace(0.01, 0.5, 18).tolist())
+        p = ModelParams(18, 1, a, 1.0)
+        tracemalloc.start()
+        try:
+            b = enumerated_survivor_rates(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert np.max(np.abs(b - survivor_rates(p))) <= 1e-12
+
     def test_gauss_rule_is_exact_on_polynomials(self):
         u, w = spectral._gauss_legendre()
         k = np.arange(32)  # 16 nodes integrate degree 31 exactly

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,11 +31,20 @@ from adn_consensus import (
     verify_fast_switch_inequality,
     weighted_expected_exponential,
 )
-from adn_consensus import validation
+from adn_consensus import adn_model, graph_core, validation
+from adn_consensus.adn_model import activation_chunks, activation_sets
 from adn_consensus.cli import parse_config, resolve_config
 from adn_consensus.graph_core import star_union_laplacian
+from adn_consensus.spectral import enumerated_survivor_rates
 from adn_consensus.validation import MAX_BRANCHES, _enumerate_branches
-from oracles import taylor_expm, unfolded_expected_exponential
+from oracles import (
+    activation_sets_by_mask,
+    fastswitch_law,
+    folded_law,
+    law_survivor_rates,
+    taylor_expm,
+    unfolded_expected_exponential,
+)
 
 FASTSWITCH_TABLE = Path(__file__).resolve().parents[1] / "configs" / "fastswitch_table.json"
 
@@ -85,12 +95,14 @@ def _branches(v) -> list:
 
 
 def _unread(monkeypatch, message: str):
-    """Make reading any variant's centre law fail with ``message``."""
+    """Make reading any variant's centre law, row by row or folded, fail
+    with ``message``."""
     def unread(*_):
         raise AssertionError(message)
 
     for cls in (Full, Sparse, FastSwitch):
         monkeypatch.setattr(cls, "law", unread)
+        monkeypatch.setattr(cls, "folded", unread)
 
 
 def _count_exponentials(monkeypatch) -> list:
@@ -238,6 +250,51 @@ class TestFoldedLaw:
             for choice in product(*(stars[i - 1] for i in centres))
         ]
         assert _branches(v) == ref
+
+
+class TestArrayLaws:
+    """The laws taken as arrays equal the loops they replace, bit for bit."""
+
+    @given(st.integers(2, 8), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_the_loops(self, n, tabled, data):
+        a = tuple(data.draw(st.floats(1e-6, 1.0, allow_nan=False)) for _ in range(n))
+        rule = _random_table(n, data) if tabled else UNIFORM_TIE_BREAK
+        p = ModelParams(n, 1, a, 1.0, rule)
+        # a chunk of one set, of five, or of the default STACK_BYTES
+        chunk = data.draw(st.sampled_from([8 * n, 40 * n, adn_model.STACK_BYTES]))
+        sets = list(activation_sets_by_mask(a))
+        rows = list(fastswitch_law(a, rule.weights_for))
+        law = folded_law(rows)
+        with mock.patch.object(adn_model, "STACK_BYTES", chunk):
+            probs = np.concatenate([prob for _, prob in activation_chunks(p)])
+            assert np.array_equal(probs, [prob for _, prob in sets])
+            assert list(activation_sets(p)) == sets
+            assert list(FastSwitch(p).law()) == rows
+            tuples, folded = FastSwitch(p).folded()
+            assert list(tuples) == list(law)
+            assert np.array_equal(folded, list(law.values()))
+            assert np.array_equal(enumerated_survivor_rates(p), law_survivor_rates(rows, n))
+            tuples, full = Full(p).folded()
+            assert list(tuples) == [members for members, _ in sets]
+            assert np.array_equal(full, probs)
+
+    @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_sum_adds_one_configuration_at_a_time(self, p, model, data):
+        rule = UNIFORM_TIE_BREAK
+        if model == "table":
+            model, rule = "fastswitch", _random_table(p.n, data)
+        v = _variant(p, model, rule)
+        T = np.array([0.01, 2.0 * p.dt, 7.5])
+        acc = np.zeros((len(T), p.n, p.n))
+        for w, stars in _branches(v):
+            acc += w * expm_sym(star_union_laplacian(p.n, [StarSpec(p.n, *s) for s in stars]), T)
+        # a stack of one configuration, of two, or of the default size
+        per_config = 8 * p.n * p.n * len(T)
+        chunk = data.draw(st.sampled_from([per_config, 2 * per_config, graph_core.STACK_BYTES]))
+        with mock.patch.object(graph_core, "STACK_BYTES", chunk):
+            assert np.array_equal(validation._expected_exponentials(v, T), acc)
 
 
 class TestBranchProbabilities:
