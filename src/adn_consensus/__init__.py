@@ -34,10 +34,8 @@ from .spectral import (
     DecayBound,
     convergence_bound,
     decay_bound,
-    dense_bound,
     gamma_fs,
     gamma_sp,
-    lambda_second_deflated,
     lambda_second_largest,
     sparse_expected_exponential,
     survivor_rates,

@@ -14,7 +14,6 @@ as --config reproduces the CSV byte for byte.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -28,27 +27,14 @@ from .adn_model import (
     STATE,
     UNIFORM_TIE_BREAK,
     VARIANTS,
-    FastSwitch,
     ModelParams,
-    Sparse,
     TieBreakRule,
-    center_star_table,
     snapshot_count,
     stream,
 )
-from .closed_form import activation_expectation
-from .graph_core import expm_sym, stacks, star_union_laplacians
 from .mc_sim import fit_decay_stats, run_paths
-from .spectral import (
-    decay_bound,
-    dense_bound,
-    enumerated_survivor_rates,
-    gamma_fs,
-    gamma_sp,
-    survivor_rates,
-    weighted_expected_exponential,
-)
-from .validation import MAX_BRANCHES, enumerate_expected_exponential, verify_fast_switch_inequality
+from .spectral import gamma_fs, gamma_sp
+from .validation import validate
 
 U64 = 2**64
 
@@ -323,77 +309,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _diff_row(name: str, diffs, tol: float) -> tuple:
-    """A check row: the largest entry of the arrays ``diffs`` within ``tol``."""
-    d = max(float(np.max(np.abs(x))) for x in diffs)
-    return name, f"max diff {d:.3g}, tol {tol:g}", d <= tol
-
-
-def _subset_averages(params: ModelParams, T: float):
-    """Yield (i, mean heat kernel of centre i's C(n-1, m) stars) for each
-    0-based centre in turn: all stars in ``center_star_table`` order, in
-    ``stacks``, added in that order by one reduction per centre a stack."""
-    n, C = (table := center_star_table(params)).shape[:2]
-    acc = 0.0  # the current centre's sum so far
-    for q in stacks(range(n * C), n):
-        k, (centre, j) = len(q), np.divmod(np.array(q), C)
-        E = expm_sym(star_union_laplacians(k, n, np.arange(k), centre, table[centre, j]), T)
-        starts = np.flatnonzero(np.diff(centre, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [k]):
-            E[lo] += acc
-            acc = np.add.reduce(E[lo:hi], axis=0)
-            if j[hi - 1] == C - 1:
-                yield int(centre[lo]), acc / C
-                acc = 0.0
-
-
-def _check_rows(params: ModelParams):
-    """Yield validate's checks 1-4 as (name, detail, ok) rows, ok None for
-    a refused or skipped check."""
-    n, m, T = params.n, params.m, 2.0 * params.dt
-    # 1. Per-activation closed form against the plain subset average.
-    name = "activation-kernel-vs-subset-average"
-    C = math.comb(n - 1, m)
-    if C * n > 200_000:
-        yield name, f"refused: size ({C} subsets per center)", None
-    else:
-        diffs = (E - activation_expectation(params, i + 1) for i, E in _subset_averages(params, T))
-        yield _diff_row(name, diffs, 1e-10)
-    # 2-3. Sparse and fast-switching expected kernels against enumeration,
-    #      and each bound's closed form against its dense reference, unless
-    #      the variant refuses the params (Sparse, above a rate sum of 1).
-    for cls in (Sparse, FastSwitch):
-        name = f"{cls.name}-kernel-vs-enumeration"
-        try:
-            v = cls(params)
-        except ValueError:
-            yield name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None
-            continue
-        if (size := v.size()) > MAX_BRANCHES:
-            yield name, f"refused: size ({size} branches)", None
-        else:
-            w = v.weights()
-            kernel = weighted_expected_exponential(params, w)
-            gap = decay_bound(params, w, v.name).rate - dense_bound(params, w, v.name).rate
-            yield _diff_row(name, [kernel - enumerate_expected_exponential(v), [gap]], 1e-10)
-    # 4. Uniform-rule survivor rates: the quadrature against all activation sets.
-    name = "survivor-rates-quadrature-vs-exhaustive"
-    if n > 12:
-        yield name, f"refused: size (2**{n} activation sets)", None
-    else:
-        uniform = dataclasses.replace(params, rule=UNIFORM_TIE_BREAK)
-        yield _diff_row(name, [survivor_rates(uniform) - enumerated_survivor_rates(uniform)], 1e-12)
-
-
 def cmd_validate(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
     params, _, _ = resolve_config(cfg)
-    rows = list(_check_rows(params))
-
-    # 5. Fast-switching eigenvalue inequality on the small-T grid, with a
-    #    per-T gap CSV for plotting.
-    probe = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
-    report = verify_fast_switch_inequality(probe, (0.01, 0.05, 0.1))
+    rows, report = validate(params)
     gaps_path = _write(
         args.out,
         "gaps.csv",
@@ -404,10 +323,6 @@ def cmd_validate(args) -> int:
             for s in report.samples
         ),
     )
-    min_gap = min(s.gap for s in report.samples)
-    detail = f"min gap {min_gap:.3g} over {len(report.samples)} grid points"
-    rows.append(("fastswitch-inequality-grid", detail, report.holds_all))
-
     for name, detail, ok in rows:
         detail = detail if ok is None else f"{'pass' if ok else 'FAIL'} ({detail})"
         print(f"check {name}: {detail}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from .adn_model import FastSwitch, ModelParams, Sparse
 from .closed_form import activation_entries
-from .graph_core import STACK_BYTES, symmetrize
+from .graph_core import STACK_BYTES
 
 @dataclass(frozen=True)
 class DecayBound:
@@ -25,9 +25,8 @@ class DecayBound:
 
 
 def _activation_mixture(p: ModelParams, w: np.ndarray) -> np.ndarray:
-    """S = sum_i w_i * activation_expectation(p, i): the matrix of
-    ``dense_bound`` and, shifted by (1 - sum(w)) * I, of both expected
-    kernels.
+    """S = sum_i w_i * activation_expectation(p, i), the matrix of both
+    expected kernels once shifted by (1 - sum(w)) * I.
 
     Every activation kernel has the same four distinct entries
     (``activation_entries``), so S is O(n^2): with W = sum(w),
@@ -71,31 +70,6 @@ def lambda_second_largest(M: np.ndarray) -> float:
         raise ValueError("second-largest eigenvalue needs n >= 2")
     w = np.linalg.eigvalsh(M)
     return float(w[-2])
-
-
-def lambda_second_deflated(M: np.ndarray) -> float:
-    """Second-largest eigenvalue of M, assuming the all-ones vector carries
-    the largest one.
-
-    Projects the consensus direction out (largest eigenvalue of P M P with
-    P the off-consensus projection), which sidesteps any ordering ambiguity
-    when the spectrum crowds the top. Only valid for matrices, like the
-    expected heat kernels here, that fix the all-ones vector and are
-    positive semidefinite on its complement. P M P is formed in O(n^2) as
-    M minus its row means and its column means plus its grand mean; the
-    one eigen-solve is O(n^3). The bounds use it only through
-    ``dense_bound``, their reference.
-    """
-    M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
-    if n < 2:
-        raise ValueError("second-largest eigenvalue needs n >= 2")
-    rows = M.mean(axis=1)
-    PMP = M - rows[:, None]
-    PMP -= M.mean(axis=0)
-    PMP += rows.mean()
-    w = np.linalg.eigvalsh(symmetrize(PMP))
-    return float(w[-1])
 
 
 def convergence_bound(pz0_sq: float, eps: float, lam: float, K: int) -> float:
@@ -212,9 +186,12 @@ def _top_projected_diagonal(w: np.ndarray) -> float:
 
 
 def decay_bound(p: ModelParams, weights, kind: str) -> DecayBound:
-    """The bound 1 - W + lambda_second of ``dense_bound``, with W = sum(w),
-    without the n x n mixture S, for activation-kernel weights w of a
-    variant named ``kind``: ``Variant.bound()`` on its ``weights()``.
+    """The bound 1 - W + lambda_second, with W = sum(w) and lambda_second
+    the largest eigenvalue off the all-ones vector of the mixture S
+    (``_activation_mixture``), without forming S, for activation-kernel
+    weights w of a variant named ``kind``: ``Variant.bound()`` on its
+    ``weights()``. With at most one star a period this is the second
+    eigenvalue of the variant's expected kernel.
 
     S = W*pair*J + (edge - pair)*(w 1' + 1 w') + W*(do - pair)*I + xi*diag(w)
     with xi = dc - do - 2*(edge - pair), so on the complement of the
@@ -227,16 +204,6 @@ def decay_bound(p: ModelParams, weights, kind: str) -> DecayBound:
     total = float(w.sum())
     xi = dc - do - 2.0 * (edge - pair)
     lam = total * (do - pair) + abs(xi) * _top_projected_diagonal(np.sign(xi) * w)
-    return DecayBound(rate=1.0 - total + lam, kind=kind, lambda_second=lam, weight_sum=total)
-
-
-def dense_bound(p: ModelParams, weights, kind: str) -> DecayBound:
-    """The reference for ``decay_bound``: the same bound from the dense
-    mixture S and one O(n^3) eigen-solve. Validate's checks 2 and 3 gate
-    the closed form against it on the same weights."""
-    w = np.asarray(weights, dtype=np.float64)
-    lam = lambda_second_deflated(_activation_mixture(p, w))
-    total = float(w.sum())
     return DecayBound(rate=1.0 - total + lam, kind=kind, lambda_second=lam, weight_sum=total)
 
 

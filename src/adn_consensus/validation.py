@@ -14,18 +14,42 @@ configurations are built as one Laplacian stack within
 every exponent scale asked for, and their weighted exponentials added in
 configuration order by one reduction a stack, so memory stays bounded at
 any size and each sum is, bit for bit, the one of adding them one at a time.
+
+``validate(p)`` runs the five checks of ``adn validate`` on a model: each
+closed form against its oracle, and each variant's bound against the second
+eigenvalue of its enumerated kernel.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adn_model import FastSwitch, Full, ModelParams, Variant, center_star_table
+from .adn_model import (
+    UNIFORM_TIE_BREAK,
+    FastSwitch,
+    Full,
+    ModelParams,
+    Sparse,
+    Variant,
+    center_star_table,
+)
+from .closed_form import activation_expectation
 from .graph_core import expm_sym, stacks, star_union_laplacians
-from .spectral import lambda_second_largest
+from .spectral import (
+    decay_bound,
+    enumerated_survivor_rates,
+    lambda_second_largest,
+    survivor_rates,
+    weighted_expected_exponential,
+)
 
 MAX_BRANCHES = 10**7
+# Checks 1-3 refuse k dense n x n exponentials once k * n**3, about their
+# eigen-solves' flops, passes this: busy's check 1, 77,520 kernels at n = 20,
+# is 6.2e8 and runs; n = 300, m = 1 would take minutes under a count guard.
+WORK_LIMIT = 10**9
 # Floating-point floor below zero that a sample's eigenvalue gap may reach
 # and still hold.
 GAP_SLACK = 1e-9
@@ -136,3 +160,90 @@ def verify_fast_switch_inequality(p: ModelParams, T_grid) -> FastSwitchReport:
         samples.append(GapSample(float(T), lam_full, lam_fs, gap, gap >= -GAP_SLACK))
     violations = [s.T for s in samples if not s.holds]
     return FastSwitchReport(tuple(samples), not violations, min(violations, default=None))
+
+
+def _diff_row(name: str, diffs, tol: float) -> tuple:
+    """A check row: the largest entry of the arrays ``diffs`` within ``tol``."""
+    d = max(float(np.max(np.abs(x))) for x in diffs)
+    return name, f"max diff {d:.3g}, tol {tol:g}", d <= tol
+
+
+def _subset_averages(params: ModelParams, T: float):
+    """Yield (i, mean heat kernel of centre i's C(n-1, m) stars) for each
+    0-based centre in turn: all stars in ``center_star_table`` order, in
+    ``stacks``, added in that order by one reduction per centre a stack."""
+    n, C = (table := center_star_table(params)).shape[:2]
+    acc = 0.0  # the current centre's sum so far
+    for q in stacks(range(n * C), n):
+        k, (centre, j) = len(q), np.divmod(np.array(q), C)
+        E = expm_sym(star_union_laplacians(k, n, np.arange(k), centre, table[centre, j]), T)
+        starts = np.flatnonzero(np.diff(centre, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [k]):
+            E[lo] += acc
+            acc = np.add.reduce(E[lo:hi], axis=0)
+            if j[hi - 1] == C - 1:
+                yield int(centre[lo]), acc / C
+                acc = 0.0
+
+
+def _check_rows(params: ModelParams):
+    """Yield validate's checks 1-4 as (name, detail, ok) rows, ok None for
+    a refused or skipped check."""
+    n, m, T = params.n, params.m, 2.0 * params.dt
+    C = math.comb(n - 1, m)
+
+    def too_costly(kernels: int) -> str | None:
+        if kernels * n**3 > WORK_LIMIT:
+            return f"refused: size ({kernels} kernels of {n} x {n})"
+        return None
+
+    # 1. Per-activation closed form against the plain subset average.
+    name = "activation-kernel-vs-subset-average"
+    if C * n > 200_000:
+        yield name, f"refused: size ({C} subsets per center)", None
+    elif refusal := too_costly(n * C):
+        yield name, refusal, None
+    else:
+        diffs = (E - activation_expectation(params, i + 1) for i, E in _subset_averages(params, T))
+        yield _diff_row(name, diffs, 1e-10)
+    # 2-3. Sparse and fast-switching expected kernels against enumeration,
+    #      and each bound against the second eigenvalue of the enumerated
+    #      kernel, which it equals with at most one star a period, unless the
+    #      variant refuses the params (Sparse, above a rate sum of 1).
+    for cls in (Sparse, FastSwitch):
+        name = f"{cls.name}-kernel-vs-enumeration"
+        try:
+            v = cls(params)
+        except ValueError:
+            yield name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None
+            continue
+        if (size := v.size()) > MAX_BRANCHES:
+            yield name, f"refused: size ({size} branches)", None
+        elif refusal := too_costly(1 + n * C):  # its configurations once folded
+            yield name, refusal, None
+        else:
+            w = v.weights()
+            E = enumerate_expected_exponential(v)
+            gap = decay_bound(params, w, v.name).rate - lambda_second_largest(E)
+            yield _diff_row(name, [weighted_expected_exponential(params, w) - E, [gap]], 1e-10)
+    # 4. Uniform-rule survivor rates: the quadrature against all activation sets.
+    name = "survivor-rates-quadrature-vs-exhaustive"
+    if n > 12:
+        yield name, f"refused: size (2**{n} activation sets)", None
+    else:
+        uniform = dataclasses.replace(params, rule=UNIFORM_TIE_BREAK)
+        yield _diff_row(name, [survivor_rates(uniform) - enumerated_survivor_rates(uniform)], 1e-12)
+
+
+def validate(p: ModelParams) -> tuple:
+    """``adn validate``'s five checks on ``p``: a list of (name, detail, ok)
+    rows, ok None for a refused or skipped check, and check 5's
+    ``FastSwitchReport``. Check 5 probes the fast-switching eigenvalue
+    inequality on a fixed 4-node model and small-T grid, not on ``p``."""
+    rows = list(_check_rows(p))
+    probe = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
+    report = verify_fast_switch_inequality(probe, (0.01, 0.05, 0.1))
+    min_gap = min(s.gap for s in report.samples)
+    detail = f"min gap {min_gap:.3g} over {len(report.samples)} grid points"
+    rows.append(("fastswitch-inequality-grid", detail, report.holds_all))
+    return rows, report

@@ -3,7 +3,7 @@
 Everything here favors obviousness over speed: exact integer matrix
 algebra over Python lists, truncated Taylor series with scaling and
 squaring, cyclic Jacobi rotations, exhaustive bitmask enumerations. None
-of it routes through the package under test, except that two references
+of it routes through the package under test, except that some references
 take package primitives as arguments: the survival-curve reference a
 variant's draws and the block streams, since exact equality with the
 package needs the package's own random streams, the per-centre mixture the closed-form
@@ -12,13 +12,20 @@ leave-one-out survivor rates the Poisson-binomial PMF, which its
 brute-force oracle gates, the unfolded enumeration a variant's centre
 law, the star lists and a dense heat kernel, which the package's
 enumeration reads too, and the fast-switching law a tie-break rule's
-survivor weights.
+survivor weights. And the dense bound, the reference for
+``spectral.decay_bound``, builds the package's O(n^2) mixture
+(``spectral._activation_mixture``, gated against ``per_centre_mixture``)
+and returns its ``DecayBound``; its eigenvalue, ``lambda_second_deflated``,
+symmetrizes by ``graph_core.symmetrize``.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+
+from adn_consensus.graph_core import symmetrize
+from adn_consensus.spectral import DecayBound, _activation_mixture
 
 
 def int_identity(n):
@@ -129,6 +136,40 @@ def projected_top_eigenvalue(M):
     P = np.eye(n) - np.full((n, n), 1.0 / n)
     PMP = P @ M @ P
     return float(np.linalg.eigvalsh((PMP + PMP.T) / 2.0)[-1])
+
+
+def lambda_second_deflated(M: np.ndarray) -> float:
+    """Second-largest eigenvalue of M, assuming the all-ones vector carries
+    the largest one.
+
+    Projects the consensus direction out (largest eigenvalue of P M P with
+    P the off-consensus projection), which sidesteps any ordering ambiguity
+    when the spectrum crowds the top. Only valid for matrices, like the
+    expected heat kernels here, that fix the all-ones vector and are
+    positive semidefinite on its complement. P M P is formed in O(n^2) as
+    M minus its row means and its column means plus its grand mean; the
+    one eigen-solve is O(n^3). The bounds use it only through
+    ``dense_bound``, their reference.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    n = M.shape[0]
+    if n < 2:
+        raise ValueError("second-largest eigenvalue needs n >= 2")
+    rows = M.mean(axis=1)
+    PMP = M - rows[:, None]
+    PMP -= M.mean(axis=0)
+    PMP += rows.mean()
+    w = np.linalg.eigvalsh(symmetrize(PMP))
+    return float(w[-1])
+
+
+def dense_bound(p, weights, kind: str) -> DecayBound:
+    """The reference for ``decay_bound``: the same bound from the dense
+    mixture S and one O(n^3) eigen-solve, on the same weights."""
+    w = np.asarray(weights, dtype=np.float64)
+    lam = lambda_second_deflated(_activation_mixture(p, w))
+    total = float(w.sum())
+    return DecayBound(rate=1.0 - total + lam, kind=kind, lambda_second=lam, weight_sum=total)
 
 
 def leave_one_out_survivor_rates(a, pmf):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from adn_consensus import (
     gamma_sp,
     snapshot_count,
     star_laplacian,
+    validation,
 )
 from adn_consensus.cli import (
     draw_activity_rates,
@@ -554,7 +556,7 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, n=4, m=2, activity={
             "mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15],
         })
-        exact = cli.activation_expectation
+        exact = validation.activation_expectation
 
         def perturbed(params, center):
             M = exact(params, center)
@@ -562,7 +564,7 @@ class TestValidateCommand:
                 M[0, 0] += 1e-6
             return M
 
-        monkeypatch.setattr(cli, "activation_expectation", perturbed)
+        monkeypatch.setattr(validation, "activation_expectation", perturbed)
         rc = main(["validate", "--config", cfg, "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 1
@@ -577,13 +579,13 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, n=4, m=2, activity={
             "mode": "explicit", "values": [0.05, 0.1, 0.2, 0.15],
         })
-        exact = cli.decay_bound
+        exact = validation.decay_bound
 
         def drifted(p, w, k):
             b = exact(p, w, k)
             return dataclasses.replace(b, rate=b.rate + 1e-9) if k == kind else b
 
-        monkeypatch.setattr(cli, "decay_bound", drifted)
+        monkeypatch.setattr(validation, "decay_bound", drifted)
         rc = main(["validate", "--config", cfg, "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 1
@@ -646,7 +648,7 @@ class TestValidateCommand:
         p = ModelParams(40, 1, (0.02,) * 40, 0.5)
         tracemalloc.start()
         try:
-            rows = list(cli._check_rows(p))
+            rows = list(validation._check_rows(p))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -658,11 +660,12 @@ class TestValidateCommand:
         # at n = 20, m = 1 a stack holds 81 stars, so centres span stacks
         p = ModelParams(n, m, (0.1,) * n, 0.5)
         others = [[j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
-        got = list(cli._subset_averages(p, 1.0))
+        got = list(validation._subset_averages(p, 1.0))
         assert [i for i, _ in got] == list(range(n))
         for (i, avg), js in zip(got, others):
             stars = itertools.combinations(js, m)
-            total = sum(cli.expm_sym(star_laplacian(StarSpec(n, i + 1, N)), 1.0) for N in stars)
+            kernels = (star_laplacian(StarSpec(n, i + 1, N)) for N in stars)
+            total = sum(validation.expm_sym(L, 1.0) for L in kernels)
             assert np.array_equal(avg, total / math.comb(n - 1, m))
 
     def test_oversized_checks_are_refused_not_failed(self, tmp_path, capsys):
@@ -681,6 +684,28 @@ class TestValidateCommand:
         assert out.count("refused: size") == 2
         assert "validate: PASS" in out
         assert "2 skipped" in out
+
+    def test_costly_checks_refused_before_any_work(self, tmp_path, capsys):
+        # n = 300, m = 1 passes check 1's count guard with 89,700 star
+        # kernels and check 2's branch guard with 89,701 configurations, but
+        # each 300 x 300 exponential costs about 300**3: refused at once,
+        # as the fastswitch and survivor-rate checks are by their counts
+        cfg = write_config(
+            tmp_path, n=300, m=1, activity={"mode": "explicit", "values": [0.001] * 300},
+        )
+        t0 = time.monotonic()
+        rc = main(["validate", "--config", cfg, "--out", str(tmp_path)])
+        elapsed = time.monotonic() - t0
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[:3] == [
+            "check activation-kernel-vs-subset-average: refused: size (89700 kernels of 300 x 300)",
+            "check sparse-kernel-vs-enumeration: refused: size (89701 kernels of 300 x 300)",
+            "check fastswitch-kernel-vs-enumeration: refused: size "
+            f"({1 + 300 * 2**299} branches)",
+        ]
+        assert "validate: PASS (1 passed, 4 skipped, 0 failed)" in out
+        assert elapsed < 1.0, elapsed
 
     def test_subset_average_refused_and_sparse_skipped(self, tmp_path, capsys):
         # C(19, 10) = 92378 subsets per center refuses check 1, and a rate

@@ -3,7 +3,8 @@ imports, and every module-level private name is referenced somewhere in
 the package, so that a moved function leaves no import or helper behind.
 Each test module uses every name it imports, too. Nothing dispatches on a
 variant's tag or class: no comparison names a tag, and no type check,
-identity or equality test names a variant class."""
+identity or equality test names a variant class. The cli imports no
+kernel layer (``graph_core``, ``closed_form``)."""
 
 import ast
 from pathlib import Path
@@ -120,4 +121,17 @@ def test_no_identity_or_equality_test_names_a_variant_class():
         and any(isinstance(op, ops) for op in node.ops)
         and any(_names_a_variant_class(x) for x in (node.left, *node.comparators))
     ]
+    assert found == []
+
+
+def test_cli_imports_no_maths_layer():
+    # the cli parses configs and writes files; it reaches the kernels
+    # through the library's spectral, mc_sim and validation entry points
+    paths = []
+    for node in ast.walk(TREES["cli.py"]):
+        if isinstance(node, ast.Import):
+            paths += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    found = [path for path in paths if {"graph_core", "closed_form"} & set(path.split("."))]
     assert found == []

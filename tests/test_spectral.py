@@ -19,10 +19,8 @@ from adn_consensus import (
     activation_expectation,
     convergence_bound,
     decay_bound,
-    dense_bound,
     gamma_fs,
     gamma_sp,
-    lambda_second_deflated,
     lambda_second_largest,
     sparse_expected_exponential,
     survivor_rates,
@@ -34,8 +32,10 @@ from adn_consensus.closed_form import activation_entries
 from adn_consensus.spectral import _activation_mixture, enumerated_survivor_rates
 from oracles import (
     bruteforce_poisson_binomial,
+    dense_bound,
     exhaustive_survivor_rates,
     jacobi_eigenvalues,
+    lambda_second_deflated,
     leave_one_out_survivor_rates,
     per_centre_mixture,
     poisson_binomial_pmf,

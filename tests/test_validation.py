@@ -24,7 +24,6 @@ from adn_consensus import (
     expm_sym,
     gamma_fs,
     generate_snapshot,
-    lambda_second_deflated,
     snapshot_laplacian,
     sparse_expected_exponential,
     survivor_rates,
@@ -36,17 +35,19 @@ from adn_consensus.adn_model import activation_chunks, activation_sets
 from adn_consensus.cli import parse_config, resolve_config
 from adn_consensus.graph_core import star_union_laplacian
 from adn_consensus.spectral import enumerated_survivor_rates
-from adn_consensus.validation import MAX_BRANCHES, _enumerate_branches
+from adn_consensus.validation import MAX_BRANCHES, _enumerate_branches, validate
 from oracles import (
     activation_sets_by_mask,
     fastswitch_law,
     folded_law,
+    lambda_second_deflated,
     law_survivor_rates,
     taylor_expm,
     unfolded_expected_exponential,
 )
 
 FASTSWITCH_TABLE = Path(__file__).resolve().parents[1] / "configs" / "fastswitch_table.json"
+VALIDATE_SMALL = FASTSWITCH_TABLE.with_name("validate_small.json")
 
 
 @st.composite
@@ -474,3 +475,18 @@ class TestFastSwitchInequality:
         p = ModelParams(12, 5, (0.05,) * 12, 0.5)
         with pytest.raises(ValueError, match="branches"):
             verify_fast_switch_inequality(p, (0.1,))
+
+
+class TestValidate:
+    def test_small_config_without_the_cli(self):
+        p, _, _ = resolve_config(parse_config(json.loads(VALIDATE_SMALL.read_text())))
+        rows, report = validate(p)
+        assert [name for name, _, _ in rows] == [
+            "activation-kernel-vs-subset-average",
+            "sparse-kernel-vs-enumeration",
+            "fastswitch-kernel-vs-enumeration",
+            "survivor-rates-quadrature-vs-exhaustive",
+            "fastswitch-inequality-grid",
+        ]
+        assert all(ok is True for _, _, ok in rows), rows
+        assert len(report.samples) == 3 and report.holds_all
