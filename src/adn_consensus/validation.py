@@ -17,7 +17,9 @@ any size and each sum is, bit for bit, the one of adding them one at a time.
 
 ``validate(p)`` runs the five checks of ``adn validate`` on a model: each
 closed form against its oracle, and each variant's bound against the second
-eigenvalue of its enumerated kernel.
+eigenvalue of its enumerated kernel. Checks 1-3 all read the 1 + n*C(n-1, m)
+one-star configurations, the empty one and each single star, and share one
+pass over them (``_one_star_pass``) that decomposes each Laplacian once.
 """
 
 import dataclasses
@@ -168,28 +170,55 @@ def _diff_row(name: str, diffs, tol: float) -> tuple:
     return name, f"max diff {d:.3g}, tol {tol:g}", d <= tol
 
 
-def _subset_averages(params: ModelParams, T: float):
-    """Yield (i, mean heat kernel of centre i's C(n-1, m) stars) for each
-    0-based centre in turn: all stars in ``center_star_table`` order, in
-    ``stacks``, added in that order by one reduction per centre a stack."""
+def _one_star_pass(params: ModelParams, probs: list, centre_mean=None) -> list:
+    """Decompose each one-star configuration once for every check that reads
+    it: the empty one, then each centre's C(n-1, m) stars in
+    ``center_star_table`` order, in ``stacks``, one ``expm_sym`` call a
+    stack at T = 2*dt. Return, for each folded law's probabilities in
+    ``probs`` (over the tuples (), (1,), ..., (n,)), its expected kernel: a
+    stack's kernels weighted in a copy, the sum so far added into the first
+    and all added in order by one ``np.add.reduce``, bit for bit
+    ``enumerate_expected_exponential``. With ``centre_mean``, also call
+    centre_mean(i, mean kernel of centre i's stars) for each 0-based centre
+    in turn, its kernels added in order by one reduction a stack and the
+    sum carried across stack ends. The empty configuration is taken only
+    for ``probs``, and nothing at all without either."""
+    if not probs and centre_mean is None:
+        return []
     n, C = (table := center_star_table(params)).shape[:2]
-    acc = 0.0  # the current centre's sum so far
-    for q in stacks(range(n * C), n):
-        k, (centre, j) = len(q), np.divmod(np.array(q), C)
-        E = expm_sym(star_union_laplacians(k, n, np.arange(k), centre, table[centre, j]), T)
+    weights = []  # a configuration's: its tuple's probability over its C choices
+    for pr in probs:
+        weights.append(np.r_[pr[0], np.repeat(np.asarray(pr[1:]) / C, C)])
+        if abs((total := float(weights[-1].sum())) - 1.0) > 1e-9:
+            raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
+    sums, acc = [0.0] * len(probs), 0.0  # acc: the current centre's sum so far
+    for q in stacks(range(0 if probs else 1, 1 + n * C), n):
+        q = np.array(q)
+        row = np.flatnonzero(q)  # the configurations with a star
+        centre, j = np.divmod(q[row] - 1, C)
+        L = star_union_laplacians(len(q), n, row, centre, table[centre, j])
+        kernels = expm_sym(L, 2.0 * params.dt)
+        for k, w in enumerate(weights):
+            weighted = kernels * w[q, None, None]
+            weighted[0] += sums[k]
+            sums[k] = np.add.reduce(weighted, axis=0)
+        if centre_mean is None:
+            continue
+        stars = kernels[len(q) - len(row):]  # added into in place, once weighted
         starts = np.flatnonzero(np.diff(centre, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [k]):
-            E[lo] += acc
-            acc = np.add.reduce(E[lo:hi], axis=0)
+        for lo, hi in zip(starts, starts[1:] + [len(row)]):
+            stars[lo] += acc
+            acc = np.add.reduce(stars[lo:hi], axis=0)
             if j[hi - 1] == C - 1:
-                yield int(centre[lo]), acc / C
+                centre_mean(int(centre[lo]), acc / C)
                 acc = 0.0
+    return sums
 
 
 def _check_rows(params: ModelParams):
     """Yield validate's checks 1-4 as (name, detail, ok) rows, ok None for
     a refused or skipped check."""
-    n, m, T = params.n, params.m, 2.0 * params.dt
+    n, m = params.n, params.m
     C = math.comb(n - 1, m)
 
     def too_costly(kernels: int) -> str | None:
@@ -198,32 +227,46 @@ def _check_rows(params: ModelParams):
         return None
 
     # 1. Per-activation closed form against the plain subset average.
-    name = "activation-kernel-vs-subset-average"
-    if C * n > 200_000:
-        yield name, f"refused: size ({C} subsets per center)", None
-    elif refusal := too_costly(n * C):
-        yield name, refusal, None
-    else:
-        diffs = (E - activation_expectation(params, i + 1) for i, E in _subset_averages(params, T))
-        yield _diff_row(name, diffs, 1e-10)
     # 2-3. Sparse and fast-switching expected kernels against enumeration,
     #      and each bound against the second eigenvalue of the enumerated
     #      kernel, which it equals with at most one star a period, unless the
     #      variant refuses the params (Sparse, above a rate sum of 1).
+    # The checks that run share one ``_one_star_pass``. refusals: each
+    # check's row detail if refused or skipped, else None.
+    subset = "activation-kernel-vs-subset-average"
+    if C * n > 200_000:
+        refusals = {subset: f"refused: size ({C} subsets per center)"}
+    else:
+        refusals = {subset: too_costly(n * C)}
+    live = {}
     for cls in (Sparse, FastSwitch):
         name = f"{cls.name}-kernel-vs-enumeration"
         try:
             v = cls(params)
         except ValueError:
-            yield name, f"skipped (rate sum {params.rate_sum:.3g} > 1)", None
+            refusals[name] = f"skipped (rate sum {params.rate_sum:.3g} > 1)"
             continue
         if (size := v.size()) > MAX_BRANCHES:
-            yield name, f"refused: size ({size} branches)", None
-        elif refusal := too_costly(1 + n * C):  # its configurations once folded
-            yield name, refusal, None
+            refusals[name] = f"refused: size ({size} branches)"
         else:
+            refusals[name] = too_costly(1 + n * C)  # its configurations once folded
+        if refusals[name] is None:
+            live[name] = v
+    diffs = []  # check 1's largest entry of each centre's difference
+
+    def compare(i: int, E: np.ndarray):
+        diffs.append(np.max(np.abs(E - activation_expectation(params, i + 1))))
+
+    probs = [v.folded()[1] for v in live.values()]
+    kernels = dict(zip(live, _one_star_pass(params, probs, None if refusals[subset] else compare)))
+    for name, refusal in refusals.items():
+        if refusal is not None:
+            yield name, refusal, None
+        elif name == subset:
+            yield _diff_row(name, diffs, 1e-10)
+        else:
+            v, E = live[name], kernels[name]
             w = v.weights()
-            E = enumerate_expected_exponential(v)
             gap = decay_bound(params, w, v.name).rate - lambda_second_largest(E)
             yield _diff_row(name, [weighted_expected_exponential(params, w) - E, [gap]], 1e-10)
     # 4. Uniform-rule survivor rates: the quadrature against all activation sets.

@@ -16,7 +16,11 @@ survivor weights. And the dense bound, the reference for
 ``spectral.decay_bound``, builds the package's O(n^2) mixture
 (``spectral._activation_mixture``, gated against ``per_centre_mixture``)
 and returns its ``DecayBound``; its eigenvalue, ``lambda_second_deflated``,
-symmetrizes by ``graph_core.symmetrize``.
+symmetrizes by ``graph_core.symmetrize``. ``subset_averages``, validate's
+check-1 means taken on their own rather than in the pass shared with
+checks 2-3, reads each centre's stars from ``center_star_table`` and takes
+their kernels in ``graph_core.stacks`` by ``star_union_laplacians`` and
+``expm_sym``, as that pass does.
 """
 
 import math
@@ -24,7 +28,8 @@ from itertools import product
 
 import numpy as np
 
-from adn_consensus.graph_core import symmetrize
+from adn_consensus.adn_model import center_star_table
+from adn_consensus.graph_core import expm_sym, stacks, star_union_laplacians, symmetrize
 from adn_consensus.spectral import DecayBound, _activation_mixture
 
 
@@ -390,3 +395,21 @@ def law_survivor_rates(rows, n):
         if centres:
             b[centres[0] - 1] += prob
     return b
+
+
+def subset_averages(params, T: float):
+    """Yield (i, mean heat kernel of centre i's C(n-1, m) stars) for each
+    0-based centre in turn: all stars in ``center_star_table`` order, in
+    ``stacks``, added in that order by one reduction per centre a stack."""
+    n, C = (table := center_star_table(params)).shape[:2]
+    acc = 0.0  # the current centre's sum so far
+    for q in stacks(range(n * C), n):
+        k, (centre, j) = len(q), np.divmod(np.array(q), C)
+        E = expm_sym(star_union_laplacians(k, n, np.arange(k), centre, table[centre, j]), T)
+        starts = np.flatnonzero(np.diff(centre, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [k]):
+            E[lo] += acc
+            acc = np.add.reduce(E[lo:hi], axis=0)
+            if j[hi - 1] == C - 1:
+                yield int(centre[lo]), acc / C
+                acc = 0.0

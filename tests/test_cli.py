@@ -63,6 +63,33 @@ def one_entry_table(nodes, weights):
     return {"tie_break": {"mode": "table", "entries": [{"set": nodes, "weights": weights}]}}
 
 
+def _count_eigh(monkeypatch) -> list:
+    """Count the matrices handed to ``np.linalg.eigh``: one entry a call,
+    the number of matrices in its stack."""
+    calls = []
+    exact = np.linalg.eigh
+
+    def counted(M):
+        calls.append(math.prod(M.shape[:-2]))
+        return exact(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def _unfolded_at(monkeypatch, n: int):
+    """Make folding the sparse or fastswitch law of an n-node model fail,
+    leaving check 5's 4-node probe its own."""
+    for cls in (adn_model.Sparse, adn_model.FastSwitch):
+        exact = cls.folded
+
+        def unread(v, exact=exact):
+            assert v.p.n != n, f"{v.name} law folded for a refused or skipped check"
+            return exact(v)
+
+        monkeypatch.setattr(cls, "folded", unread)
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(make_config(**overrides)))
@@ -626,25 +653,45 @@ class TestValidateCommand:
         ]
 
     def test_certify_input_eigen_solves(self, tmp_path, capsys, monkeypatch):
-        # 280 star kernels for check 1, 281 configurations each for checks 2
-        # and 3, 256 + 13 for check 5's full and fastswitch probe: each
-        # matrix decomposed once, in one eigh call a check or model
-        calls = []
-        exact = np.linalg.eigh
-
-        def counted(M):
-            calls.append(math.prod(M.shape[:-2]))
-            return exact(M)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        # checks 1-3 share the 1 + 8 * C(7, 3) = 281 one-star configurations
+        # (check 1 reads the 280 with a star), and check 5's full and
+        # fastswitch probe takes 256 + 13: each matrix decomposed once, in
+        # one eigh call for checks 1-3 and one for each probe model
+        calls = _count_eigh(monkeypatch)
         assert main(["validate", "--config", str(CERTIFY_VALIDATE), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert sum(calls) == 1111
-        assert len(calls) <= 5, calls
+        assert sum(calls) == 550
+        assert len(calls) <= 3, calls
+
+    def test_refused_checks_decompose_nothing(self, tmp_path, capsys, monkeypatch):
+        # large50 refuses checks 1-4 by their sizes: only check 5's probe
+        # is decomposed, and neither one-star variant's law is folded
+        _unfolded_at(monkeypatch, 50)
+        calls = _count_eigh(monkeypatch)
+        cfg = str(CONFIGS / "large50.json")
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "validate: PASS (1 passed, 4 skipped, 0 failed)" in capsys.readouterr().out
+        assert sum(calls) == 256 + 13
+
+    def test_check_one_alone_takes_only_its_stars(self, tmp_path, capsys, monkeypatch):
+        # a rate sum of 4 skips sparse and 1 + 20 * 2**19 rows refuse
+        # fastswitch: check 1's 20 * 19 stars, without the empty
+        # configuration, and check 5's probe
+        _unfolded_at(monkeypatch, 20)
+        calls = _count_eigh(monkeypatch)
+        cfg = write_config(
+            tmp_path, n=20, m=1, model="full", activity={"mode": "explicit", "values": [0.2] * 20},
+        )
+        assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("check activation-kernel-vs-subset-average: pass")
+        assert "validate: PASS (2 passed, 3 skipped, 0 failed)" in out
+        assert sum(calls) == 380 + 256 + 13
 
     def test_subset_averages_stream(self):
-        # n = 40, m = 1: 1,560 star kernels of 40 x 40, 20 MB at once; check
-        # 1 holds one stack of at most STACK_BYTES and its working copies
+        # n = 40, m = 1: checks 1 and 2 share 1,561 kernels of 40 x 40, 20 MB
+        # at once; their pass holds one stack of at most STACK_BYTES, its
+        # working copies and one weighted copy
         p = ModelParams(40, 1, (0.02,) * 40, 0.5)
         tracemalloc.start()
         try:
@@ -660,7 +707,8 @@ class TestValidateCommand:
         # at n = 20, m = 1 a stack holds 81 stars, so centres span stacks
         p = ModelParams(n, m, (0.1,) * n, 0.5)
         others = [[j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
-        got = list(validation._subset_averages(p, 1.0))
+        got = []
+        assert validation._one_star_pass(p, [], lambda i, E: got.append((i, E))) == []
         assert [i for i, _ in got] == list(range(n))
         for (i, avg), js in zip(got, others):
             stars = itertools.combinations(js, m)

@@ -42,6 +42,7 @@ from oracles import (
     folded_law,
     lambda_second_deflated,
     law_survivor_rates,
+    subset_averages,
     taylor_expm,
     unfolded_expected_exponential,
 )
@@ -475,6 +476,35 @@ class TestFastSwitchInequality:
         p = ModelParams(12, 5, (0.05,) * 12, 0.5)
         with pytest.raises(ValueError, match="branches"):
             verify_fast_switch_inequality(p, (0.1,))
+
+
+class TestOneStarPass:
+    """Checks 1-3's shared pass equals check 1's loop and the variants'
+    enumeration, each taken on its own, bit for bit."""
+
+    @given(st.integers(2, 7), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_to_each_check_alone(self, n, tabled, data):
+        m = data.draw(st.integers(1, n - 1))
+        # rate sums on both sides of 1, so that sparse is skipped on some draws
+        a = tuple(data.draw(st.floats(0.01, 2.0 / n)) for _ in range(n))
+        rule = _random_table(n, data) if tabled else UNIFORM_TIE_BREAK
+        p = ModelParams(n, m, a, data.draw(st.floats(0.05, 2.0)), rule)
+        variants = ([Sparse(p)] if p.sparse_regime else []) + [FastSwitch(p)]
+        means = list(subset_averages(p, 2.0 * p.dt))
+        kernels = [enumerate_expected_exponential(v) for v in variants]
+        # stacks of one configuration and of a drawn size, which end mid-centre when C > 1
+        C = math.comb(n - 1, m)
+        for size in (1, data.draw(st.integers(2, 2 * C + 1))):
+            got = []
+            with mock.patch.object(graph_core, "STACK_BYTES", size * 8 * n * n):
+                sums = validation._one_star_pass(
+                    p, [v.folded()[1] for v in variants], lambda i, E: got.append((i, E))
+                )
+            assert [i for i, _ in got] == [i for i, _ in means] == list(range(n))
+            assert all(np.array_equal(E, ref) for (_, E), (_, ref) in zip(got, means))
+            assert len(sums) == len(kernels)
+            assert all(np.array_equal(E, ref) for E, ref in zip(sums, kernels))
 
 
 class TestValidate:
