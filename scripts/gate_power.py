@@ -10,10 +10,13 @@ bound, and every seed's figures, as JSON: the pass probability of each
 gate, not one draw of it.
 
     python scripts/gate_power.py [--seeds R] [--first-seed S] [--paths N]
-                                 [--threads K] [--out FILE]
+                                 [--model-seed M] [--threads K] [--out FILE]
 
 Seeds run S, S + 1, ..., S + R - 1 (default 2025 onwards, 50 seeds), K at a
-time in worker processes; results do not depend on K.
+time in worker processes; results do not depend on K. With --model-seed M
+the rates and initial state stay those of seed M and only the sample paths
+follow each seed: the chance that a change of the path streams alone fails
+a gate at seed M's model.
 """
 
 import argparse
@@ -45,12 +48,14 @@ def verdict(name: str, fit, bound: float) -> bool:
     return fit.rate <= bound and abs(bound - fit.rate) / fit.rate <= 0.05
 
 
-def run_seed(seed: int, n_paths: int) -> dict:
-    """Both criteria's figures at one seed."""
+def run_seed(seed: int, n_paths: int, model_seed: int | None = None) -> dict:
+    """Both criteria's figures at one seed: the paths' and, unless
+    ``model_seed`` is given, the rates' and initial state's."""
     out = {}
+    drawn = seed if model_seed is None else model_seed
     for name, (n, m, upper, dt, k_max, eps, top) in CRITERIA.items():
-        p = ModelParams(n, m, draw_activity_rates(n, upper, seed), dt)
-        z0 = draw_initial_state(n, seed)
+        p = ModelParams(n, m, draw_activity_rates(n, upper, drawn), dt)
+        z0 = draw_initial_state(n, drawn)
         curve = run_paths(Full(p), z0, k_max, n_paths, eps, seed)
         try:
             fit = fit_decay_stats(curve, None if top is None else (10.0 / n_paths, top))
@@ -93,16 +98,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, default=50)
     ap.add_argument("--first-seed", type=int, default=2025)
     ap.add_argument("--paths", type=int, default=10_000)
+    ap.add_argument("--model-seed", type=int, default=None,
+                    help="hold the rates and initial state at this seed's")
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="gate_power.json")
     args = ap.parse_args(argv)
     if args.seeds < 1 or args.paths < 1 or args.threads < 1:
         ap.error("--seeds, --paths and --threads must be positive")
     seeds = range(args.first_seed, args.first_seed + args.seeds)
-    paths = [args.paths] * len(seeds)
+    paths, models = [args.paths] * len(seeds), [args.model_seed] * len(seeds)
     t0 = time.monotonic()
     if args.threads == 1:
-        results = list(map(run_seed, seeds, paths))
+        results = list(map(run_seed, seeds, paths, models))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -114,10 +121,11 @@ def main(argv=None) -> int:
             os.environ.setdefault(var, "1")
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=args.threads, mp_context=spawn) as ex:
-            results = list(ex.map(run_seed, seeds, paths))
+            results = list(ex.map(run_seed, seeds, paths, models))
     report = {
         "seeds": [seeds[0], seeds[-1]],
         "paths": args.paths,
+        "model_seed": args.model_seed,
         "threads": args.threads,
         "seconds": round(time.monotonic() - t0, 1),
         "criteria": {name: summarise([r[name] for r in results]) for name in CRITERIA},

@@ -67,7 +67,7 @@ def star_union_laplacians(k: int, n: int, row, centre, nbs) -> np.ndarray:
     L[r, c, nbs] = L[r, nbs, c] = -1.0
     diagonal = L.reshape(k, n * n)[:, :: n + 1]  # a view into L
     diagonal[...] = 0.0
-    diagonal[...] = -L.sum(axis=2)
+    diagonal[...] = -(L @ np.ones(n))  # minus the row sums, exact in integers
     return L
 
 
@@ -170,38 +170,42 @@ def _recompose(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
 
 
 def taylor_plan(theta: float) -> tuple:
-    """(m, s) for ``expm_action`` over a time t of matrices with norm bound
-    theta = t * ||L||: the fewest steps s with (theta / s)**(m+1) / (m+1)!
+    """(m, s) for ``expm_action`` over a time t of a stack of largest degree
+    mu, theta = t * mu: the fewest steps s with (theta / s)**(m+1) / (m+1)!
     <= 2**-53 at a degree m <= ``TAYLOR_MAX_DEGREE``, then the least such m."""
     s = max(1, math.ceil(theta / _TAYLOR_THETA[-1]))
     return max(1, bisect_left(_TAYLOR_THETA, theta / s)), s
 
 
 def expm_action(L: np.ndarray, t: float, Z: np.ndarray, m: int, s: int) -> np.ndarray:
-    """e**(-t*L) @ Z for a (k, n, n) stack of symmetric positive
-    semidefinite L and a (k, n, 1) stack of states Z, which it overwrites
-    and returns: s steps of h = t/s, each Z <- sum_{j<=m} (-h*L)**j Z / j!
-    (the truncated Taylor series of Al-Mohy and Higham, "Computing the
-    action of the matrix exponential", SIAM J. Sci. Comput. 33(2), 2011),
-    with two state-sized temporaries and no n x n one.
+    """e**(-t*L) @ Z for a (k, n, n) stack of Laplacians L and a (k, n, 1)
+    stack of states Z, which it overwrites and returns: s steps of h = t/s,
+    each Z <- e**(-h*mu) sum_{j<=m} (-h*A)**j Z / j! with mu the stack's
+    largest entry (its largest degree) and A = L - mu*I (the shifted,
+    truncated Taylor series of Al-Mohy and Higham, "Computing the action of
+    the matrix exponential", SIAM J. Sci. Comput. 33(2), 2011).
 
-    Bound: in L's eigenbasis each eigenvalue lam lies in [0, ||L||], and
-    e**(-h*lam) less its degree-m Taylor polynomial is the Lagrange
-    remainder e**(-xi) (h*lam)**(m+1) / (m+1)! with xi >= 0, at most
-    theta**(m+1) / (m+1)! for theta = h * ||L||. With (m, s) from
-    ``taylor_plan(t * ||L||)`` each step is thus within 2**-53 ||z||_2 of
-    e**(-h*L) z and has 2-norm at most 1 + 2**-53, so the s steps are within
-    about s * 2**-53 ||z||_2 of e**(-t*L) z before rounding. With
-    theta <= 1.15 the terms' norms sum to at most e**theta ||z||_2 <
-    3.2 ||z||_2, so rounding adds a few ulps of ||z||_2 a step."""
+    Bound: by Gershgorin A's eigenvalues lie in [-mu, mu], row i's disc
+    being L_ii - mu +- L_ii. For x = h*(lam - mu) in [-theta, theta],
+    theta = h*mu, e**(-x) less its degree-m Taylor polynomial is at most
+    e**theta theta**(m+1) / (m+1)! (Lagrange), and e**(-h*mu) = e**(-theta)
+    cancels the e**theta. With (m, s) from ``taylor_plan(t * mu)`` each step
+    is within 2**-53 ||z||_2 of e**(-h*L) z, of 2-norm at most 1 + 2**-53,
+    so the s steps are within about s * 2**-53 ||z||_2 of e**(-t*L) z before
+    rounding; the terms' norms sum to at most e**theta ||z||_2, scaled back
+    by e**(-theta), so rounding adds a few ulps of ||z||_2 a step."""
+    mu = float(L.max())
+    A = L.copy()
+    A.reshape(len(L), -1)[:, :: L.shape[-1] + 1] -= mu  # its diagonal, a view
     h = -t / s
     term, product = np.empty_like(Z), np.empty_like(Z)
     for _ in range(s):
         term[...] = Z
         for j in range(1, m + 1):
-            np.matmul(L, term, out=product)
+            np.matmul(A, term, out=product)
             np.multiply(product, h / j, out=term)
             Z += term
+        Z *= math.exp(h * mu)
     return Z
 
 

@@ -7,10 +7,10 @@ CDF of the first-passage times. The engine is event-driven and advances a
 block of up to ``BLOCK`` paths together: each round, every live path draws
 its gap to the next period with a star, paths pushed past k_max are
 censored, and the rest draw that period's stars and take its heat kernel
-(the ``adn_model.Variant`` draws, ``_apply_stars`` applies): the closed
-form for a lone star; for several, the kernel's action on the states by a
-truncated Taylor series (``graph_core.expm_action``) below a cost switch in
-dt * ||L||, and stacked eigen-solves (``expm_sym``) above it. Block b reads
+(the ``adn_model.Variant`` draws, ``_apply_stars`` applies): below a cost
+switch in dt times the largest degree, every row's kernel action by a shifted
+truncated Taylor series (``graph_core.expm_action``); above it, the closed form
+for a lone star and stacked eigen-solves (``expm_sym``) for several. Block b reads
 ``stream(seed, PATHS, b)``; workers take whole blocks and counts are
 aggregated as exact integers, so results are identical for any number of
 workers. ``step`` is the one-path reference the engine's update matches.
@@ -101,52 +101,59 @@ def step(z, s: Snapshot, dt: float) -> np.ndarray:
 
 def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
     """One period of each row of Z under its stars (``row``, ``centre`` and
-    neighbours ``nbs``, 0-based, rows increasing). A row with one star
-    takes ``step``'s closed-form kernel on its m + 1 touched coordinates,
-    gathered across rows. Rows with several are taken in ``stacks`` of
-    ``star_union_laplacians``. A stack takes the kernel's action on its
-    states (``expm_action``, with (m, s) from ``taylor_plan`` at
-    dt * ||L||_inf, twice the largest degree) where ``_action_is_cheaper``,
-    else (and where the plan overflows) ``step``'s ``expm_sym`` and a
-    product; the two agree to a few ulps."""
-    n = Z.shape[1]
+    neighbours ``nbs``, 0-based, rows increasing, one or more a row): all
+    by ``_stacked``'s action route if it is cheaper for the rows with several
+    stars even at its least theta, dt * m; else a lone star by ``step``'s
+    closed form on its m + 1 touched coordinates, gathered across rows, and
+    the rest by ``_stacked``'s eigen-solves. The routes agree to a few ulps."""
     count = np.bincount(row, minlength=len(Z))
-    lone = count[row] == 1
-    if lone.any():
-        r, c, idx = row[lone], centre[lone], nbs[lone]
-        cw, edge, y, w = star_kernel_scalars(m, dt)
-        zc, zn = Z[r, c], Z[r[:, None], idx]
-        tot = zn.sum(axis=1)
-        Z[r, c] = cw * zc + edge * tot
-        Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
-    multi = np.flatnonzero(count > 1)
-    stars = np.flatnonzero(~lone)  # grouped by row, as the rows of multi
-    ends = np.cumsum(count[multi])
-    for chunk in stacks(range(len(multi)), n):
-        lo, hi = chunk[0], chunk[-1] + 1
-        rows, many = multi[lo:hi], count[multi[lo:hi]]
-        s = stars[ends[lo] - many[0]:ends[hi - 1]]  # the stack's stars, in row order
-        L = star_union_laplacians(len(rows), n, np.repeat(np.arange(len(rows)), many),
-                                  centre[s], nbs[s])
-        z = Z[rows, :, None]  # a copy
-        try:
-            plan = taylor_plan(2.0 * dt * float(L.diagonal(0, 1, 2).max()))
-            cheaper = _action_is_cheaper(plan, len(L), n)
-        except OverflowError:  # dt * ||L|| or the step count past the float range
-            cheaper = False
-        z = expm_action(L, dt, z, *plan) if cheaper else np.matmul(expm_sym(L, dt), z)
-        Z[rows] = z[..., 0]
+    multi = count > 1
+    if multi.any() and _cheaper_plan(dt * m, np.count_nonzero(multi), Z.shape[1]):
+        return _stacked(Z, count, row, centre, nbs, dt, True)
+    lone = ~multi[row]
+    r, c, idx = row[lone], centre[lone], nbs[lone]
+    cw, edge, y, w = star_kernel_scalars(m, dt)
+    zc, zn = Z[r, c], Z[r[:, None], idx]
+    tot = zn.sum(axis=1)
+    Z[r, c] = cw * zc + edge * tot
+    Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
+    if multi.any():
+        rows, many = np.flatnonzero(multi), count[multi]
+        local = np.repeat(np.arange(len(rows)), many)
+        Z[rows] = _stacked(Z[rows], many, local, centre[~lone], nbs[~lone], dt, False)
     return Z
 
 
-def _action_is_cheaper(plan, k: int, n: int) -> bool:
-    """Whether ``expm_action`` with ``plan`` = (m, s) on a (k, n, n) stack
-    should beat ``expm_sym`` and a product. Cost model in microseconds,
-    fitted to timings on one core of a 2-core Xeon VM (numpy 2.4,
-    OpenBLAS): a Taylor term costs about 4 + 5e-4 k n^2 and the eigen-solve
-    route about 40 + 0.12 k n^2."""
+def _stacked(Z, count, row, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
+    """Each row of Z under its ``count`` stars (``row`` increasing), in
+    ``stacks`` of consecutive rows: ``expm_action`` with ``taylor``, unless
+    ``_cheaper_plan`` finds it dearer at dt times the stack's largest
+    degree, else ``step``'s ``expm_sym`` and a product."""
+    n = Z.shape[1]
+    ends = np.cumsum(count)
+    for chunk in stacks(range(len(Z)), n):
+        lo, hi = chunk[0], chunk[-1] + 1
+        a, b = ends[lo] - count[lo], ends[hi - 1]  # the stack's stars
+        L = star_union_laplacians(hi - lo, n, row[a:b] - lo, centre[a:b], nbs[a:b])
+        z = Z[lo:hi, :, None]  # a view
+        if plan := taylor and _cheaper_plan(dt * float(L.max()), hi - lo, n):
+            expm_action(L, dt, z, *plan)
+        else:
+            z[...] = np.matmul(expm_sym(L, dt), z)
+    return Z
+
+
+def _cheaper_plan(theta: float, k: int, n: int):
+    """``taylor_plan(theta)`` if ``expm_action`` with it on a (k, n, n) stack
+    should beat ``expm_sym`` and a product, else None. Cost model in
+    microseconds, fitted on one core of a 2-core Xeon VM (numpy 2.4, OpenBLAS):
+    a Taylor term about 4 + 5e-4 k n^2, the eigen-solve route 40 + 0.12 k n^2."""
     size = k * n * n
-    return plan[0] * plan[1] * (4.0 + 5e-4 * size) < 40.0 + 0.12 * size
+    try:
+        m, s = taylor_plan(theta)
+        return (m, s) if m * s * (4.0 + 5e-4 * size) < 40.0 + 0.12 * size else None
+    except OverflowError:  # theta or the step count past the float range
+        return None
 
 
 def _count_block(v, z0, k_max, eps, seed, b, paths):

@@ -20,6 +20,7 @@ closed form against its oracle, and each variant's bound against the second
 eigenvalue of its enumerated kernel. Checks 1-3 all read the 1 + n*C(n-1, m)
 one-star configurations, the empty one and each single star, and share one
 pass over them (``_one_star_pass``) that decomposes each Laplacian once.
+Check 5 sums the fast-switching kernels from the full model's.
 """
 
 import dataclasses
@@ -94,24 +95,41 @@ def _enumerate_branches(v: Variant, copies: int = 1):
         yield weights[g], row, c, table[c, digit[row, col]]
 
 
-def _expected_exponentials(v: Variant, T: np.ndarray):
+def _expected_exponentials(v: Variant, T: np.ndarray, one_star: Variant | None = None):
     """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n):
     the probability-weighted sum of dense exponentials over every
     configuration, each Laplacian decomposed once for all of T. A stack's
     weighted kernels take the sum so far into their first and are added in
-    order by one ``np.add.reduce``, as if one at a time, bit for bit."""
+    order by one ``np.add.reduce``, as if one at a time, bit for bit. With
+    ``one_star``, also that variant's, summed alike from v = ``Full``'s
+    configurations with at most one star, which come in its order."""
     _require_enumerable(v)
     acc = np.zeros((len(T), v.p.n, v.p.n))
-    total = 0.0
+    total, one = 0.0, acc  # one: one_star's sum so far
+    if one_star is not None:
+        _require_enumerable(one_star)  # before any enumeration
+        w1 = _one_star_weights(one_star.folded()[1], math.comb(v.p.n - 1, v.p.m))
     for weights, row, centre, nbs in _enumerate_branches(v, max(len(T), 1)):
         kernels = expm_sym(star_union_laplacians(len(weights), v.p.n, row, centre, nbs), T)
+        if one_star is not None:
+            q = np.flatnonzero(np.bincount(row, minlength=len(weights)) < 2)  # at most one star
+            picked, w1 = kernels[:, q] * w1[:len(q), None, None], w1[len(q):]
+            one = np.add.reduce(np.concatenate([one[:, None], picked], axis=1), axis=1)
         kernels *= weights[:, None, None]
         kernels[:, 0] += acc
         acc = np.add.reduce(kernels, axis=1)
         total += float(weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
-    return acc
+    return acc if one_star is None else (acc, one)
+
+
+def _one_star_weights(probs, C: int) -> np.ndarray:
+    """One-star configurations' weights: a tuple's probability over its C choices."""
+    w = np.r_[probs[0], np.repeat(np.asarray(probs[1:]) / C, C)]
+    if abs((total := float(w.sum())) - 1.0) > 1e-9:
+        raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
+    return w
 
 
 def enumerate_expected_exponential(v: Variant) -> np.ndarray:
@@ -149,12 +167,7 @@ def verify_fast_switch_inequality(p: ModelParams, T_grid) -> FastSwitchReport:
     for T in T_grid:
         if not (0 < T < math.inf):
             raise ValueError(f"exponent scales must be finite and > 0, got {T}")
-    # Both sizes are checked before either enumeration starts, since either
-    # can be the larger one (the fastswitch count when m = n-1).
-    variants = (Full(p), FastSwitch(p))
-    for v in variants:
-        _require_enumerable(v)
-    full, fastswitch = (_expected_exponentials(v, np.array(T_grid, dtype=float)) for v in variants)
+    full, fastswitch = _expected_exponentials(Full(p), np.array(T_grid, dtype=float), FastSwitch(p))
     samples = []
     for T, E_full, E_fs in zip(T_grid, full, fastswitch):
         lam_full, lam_fs = lambda_second_largest(E_full), lambda_second_largest(E_fs)
@@ -186,11 +199,7 @@ def _one_star_pass(params: ModelParams, probs: list, centre_mean=None) -> list:
     if not probs and centre_mean is None:
         return []
     n, C = (table := center_star_table(params)).shape[:2]
-    weights = []  # a configuration's: its tuple's probability over its C choices
-    for pr in probs:
-        weights.append(np.r_[pr[0], np.repeat(np.asarray(pr[1:]) / C, C)])
-        if abs((total := float(weights[-1].sum())) - 1.0) > 1e-9:
-            raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
+    weights = [_one_star_weights(pr, C) for pr in probs]
     sums, acc = [0.0] * len(probs), 0.0  # acc: the current centre's sum so far
     for q in stacks(range(0 if probs else 1, 1 + n * C), n):
         q = np.array(q)

@@ -400,31 +400,56 @@ class TestExpmAction:
     @given(star_union_stacks(), st.floats(0.0, 3.0), st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_expm_sym(self, L, t, data):
-        # ||L||_inf is twice the largest degree of a Laplacian; within 32
+        # at the plan for t times the largest degree, the shift; within 32
         # ulps of ||z||_2 a step, the eigen-solve reference's error included
         k, n, _ = L.shape
         seed = data.draw(st.integers(0, 2**32 - 1))
         z = np.random.default_rng(seed).uniform(-5.0, 5.0, (k, n, 1))
-        m, s = taylor_plan(2.0 * t * L.diagonal(0, 1, 2).max())
+        m, s = taylor_plan(t * L.diagonal(0, 1, 2).max())
         got = expm_action(L, t, z.copy(), m, s)
         ref = np.matmul(expm_sym(L, t), z)
         err = np.linalg.norm(got - ref, axis=1)
         assert np.all(err <= 32 * s * np.finfo(float).eps * np.linalg.norm(z, axis=1))
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shifted_action_on_lone_and_multi_star_rows(self, data):
+        # graphs of one to four stars each, as the engine stacks them, at
+        # the plan it takes: within 8 ulps of ||z||_2 a step of the
+        # eigen-solve e**(-t*L) z = z + V expm1(-t*w) V^T z. That form keeps
+        # the identity exact; expm_sym's recomposition is itself up to about
+        # 10 ulps off at n = 30 against a 40-digit reference.
+        n = data.draw(st.integers(2, 30))
+        spokes = data.draw(st.integers(1, n - 1))
+        t = data.draw(st.floats(1e-3, 2.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        count = rng.integers(1, 5, data.draw(st.integers(1, 5)))
+        centre = rng.integers(0, n, count.sum())
+        nbs = np.array([rng.choice(np.delete(np.arange(n), c), spokes, replace=False) for c in centre])
+        L = star_union_laplacians(len(count), n, np.repeat(np.arange(len(count)), count), centre, nbs)
+        z = rng.uniform(-5.0, 5.0, (len(count), n, 1))
+        m, s = taylor_plan(t * L.diagonal(0, 1, 2).max())
+        got = expm_action(L, t, z.copy(), m, s)
+        w, V = np.linalg.eigh(L)
+        ref = z + V @ (np.expm1(-t * w)[..., None] * (V.swapaxes(1, 2) @ z))
+        err = np.linalg.norm(got - ref, axis=1)
+        assert np.all(err <= 8 * s * np.finfo(float).eps * np.linalg.norm(z, axis=1))
+
     @pytest.mark.parametrize("m, s", [(1, 1), (3, 2), (6, 1), (18, 3)])
     def test_applies_the_degree_m_polynomial_s_times(self, m, s):
-        # v = (4, -1, -1, -1, -1) is the star's eigenvector of eigenvalue 5
+        # v = (4, -1, -1, -1, -1) is the star's eigenvector of eigenvalue 5;
+        # the series is taken in L - 4I, shifted by the largest degree 4
         L = star_union_laplacians(1, 5, np.array([0]), np.array([0]), np.array([[1, 2, 3, 4]]))
         v = np.array([4.0, -1.0, -1.0, -1.0, -1.0])
-        x = -0.8 * 5 / s
-        poly = sum(x**j / math.factorial(j) for j in range(m + 1))
+        x = -0.8 * (5 - 4) / s
+        poly = math.exp(-0.8 * 4 / s) * sum(x**j / math.factorial(j) for j in range(m + 1))
         got = expm_action(L, 0.8, v[None, :, None].copy(), m, s)
         assert np.allclose(got[0, :, 0], poly**s * v, rtol=1e-14, atol=1e-14)
 
     def test_overwrites_and_returns_the_states(self):
         L = star_union_laplacians(*flat(4, [[0, 2]], [[[1, 3], [1, 3]]]))
         z = np.array([[[1.0], [-1.0], [0.5], [0.0]]])
-        out = expm_action(L, 0.3, z, *taylor_plan(0.3 * 2 * 2))
+        out = expm_action(L, 0.3, z, *taylor_plan(0.3 * 2))
         assert out is z
         assert np.allclose(z[0, :, 0], expm_sym(L[0], 0.3) @ [1.0, -1.0, 0.5, 0.0], atol=1e-15)
 

@@ -381,15 +381,15 @@ def record_routes(monkeypatch) -> list:
 
 class TestApplyStars:
     """The engine's period update against ``step``, row by row, with the
-    multi-star stacks on either side of the switch between the Taylor
-    action and the eigen-solve route. n = 20, m = 3, dt = 0.1."""
+    stacks on either side of the switch between the Taylor action and the
+    eigen-solve route. n = 20, m = 3, dt = 0.1."""
 
     N, M, DT = 20, 3, 0.1
     ROWS = (
-        ((1, (2, 3, 4)),),  # one star: the closed form
-        ((1, (2, 3, 4)), (5, (6, 7, 8))),  # largest degree 3: theta = 0.6
-        # node 1 joined to 9 others: theta = 2 * 0.1 * 9 = 1.8
-        ((1, (2, 3, 4)), *((c, (1, c + 6, c + 7)) for c in range(5, 11))),
+        ((1, (2, 3, 4)),),  # one star: the closed form, or a row of an action stack
+        ((1, (2, 3, 4)), (5, (6, 7, 8))),  # largest degree 3: theta = 0.3
+        # node 1 joined to 12 others: theta = 0.1 * 12 = 1.2, two steps
+        ((1, (2, 3, 4)), *((c, (1, c + 6, c + 7)) for c in range(5, 14))),
     )
 
     def apply(self, rows, monkeypatch):
@@ -410,15 +410,32 @@ class TestApplyStars:
 
     @pytest.mark.parametrize(
         "rows, route",
-        [((0, 1), "expm_action"), ((2,), "expm_sym"), ((0, 1, 2), "expm_sym"), ((1, 0, 1), "expm_action")],
+        [((0, 1), "expm_action"), ((2,), "expm_sym"), ((0, 1, 2), "expm_action"), ((1, 0, 1), "expm_action")],
     )
     def test_matches_step_row_by_row(self, rows, route, monkeypatch):
-        # row 1 alone takes the action and row 2 the eigen-solve; a stack
-        # holding both follows its largest theta
+        # row 1 takes the action and row 2 alone the eigen-solve; a stack
+        # of three rows holding both takes the action, whose cost grows
+        # more slowly with the stack
         got, routes, ref = self.apply(rows, monkeypatch)
         assert routes == [route]
         tol = 8 * np.finfo(float).eps * np.linalg.norm(ref, axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= tol)
+
+    def test_lone_rows_join_the_one_action_stack(self, monkeypatch):
+        # three lone-star rows and two multi-star rows: one kernel call,
+        # on a stack of all five rows
+        sizes = []
+        action = mc_sim.expm_action
+        monkeypatch.setattr(mc_sim, "expm_action", lambda L, *a: sizes.append(len(L)) or action(L, *a))
+        got, routes, ref = self.apply((0, 1, 0, 1, 0), monkeypatch)
+        assert routes == ["expm_action"] and sizes == [5]
+        tol = 8 * np.finfo(float).eps * np.linalg.norm(ref, axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= tol)
+
+    def test_lone_stars_alone_take_the_closed_form(self, monkeypatch):
+        got, routes, ref = self.apply((0, 0), monkeypatch)
+        assert routes == []
+        assert np.array_equal(got, ref)
 
 
 class TestFirstPassageOracle:

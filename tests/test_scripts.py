@@ -35,6 +35,19 @@ def test_gate_power_on_a_tiny_grid(tmp_path, capsys, monkeypatch):
         assert all(0.0 < r["bound"] < 1.0 for r in c["per_seed"])
         # the worker count changes nothing but the timing
         assert c == two["criteria"][name]
+    # --model-seed 7 holds seed 7's rates and initial state: its seed-7 row is
+    # the plain run's, and seed 8 runs new paths on the same model
+    out = tmp_path / "held.json"
+    argv = ["--seeds", "2", "--first-seed", "7", "--paths", "200", "--model-seed", "7"]
+    assert gate_power.main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    held = json.loads(out.read_text())
+    assert held["model_seed"] == 7 and one["model_seed"] is None
+    for name, c in held["criteria"].items():
+        first, second = c["per_seed"]
+        assert first == one["criteria"][name]["per_seed"][0]
+        assert second["seed"] == 8 and second["bound"] == first["bound"]
+        assert second["bound"] != one["criteria"][name]["per_seed"][1]["bound"]
 
 
 def test_reproduce_experiments_from_another_directory(tmp_path, capsys, monkeypatch):

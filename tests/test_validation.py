@@ -472,6 +472,26 @@ class TestFastSwitchInequality:
             assert sample.lambda_full == validation.lambda_second_largest(full)
             assert sample.lambda_fastswitch == validation.lambda_second_largest(fs)
 
+    @pytest.mark.parametrize("n, m, tabled", [(4, 2, False), (4, 2, True), (5, 1, False)])
+    @pytest.mark.parametrize("size", [1, 3, 10**6])
+    def test_fastswitch_read_off_the_full_enumeration(self, n, m, tabled, size):
+        # the one-star configurations of full's enumeration, summed in stacks
+        # of ``size`` configurations (some of them with none), give bit for
+        # bit fastswitch's own enumeration
+        rule = UNIFORM_TIE_BREAK
+        if tabled:
+            rule = TieBreakRule({
+                frozenset(s): {i: (2.0 if i == s[0] else 1.0) / (k + 1) for i in s}
+                for k in range(2, n + 1)
+                for s in combinations(range(1, n + 1), k)
+            })
+        p = ModelParams(n, m, (0.35, 0.2, 0.5, 0.15, 0.6)[:n], 0.5, rule)
+        T = np.array([0.01, 0.05, 3.0])
+        with mock.patch.object(graph_core, "STACK_BYTES", size * 8 * n * n * len(T)):
+            full, fs = validation._expected_exponentials(Full(p), T, FastSwitch(p))
+        assert np.array_equal(full, validation._expected_exponentials(Full(p), T))
+        assert np.array_equal(fs, validation._expected_exponentials(FastSwitch(p), T))
+
     def test_oversized_probe_refused(self):
         p = ModelParams(12, 5, (0.05,) * 12, 0.5)
         with pytest.raises(ValueError, match="branches"):
