@@ -170,39 +170,39 @@ def _recompose(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
 
 
 def taylor_plan(theta: float) -> tuple:
-    """(m, s) for ``expm_action`` over a time t of a stack of largest degree
-    mu, theta = t * mu: the fewest steps s with (theta / s)**(m+1) / (m+1)!
+    """(m, s) for ``expm_action`` over a time t with shift mu, theta =
+    t * mu: the fewest steps s with (theta / s)**(m+1) / (m+1)!
     <= 2**-53 at a degree m <= ``TAYLOR_MAX_DEGREE``, then the least such m."""
     s = max(1, math.ceil(theta / _TAYLOR_THETA[-1]))
     return max(1, bisect_left(_TAYLOR_THETA, theta / s)), s
 
 
-def expm_action(L: np.ndarray, t: float, Z: np.ndarray, m: int, s: int) -> np.ndarray:
-    """e**(-t*L) @ Z for a (k, n, n) stack of Laplacians L and a (k, n, 1)
-    stack of states Z, which it overwrites and returns: s steps of h = t/s,
-    each Z <- e**(-h*mu) sum_{j<=m} (-h*A)**j Z / j! with mu the stack's
-    largest entry (its largest degree) and A = L - mu*I (the shifted,
-    truncated Taylor series of Al-Mohy and Higham, "Computing the action of
-    the matrix exponential", SIAM J. Sci. Comput. 33(2), 2011).
+def expm_action(L: np.ndarray, t: float, Z: np.ndarray, m: int, s: int, mu: float) -> np.ndarray:
+    """e**(-t*L) @ Z for a (k, n, n) stack of Laplacians L of largest degree
+    at most mu and a (k, n, 1) stack of states Z; it overwrites L with
+    A = L - mu*I and Z with the result, which it returns. s steps of h = t/s,
+    each Z <- e**(-h*mu) sum_{j<=m} (-h*A)**j Z / j! (the shifted, truncated
+    Taylor series of Al-Mohy and Higham, "Computing the action of the matrix
+    exponential", SIAM J. Sci. Comput. 33(2), 2011), with two state-sized
+    temporaries and no n x n one.
 
     Bound: by Gershgorin A's eigenvalues lie in [-mu, mu], row i's disc
     being L_ii - mu +- L_ii. For x = h*(lam - mu) in [-theta, theta],
     theta = h*mu, e**(-x) less its degree-m Taylor polynomial is at most
-    e**theta theta**(m+1) / (m+1)! (Lagrange), and e**(-h*mu) = e**(-theta)
-    cancels the e**theta. With (m, s) from ``taylor_plan(t * mu)`` each step
-    is within 2**-53 ||z||_2 of e**(-h*L) z, of 2-norm at most 1 + 2**-53,
-    so the s steps are within about s * 2**-53 ||z||_2 of e**(-t*L) z before
-    rounding; the terms' norms sum to at most e**theta ||z||_2, scaled back
-    by e**(-theta), so rounding adds a few ulps of ||z||_2 a step."""
-    mu = float(L.max())
-    A = L.copy()
-    A.reshape(len(L), -1)[:, :: L.shape[-1] + 1] -= mu  # its diagonal, a view
+    e**theta theta**(m+1) / (m+1)! (Lagrange), which e**(-h*mu) scales back
+    to theta**(m+1) / (m+1)!. With (m, s) from ``taylor_plan(t * mu)`` each
+    step is thus within 2**-53 ||z||_2 of e**(-h*L) z, of 2-norm at most
+    1 + 2**-53, and the s steps within about s * 2**-53 ||z||_2 of
+    e**(-t*L) z before rounding; the terms' norms sum to at most
+    e**theta ||z||_2, scaled back alike, so rounding adds a few ulps of
+    ||z||_2 a step."""
+    np.einsum("kii->ki", L)[...] -= mu  # its diagonals, a view
     h = -t / s
     term, product = np.empty_like(Z), np.empty_like(Z)
     for _ in range(s):
         term[...] = Z
         for j in range(1, m + 1):
-            np.matmul(A, term, out=product)
+            np.matmul(L, term, out=product)
             np.multiply(product, h / j, out=term)
             Z += term
         Z *= math.exp(h * mu)

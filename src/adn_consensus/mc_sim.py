@@ -7,10 +7,11 @@ CDF of the first-passage times. The engine is event-driven and advances a
 block of up to ``BLOCK`` paths together: each round, every live path draws
 its gap to the next period with a star, paths pushed past k_max are
 censored, and the rest draw that period's stars and take its heat kernel
-(the ``adn_model.Variant`` draws, ``_apply_stars`` applies): below a cost
-switch in dt times the largest degree, every row's kernel action by a shifted
-truncated Taylor series (``graph_core.expm_action``); above it, the closed form
-for a lone star and stacked eigen-solves (``expm_sym``) for several. Block b reads
+(the ``adn_model.Variant`` draws, ``_apply_stars`` applies): the closed
+form for a lone star; for several, the kernel's action on the states by a
+shifted Taylor series (``graph_core.expm_action``) below a cost switch in dt
+times the largest degree, joined there by lone stars where cheaper, and
+stacked eigen-solves (``expm_sym``) above it. Block b reads
 ``stream(seed, PATHS, b)``; workers take whole blocks and counts are
 aggregated as exact integers, so results are identical for any number of
 workers. ``step`` is the one-path reference the engine's update matches.
@@ -101,43 +102,48 @@ def step(z, s: Snapshot, dt: float) -> np.ndarray:
 
 def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
     """One period of each row of Z under its stars (``row``, ``centre`` and
-    neighbours ``nbs``, 0-based, rows increasing, one or more a row): all
-    by ``_stacked``'s action route if it is cheaper for the rows with several
-    stars even at its least theta, dt * m; else a lone star by ``step``'s
-    closed form on its m + 1 touched coordinates, gathered across rows, and
-    the rest by ``_stacked``'s eigen-solves. The routes agree to a few ulps."""
+    neighbours ``nbs``, 0-based, rows increasing, one or more a row). Rows
+    with several go to ``_stacked``, on the action route if ``_cheaper_plan``
+    finds it cheaper even at its least theta, dt * m. A lone star takes
+    ``step``'s closed form on its m + 1 touched coordinates, gathered across
+    rows, unless its row costs less in the action's stacks. The routes agree
+    to a few ulps."""
     count = np.bincount(row, minlength=len(Z))
     multi = count > 1
-    if multi.any() and _cheaper_plan(dt * m, np.count_nonzero(multi), Z.shape[1]):
-        return _stacked(Z, count, row, centre, nbs, dt, True)
+    k, n = np.count_nonzero(multi), Z.shape[1]
+    plan = k and _cheaper_plan(dt * m, k, n)
+    # on that machine a lone row costs a stack about 7e-4 n^2 us to build and
+    # 6e-4 n^2 a Taylor term (its share of 4 us); the closed form and gathers 40 us
+    if plan and (len(Z) - k) * n * n * (6e-4 * plan[0] * plan[1] + 7e-4) < 40.0:
+        return _stacked(Z, count, centre, nbs, dt, True)
     lone = ~multi[row]
-    r, c, idx = row[lone], centre[lone], nbs[lone]
-    cw, edge, y, w = star_kernel_scalars(m, dt)
-    zc, zn = Z[r, c], Z[r[:, None], idx]
-    tot = zn.sum(axis=1)
-    Z[r, c] = cw * zc + edge * tot
-    Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
-    if multi.any():
-        rows, many = np.flatnonzero(multi), count[multi]
-        local = np.repeat(np.arange(len(rows)), many)
-        Z[rows] = _stacked(Z[rows], many, local, centre[~lone], nbs[~lone], dt, False)
+    if k < len(Z):
+        r, c, idx = row[lone], centre[lone], nbs[lone]
+        cw, edge, y, w = star_kernel_scalars(m, dt)
+        zc, zn = Z[r, c], Z[r[:, None], idx]
+        tot = zn.sum(axis=1)
+        Z[r, c] = cw * zc + edge * tot
+        Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
+    if k:
+        Z[multi] = _stacked(Z[multi], count[multi], centre[~lone], nbs[~lone], dt, bool(plan))
     return Z
 
 
-def _stacked(Z, count, row, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
-    """Each row of Z under its ``count`` stars (``row`` increasing), in
-    ``stacks`` of consecutive rows: ``expm_action`` with ``taylor``, unless
-    ``_cheaper_plan`` finds it dearer at dt times the stack's largest
-    degree, else ``step``'s ``expm_sym`` and a product."""
+def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
+    """Each row of Z under its ``count`` stars, in ``stacks`` of consecutive
+    rows: ``expm_action`` with ``taylor`` unless ``_cheaper_plan`` finds it
+    dearer at dt times the stack's largest degree, else ``expm_sym``."""
     n = Z.shape[1]
     ends = np.cumsum(count)
     for chunk in stacks(range(len(Z)), n):
         lo, hi = chunk[0], chunk[-1] + 1
         a, b = ends[lo] - count[lo], ends[hi - 1]  # the stack's stars
-        L = star_union_laplacians(hi - lo, n, row[a:b] - lo, centre[a:b], nbs[a:b])
+        row = np.repeat(np.arange(hi - lo), count[lo:hi])
+        L = star_union_laplacians(hi - lo, n, row, centre[a:b], nbs[a:b])
         z = Z[lo:hi, :, None]  # a view
-        if plan := taylor and _cheaper_plan(dt * float(L.max()), hi - lo, n):
-            expm_action(L, dt, z, *plan)
+        mu = float(L.diagonal(0, 1, 2).max()) if taylor else 0.0  # the largest degree
+        if plan := taylor and _cheaper_plan(dt * mu, hi - lo, n):
+            expm_action(L, dt, z, *plan, mu)
         else:
             z[...] = np.matmul(expm_sym(L, dt), z)
     return Z
@@ -145,9 +151,9 @@ def _stacked(Z, count, row, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
 
 def _cheaper_plan(theta: float, k: int, n: int):
     """``taylor_plan(theta)`` if ``expm_action`` with it on a (k, n, n) stack
-    should beat ``expm_sym`` and a product, else None. Cost model in
-    microseconds, fitted on one core of a 2-core Xeon VM (numpy 2.4, OpenBLAS):
-    a Taylor term about 4 + 5e-4 k n^2, the eigen-solve route 40 + 0.12 k n^2."""
+    should beat ``expm_sym`` and a product, else None. Cost in us on one core
+    of a 2-core Xeon VM (numpy 2.4, OpenBLAS): a Taylor term about
+    4 + 5e-4 k n^2, the eigen-solve route 40 + 0.12 k n^2."""
     size = k * n * n
     try:
         m, s = taylor_plan(theta)

@@ -95,33 +95,34 @@ def _enumerate_branches(v: Variant, copies: int = 1):
         yield weights[g], row, c, table[c, digit[row, col]]
 
 
-def _expected_exponentials(v: Variant, T: np.ndarray, one_star: Variant | None = None):
-    """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n):
-    the probability-weighted sum of dense exponentials over every
-    configuration, each Laplacian decomposed once for all of T. A stack's
-    weighted kernels take the sum so far into their first and are added in
-    order by one ``np.add.reduce``, as if one at a time, bit for bit. With
-    ``one_star``, also that variant's, summed alike from v = ``Full``'s
-    configurations with at most one star, which come in its order."""
+def _kernel_stacks(v: Variant, T: np.ndarray):
+    """Yield (weights, row, kernels) a stack of ``_enumerate_branches(v)``:
+    its exponentials at each scale t in T, (len(T), k, n, n), each Laplacian
+    decomposed once for all of T."""
     _require_enumerable(v)
-    acc = np.zeros((len(T), v.p.n, v.p.n))
-    total, one = 0.0, acc  # one: one_star's sum so far
-    if one_star is not None:
-        _require_enumerable(one_star)  # before any enumeration
-        w1 = _one_star_weights(one_star.folded()[1], math.comb(v.p.n - 1, v.p.m))
+    total = 0.0
     for weights, row, centre, nbs in _enumerate_branches(v, max(len(T), 1)):
-        kernels = expm_sym(star_union_laplacians(len(weights), v.p.n, row, centre, nbs), T)
-        if one_star is not None:
-            q = np.flatnonzero(np.bincount(row, minlength=len(weights)) < 2)  # at most one star
-            picked, w1 = kernels[:, q] * w1[:len(q), None, None], w1[len(q):]
-            one = np.add.reduce(np.concatenate([one[:, None], picked], axis=1), axis=1)
-        kernels *= weights[:, None, None]
-        kernels[:, 0] += acc
-        acc = np.add.reduce(kernels, axis=1)
+        L = star_union_laplacians(len(weights), v.p.n, row, centre, nbs)
+        yield weights, row, expm_sym(L, T)
         total += float(weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
-    return acc if one_star is None else (acc, one)
+
+
+def _add_weighted(acc, kernels, weights) -> np.ndarray:
+    """acc plus the weighted kernels, which it overwrites, added in order by
+    one ``np.add.reduce``, as if one at a time, bit for bit."""
+    kernels *= weights[:, None, None]
+    kernels[:, 0] += acc
+    return np.add.reduce(kernels, axis=1)
+
+
+def _expected_exponentials(v: Variant, T: np.ndarray) -> np.ndarray:
+    """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n)."""
+    acc = np.zeros((len(T), v.p.n, v.p.n))
+    for weights, _, kernels in _kernel_stacks(v, T):
+        acc = _add_weighted(acc, kernels, weights)
+    return acc
 
 
 def _one_star_weights(probs, C: int) -> np.ndarray:
@@ -167,9 +168,19 @@ def verify_fast_switch_inequality(p: ModelParams, T_grid) -> FastSwitchReport:
     for T in T_grid:
         if not (0 < T < math.inf):
             raise ValueError(f"exponent scales must be finite and > 0, got {T}")
-    full, fastswitch = _expected_exponentials(Full(p), np.array(T_grid, dtype=float), FastSwitch(p))
+    _require_enumerable(FastSwitch(p))  # before any enumeration
+    # both expected kernels from Full's configurations, bit for bit as each
+    # alone: FastSwitch's are those with at most one star, in its order
+    full = fs = np.zeros((len(T_grid), p.n, p.n))
+    w = _one_star_weights(FastSwitch(p).folded()[1], math.comb(p.n - 1, p.m))
+    for weights, row, kernels in _kernel_stacks(Full(p), np.array(T_grid, dtype=float)):
+        if len(q := np.flatnonzero(np.bincount(row, minlength=len(weights)) < 2)):
+            fs, w = _add_weighted(fs, kernels[:, q], w[: len(q)]), w[len(q):]
+        full = _add_weighted(full, kernels, weights)
+    if len(w):
+        raise RuntimeError(f"{len(w)} one-star configurations not enumerated")
     samples = []
-    for T, E_full, E_fs in zip(T_grid, full, fastswitch):
+    for T, E_full, E_fs in zip(T_grid, full, fs):
         lam_full, lam_fs = lambda_second_largest(E_full), lambda_second_largest(E_fs)
         gap = lam_fs - lam_full
         samples.append(GapSample(float(T), lam_full, lam_fs, gap, gap >= -GAP_SLACK))

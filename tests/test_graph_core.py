@@ -400,14 +400,16 @@ class TestExpmAction:
     @given(star_union_stacks(), st.floats(0.0, 3.0), st.data())
     @settings(max_examples=80, deadline=None)
     def test_matches_expm_sym(self, L, t, data):
-        # at the plan for t times the largest degree, the shift; within 32
-        # ulps of ||z||_2 a step, the eigen-solve reference's error included
+        # shifted by the largest degree or by a larger mu, at the plan for
+        # t * mu; within 32 ulps of ||z||_2 a step, the eigen-solve
+        # reference's error included
         k, n, _ = L.shape
         seed = data.draw(st.integers(0, 2**32 - 1))
         z = np.random.default_rng(seed).uniform(-5.0, 5.0, (k, n, 1))
-        m, s = taylor_plan(t * L.diagonal(0, 1, 2).max())
-        got = expm_action(L, t, z.copy(), m, s)
+        mu = L.diagonal(0, 1, 2).max() * data.draw(st.sampled_from([1.0, 1.5]))
         ref = np.matmul(expm_sym(L, t), z)
+        m, s = taylor_plan(t * mu)
+        got = expm_action(L, t, z.copy(), m, s, mu)
         err = np.linalg.norm(got - ref, axis=1)
         assert np.all(err <= 32 * s * np.finfo(float).eps * np.linalg.norm(z, axis=1))
 
@@ -428,9 +430,10 @@ class TestExpmAction:
         nbs = np.array([rng.choice(np.delete(np.arange(n), c), spokes, replace=False) for c in centre])
         L = star_union_laplacians(len(count), n, np.repeat(np.arange(len(count)), count), centre, nbs)
         z = rng.uniform(-5.0, 5.0, (len(count), n, 1))
-        m, s = taylor_plan(t * L.diagonal(0, 1, 2).max())
-        got = expm_action(L, t, z.copy(), m, s)
         w, V = np.linalg.eigh(L)
+        mu = L.diagonal(0, 1, 2).max()
+        m, s = taylor_plan(t * mu)
+        got = expm_action(L, t, z.copy(), m, s, mu)
         ref = z + V @ (np.expm1(-t * w)[..., None] * (V.swapaxes(1, 2) @ z))
         err = np.linalg.norm(got - ref, axis=1)
         assert np.all(err <= 8 * s * np.finfo(float).eps * np.linalg.norm(z, axis=1))
@@ -443,15 +446,18 @@ class TestExpmAction:
         v = np.array([4.0, -1.0, -1.0, -1.0, -1.0])
         x = -0.8 * (5 - 4) / s
         poly = math.exp(-0.8 * 4 / s) * sum(x**j / math.factorial(j) for j in range(m + 1))
-        got = expm_action(L, 0.8, v[None, :, None].copy(), m, s)
+        got = expm_action(L, 0.8, v[None, :, None].copy(), m, s, 4.0)
         assert np.allclose(got[0, :, 0], poly**s * v, rtol=1e-14, atol=1e-14)
 
-    def test_overwrites_and_returns_the_states(self):
+    def test_overwrites_and_returns_the_states_and_shifts_l(self):
+        # every degree is 2: L becomes L - 2I
         L = star_union_laplacians(*flat(4, [[0, 2]], [[[1, 3], [1, 3]]]))
+        before = L.copy()
         z = np.array([[[1.0], [-1.0], [0.5], [0.0]]])
-        out = expm_action(L, 0.3, z, *taylor_plan(0.3 * 2))
+        out = expm_action(L, 0.3, z, *taylor_plan(0.3 * 2), 2.0)
         assert out is z
-        assert np.allclose(z[0, :, 0], expm_sym(L[0], 0.3) @ [1.0, -1.0, 0.5, 0.0], atol=1e-15)
+        assert np.array_equal(L, before - 2.0 * np.eye(4))
+        assert np.allclose(z[0, :, 0], expm_sym(before[0], 0.3) @ [1.0, -1.0, 0.5, 0.0], atol=1e-15)
 
 
 class TestStacks:

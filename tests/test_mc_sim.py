@@ -390,6 +390,8 @@ class TestApplyStars:
         ((1, (2, 3, 4)), (5, (6, 7, 8))),  # largest degree 3: theta = 0.3
         # node 1 joined to 12 others: theta = 0.1 * 12 = 1.2, two steps
         ((1, (2, 3, 4)), *((c, (1, c + 6, c + 7)) for c in range(5, 14))),
+        # node 1 joined to all 19 others: theta = 1.9, two steps
+        ((1, (2, 3, 4)), *((c, (1, 2, 3)) for c in range(5, 21))),
     )
 
     def apply(self, rows, monkeypatch):
@@ -410,25 +412,42 @@ class TestApplyStars:
 
     @pytest.mark.parametrize(
         "rows, route",
-        [((0, 1), "expm_action"), ((2,), "expm_sym"), ((0, 1, 2), "expm_action"), ((1, 0, 1), "expm_action")],
+        [
+            ((0, 1), "expm_action"),
+            ((2,), "expm_sym"),
+            ((0, 1, 2), "expm_action"),
+            ((1, 0, 1), "expm_action"),
+            ((0, 3), "expm_sym"),
+        ],
     )
     def test_matches_step_row_by_row(self, rows, route, monkeypatch):
         # row 1 takes the action and row 2 alone the eigen-solve; a stack
         # of three rows holding both takes the action, whose cost grows
-        # more slowly with the stack
+        # more slowly with the stack. Row 3's multi-star rows alone would
+        # take the action at theta = dt * m, so the lone row 0 joins their
+        # stack, which at its largest degree takes the eigen-solve
         got, routes, ref = self.apply(rows, monkeypatch)
         assert routes == [route]
         tol = 8 * np.finfo(float).eps * np.linalg.norm(ref, axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= tol)
 
-    def test_lone_rows_join_the_one_action_stack(self, monkeypatch):
-        # three lone-star rows and two multi-star rows: one kernel call,
-        # on a stack of all five rows
-        sizes = []
+    @pytest.mark.parametrize(
+        "rows, sizes",
+        [
+            # three lone-star rows and two multi-star rows: one kernel
+            # call, on a stack of all five rows
+            ((0, 1, 0, 1, 0), [5]),
+            # twenty lone rows would cost the stack more than their closed
+            # form: the multi-star row takes the action alone
+            ((0,) * 10 + (1,) + (0,) * 10, [1]),
+        ],
+    )
+    def test_lone_rows_join_the_action_stack_where_cheaper(self, rows, sizes, monkeypatch):
+        seen = []
         action = mc_sim.expm_action
-        monkeypatch.setattr(mc_sim, "expm_action", lambda L, *a: sizes.append(len(L)) or action(L, *a))
-        got, routes, ref = self.apply((0, 1, 0, 1, 0), monkeypatch)
-        assert routes == ["expm_action"] and sizes == [5]
+        monkeypatch.setattr(mc_sim, "expm_action", lambda L, *a: seen.append(len(L)) or action(L, *a))
+        got, routes, ref = self.apply(rows, monkeypatch)
+        assert routes == ["expm_action"] and seen == sizes
         tol = 8 * np.finfo(float).eps * np.linalg.norm(ref, axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= tol)
 
@@ -554,7 +573,7 @@ class TestBoundedMemory:
             stacks_seen.append(len(L))
             return np.broadcast_to(np.eye(n), L.shape).copy()
 
-        def identity_action(L, t, Z, m, s):
+        def identity_action(L, t, Z, m, s, mu):
             stacks_seen.append(len(L))
             return Z
 

@@ -487,10 +487,14 @@ class TestFastSwitchInequality:
             })
         p = ModelParams(n, m, (0.35, 0.2, 0.5, 0.15, 0.6)[:n], 0.5, rule)
         T = np.array([0.01, 0.05, 3.0])
-        with mock.patch.object(graph_core, "STACK_BYTES", size * 8 * n * n * len(T)):
-            full, fs = validation._expected_exponentials(Full(p), T, FastSwitch(p))
-        assert np.array_equal(full, validation._expected_exponentials(Full(p), T))
-        assert np.array_equal(fs, validation._expected_exponentials(FastSwitch(p), T))
+        seen, lam = [], validation.lambda_second_largest  # the kernels the probe compares
+        with (
+            mock.patch.object(graph_core, "STACK_BYTES", size * 8 * n * n * len(T)),
+            mock.patch.object(validation, "lambda_second_largest", lambda E: seen.append(E) or lam(E)),
+        ):
+            verify_fast_switch_inequality(p, T)
+        assert np.array_equal(seen[0::2], validation._expected_exponentials(Full(p), T))
+        assert np.array_equal(seen[1::2], validation._expected_exponentials(FastSwitch(p), T))
 
     def test_oversized_probe_refused(self):
         p = ModelParams(12, 5, (0.05,) * 12, 0.5)
