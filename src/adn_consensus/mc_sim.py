@@ -7,13 +7,13 @@ CDF of the first-passage times. The engine is event-driven and advances a
 block of up to ``BLOCK`` paths together: each round, every live path draws
 its gap to the next period with a star, paths pushed past k_max are
 censored, and the rest draw that period's stars and take its heat kernel
-(the ``adn_model.Variant`` draws, ``_apply_stars`` applies): the closed
-form for a lone star; for several, the kernel's action on the states by a
-shifted Taylor series (``graph_core.expm_action``) below a cost switch in dt
-times the largest degree, joined there by lone stars where cheaper, and
-stacked eigen-solves (``expm_sym``) above it. Block b reads
-``stream(seed, PATHS, b)``; workers take whole blocks and counts are
-aggregated as exact integers, so results are identical for any number of
+(the ``adn_model.Variant`` draws, ``_apply_stars`` applies): the closed form
+for a lone star; for several, the kernel's action on the states by a shifted
+Taylor series (``graph_core.expm_action``) below a cost switch in dt times
+the largest degree, joined there by lone stars where cheaper, and stacked
+eigen-solves (``expm_sym``) above it, on the touched nodes where cheaper.
+Block b reads ``stream(seed, PATHS, b)``; workers take whole blocks and
+counts are exact integers, so results are identical for any number of
 workers. ``step`` is the one-path reference the engine's update matches.
 """
 
@@ -132,13 +132,18 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
 def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
     """Each row of Z under its ``count`` stars, in ``stacks`` of consecutive
     rows: ``expm_action`` with ``taylor`` unless ``_cheaper_plan`` finds it
-    dearer at dt times the stack's largest degree, else ``expm_sym``."""
-    n = Z.shape[1]
+    dearer at dt times the stack's largest degree, else ``expm_sym``, without
+    ``taylor`` on the rows' supports (``_on_supports``) where that is cheaper."""
+    n, m = Z.shape[1], nbs.shape[1]
     ends = np.cumsum(count)
     for chunk in stacks(range(len(Z)), n):
         lo, hi = chunk[0], chunk[-1] + 1
         a, b = ends[lo] - count[lo], ends[hi - 1]  # the stack's stars
         row = np.repeat(np.arange(hi - lo), count[lo:hi])
+        w = n if taylor else min(n, int(count[lo:hi].max()) * (m + 1))  # no row touches more
+        if (hi - lo) * 2e-3 * (n**3 - w**3) > 30.0:  # us: eigh saved vs gathers
+            _on_supports(Z[lo:hi], row, centre[a:b], nbs[a:b], dt)
+            continue
         L = star_union_laplacians(hi - lo, n, row, centre[a:b], nbs[a:b])
         z = Z[lo:hi, :, None]  # a view
         mu = float(L.diagonal(0, 1, 2).max()) if taylor else 0.0  # the largest degree
@@ -147,6 +152,21 @@ def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
         else:
             z[...] = np.matmul(expm_sym(L, dt), z)
     return Z
+
+
+def _on_supports(Z, row, centre, nbs, dt: float) -> None:
+    """Z's rows, in place, under their stars by ``expm_sym`` on (k, w, w) Laplacians: each row's
+    touched nodes, increasing, padded with untouched ones to w; only touched ones are written."""
+    touched = np.zeros(Z.shape, dtype=bool)
+    touched[row, centre] = touched[row[:, None], nbs] = True
+    w, r = int(touched.sum(axis=1).max()), np.arange(len(Z))[:, None]
+    nodes = np.argsort(~touched, axis=1, kind="stable")[:, :w]  # touched first
+    local = touched.cumsum(axis=1) - 1  # a touched node's place in its row's nodes
+    L = star_union_laplacians(len(Z), w, row, local[row, centre], local[row[:, None], nbs])
+    # taken about their mean on the touched nodes, which e^(-dt L) keeps exactly
+    mean = (Z * touched).sum(axis=1, keepdims=True) / touched.sum(axis=1, keepdims=True)
+    out = np.matmul(expm_sym(L, dt), (Z[r, nodes] - mean)[..., None])[..., 0] + mean
+    Z[touched] = out[touched[r, nodes]]  # both row by row, touched nodes increasing
 
 
 def _cheaper_plan(theta: float, k: int, n: int):

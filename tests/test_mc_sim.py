@@ -33,7 +33,7 @@ from adn_consensus import (
     step,
 )
 from adn_consensus.adn_model import PATHS, stream
-from adn_consensus.graph_core import STACK_BYTES
+from adn_consensus.graph_core import STACK_BYTES, star_union_laplacians
 from adn_consensus.cli import parse_config, resolve_config
 from oracles import block_walk_survival, star_laplacian_ints, taylor_expm
 
@@ -455,6 +455,108 @@ class TestApplyStars:
         got, routes, ref = self.apply((0, 0), monkeypatch)
         assert routes == []
         assert np.array_equal(got, ref)
+
+
+def random_stars(rng, n: int, spokes: int, count):
+    """(row, centre, nbs) of ``count[i]`` random stars of ``spokes``
+    neighbours in row i, 0-based as ``_stacked`` takes them."""
+    centre = rng.integers(0, n, int(np.sum(count)))
+    nbs = np.array([rng.choice(np.delete(np.arange(n), c), spokes, replace=False) for c in centre])
+    return np.repeat(np.arange(len(count)), count), centre, nbs
+
+
+class TestOnSupports:
+    """The eigen route solved only on the nodes each row's stars touch."""
+
+    @staticmethod
+    def record_shapes(monkeypatch) -> list:
+        """The shapes of the stacks mc_sim hands ``expm_sym`` from now on."""
+        shapes, kernel = [], mc_sim.expm_sym
+        monkeypatch.setattr(mc_sim, "expm_sym", lambda L, t: shapes.append(L.shape) or kernel(L, t))
+        return shapes
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_eigen_solve_on_each_support(self, data):
+        n = data.draw(st.integers(2, 60))
+        spokes = data.draw(st.integers(1, n - 1))
+        t = data.draw(st.floats(1e-3, 3.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # rows of 1-4 stars: supports of different sizes, padded to the largest
+        row, centre, nbs = random_stars(rng, n, spokes, rng.integers(1, 5, data.draw(st.integers(1, 5))))
+        if data.draw(st.booleans()):
+            # one more row, whose stars touch every node: star j joins node
+            # j * spokes to the next spokes nodes, padded with its own centre
+            c = np.arange(0, n - 1, spokes)
+            ring = c[:, None] + np.arange(1, spokes + 1)
+            row = np.append(row, np.full(len(c), row[-1] + 1))
+            centre, nbs = np.append(centre, c), np.vstack([nbs, np.where(ring < n, ring, c[:, None])])
+        Z = rng.uniform(-5.0, 5.0, (row[-1] + 1, n))
+        got = Z.copy()
+        mc_sim._on_supports(got, row, centre, nbs, t)
+        L = star_union_laplacians(len(Z), n, row, centre, nbs)
+        touched = L.diagonal(0, 1, 2) > 0
+        assert np.array_equal(got[~touched], Z[~touched])
+        w = touched.sum(axis=1).max()
+        for z, out, on, Lr in zip(Z, got, touched, L):
+            # z + V expm1(-t*lam) V^T z on the row's touched nodes, taken about
+            # their mean, which e^(-tL) keeps. expm_sym's recomposition, and
+            # this form's, are off by O(w) ulps: up to 9 at w < 10 and 25 at
+            # w = 50-60 over about 18,000 random rows
+            lam, V = np.linalg.eigh(Lr[np.ix_(on, on)])
+            d = z[on] - z[on].mean()
+            ref = z[on] + V @ (np.expm1(-t * lam) * (V.T @ d))
+            tol = (16 + w / 2) * np.finfo(float).eps * np.linalg.norm(z)
+            assert np.linalg.norm(out[on] - ref) <= tol
+
+    def test_large50_stacks_are_solved_on_their_supports(self, monkeypatch):
+        # large50's shape: n = 50, m = 15, two stars a row, dt = 3. Fifteen
+        # rows come in two stacks of 13 and 2 rows, each decomposed at its
+        # largest support, and come back as the full-size route's
+        rng = np.random.default_rng(2025)
+        k, count = 15, np.full(15, 2)
+        row, centre, nbs = random_stars(rng, 50, 15, count)
+        Z = rng.uniform(-1.0, 1.0, (k, 50))
+        shapes = self.record_shapes(monkeypatch)
+        got = mc_sim._stacked(Z.copy(), count, centre, nbs, 3.0, False)
+        L = star_union_laplacians(k, 50, row, centre, nbs)
+        size = (L.diagonal(0, 1, 2) > 0).sum(axis=1)
+        w = [size[:13].max(), size[13:].max()]
+        assert shapes == [(13, w[0], w[0]), (2, w[1], w[1])] and max(w) < 50
+        ref = np.matmul(expm_sym(L, 3.0), Z[..., None])[..., 0]
+        tol = 64 * np.finfo(float).eps * np.linalg.norm(Z, axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= tol)
+
+    def test_small10_stacks_keep_the_full_size(self, monkeypatch):
+        # n = 10, m = 4: two stars may touch all 10 nodes, so no mask is built
+        rng = np.random.default_rng(2025)
+        count = np.full(6, 2)
+        _, centre, nbs = random_stars(rng, 10, 4, count)
+        shapes = self.record_shapes(monkeypatch)
+        monkeypatch.setattr(mc_sim, "_on_supports", None)
+        mc_sim._stacked(rng.uniform(-1.0, 1.0, (6, 10)), count, centre, nbs, 2.0, False)
+        assert shapes == [(6, 10, 10)]
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_large50_row_against_a_40_digit_exponential(self, i):
+        # Two rows of large50's shape from the configs' seed. The full-size
+        # route is 12.5 and 7.5 ulps of ||z|| off on them; on 120 random rows
+        # of this shape the restricted route had median 1.1 and max 7.5 ulps,
+        # the full-size route median 12.9 and min 5.3
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2025)
+        count = np.full(2, 2)
+        row, centre, nbs = random_stars(rng, 50, 15, count)
+        Z = rng.uniform(-1.0, 1.0, (2, 50))
+        got = mc_sim._stacked(Z.copy(), count, centre, nbs, 3.0, False)[i]
+        L = star_union_laplacians(2, 50, row, centre, nbs)[i]
+        # e^(-3L) is the identity on the nodes of degree 0, whose rows and
+        # columns of L are 0; mpmath takes the rest
+        on, ref = np.flatnonzero(L.diagonal()), Z[i].copy()
+        with mpmath.workdps(40):
+            E = mpmath.expm(mpmath.matrix((-3.0 * L[np.ix_(on, on)]).tolist()))
+            ref[on] = [float(x) for x in E * mpmath.matrix(Z[i, on].tolist())]
+        assert np.linalg.norm(got - ref) <= 2 * np.finfo(float).eps * np.linalg.norm(Z[i])
 
 
 class TestFirstPassageOracle:
