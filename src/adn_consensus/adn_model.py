@@ -179,9 +179,10 @@ def activation_sets(p: ModelParams):
 def center_star_table(p: ModelParams) -> np.ndarray:
     """Each centre's C(n-1, m) equally likely neighbour sets, the law
     ``Variant.neighbours`` draws from, written out as one (n, C(n-1, m), m)
-    array of 0-based node ids in ``combinations`` order."""
-    others = ([j for j in range(p.n) if j != i] for i in range(p.n))
-    return np.array([list(combinations(js, p.m)) for js in others], dtype=np.intp)
+    array of 0-based node ids in ``combinations`` order: the subsets of
+    n - 1 ids, each id from i up moved one on for centre i."""
+    subsets = np.array(list(combinations(range(p.n - 1), p.m)), dtype=np.intp)
+    return subsets + (subsets >= np.arange(p.n)[:, None, None])
 
 
 def _survivor(active: list, rule: TieBreakRule, u: float) -> int:
@@ -355,8 +356,9 @@ class FastSwitch(Full):
             if rule.table is not None:  # a table is read set by set, in mask order
                 sets = ([i for i, x in enumerate(r, 1) if x] for r in active.tolist())
                 share = [rule.weights_for(frozenset(S)).get(i, 0.0) for S in sets for i in S]
-            b = np.bincount(np.r_[np.arange(n), members], np.r_[b, prob[rows] * share])
-        return ((),) + tuple((i,) for i in range(1, n + 1)), np.r_[p_none, b]
+            b = np.concatenate([b, prob[rows] * share])
+            b = np.bincount(np.concatenate([np.arange(n), members]), b)
+        return ((),) + tuple((i,) for i in range(1, n + 1)), np.concatenate([[p_none], b])
 
     def size(self) -> int:
         """1 + n*2**(n-1), its law's rows under the uniform rule, which no

@@ -10,10 +10,12 @@ already; ``FastSwitch`` has a row per (activated set, survivor) but only
 1 + n tuples, which it sums as arrays over the activation sets, so it
 takes 1 + n*C(n-1, m) dense exponentials under any rule. Consecutive
 configurations are built as one Laplacian stack within
-``graph_core.STACK_BYTES`` (``star_union_laplacians``), decomposed once for
-every exponent scale asked for, and their weighted exponentials added in
-configuration order by one reduction a stack, so memory stays bounded at
-any size and each sum is, bit for bit, the one of adding them one at a time.
+``graph_core.STACK_BYTES`` (``star_union_laplacians``). Many share a union
+graph (check 5's 256 probe configurations have 51), so each distinct
+adjacency of a stack is decomposed once for every exponent scale asked for
+and gathered back to its configurations, whose weighted exponentials are
+added in configuration order by one reduction a stack: memory stays bounded
+at any size and each sum is, bit for bit, the one of adding them one at a time.
 
 ``validate(p)`` runs the five checks of ``adn validate`` on a model: each
 closed form against its oracle, and each variant's bound against the second
@@ -97,13 +99,17 @@ def _enumerate_branches(v: Variant, copies: int = 1):
 
 def _kernel_stacks(v: Variant, T: np.ndarray):
     """Yield (weights, row, kernels) a stack of ``_enumerate_branches(v)``:
-    its exponentials at each scale t in T, (len(T), k, n, n), each Laplacian
-    decomposed once for all of T."""
+    its exponentials at each scale t in T, (len(T), k, n, n), each distinct
+    union graph of the stack decomposed once for all of T and gathered to
+    its configurations, bit for bit as each alone."""
     _require_enumerable(v)
     total = 0.0
     for weights, row, centre, nbs in _enumerate_branches(v, max(len(T), 1)):
-        L = star_union_laplacians(len(weights), v.p.n, row, centre, nbs)
-        yield weights, row, expm_sym(L, T)
+        L = star_union_laplacians(k := len(weights), v.p.n, row, centre, nbs)
+        key = np.packbits(L.reshape(k, -1) != 0, axis=1)  # the adjacency, as bytes
+        key = key.view(f"V{key.shape[1]}")[:, 0]
+        _, first, which = np.unique(key, return_index=True, return_inverse=True)
+        yield weights, row, expm_sym(L[first], T)[:, which]
         total += float(weights.sum())
     if abs(total - 1.0) > 1e-9:
         raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
@@ -127,7 +133,7 @@ def _expected_exponentials(v: Variant, T: np.ndarray) -> np.ndarray:
 
 def _one_star_weights(probs, C: int) -> np.ndarray:
     """One-star configurations' weights: a tuple's probability over its C choices."""
-    w = np.r_[probs[0], np.repeat(np.asarray(probs[1:]) / C, C)]
+    w = np.concatenate([[probs[0]], np.repeat(np.asarray(probs[1:]) / C, C)])
     if abs((total := float(w.sum())) - 1.0) > 1e-9:
         raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
     return w

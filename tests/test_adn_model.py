@@ -375,8 +375,9 @@ class TestVariantLaws:
             sigma = math.sqrt(prob * (1 - prob) / trials)
             assert abs(count / trials - prob) <= 5 * sigma, s
 
-    @pytest.mark.parametrize("n, m", [(2, 1), (5, 2), (6, 5), (8, 3)])
+    @pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 10) for m in range(1, n)])
     def test_star_table_is_center_stars_0_based(self, n, m):
+        # the broadcast table equals each centre's own combinations, every m
         p = ModelParams(n, m, (0.1,) * n, 1.0)
         table = center_star_table(p)
         assert table.shape == (n, math.comb(n - 1, m), m) and table.dtype == np.intp

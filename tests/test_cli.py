@@ -679,29 +679,31 @@ class TestValidateCommand:
 
     def test_certify_input_eigen_solves(self, tmp_path, capsys, monkeypatch):
         # checks 1-3 share the 1 + 8 * C(7, 3) = 281 one-star configurations
-        # (check 1 reads the 280 with a star), and check 5's full probe takes
-        # 256, among them the fastswitch probe's 13: each matrix decomposed
-        # once, in one eigh call for checks 1-3 and one for the probe
+        # (check 1 reads the 280 with a star), and check 5's full probe has
+        # 256 configurations, among them the fastswitch probe's 13, but 51
+        # distinct graphs: each decomposed once, in one eigh call for
+        # checks 1-3 and one for the probe
         calls = _count_eigh(monkeypatch)
         assert main(["validate", "--config", str(CERTIFY_VALIDATE), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert sum(calls) == 537
+        assert sum(calls) == 281 + 51
         assert len(calls) <= 2, calls
 
     def test_refused_checks_decompose_nothing(self, tmp_path, capsys, monkeypatch):
-        # large50 refuses checks 1-4 by their sizes: only check 5's probe
-        # is decomposed, and neither one-star variant's law is folded
+        # large50 refuses checks 1-4 by their sizes: only check 5's probe,
+        # its 51 distinct graphs, is decomposed, and neither one-star
+        # variant's law is folded
         _unfolded_at(monkeypatch, 50)
         calls = _count_eigh(monkeypatch)
         cfg = str(CONFIGS / "large50.json")
         assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "validate: PASS (1 passed, 4 skipped, 0 failed)" in capsys.readouterr().out
-        assert sum(calls) == 256
+        assert sum(calls) == 51
 
     def test_check_one_alone_takes_only_its_stars(self, tmp_path, capsys, monkeypatch):
         # a rate sum of 4 skips sparse and 1 + 20 * 2**19 rows refuse
         # fastswitch: check 1's 20 * 19 stars, without the empty
-        # configuration, and check 5's probe
+        # configuration, and check 5's probe's 51 distinct graphs
         _unfolded_at(monkeypatch, 20)
         calls = _count_eigh(monkeypatch)
         cfg = write_config(
@@ -711,7 +713,7 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.startswith("check activation-kernel-vs-subset-average: pass")
         assert "validate: PASS (2 passed, 3 skipped, 0 failed)" in out
-        assert sum(calls) == 380 + 256
+        assert sum(calls) == 380 + 51
 
     def test_subset_averages_stream(self):
         # n = 40, m = 1: checks 1 and 2 share 1,561 kernels of 40 x 40, 20 MB

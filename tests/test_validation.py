@@ -299,6 +299,53 @@ class TestArrayLaws:
             assert np.array_equal(validation._expected_exponentials(v, T), acc)
 
 
+class TestDistinctGraphs:
+    """Each stack decomposes each distinct union graph once."""
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_each_distinct_graph_decomposed_once(self, n, data):
+        # m = 1 makes (c, {j}) and (j, {c}) the same edge; stacks of a
+        # drawn size (at most about 40 of them), a few bytes over, end
+        # mid-enumeration
+        m = data.draw(st.integers(1, n - 1))
+        a = tuple(data.draw(st.floats(0.01, 1.0 / n)) for _ in range(n))
+        rule = _random_table(n, data) if data.draw(st.booleans()) else UNIFORM_TIE_BREAK
+        v = _variant(ModelParams(n, m, a, data.draw(st.floats(0.1, 2.0))), "full", rule)
+        T = np.array([0.01, 2.0 * v.p.dt, 7.5])
+        branches = _branches(v)
+        per_config = 8 * n * n * len(T)
+        size = data.draw(st.integers(max(1, len(branches) // 40), max(1, len(branches) - 1)))
+        chunk = size * per_config + data.draw(st.integers(0, per_config - 1))
+        decomposed = []
+        exact = validation.expm_sym
+
+        def spy(L, t):
+            decomposed.append(L.copy())
+            return exact(L, t)
+
+        with mock.patch.object(graph_core, "STACK_BYTES", chunk), \
+                mock.patch.object(validation, "expm_sym", spy):
+            got = validation._expected_exponentials(v, T)
+        # added one configuration at a time, each kernel that of its own
+        # Laplacian alone, taken once an edge set (the Laplacian's inputs)
+        edges = [frozenset(frozenset((c, j)) for c, N in stars for j in N) for _, stars in branches]
+        laplacian, kernel = {}, {}
+        acc = np.zeros((len(T), n, n))
+        for (w, stars), e in zip(branches, edges):
+            if e not in kernel:
+                laplacian[e] = star_union_laplacian(n, [StarSpec(n, *s) for s in stars])
+                kernel[e] = expm_sym(laplacian[e], T)
+            acc += w * kernel[e]
+        assert np.array_equal(got, acc)
+        assert len(decomposed) == -(-len(branches) // size)
+        for L, lo in zip(decomposed, range(0, len(branches), size)):
+            got_graphs = sorted(x.tolist() for x in L)  # by value: -0.0 == 0.0
+            assert all(x != y for x, y in zip(got_graphs, got_graphs[1:]))  # no graph twice
+            distinct = set(edges[lo:lo + size])
+            assert got_graphs == sorted(laplacian[e].tolist() for e in distinct)
+
+
 class TestBranchProbabilities:
     @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch"]))
     @settings(max_examples=40, deadline=None)
