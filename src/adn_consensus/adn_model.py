@@ -213,7 +213,7 @@ class Variant:
     name: str  # the config's model tag
 
     def __init__(self, p: ModelParams, bins: np.ndarray, log_idle: float):
-        self.p, self._bins, self.log_idle = p, bins, log_idle
+        self.p, self._bins, self.log_idle = p, bins[:-1], log_idle
         self.p_event = float(bins[-1])
 
     def gaps(self, rng, rows: int, cap: int) -> np.ndarray:
@@ -222,13 +222,13 @@ class Variant:
         log_idle), which a rate near 0 sends past any integer."""
         u = rng.random(rows)
         with np.errstate(over="ignore"):
-            g = np.floor(np.log1p(-u) / self.log_idle)
+            g = np.log1p(-u) / self.log_idle  # >= 0, so the cast below floors it
         return np.minimum(g, cap - 1).astype(np.int64) + 1
 
     def _first(self, rng, rows: int) -> np.ndarray:
         """One uniform a row: the first centre, 0-based, by inverse CDF."""
-        first = np.searchsorted(self._bins, rng.random(rows) * self.p_event, side="right")
-        return np.minimum(first, self.p.n - 1)  # u * p_event rounded up to p_event
+        # in the first n - 1 bins, so u * p_event rounded up to p_event gives n - 1
+        return self._bins.searchsorted(rng.random(rows) * self.p_event, side="right")
 
     def neighbours(self, rng, centre: np.ndarray) -> np.ndarray:
         """Each star's m neighbours, 0-based and increasing: the m smallest
@@ -241,7 +241,8 @@ class Variant:
             c = centre[lo:lo + size]
             keys = rng.random((len(c), n))
             keys[np.arange(len(c)), c] = 2.0
-            out[lo:lo + size] = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
+            out[lo:lo + size] = keys.argpartition(m - 1, axis=1)[:, :m]
+            out[lo:lo + size].sort(axis=1)
         return out
 
     def folded(self) -> tuple:
@@ -298,6 +299,7 @@ class Full(Variant):
             idle = np.cumsum(np.log1p(-p.rates))
         # P(one of nodes 1..i activates), increasing to p_event
         super().__init__(p, -np.expm1(idle), float(idle[-1]))
+        self._nodes = np.arange(p.n)
 
     def law(self):
         return activation_sets(self.p)
@@ -318,14 +320,14 @@ class Full(Variant):
         its rate."""
         n, first = self.p.n, self._first(rng, rows)
         active = rng.random((rows, n)) < self.p.rates
-        active &= np.arange(n) > first[:, None]
+        active &= self._nodes > first[:, None]
         active[np.arange(rows), first] = True
         return active
 
     def centres(self, rng, rows: int) -> tuple:
         """The stars' (row, centre) pairs of ``rows`` periods that each have
         one, centres 0-based and increasing within a row, rows increasing."""
-        return np.nonzero(self._active(rng, rows))
+        return self._active(rng, rows).nonzero()
 
 
 class FastSwitch(Full):

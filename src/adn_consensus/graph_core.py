@@ -66,8 +66,7 @@ def star_union_laplacians(k: int, n: int, row, centre, nbs) -> np.ndarray:
     r, c = row[:, None], centre[:, None]
     L[r, c, nbs] = L[r, nbs, c] = -1.0
     diagonal = L.reshape(k, n * n)[:, :: n + 1]  # a view into L
-    diagonal[...] = 0.0
-    diagonal[...] = -(L @ np.ones(n))  # minus the row sums, exact in integers
+    diagonal -= L @ np.ones(n)  # less the row sums, padding's -1.0 in them: degrees, +0.0 if 0
     return L
 
 
@@ -178,13 +177,13 @@ def taylor_plan(theta: float) -> tuple:
 
 
 def expm_action(L: np.ndarray, t: float, Z: np.ndarray, m: int, s: int, mu: float) -> np.ndarray:
-    """e**(-t*L) @ Z for a (k, n, n) stack of Laplacians L of largest degree
-    at most mu and a (k, n, 1) stack of states Z; it overwrites L with
-    A = L - mu*I and Z with the result, which it returns. s steps of h = t/s,
-    each Z <- e**(-h*mu) sum_{j<=m} (-h*A)**j Z / j! (the shifted, truncated
-    Taylor series of Al-Mohy and Higham, "Computing the action of the matrix
-    exponential", SIAM J. Sci. Comput. 33(2), 2011), with two state-sized
-    temporaries and no n x n one.
+    """e**(-t*L) @ Z for a C-contiguous (k, n, n) stack of Laplacians L of
+    largest degree at most mu and a (k, n, 1) stack of states Z; it
+    overwrites L with A = L - mu*I and Z with the result, which it returns.
+    s steps of h = t/s, each Z <- e**(-h*mu) sum_{j<=m} (-h*A)**j Z / j!
+    (the shifted, truncated Taylor series of Al-Mohy and Higham, "Computing
+    the action of the matrix exponential", SIAM J. Sci. Comput. 33(2),
+    2011), with two state-sized temporaries and no n x n one.
 
     Bound: by Gershgorin A's eigenvalues lie in [-mu, mu], row i's disc
     being L_ii - mu +- L_ii. For x = h*(lam - mu) in [-theta, theta],
@@ -196,13 +195,13 @@ def expm_action(L: np.ndarray, t: float, Z: np.ndarray, m: int, s: int, mu: floa
     e**(-t*L) z before rounding; the terms' norms sum to at most
     e**theta ||z||_2, scaled back alike, so rounding adds a few ulps of
     ||z||_2 a step."""
-    np.einsum("kii->ki", L)[...] -= mu  # its diagonals, a view
+    k, n = L.shape[:2]
+    L.reshape(k, n * n, copy=False)[:, :: n + 1] -= mu  # its diagonals, a view
     h = -t / s
-    term, product = np.empty_like(Z), np.empty_like(Z)
+    term, product = np.empty(Z.shape), np.empty(Z.shape)
     for _ in range(s):
-        term[...] = Z
         for j in range(1, m + 1):
-            np.matmul(L, term, out=product)
+            np.matmul(L, term if j > 1 else Z, out=product)
             np.multiply(product, h / j, out=term)
             Z += term
         Z *= math.exp(h * mu)

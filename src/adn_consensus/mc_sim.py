@@ -11,10 +11,11 @@ censored, and the rest draw that period's stars and take its heat kernel
 for a lone star; for several, the kernel's action on the states by a shifted
 Taylor series (``graph_core.expm_action``) below a cost switch in dt times
 the largest degree, joined there by lone stars where cheaper, and stacked
-eigen-solves (``expm_sym``) above it, on the touched nodes where cheaper.
-Block b reads ``stream(seed, PATHS, b)``; workers take whole blocks and
-counts are exact integers, so results are identical for any number of
-workers. ``step`` is the one-path reference the engine's update matches.
+eigen-solves (``expm_sym``) above it, on the touched nodes where cheaper,
+"cheaper" by the fitted costs of ``_COST``. Block b reads ``stream(seed,
+PATHS, b)``; workers take whole blocks and counts are exact integers, so
+results are identical for any number of workers. ``step`` is the one-path
+reference the engine's update matches.
 """
 
 import os
@@ -25,13 +26,21 @@ import numpy as np
 
 from .adn_model import PATHS, Snapshot, Variant, snapshot_laplacian, stream
 from .closed_form import star_kernel_scalars
-from .graph_core import expm_action, expm_sym, stacks, star_union_laplacians, taylor_plan
+from .graph_core import STACK_BYTES, expm_action, expm_sym, star_union_laplacians, taylor_plan
 
 # Paths advanced together, whatever the worker count: the unit of the
 # random streams and of the work handed to a worker.
 BLOCK = 256
 # The environment a worker process starts in, on top of its parent's.
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# The routes' costs in us on one core of a 2-core Xeon VM (numpy 2.4, OpenBLAS),
+# each a line fitted to timeit figures of the calls it prices: a Taylor term of
+# a (k, n, n) stack, term + term_nn k n^2, against eigh + eigh_nn k n^2 for the
+# eigen-solve route; a lone row in the action's stacks, lone_build n^2 plus
+# lone_term n^2 a term, against lone_gather for the closed form; eigh_nnn n^3 a
+# matrix of eigh, against support_gather for the gathers of ``_on_supports``.
+_COST = {"term": 4.0, "term_nn": 5e-4, "eigh": 40.0, "eigh_nn": 0.12, "lone_build": 7e-4,
+         "lone_term": 6e-4, "lone_gather": 40.0, "eigh_nnn": 2e-3, "support_gather": 30.0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +68,7 @@ def project_off_consensus(z) -> np.ndarray:
     """Orthogonal projection onto the complement of the consensus line:
     subtract the mean from every coordinate (of each row of a stack)."""
     z = np.asarray(z, dtype=np.float64)
-    return z - z.mean(axis=-1, keepdims=True)
+    return z - z.sum(axis=-1, keepdims=True) / z.shape[-1]  # np.mean's arithmetic
 
 
 def off_consensus_sq(z):
@@ -112,9 +121,9 @@ def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
     multi = count > 1
     k, n = np.count_nonzero(multi), Z.shape[1]
     plan = k and _cheaper_plan(dt * m, k, n)
-    # on that machine a lone row costs a stack about 7e-4 n^2 us to build and
-    # 6e-4 n^2 a Taylor term (its share of 4 us); the closed form and gathers 40 us
-    if plan and (len(Z) - k) * n * n * (6e-4 * plan[0] * plan[1] + 7e-4) < 40.0:
+    if plan and (len(Z) - k) * n * n * (
+        _COST["lone_term"] * plan[0] * plan[1] + _COST["lone_build"]
+    ) < _COST["lone_gather"]:
         return _stacked(Z, count, centre, nbs, dt, True)
     lone = ~multi[row]
     if k < len(Z):
@@ -135,13 +144,13 @@ def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
     dearer at dt times the stack's largest degree, else ``expm_sym``, without
     ``taylor`` on the rows' supports (``_on_supports``) where that is cheaper."""
     n, m = Z.shape[1], nbs.shape[1]
-    ends = np.cumsum(count)
-    for chunk in stacks(range(len(Z)), n):
-        lo, hi = chunk[0], chunk[-1] + 1
+    ends, size = count.cumsum(), max(1, STACK_BYTES // (8 * n * n))  # ``stacks``' rule
+    for lo in range(0, len(Z), size):
+        hi = min(lo + size, len(Z))
         a, b = ends[lo] - count[lo], ends[hi - 1]  # the stack's stars
-        row = np.repeat(np.arange(hi - lo), count[lo:hi])
+        row = np.arange(hi - lo).repeat(count[lo:hi])
         w = n if taylor else min(n, int(count[lo:hi].max()) * (m + 1))  # no row touches more
-        if (hi - lo) * 2e-3 * (n**3 - w**3) > 30.0:  # us: eigh saved vs gathers
+        if (hi - lo) * _COST["eigh_nnn"] * (n**3 - w**3) > _COST["support_gather"]:
             _on_supports(Z[lo:hi], row, centre[a:b], nbs[a:b], dt)
             continue
         L = star_union_laplacians(hi - lo, n, row, centre[a:b], nbs[a:b])
@@ -171,13 +180,12 @@ def _on_supports(Z, row, centre, nbs, dt: float) -> None:
 
 def _cheaper_plan(theta: float, k: int, n: int):
     """``taylor_plan(theta)`` if ``expm_action`` with it on a (k, n, n) stack
-    should beat ``expm_sym`` and a product, else None. Cost in us on one core
-    of a 2-core Xeon VM (numpy 2.4, OpenBLAS): a Taylor term about
-    4 + 5e-4 k n^2, the eigen-solve route 40 + 0.12 k n^2."""
-    size = k * n * n
+    should beat ``expm_sym`` and a product by ``_COST``, else None."""
+    size, c = k * n * n, _COST
     try:
         m, s = taylor_plan(theta)
-        return (m, s) if m * s * (4.0 + 5e-4 * size) < 40.0 + 0.12 * size else None
+        taylor = m * s * (c["term"] + c["term_nn"] * size)
+        return (m, s) if taylor < c["eigh"] + c["eigh_nn"] * size else None
     except OverflowError:  # theta or the step count past the float range
         return None
 
@@ -199,8 +207,8 @@ def _count_block(v, z0, k_max, eps, seed, b, paths):
     while len(k):
         k += v.gaps(rng, len(k), k_max + 1)
         out = k > k_max
-        if out.any():
-            taus[-1] += np.count_nonzero(out)
+        if gone := np.count_nonzero(out):
+            taus[-1] += gone
             Z, cur, k = Z[~out], cur[~out], k[~out]
             if not len(k):
                 break
@@ -209,7 +217,7 @@ def _count_block(v, z0, k_max, eps, seed, b, paths):
         new = off_consensus_sq(Z)
         rises += int(np.count_nonzero(new > cur * (1.0 + 1e-12) + 1e-15))
         done = new < eps
-        if done.any():
+        if np.count_nonzero(done):
             np.add.at(taus, k[done], 1)
             Z, new, k = Z[~done], new[~done], k[~done]
         cur = new

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adn_consensus import (
     VARIANTS,
@@ -328,6 +328,67 @@ class TestVariantLaws:
         ]
         digest = hashlib.sha256(repr(stream).encode()).hexdigest()[:16]
         assert digest == self.STREAM_DIGESTS[variant]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_neighbours_are_the_m_smallest_keys(self, data):
+        # on the same stream as one draw of every key and np.sort of
+        # np.argpartition, with chunks of 1 to 3 rows so that a draw spans them
+        n = data.draw(st.integers(2, 12))
+        m, rows = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, 9))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        centre = np.random.default_rng(seed).integers(0, n, rows)
+        v = Full(ModelParams(n, m, (0.5,) * n, 1.0))
+        chunk = data.draw(st.integers(1, 3)) * 8 * n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adn_model, "STACK_BYTES", chunk)
+            got = v.neighbours(np.random.default_rng(seed + 1), centre)
+        keys = np.random.default_rng(seed + 1).random((rows, n))
+        keys[np.arange(rows), centre] = 2.0
+        ref = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
+        assert got.dtype == np.intp and np.array_equal(got, ref)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_first_centre_and_gaps_follow_their_formulas(self, data):
+        # on the same uniforms as the inverse CDF over all n bins clipped to
+        # n - 1, and the floored, capped geometric; with rates of 1 (log_idle
+        # -inf), subnormal ones (p_event may be subnormal, the quotient may
+        # overflow) and the extreme uniforms 0 and 1 - 2**-53
+        n = data.draw(st.integers(2, 8))
+        rate = st.sampled_from([1.0, 0.5, 1e-9, 1e-300, 5e-324]) | st.floats(1e-6, 1.0)
+        p = ModelParams(n, 1, tuple(data.draw(st.lists(rate, min_size=n, max_size=n))), 1.0)
+        cls = data.draw(st.sampled_from([Full, FastSwitch] + [Sparse] * p.sparse_regime))
+        v, rates = cls(p), np.array(p.a)
+        if cls is Sparse:
+            bins = np.cumsum(rates)
+            log_idle = np.log1p(-bins[-1]) if bins[-1] < 1.0 else -np.inf
+        else:
+            with np.errstate(divide="ignore"):  # log1p(-1) = -inf
+                idle = np.cumsum(np.log1p(-rates))
+            bins, log_idle = -np.expm1(idle), idle[-1]
+        rows, cap = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 60))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        for u0 in (None, 0.0, math.nextafter(1.0, 0.0)):
+            def draws():
+                return np.random.default_rng(seed) if u0 is None else _Draws(u0)
+            u = draws().random(rows)
+            first = np.minimum(np.searchsorted(bins, u * v.p_event, side="right"), n - 1)
+            assert np.array_equal(v._first(draws(), rows), first)
+            with np.errstate(over="ignore"):
+                gaps = np.minimum(np.floor(np.log1p(-u) / log_idle), cap - 1).astype(np.int64) + 1
+            got = v.gaps(draws(), rows, cap)
+            assert got.dtype == np.int64 and np.array_equal(got, gaps)
+
+    @pytest.mark.parametrize("cls", [Full, Sparse])
+    def test_top_uniform_at_a_subnormal_event_rate_is_the_last_centre(self, cls):
+        # p_event = 3 * 5e-324 is subnormal, where u * p_event rounds up to
+        # p_event for u = 1 - 2**-53: every bin is at most the draw
+        v = cls(ModelParams(3, 1, (5e-324,) * 3, 1.0))
+        assert 0.0 < v.p_event < np.finfo(float).tiny
+        top = math.nextafter(1.0, 0.0)
+        assert top * v.p_event == v.p_event
+        assert v._first(_Draws(top), 4).tolist() == [2] * 4
 
     @pytest.mark.parametrize("variant", list(LAWS))
     def test_sampler_matches_exact_law(self, variant):

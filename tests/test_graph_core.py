@@ -358,6 +358,32 @@ class TestStarUnionLaplacians:
             stars = [(c + 1, N + 1) for c, N in zip(centre[row == r], nbs[row == r])]
             assert np.array_equal(L[r], np.array(star_union_laplacian_ints(n, stars)))
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_negative_zero_so_bytes_match_the_one_graph_call(self, data):
+        # an untouched node's diagonal is +0.0, so a matrix of the stack has
+        # the bytes of its graph built alone and cast from int64; stars may
+        # be padded with their centre and a graph may have none
+        n, k = data.draw(st.integers(2, 9)), data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(1, n - 1))
+        row = np.array(sorted(data.draw(st.lists(st.integers(0, k - 1), max_size=12))), dtype=np.intp)
+        centre = np.array([data.draw(st.integers(0, n - 1)) for _ in row], dtype=np.intp)
+        nbs = np.array(
+            [data.draw(st.permutations([j for j in range(n) if j != c]))[:m] for c in centre],
+            dtype=np.intp,
+        ).reshape(len(row), m)
+        for q, c in enumerate(centre):
+            nbs[q, : data.draw(st.integers(0, m))] = c
+        L = star_union_laplacians(k, n, row, centre, nbs)
+        assert not (np.signbit(L) & (L == 0)).any()
+        for r in range(k):
+            stars = [
+                StarSpec(n, c + 1, tuple(N[N != c] + 1))
+                for c, N in zip(centre[row == r], nbs[row == r])
+                if (N != c).any()
+            ]
+            assert L[r].tobytes() == star_union_laplacian(n, stars).astype(float).tobytes()
+
 
 @st.composite
 def star_union_stacks(draw, max_n=30):

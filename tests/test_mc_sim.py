@@ -58,6 +58,16 @@ class TestProjection:
     def test_squared_norm(self):
         assert off_consensus_sq([1.0, 3.0]) == pytest.approx(2.0)
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_is_np_mean_bit_for_bit(self, data):
+        # one state or a stack of them: the engine's norms, and so every
+        # first passage, depend on these bytes
+        shape = data.draw(st.sampled_from([(), (1,), (6,), (3,)])) + (data.draw(st.integers(1, 40)),)
+        seed, scale = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.sampled_from([1e-8, 1.0, 1e6]))
+        z = np.random.default_rng(seed).uniform(-scale, scale, shape)
+        assert project_off_consensus(z).tobytes() == (z - z.mean(axis=-1, keepdims=True)).tobytes()
+
 
 @st.composite
 def star_specs(draw, max_n=7):
