@@ -1,6 +1,6 @@
 """The activity-driven model and its three variants, ``Full``, ``Sparse``
 and ``FastSwitch``: each one class holding its law of star centres, exact
-(``law``) and sampled for many paths at once (``centres``;
+(``folded``) and sampled for many paths at once (``centres``;
 ``generate_snapshot`` is the one-period call), its enumeration size and
 its decay-rate ``bound``; and the snapshot-count formula.
 
@@ -196,9 +196,10 @@ def _survivor(active: list, rule: TieBreakRule, u: float) -> int:
 
 class Variant:
     """One regime of the model: a law of one period's star centres, exact
-    (``law``: (centres, probability) pairs, centres increasing), sized for
-    enumeration in closed form (``size``) and drawn for many paths at once
-    (``centres``, given that the period has a star).
+    (``folded``: (centre tuples, probabilities), the tuples distinct and
+    each increasing), sized for enumeration in closed form (``size``) and
+    drawn for many paths at once (``centres``, given that the period has a
+    star).
 
     The draws all regimes share live here. A period has a star with
     probability ``p_event``, the last of the increasing ``bins`` that the
@@ -245,11 +246,6 @@ class Variant:
             out[lo:lo + size].sort(axis=1)
         return out
 
-    def folded(self) -> tuple:
-        """``law`` as (centre tuples, probabilities), its rows being distinct;
-        ``FastSwitch`` folds its own."""
-        return tuple(zip(*self.law()))
-
     def bound(self):
         """The certified decay rate of a one-star variant: ``decay_bound``."""
         from .spectral import decay_bound  # spectral imports this module
@@ -271,8 +267,10 @@ class Sparse(Variant):
         log_idle = math.log1p(-p.rate_sum) if p.rate_sum < 1.0 else -math.inf
         super().__init__(p, p.rates_cumsum, log_idle)
 
-    def law(self):
-        return [((), 1.0 - self.p.rate_sum)] + [((i + 1,), a) for i, a in enumerate(self.p.a)]
+    def folded(self) -> tuple:
+        """(), with 1 - sum(a), then (i,) with a_i for each node i."""
+        tuples = ((),) + tuple((i,) for i in range(1, self.p.n + 1))
+        return tuples, (1.0 - self.p.rate_sum,) + self.p.a
 
     def size(self) -> int:
         """Its 1 + n*C(n-1, m) configurations."""
@@ -301,8 +299,9 @@ class Full(Variant):
         super().__init__(p, -np.expm1(idle), float(idle[-1]))
         self._nodes = np.arange(p.n)
 
-    def law(self):
-        return activation_sets(self.p)
+    def folded(self) -> tuple:
+        """The ``activation_sets`` in mask order, as (centre tuples, probabilities)."""
+        return tuple(zip(*activation_sets(self.p)))
 
     def size(self) -> int:
         """Its (1 + C(n-1, m))**n configurations (``snapshot_count``), more
@@ -337,19 +336,11 @@ class FastSwitch(Full):
 
     name = "fastswitch"
 
-    def law(self):
-        sets = activation_sets(self.p)
-        yield next(sets)  # the empty set, first, with P(none active)
-        for members, prob in sets:
-            weights = self.p.rule.weights_for(frozenset(members))
-            for i in members:
-                if (wi := weights.get(i, 0.0)) > 0.0:
-                    yield (i,), prob * wi
-
     def folded(self) -> tuple:
-        """``law`` folded onto its 1 + n centre tuples (), (1,), ..., (n,), in
-        the order they first come: P(S) * w_i(S) added for each node i over the
-        activation sets S in mask order by ``np.bincount``, sums so far first."""
+        """The law folded onto its 1 + n centre tuples (), (1,), ..., (n,):
+        P(none active) for (), and P(S) * w_i(S) added for each node i over
+        the activation sets S in mask order by ``np.bincount``, sums so far
+        first."""
         n, b, p_none, rule = self.p.n, np.zeros(self.p.n), None, self.p.rule
         for active, prob in activation_chunks(self.p):
             p_none = prob[0] if p_none is None else p_none  # the empty set, mask 0
@@ -363,8 +354,9 @@ class FastSwitch(Full):
         return ((),) + tuple((i,) for i in range(1, n + 1)), np.concatenate([[p_none], b])
 
     def size(self) -> int:
-        """1 + n*2**(n-1), its law's rows under the uniform rule, which no
-        table exceeds and which outnumber its 1 + n*C(n-1, m) configurations."""
+        """1 + n*2**(n-1), the (activated set, survivor) pairs of its law
+        unfolded under the uniform rule, which no table exceeds and which
+        outnumber its 1 + n*C(n-1, m) configurations."""
         return 1 + self.p.n * 2 ** (self.p.n - 1)
 
     def weights(self) -> np.ndarray:

@@ -112,10 +112,10 @@ def star_laplacian_power(spec: StarSpec, k: int) -> np.ndarray:
     return L
 
 
-def symmetrize(M: np.ndarray) -> np.ndarray:
+def symmetrize(M: np.ndarray, out=None) -> np.ndarray:
     """(M + M.T) / 2, restoring exact symmetry after float computation, for
-    one matrix or each matrix of a stack."""
-    return (M + M.swapaxes(-1, -2)) / 2.0
+    one matrix or each matrix of a stack, into ``out`` if given."""
+    return np.divide(np.add(M, M.swapaxes(-1, -2), out=out), 2.0, out=out)
 
 
 def expm_sym(M: np.ndarray, t) -> np.ndarray:
@@ -147,12 +147,13 @@ def expm_sym(M: np.ndarray, t) -> np.ndarray:
         return _recompose(w, V, t)
     out = np.empty(times.shape + M.shape)
     for i, ti in enumerate(times.tolist()):
-        out[i] = _recompose(w, V, ti)
+        _recompose(w, V, ti, out[i])
     return out
 
 
-def _recompose(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
-    """``expm_sym``'s recomposition of one eigendecomposition or a stack."""
+def _recompose(w: np.ndarray, V: np.ndarray, t: float, out=None) -> np.ndarray:
+    """``expm_sym``'s recomposition of one eigendecomposition or a stack,
+    into ``out`` if given."""
     # eigh returns each eigenvalue only to about n * _EPS * max|w|, and
     # e**(-t*w) turns that residue on a zero eigenvalue into an error about
     # t times as large. Once the error could show, eigenvalues within each
@@ -165,7 +166,7 @@ def _recompose(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
     # forms; elsewhere it may overflow to -inf, and e**-inf = 0 is exact
     with np.errstate(over="ignore"):
         decay = np.exp(np.multiply(-t, w, out=np.zeros_like(w), where=~zero))
-    return symmetrize((V * decay[..., None, :]) @ V.swapaxes(-1, -2))
+    return symmetrize((V * decay[..., None, :]) @ V.swapaxes(-1, -2), out)
 
 
 def taylor_plan(theta: float) -> tuple:

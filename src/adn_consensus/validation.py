@@ -1,28 +1,26 @@
 """Brute-force enumeration oracles for the expected heat kernels, and the
 numerical probe of the fast-switching eigenvalue inequality.
 
-Enumeration is exact or refused, with no sampling anywhere. The variant's
-law of star centres folded onto its distinct centre tuples
-(``Variant.folded``) is expanded, each tuple with its true probability,
-into every choice of one star per centre (``center_star_table``) by index
-arithmetic, in ``product`` order. ``Full`` and ``Sparse`` rows are distinct
-already; ``FastSwitch`` has a row per (activated set, survivor) but only
-1 + n tuples, which it sums as arrays over the activation sets, so it
-takes 1 + n*C(n-1, m) dense exponentials under any rule. Consecutive
-configurations are built as one Laplacian stack within
-``graph_core.STACK_BYTES`` (``star_union_laplacians``). Many share a union
-graph (check 5's 256 probe configurations have 51), so each distinct
-adjacency of a stack is decomposed once for every exponent scale asked for
-and gathered back to its configurations, whose weighted exponentials are
-added in configuration order by one reduction a stack: memory stays bounded
-at any size and each sum is, bit for bit, the one of adding them one at a time.
+Enumeration is exact or refused, with no sampling anywhere, and one walk
+(``_expected_kernels``) serves all of it: one list of centre tuples, and
+laws over them, one a row, each a variant's law folded onto its distinct
+tuples (``Variant.folded``) or put on another's, 0 off its own. Each tuple
+is expanded into every choice of one star per centre
+(``center_star_table``) by index arithmetic, in ``product`` order, and
+consecutive configurations are built as one Laplacian stack within
+``graph_core.STACK_BYTES``. Many share a union graph (check 5's 256 probe
+configurations have 51), so each distinct adjacency of a stack is
+decomposed once for every exponent scale asked for and gathered back to
+its configurations, whose weighted exponentials are added in order by one
+reduction a stack and law: memory stays bounded at any size and each sum
+is, bit for bit, that of adding them one at a time, the law walked alone.
 
 ``validate(p)`` runs the five checks of ``adn validate`` on a model: each
 closed form against its oracle, and each variant's bound against the second
-eigenvalue of its enumerated kernel. Checks 1-3 all read the 1 + n*C(n-1, m)
-one-star configurations, the empty one and each single star, and share one
-pass over them (``_one_star_pass``) that decomposes each Laplacian once.
-Check 5 sums the fast-switching kernels from the full model's.
+eigenvalue of its enumerated kernel. Checks 2 and 3 are two laws of one walk
+of the 1 + n*C(n-1, m) one-star configurations, whose star kernels check 1
+reads once the sums are taken (``_centre_means``). Check 5 walks the full
+model's configurations with the fast-switching law as a second row.
 """
 
 import dataclasses
@@ -70,15 +68,15 @@ def _require_enumerable(v: Variant):
         )
 
 
-def _enumerate_branches(v: Variant, copies: int = 1):
+def _enumerate_branches(p: ModelParams, tuples, probs, copies: int = 1):
     """Yield (weights, row, centre, nbs) stacks of consecutive
     configurations, each within ``STACK_BYTES`` at ``copies`` n x n matrices
-    a configuration: the variant's ``folded`` law, each centre tuple
-    times each choice of one neighbour set per centre from
-    ``center_star_table``, in ``product`` order. Configuration r of a
-    stack has the stars q with row[q] == r, each joining centre[q] to
-    nbs[q] (0-based, the flat form ``star_union_laplacians`` reads)."""
-    p, (tuples, probs) = v.p, v.folded()
+    a configuration: each centre tuple of ``tuples`` times each choice of
+    one neighbour set per centre from ``center_star_table``, in ``product``
+    order, weighted under each law (a row of ``probs``, over the tuples) by
+    its tuple's probability over its choices. Configuration r of a stack
+    has the stars q with row[q] == r, each joining centre[q] to nbs[q]
+    (0-based, the flat form ``star_union_laplacians`` reads)."""
     table = center_star_table(p)
     lens = np.array([len(centres) for centres in tuples])
     C, width = table.shape[1], int(lens.max())
@@ -90,59 +88,74 @@ def _enumerate_branches(v: Variant, copies: int = 1):
     for chunk in stacks(range(sizes.sum()), p.n, copies):
         q = np.arange(chunk[0], chunk[-1] + 1)
         g = np.searchsorted(starts, q, side="right") - 1
-        # a tuple's choice, right-aligned: its digits in base C, last fastest
-        digit = np.stack(np.unravel_index(q - starts[g], (C,) * width), axis=-1)
         row, col = np.nonzero(real[g])
         c = centre[g[row], col]
-        yield weights[g], row, c, table[c, digit[row, col]]
+        # a tuple's choice, right-aligned: its digits in base C, last fastest
+        digit = (q - starts[g])[row] // C ** (width - 1 - col) % C
+        yield weights[..., g], row, c, table[c, digit]
 
 
-def _kernel_stacks(v: Variant, T: np.ndarray):
-    """Yield (weights, row, kernels) a stack of ``_enumerate_branches(v)``:
-    its exponentials at each scale t in T, (len(T), k, n, n), each distinct
-    union graph of the stack decomposed once for all of T and gathered to
-    its configurations, bit for bit as each alone."""
-    _require_enumerable(v)
-    total = 0.0
-    for weights, row, centre, nbs in _enumerate_branches(v, max(len(T), 1)):
-        L = star_union_laplacians(k := len(weights), v.p.n, row, centre, nbs)
+def _expected_kernels(p: ModelParams, tuples, probs: np.ndarray, T: np.ndarray, stars=None):
+    """Exact E[e**(-t*L)] at each t in T under each law, a row of ``probs``
+    over ``tuples`` summing to 1: (laws, len(T), n, n), the weighted kernels
+    of each stack of ``_enumerate_branches`` added in order, the sum so far
+    into the first, by one ``np.add.reduce``, bit for bit one at a time, and
+    each law's as if walked alone: a zero weight adds +-0 to a sum that is
+    never -0. stars(row, centre, kernels), if given, then reads a stack's
+    kernels, which it may overwrite."""
+    for total in probs.sum(axis=1).tolist():
+        if abs(total - 1.0) > 1e-9:
+            raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
+    acc = np.zeros((len(probs), len(T), p.n, p.n))
+    for weights, row, centre, nbs in _enumerate_branches(p, tuples, probs, len(T)):
+        L = star_union_laplacians(k := weights.shape[1], p.n, row, centre, nbs)
         key = np.packbits(L.reshape(k, -1) != 0, axis=1)  # the adjacency, as bytes
         key = key.view(f"V{key.shape[1]}")[:, 0]
         _, first, which = np.unique(key, return_index=True, return_inverse=True)
-        yield weights, row, expm_sym(L[first], T)[:, which]
-        total += float(weights.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
-
-
-def _add_weighted(acc, kernels, weights) -> np.ndarray:
-    """acc plus the weighted kernels, which it overwrites, added in order by
-    one ``np.add.reduce``, as if one at a time, bit for bit."""
-    kernels *= weights[:, None, None]
-    kernels[:, 0] += acc
-    return np.add.reduce(kernels, axis=1)
-
-
-def _expected_exponentials(v: Variant, T: np.ndarray) -> np.ndarray:
-    """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n)."""
-    acc = np.zeros((len(T), v.p.n, v.p.n))
-    for weights, _, kernels in _kernel_stacks(v, T):
-        acc = _add_weighted(acc, kernels, weights)
+        if len(first) == k:  # all distinct: decomposed in place, not permuted and gathered
+            first = which = slice(None)
+        kernels = expm_sym(L[first], T)[:, which]
+        weighted = kernels * weights[:, None, :, None, None]
+        weighted[:, :, 0] += acc
+        acc = np.add.reduce(weighted, axis=2)
+        if stars is not None:
+            stars(row, centre, kernels)
     return acc
 
 
-def _one_star_weights(probs, C: int) -> np.ndarray:
-    """One-star configurations' weights: a tuple's probability over its C choices."""
-    w = np.concatenate([[probs[0]], np.repeat(np.asarray(probs[1:]) / C, C)])
-    if abs((total := float(w.sum())) - 1.0) > 1e-9:
-        raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
-    return w
+def _centre_means(C: int, centre_mean):
+    """A ``stars`` reader of the tuples (), if there, (1,), ..., (n,): it calls
+    centre_mean(i, mean kernel of centre i's C stars) at the first scale
+    for each 0-based centre in turn, added in order by one reduction a
+    stack in a view of its star rows, the sum carried across stack ends."""
+    acc, seen = 0.0, 0  # the current centre's sum so far and its stars
+
+    def read(row, centre, kernels):
+        nonlocal acc, seen
+        stars = kernels[0, kernels.shape[1] - len(row):]
+        starts = np.flatnonzero(np.diff(centre, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(row)]):
+            stars[lo] += acc
+            acc, seen = np.add.reduce(stars[lo:hi], axis=0), seen + hi - lo
+            if seen == C:
+                centre_mean(int(centre[lo]), acc / C)
+                acc, seen = 0.0, 0
+
+    return read
 
 
 def enumerate_expected_exponential(v: Variant) -> np.ndarray:
     """Exact E[e**(-2*dt*L)] as the probability-weighted sum of dense
-    exponentials over every configuration. Refuses oversized enumerations."""
+    exponentials over every configuration of the variant's ``folded`` law.
+    Refuses oversized enumerations."""
     return _expected_exponentials(v, np.array([2.0 * v.p.dt]))[0]
+
+
+def _expected_exponentials(v: Variant, T: np.ndarray) -> np.ndarray:
+    """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n)."""
+    _require_enumerable(v)
+    tuples, probs = v.folded()
+    return _expected_kernels(v.p, tuples, np.array([probs]), T)[0]
 
 
 @dataclass(frozen=True)
@@ -174,19 +187,18 @@ def verify_fast_switch_inequality(p: ModelParams, T_grid) -> FastSwitchReport:
     for T in T_grid:
         if not (0 < T < math.inf):
             raise ValueError(f"exponent scales must be finite and > 0, got {T}")
-    _require_enumerable(FastSwitch(p))  # before any enumeration
-    # both expected kernels from Full's configurations, bit for bit as each
-    # alone: FastSwitch's are those with at most one star, in its order
-    full = fs = np.zeros((len(T_grid), p.n, p.n))
-    w = _one_star_weights(FastSwitch(p).folded()[1], math.comb(p.n - 1, p.m))
-    for weights, row, kernels in _kernel_stacks(Full(p), np.array(T_grid, dtype=float)):
-        if len(q := np.flatnonzero(np.bincount(row, minlength=len(weights)) < 2)):
-            fs, w = _add_weighted(fs, kernels[:, q], w[: len(q)]), w[len(q):]
-        full = _add_weighted(full, kernels, weights)
-    if len(w):
-        raise RuntimeError(f"{len(w)} one-star configurations not enumerated")
+    full, fs = Full(p), FastSwitch(p)
+    for v in (fs, full):
+        _require_enumerable(v)  # before any enumeration
+    # both expected kernels from one walk of Full's configurations:
+    # FastSwitch's law on Full's tuples (), (1,), ..., (n,), at masks 0 and
+    # 2**(i-1), and 0 elsewhere, its sums bit for bit its own
+    tuples, probs = full.folded()
+    probs = np.array([probs, np.zeros(len(probs))])
+    probs[1, np.r_[0, 1 << np.arange(p.n)]] = fs.folded()[1]
+    kernels = _expected_kernels(p, tuples, probs, np.array(T_grid, dtype=float))
     samples = []
-    for T, E_full, E_fs in zip(T_grid, full, fs):
+    for T, E_full, E_fs in zip(T_grid, *kernels):
         lam_full, lam_fs = lambda_second_largest(E_full), lambda_second_largest(E_fs)
         gap = lam_fs - lam_full
         samples.append(GapSample(float(T), lam_full, lam_fs, gap, gap >= -GAP_SLACK))
@@ -198,47 +210,6 @@ def _diff_row(name: str, diffs, tol: float) -> tuple:
     """A check row: the largest entry of the arrays ``diffs`` within ``tol``."""
     d = max(float(np.max(np.abs(x))) for x in diffs)
     return name, f"max diff {d:.3g}, tol {tol:g}", d <= tol
-
-
-def _one_star_pass(params: ModelParams, probs: list, centre_mean=None) -> list:
-    """Decompose each one-star configuration once for every check that reads
-    it: the empty one, then each centre's C(n-1, m) stars in
-    ``center_star_table`` order, in ``stacks``, one ``expm_sym`` call a
-    stack at T = 2*dt. Return, for each folded law's probabilities in
-    ``probs`` (over the tuples (), (1,), ..., (n,)), its expected kernel: a
-    stack's kernels weighted in a copy, the sum so far added into the first
-    and all added in order by one ``np.add.reduce``, bit for bit
-    ``enumerate_expected_exponential``. With ``centre_mean``, also call
-    centre_mean(i, mean kernel of centre i's stars) for each 0-based centre
-    in turn, its kernels added in order by one reduction a stack and the
-    sum carried across stack ends. The empty configuration is taken only
-    for ``probs``, and nothing at all without either."""
-    if not probs and centre_mean is None:
-        return []
-    n, C = (table := center_star_table(params)).shape[:2]
-    weights = [_one_star_weights(pr, C) for pr in probs]
-    sums, acc = [0.0] * len(probs), 0.0  # acc: the current centre's sum so far
-    for q in stacks(range(0 if probs else 1, 1 + n * C), n):
-        q = np.array(q)
-        row = np.flatnonzero(q)  # the configurations with a star
-        centre, j = np.divmod(q[row] - 1, C)
-        L = star_union_laplacians(len(q), n, row, centre, table[centre, j])
-        kernels = expm_sym(L, 2.0 * params.dt)
-        for k, w in enumerate(weights):
-            weighted = kernels * w[q, None, None]
-            weighted[0] += sums[k]
-            sums[k] = np.add.reduce(weighted, axis=0)
-        if centre_mean is None:
-            continue
-        stars = kernels[len(q) - len(row):]  # added into in place, once weighted
-        starts = np.flatnonzero(np.diff(centre, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(row)]):
-            stars[lo] += acc
-            acc = np.add.reduce(stars[lo:hi], axis=0)
-            if j[hi - 1] == C - 1:
-                centre_mean(int(centre[lo]), acc / C)
-                acc = 0.0
-    return sums
 
 
 def _check_rows(params: ModelParams):
@@ -257,8 +228,9 @@ def _check_rows(params: ModelParams):
     #      and each bound against the second eigenvalue of the enumerated
     #      kernel, which it equals with at most one star a period, unless the
     #      variant refuses the params (Sparse, above a rate sum of 1).
-    # The checks that run share one ``_one_star_pass``. refusals: each
-    # check's row detail if refused or skipped, else None.
+    # The checks that run share one walk, the variants' laws as its rows and
+    # check 1 its star reader. refusals: each check's row detail if refused
+    # or skipped, else None.
     subset = "activation-kernel-vs-subset-average"
     if C * n > 200_000:
         refusals = {subset: f"refused: size ({C} subsets per center)"}
@@ -283,8 +255,12 @@ def _check_rows(params: ModelParams):
     def compare(i: int, E: np.ndarray):
         diffs.append(np.max(np.abs(E - activation_expectation(params, i + 1))))
 
-    probs = [v.folded()[1] for v in live.values()]
-    kernels = dict(zip(live, _one_star_pass(params, probs, None if refusals[subset] else compare)))
+    stars = None if refusals[subset] else _centre_means(C, compare)
+    tuples = ((),) * bool(live) + tuple((i,) for i in range(1, n + 1))  # () only for a law
+    probs = np.reshape([v.folded()[1] for v in live.values()], (len(live), len(tuples)))
+    if live or stars:  # else nothing to walk
+        T = np.array([2.0 * params.dt])
+        kernels = dict(zip(live, _expected_kernels(params, tuples, probs, T, stars)[:, 0]))
     for name, refusal in refusals.items():
         if refusal is not None:
             yield name, refusal, None

@@ -99,7 +99,7 @@ class TestModelParams:
         s = under.rate_sum
         assert s == under.rates_cumsum[-1] < math.fsum(under.a) == 1.0
         assert under.sparse_regime
-        assert dict(Sparse(under).law())[()] == 1.0 - s > 0.0
+        assert dict(zip(*Sparse(under).folded()))[()] == 1.0 - s > 0.0
         # the sampler's threshold: a uniform of exactly sum(a) is idle, the
         # next double down has a star, and a centre draw just under 1 picks
         # the last node
@@ -398,9 +398,7 @@ class TestVariantLaws:
         cls, rule = LAWS[variant]
         a = (0.1, 0.5, 0.3, 0.05) if cls is Sparse else (0.1, 0.5, 0.8, 0.3)
         v = cls(ModelParams(4, 1, a, 1.0, rule))
-        law = {}  # fastswitch yields each survivor once per activation set
-        for centres, prob in v.law():
-            law[centres] = law.get(centres, 0.0) + prob
+        law = dict(zip(*v.folded()))
         assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(123)
         trials = 20000

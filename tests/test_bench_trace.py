@@ -37,11 +37,10 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # record nothing. Checks 2 and 3 compare each bound with the second
 # eigenvalue of the enumerated kernel, so ``lambda_second_deflated``, the
 # dense reference's eigenvalue, moved to ``tests/oracles.py``.
-# Checks 1-3 take their one-star kernels from one shared pass
-# (``validation._one_star_pass``), and check 5 enumerates through
-# ``_expected_exponentials``, so validate no longer calls
-# ``enumerate_expected_exponential``, which stays for the tests and the
-# public API, and its span records nothing.
+# Checks 1-3 and check 5 each take their kernels from one walk of the
+# enumeration (``validation._expected_kernels``), so validate no longer
+# calls ``enumerate_expected_exponential``, which stays for the tests and
+# the public API, and its span records nothing.
 # They stay pinned here, exactly, until the benchmark's trace drops them.
 RETIRED_BINDINGS = [
     "mc_sim.generate_snapshot",

@@ -21,6 +21,7 @@ from adn_consensus import (
     adn_model,
     cli,
     gamma_sp,
+    graph_core,
     snapshot_count,
     star_laplacian,
     validation,
@@ -697,6 +698,31 @@ class TestValidateCommand:
             f"wrote {out / 'gaps.csv'}",
         ]
 
+    # the shipped configs' check lines as printed; the probe lines are the
+    # same on every config, its model and grid being fixed
+    SHIPPED_STDOUT = {
+        "validate_small": ("3.33e-16", "3.33e-16", "4.44e-16", "2.78e-17"),
+        "fastswitch_table": ("3.33e-16", "2.22e-16", "6.66e-16", "5.55e-17"),
+    }
+    # gaps.csv, whose 17 digits show a last-bit move that stdout's %.3g hides
+    GAPS_SHA256 = "185ede5a50925f2946765457a8ab8a18ebbd98a52ecc887be77f3c39bcb68b18"
+
+    @pytest.mark.parametrize("name", list(SHIPPED_STDOUT))
+    def test_shipped_config_stdout_and_gaps(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == 0
+        subset, sparse, fastswitch, rates = self.SHIPPED_STDOUT[name]
+        assert capsys.readouterr().out.splitlines() == [
+            f"check activation-kernel-vs-subset-average: pass (max diff {subset}, tol 1e-10)",
+            f"check sparse-kernel-vs-enumeration: pass (max diff {sparse}, tol 1e-10)",
+            f"check fastswitch-kernel-vs-enumeration: pass (max diff {fastswitch}, tol 1e-10)",
+            f"check survivor-rates-quadrature-vs-exhaustive: pass (max diff {rates}, tol 1e-12)",
+            "check fastswitch-inequality-grid: pass (min gap 0.00373 over 3 grid points)",
+            "validate: PASS (5 passed, 0 skipped, 0 failed)",
+            f"wrote {out / 'gaps.csv'}",
+        ]
+        assert hashlib.sha256((out / "gaps.csv").read_bytes()).hexdigest() == self.GAPS_SHA256
+
     def test_certify_input_eigen_solves(self, tmp_path, capsys, monkeypatch):
         # checks 1-3 share the 1 + 8 * C(7, 3) = 281 one-star configurations
         # (check 1 reads the 280 with a star), and check 5's full probe has
@@ -723,7 +749,9 @@ class TestValidateCommand:
     def test_check_one_alone_takes_only_its_stars(self, tmp_path, capsys, monkeypatch):
         # a rate sum of 4 skips sparse and 1 + 20 * 2**19 rows refuse
         # fastswitch: check 1's 20 * 19 stars, without the empty
-        # configuration, and check 5's probe's 51 distinct graphs
+        # configuration, each distinct edge of a stack decomposed once (at
+        # m = 1 the star (c, {j}) is the star (j, {c})), and check 5's
+        # probe's 51 distinct graphs
         _unfolded_at(monkeypatch, 20)
         calls = _count_eigh(monkeypatch)
         cfg = write_config(
@@ -733,7 +761,11 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.startswith("check activation-kernel-vs-subset-average: pass")
         assert "validate: PASS (2 passed, 3 skipped, 0 failed)" in out
-        assert sum(calls) == 380 + 51
+        n = 20
+        edges = [frozenset((c, j)) for c in range(n) for j in range(n) if j != c]
+        size = graph_core.STACK_BYTES // (8 * n * n)
+        distinct = sum(len(set(edges[lo:lo + size])) for lo in range(0, len(edges), size))
+        assert sum(calls) == distinct + 51
 
     def test_subset_averages_stream(self):
         # n = 40, m = 1: checks 1 and 2 share 1,561 kernels of 40 x 40, 20 MB
@@ -754,14 +786,17 @@ class TestValidateCommand:
         # at n = 20, m = 1 a stack holds 81 stars, so centres span stacks
         p = ModelParams(n, m, (0.1,) * n, 0.5)
         others = [[j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
-        got = []
-        assert validation._one_star_pass(p, [], lambda i, E: got.append((i, E))) == []
+        got, C = [], math.comb(n - 1, m)
+        reader = validation._centre_means(C, lambda i, E: got.append((i, E)))
+        stars = tuple((i,) for i in range(1, n + 1))
+        sums = validation._expected_kernels(p, stars, np.zeros((0, n)), np.array([1.0]), reader)
+        assert sums.shape == (0, 1, n, n)
         assert [i for i, _ in got] == list(range(n))
         for (i, avg), js in zip(got, others):
             stars = itertools.combinations(js, m)
             kernels = (star_laplacian(StarSpec(n, i + 1, N)) for N in stars)
             total = sum(validation.expm_sym(L, 1.0) for L in kernels)
-            assert np.array_equal(avg, total / math.comb(n - 1, m))
+            assert np.array_equal(avg, total / C)
 
     def test_oversized_checks_are_refused_not_failed(self, tmp_path, capsys):
         # n=20 pushes the fastswitch enumeration past the branch cap and

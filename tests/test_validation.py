@@ -87,23 +87,31 @@ def _center_stars(p: ModelParams) -> list:
 
 
 def _branches(v) -> list:
-    """``_enumerate_branches``' stacks unpacked to one (weight, stars) pair
-    per configuration, stars as 1-based (centre, neighbours) pairs."""
+    """``_enumerate_branches``' stacks of the variant's folded law unpacked
+    to one (weight, stars) pair per configuration, stars as 1-based
+    (centre, neighbours) pairs."""
     return [
         (w, [(c + 1, tuple(N + 1)) for c, N in zip(centre[row == r], nbs[row == r])])
-        for ws, row, centre, nbs in _enumerate_branches(v)
+        for ws, row, centre, nbs in _enumerate_branches(v.p, *v.folded())
         for r, w in enumerate(ws.tolist())
     ]
 
 
+def _law_rows(v) -> list:
+    """The variant's law as (centres, probability) rows before folding:
+    fastswitch's a row per (activated set, survivor), from the oracle;
+    full's and sparse's rows are distinct already."""
+    if v.name == "fastswitch":
+        return list(fastswitch_law(v.p.a, v.p.rule.weights_for))
+    return list(zip(*v.folded()))
+
+
 def _unread(monkeypatch, message: str):
-    """Make reading any variant's centre law, row by row or folded, fail
-    with ``message``."""
+    """Make reading any variant's centre law fail with ``message``."""
     def unread(*_):
         raise AssertionError(message)
 
     for cls in (Full, Sparse, FastSwitch):
-        monkeypatch.setattr(cls, "law", unread)
         monkeypatch.setattr(cls, "folded", unread)
 
 
@@ -135,7 +143,7 @@ class TestEnumerationSize:
         branches = _branches(v)
         size = v.size()
         if model == "fastswitch":
-            rows = sum(1 for _ in v.law())
+            rows = len(_law_rows(v))
             assert len(branches) == 1 + p.n * math.comb(p.n - 1, p.m)
             assert rows <= size and (rows == size or rule.table is not None)
         else:
@@ -170,8 +178,8 @@ class TestEnumerationSize:
                     w = {s[0]: 0.0, s[1]: 0.5, s[2]: 0.5}
                 table[frozenset(s)] = w
         rule = TieBreakRule(table)
-        assert sum(1 for _ in _variant(p, "fastswitch", rule).law()) == 29
-        assert sum(1 for _ in FastSwitch(p).law()) == 33
+        assert len(_law_rows(_variant(p, "fastswitch", rule))) == 29
+        assert len(_law_rows(FastSwitch(p))) == 33
         assert FastSwitch(p).size() == 33
         for r in (rule, UNIFORM_TIE_BREAK):
             assert len(_branches(_variant(p, "fastswitch", r))) == 13
@@ -204,7 +212,7 @@ class TestFoldedLaw:
         T = 2.0 * p.dt
         v = _variant(p, model, rule)
         ref = unfolded_expected_exponential(
-            v.law(),
+            _law_rows(v),
             _center_stars(p),
             lambda choice: expm_sym(star_union_laplacian(p.n, choice), T),
             p.n,
@@ -243,7 +251,7 @@ class TestFoldedLaw:
             model, rule = "fastswitch", _random_table(p.n, data)
         v = _variant(p, model, rule)
         law = {}
-        for centres, prob in v.law():
+        for centres, prob in _law_rows(v):
             law[centres] = law.get(centres, 0.0) + prob
         stars = _center_stars(p)
         ref = [
@@ -272,7 +280,6 @@ class TestArrayLaws:
             probs = np.concatenate([prob for _, prob in activation_chunks(p)])
             assert np.array_equal(probs, [prob for _, prob in sets])
             assert list(activation_sets(p)) == sets
-            assert list(FastSwitch(p).law()) == rows
             tuples, folded = FastSwitch(p).folded()
             assert list(tuples) == list(law)
             assert np.array_equal(folded, list(law.values()))
@@ -522,9 +529,9 @@ class TestFastSwitchInequality:
     @pytest.mark.parametrize("n, m, tabled", [(4, 2, False), (4, 2, True), (5, 1, False)])
     @pytest.mark.parametrize("size", [1, 3, 10**6])
     def test_fastswitch_read_off_the_full_enumeration(self, n, m, tabled, size):
-        # the one-star configurations of full's enumeration, summed in stacks
-        # of ``size`` configurations (some of them with none), give bit for
-        # bit fastswitch's own enumeration
+        # fastswitch's law on full's tuples, 0 off its own, walked with
+        # full's in stacks of ``size`` configurations (some of them with
+        # none of its own), gives bit for bit fastswitch's own enumeration
         rule = UNIFORM_TIE_BREAK
         if tabled:
             rule = TieBreakRule({
@@ -549,33 +556,70 @@ class TestFastSwitchInequality:
             verify_fast_switch_inequality(p, (0.1,))
 
 
-class TestOneStarPass:
-    """Checks 1-3's shared pass equals check 1's loop and the variants'
-    enumeration, each taken on its own, bit for bit."""
+class TestOneWalk:
+    """One walk serves every law of its probability array, and check 1's
+    reader, each bit for bit as if taken on its own."""
 
     @given(st.integers(2, 7), st.booleans(), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_equal_to_each_check_alone(self, n, tabled, data):
+    def test_each_law_as_if_walked_alone(self, n, tabled, data):
         m = data.draw(st.integers(1, n - 1))
-        # rate sums on both sides of 1, so that sparse is skipped on some draws
+        # rate sums on both sides of 1, so that sparse is left out on some draws
         a = tuple(data.draw(st.floats(0.01, 2.0 / n)) for _ in range(n))
         rule = _random_table(n, data) if tabled else UNIFORM_TIE_BREAK
         p = ModelParams(n, m, a, data.draw(st.floats(0.05, 2.0)), rule)
-        variants = ([Sparse(p)] if p.sparse_regime else []) + [FastSwitch(p)]
-        means = list(subset_averages(p, 2.0 * p.dt))
-        kernels = [enumerate_expected_exponential(v) for v in variants]
+        # full's tuples (its walk kept small, n <= 4) or the one-star ones
+        one_star = ((),) + tuple((i,) for i in range(1, n + 1))
+        tuples = data.draw(st.sampled_from([one_star] + [Full(p).folded()[0]] * (n <= 4)))
+        # each variant's law on the tuples, 0 on those it lacks, and a law
+        # of drawn weights, some 0, the last tuple's not
+        variants = [Full(p), FastSwitch(p)] + ([Sparse(p)] if p.sparse_regime else [])
+        variants = [v for v in variants if set(v.folded()[0]) <= set(tuples)]
+        laws = [dict(zip(*v.folded())) for v in variants]
+        raw = [data.draw(st.sampled_from([0.0, 0.25, 1.0, 3.0])) for _ in tuples[:-1]]
+        drawn = np.array(raw + [data.draw(st.sampled_from([0.25, 1.0, 3.0]))])
+        probs = np.array([[law.get(t, 0.0) for t in tuples] for law in laws] + [drawn / drawn.sum()])
+        T = np.array([0.01, 2.0 * p.dt, 7.5])
+        # a stack of one configuration, of a few, or of the default size
+        per_config = 8 * n * n * len(T)
+        chunk = data.draw(st.sampled_from([per_config, 3 * per_config, graph_core.STACK_BYTES]))
+        with mock.patch.object(graph_core, "STACK_BYTES", chunk):
+            got = validation._expected_kernels(p, tuples, probs, T)
+        assert got.shape == (len(probs), len(T), n, n)
+        for v, E in zip(variants, got):
+            assert np.array_equal(E, validation._expected_exponentials(v, T))
+        # the drawn law walked alone on the tuples it gives weight to
+        kept = probs[-1] > 0
+        alone = [t for t, keep in zip(tuples, kept) if keep]
+        assert np.array_equal(got[-1], validation._expected_kernels(p, alone, probs[-1:, kept], T)[0])
+
+    @given(st.integers(2, 7), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_centre_means_equal_the_subset_averages(self, n, with_law, data):
+        m = data.draw(st.integers(1, n - 1))
+        a = tuple(data.draw(st.floats(0.01, 2.0 / n)) for _ in range(n))
+        rule = _random_table(n, data) if data.draw(st.booleans()) else UNIFORM_TIE_BREAK
+        p = ModelParams(n, m, a, data.draw(st.floats(0.05, 2.0)), rule)
+        T = np.array([2.0 * p.dt])
+        # the stars alone, or after () under fastswitch's law, whose sum the
+        # reader, run after it, leaves as the law's own
+        tuples, probs = tuple((i,) for i in range(1, n + 1)), np.zeros((0, n))
+        if with_law:
+            tuples, probs = FastSwitch(p).folded()
+            probs = np.array([probs])
         # stacks of one configuration and of a drawn size, which end mid-centre when C > 1
         C = math.comb(n - 1, m)
         for size in (1, data.draw(st.integers(2, 2 * C + 1))):
             got = []
             with mock.patch.object(graph_core, "STACK_BYTES", size * 8 * n * n):
-                sums = validation._one_star_pass(
-                    p, [v.folded()[1] for v in variants], lambda i, E: got.append((i, E))
-                )
+                reader = validation._centre_means(C, lambda i, E: got.append((i, E)))
+                sums = validation._expected_kernels(p, tuples, probs, T, reader)
+            means = list(subset_averages(p, 2.0 * p.dt))
             assert [i for i, _ in got] == [i for i, _ in means] == list(range(n))
             assert all(np.array_equal(E, ref) for (_, E), (_, ref) in zip(got, means))
-            assert len(sums) == len(kernels)
-            assert all(np.array_equal(E, ref) for E, ref in zip(sums, kernels))
+            assert len(sums) == len(probs)
+            if with_law:
+                assert np.array_equal(sums[0], validation._expected_exponentials(FastSwitch(p), T))
 
 
 class TestValidate:
