@@ -1,8 +1,9 @@
 """The activity-driven model and its three variants, ``Full``, ``Sparse``
 and ``FastSwitch``: each one class holding its law of star centres, exact
 (``folded``) and sampled for many paths at once (``centres``;
-``generate_snapshot`` is the one-period call), its enumeration size and
-its decay-rate ``bound``; and the snapshot-count formula.
+``generate_snapshot`` is the one-period call), whether a period holds at
+most one star, and its decay-rate ``bound``; the one-star variants with
+their enumeration size; and the snapshot-count formula.
 
 All randomness flows through an explicit ``numpy.random.Generator`` (PCG64).
 Independent streams come from ``stream(seed, *key)``, which seeds one
@@ -197,9 +198,8 @@ def _survivor(active: list, rule: TieBreakRule, u: float) -> int:
 class Variant:
     """One regime of the model: a law of one period's star centres, exact
     (``folded``: (centre tuples, probabilities), the tuples distinct and
-    each increasing), sized for enumeration in closed form (``size``) and
-    drawn for many paths at once (``centres``, given that the period has a
-    star).
+    each increasing) and drawn for many paths at once (``centres``, given
+    that the period has a star).
 
     The draws all regimes share live here. A period has a star with
     probability ``p_event``, the last of the increasing ``bins`` that the
@@ -207,11 +207,13 @@ class Variant:
     1 - p_event). ``gaps`` draws the periods up to the next one with a
     star, and ``neighbours`` each star's m neighbours. Each draw reads its
     uniforms in row order, so a stream's meaning depends only on the rows.
-    A variant with at most one star a period mixes the activation kernels
-    by its ``weights()``, which its ``bound()`` reads.
+    A variant with at most one star a period (``one_star``) mixes the
+    activation kernels by its ``weights()``, which its ``bound()`` reads,
+    and is sized for enumeration in closed form (``size``).
     """
 
     name: str  # the config's model tag
+    one_star = True
 
     def __init__(self, p: ModelParams, bins: np.ndarray, log_idle: float):
         self.p, self._bins, self.log_idle = p, bins[:-1], log_idle
@@ -291,6 +293,7 @@ class Full(Variant):
     """Every activated node is a centre: the 2**n ``activation_sets``."""
 
     name = "full"
+    one_star = False
 
     def __init__(self, p: ModelParams):
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf for a rate of 1
@@ -302,11 +305,6 @@ class Full(Variant):
     def folded(self) -> tuple:
         """The ``activation_sets`` in mask order, as (centre tuples, probabilities)."""
         return tuple(zip(*activation_sets(self.p)))
-
-    def size(self) -> int:
-        """Its (1 + C(n-1, m))**n configurations (``snapshot_count``), more
-        than its 2**n centre rows."""
-        return snapshot_count(self.p.n, self.p.m)
 
     def bound(self):
         """While sum(a) <= 1, ``Sparse``'s, which approximates but does not
@@ -364,7 +362,7 @@ class FastSwitch(Full):
         from .spectral import survivor_rates  # spectral imports this module
         return survivor_rates(self.p)
 
-    bound = Variant.bound  # one star a period, unlike Full
+    one_star, bound = True, Variant.bound  # one star a period, unlike Full
 
     def centres(self, rng, rows: int) -> tuple:
         """As ``Full``'s activation, then one more uniform a row picks the

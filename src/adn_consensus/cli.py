@@ -211,21 +211,25 @@ def draw_initial_state(n: int, seed: int) -> np.ndarray:
     return stream(seed, STATE).uniform(-1.0, 1.0, n)
 
 
-def resolve_config(cfg: dict):
+def resolve_config(cfg: dict, state: bool = True):
     """Materialize (params, z0, manifest_config) from a parsed config, the
     tie-break rule in params. Drawn quantities are resolved here, once,
-    from the run seed; the manifest holds them as ``params.a`` and z0."""
+    from the run seed; the manifest holds them as ``params.a`` and z0.
+    With ``state`` False the initial state, which only ``simulate`` reads,
+    is not resolved: z0 is None and the manifest keeps the config's z0."""
     if cfg["activity"]["mode"] == "explicit":
         a = cfg["activity"]["values"]
     else:
         a = draw_activity_rates(cfg["n"], cfg["activity"]["upper"], cfg["seed"])
     params = ModelParams(cfg["n"], cfg["m"], a, cfg["dt"], cfg["rule"])
+    manifest_config = {k: v for k, v in cfg.items() if k != "rule"}
+    manifest_config["activity"] = {"mode": "explicit", "values": params.a}
+    if not state:
+        return params, None, manifest_config
     if cfg["z0"]["mode"] == "explicit":
         z0 = np.asarray(cfg["z0"]["values"], dtype=float)
     else:
         z0 = draw_initial_state(cfg["n"], cfg["seed"])
-    manifest_config = {k: v for k, v in cfg.items() if k != "rule"}
-    manifest_config["activity"] = {"mode": "explicit", "values": params.a}
     manifest_config["z0"] = {"mode": "explicit", "values": z0}
     return params, z0, manifest_config
 
@@ -242,7 +246,7 @@ def _write(out: str, name: str, *lines: str) -> str:
 
 def cmd_gamma(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed, BOUND_N_LIMIT)
-    params, _, _ = resolve_config(cfg)
+    params, _, _ = resolve_config(cfg, state=False)
     bound = (gamma_sp if args.command == "gamma-sp" else gamma_fs)(params)
     print(f"{args.command.replace('-', '_')} = {_fmt(bound.rate)}")
     print(f"weight_sum = {_fmt(bound.weight_sum)}")
@@ -311,7 +315,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = parse_config(_load_json(args.config), args.seed)
-    params, _, _ = resolve_config(cfg)
+    params, _, _ = resolve_config(cfg, state=False)
     rows, report = validate(params)
     gaps_path = _write(
         args.out,

@@ -1,26 +1,23 @@
-"""Brute-force enumeration oracles for the expected heat kernels, and the
-numerical probe of the fast-switching eigenvalue inequality.
+"""Exact expected heat kernels summed over the laws of union graphs, and
+the numerical probe of the fast-switching eigenvalue inequality.
 
-Enumeration is exact or refused, with no sampling anywhere, and one walk
-(``_expected_kernels``) serves all of it: one list of centre tuples, and
-laws over them, one a row, each a variant's law folded onto its distinct
-tuples (``Variant.folded``) or put on another's, 0 off its own. Each tuple
-is expanded into every choice of one star per centre
-(``center_star_table``) by index arithmetic, in ``product`` order, and
-consecutive configurations are built as one Laplacian stack within
-``graph_core.STACK_BYTES``. Many share a union graph (check 5's 256 probe
-configurations have 51), so each distinct adjacency of a stack is
-decomposed once for every exponent scale asked for and gathered back to
-its configurations, whose weighted exponentials are added in order by one
-reduction a stack and law: memory stays bounded at any size and each sum
-is, bit for bit, that of adding them one at a time, the law walked alone.
+Enumeration is exact or refused, with no sampling anywhere. A variant's
+expected kernel E[e**(-t*L)] is a sum over the distinct graphs its periods
+can make, each weighted by its probability: for ``Full`` the per-node laws
+(idle, or one of C(n-1, m) stars) folded under OR of edge masks
+(``_full_law``), and for a one-star variant its ``folded`` law with each
+centre's probability shared by its stars (``_star_law``), equal graphs
+merged. One summation (``_kernel_sums``) serves every law: it relabels each
+graph's nodes by a stable sort on degree, eigen-solves one representative a
+relabelled adjacency, and permutes that kernel back to each graph of the
+shape, e**(-t*P L P^T) = P e**(-t*L) P^T.
 
 ``validate(p)`` runs the five checks of ``adn validate`` on a model: each
 closed form against its oracle, and each variant's bound against the second
-eigenvalue of its enumerated kernel. Checks 2 and 3 are two laws of one walk
-of the 1 + n*C(n-1, m) one-star configurations, whose star kernels check 1
-reads once the sums are taken (``_centre_means``). Check 5 walks the full
-model's configurations with the fast-switching law as a second row.
+eigenvalue of its enumerated kernel. Checks 1-3 are rows of one summation
+over the empty graph and the 1 + n*C(n-1, m) star graphs: the two variants'
+laws, and each centre's mean over its stars for check 1. Check 5 sums
+``Full``'s law with the fast-switching law on its graphs as a second row.
 """
 
 import dataclasses
@@ -32,14 +29,13 @@ import numpy as np
 from .adn_model import (
     UNIFORM_TIE_BREAK,
     FastSwitch,
-    Full,
     ModelParams,
     Sparse,
     Variant,
     center_star_table,
 )
 from .closed_form import activation_expectation
-from .graph_core import expm_sym, stacks, star_union_laplacians
+from .graph_core import STACK_BYTES, expm_sym, stacks, star_union_laplacians
 from .spectral import (
     decay_bound,
     enumerated_survivor_rates,
@@ -48,7 +44,11 @@ from .spectral import (
     weighted_expected_exponential,
 )
 
+# A one-star variant's enumeration refuses past this ``size()``.
 MAX_BRANCHES = 10**7
+# The full model's law spans the 2**E edge masks of its union graphs,
+# E = n(n-1)/2, in one float64 array: 16 MB at E = 21 (n = 7).
+MAX_EDGES = 21
 # Checks 1-3 refuse k dense n x n exponentials once k * n**3, about their
 # eigen-solves' flops, passes this: busy's check 1, 77,520 kernels at n = 20,
 # is 6.2e8 and runs; n = 300, m = 1 would take minutes under a count guard.
@@ -59,7 +59,7 @@ GAP_SLACK = 1e-9
 
 
 def _require_enumerable(v: Variant):
-    """Refuse, before any work, an enumeration over ``MAX_BRANCHES``."""
+    """Refuse, before any work, a one-star law over ``MAX_BRANCHES``."""
     size = v.size()
     if size > MAX_BRANCHES:
         raise ValueError(
@@ -68,94 +68,163 @@ def _require_enumerable(v: Variant):
         )
 
 
-def _enumerate_branches(p: ModelParams, tuples, probs, copies: int = 1):
-    """Yield (weights, row, centre, nbs) stacks of consecutive
-    configurations, each within ``STACK_BYTES`` at ``copies`` n x n matrices
-    a configuration: each centre tuple of ``tuples`` times each choice of
-    one neighbour set per centre from ``center_star_table``, in ``product``
-    order, weighted under each law (a row of ``probs``, over the tuples) by
-    its tuple's probability over its choices. Configuration r of a stack
-    has the stars q with row[q] == r, each joining centre[q] to nbs[q]
-    (0-based, the flat form ``star_union_laplacians`` reads)."""
-    table = center_star_table(p)
-    lens = np.array([len(centres) for centres in tuples])
-    C, width = table.shape[1], int(lens.max())
-    sizes = C**lens
-    weights = np.asarray(probs) / sizes
-    centre = np.array([[1] * (width - len(cs)) + list(cs) for cs in tuples], dtype=np.intp) - 1
-    real = np.arange(width) >= width - lens[:, None]
-    starts = np.cumsum(sizes) - sizes
-    for chunk in stacks(range(sizes.sum()), p.n, copies):
-        q = np.arange(chunk[0], chunk[-1] + 1)
-        g = np.searchsorted(starts, q, side="right") - 1
-        row, col = np.nonzero(real[g])
-        c = centre[g[row], col]
-        # a tuple's choice, right-aligned: its digits in base C, last fastest
-        digit = (q - starts[g])[row] // C ** (width - 1 - col) % C
-        yield weights[..., g], row, c, table[c, digit]
+def _edges(n: int) -> tuple:
+    """The n(n-1)/2 edges (i[e], j[e]), i < j, in ``np.triu_indices`` order,
+    and the (n, n) table of their ids."""
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    ids = np.zeros((n, n), dtype=np.intp)
+    ids[i, j] = ids[j, i] = np.arange(len(i))
+    return i, j, ids
 
 
-def _expected_kernels(p: ModelParams, tuples, probs: np.ndarray, T: np.ndarray, stars=None):
-    """Exact E[e**(-t*L)] at each t in T under each law, a row of ``probs``
-    over ``tuples`` summing to 1: (laws, len(T), n, n), the weighted kernels
-    of each stack of ``_enumerate_branches`` added in order, the sum so far
-    into the first, by one ``np.add.reduce``, bit for bit one at a time, and
-    each law's as if walked alone: a zero weight adds +-0 to a sum that is
-    never -0. stars(row, centre, kernels), if given, then reads a stack's
-    kernels, which it may overwrite."""
-    for total in probs.sum(axis=1).tolist():
-        if abs(total - 1.0) > 1e-9:
-            raise RuntimeError(f"enumeration probabilities sum to {total}, drifted from 1")
-    acc = np.zeros((len(probs), len(T), p.n, p.n))
-    for weights, row, centre, nbs in _enumerate_branches(p, tuples, probs, len(T)):
-        L = star_union_laplacians(k := weights.shape[1], p.n, row, centre, nbs)
-        key = np.packbits(L.reshape(k, -1) != 0, axis=1)  # the adjacency, as bytes
-        key = key.view(f"V{key.shape[1]}")[:, 0]
-        _, first, which = np.unique(key, return_index=True, return_inverse=True)
-        if len(first) == k:  # all distinct: decomposed in place, not permuted and gathered
-            first = which = slice(None)
-        kernels = expm_sym(L[first], T)[:, which]
-        weighted = kernels * weights[:, None, :, None, None]
-        weighted[:, :, 0] += acc
-        acc = np.add.reduce(weighted, axis=2)
-        if stars is not None:
-            stars(row, centre, kernels)
+def _star_edges(p: ModelParams) -> np.ndarray:
+    """(n, C(n-1, m), m): the edge ids of each centre's stars, in
+    ``center_star_table`` order."""
+    return _edges(p.n)[2][np.arange(p.n)[:, None, None], center_star_table(p)]
+
+
+def _star_masks(p: ModelParams) -> np.ndarray:
+    """(n, C(n-1, m)): each centre's stars as edge masks, edge e at bit e."""
+    return np.bitwise_or.reduce(1 << _star_edges(p), axis=2)
+
+
+def _one_star_graphs(p: ModelParams) -> tuple:
+    """The graphs of the one-star laws as packed edge bits (``_kernel_sums``),
+    the empty graph first, and (n, C(n-1, m)) the graph of each centre's
+    stars. With m >= 2 a star's one node of degree m is its centre, so
+    stars are distinct graphs; at m = 1 the star (c, {j}) is (j, {c}), one
+    edge."""
+    star = _star_edges(p).reshape(-1, p.m)
+    graph = np.arange(len(star))
+    if p.m == 1:
+        star, graph = np.unique(star, return_inverse=True)
+        star = star[:, None]
+    graphs = np.zeros((1 + len(star), -(-p.n * (p.n - 1) // 16)), dtype=np.uint8)
+    for e in star.T:  # the k-th edge of every star: each graph's byte set once
+        graphs[np.arange(1, len(graphs)), e >> 3] |= (1 << (e & 7)).astype(np.uint8)
+    return graphs, 1 + graph.reshape(p.n, -1)
+
+
+def _star_law(v: Variant, graph: np.ndarray, size: int) -> np.ndarray:
+    """A one-star variant's ``folded`` law over ``size`` graph ids: its ()
+    on graph 0, the empty one, and centre i's probability shared equally
+    by its stars, star s on graph[i - 1, s], equal graphs' added."""
+    _, probs = v.folded()  # over (), (1,), ..., (n,)
+    shares = np.repeat(np.asarray(probs[1:]) / graph.shape[1], graph.shape[1])
+    law = np.bincount(graph.ravel(), shares, minlength=size)
+    law[0] = probs[0]
+    return law
+
+
+def _full_law(p: ModelParams) -> np.ndarray:
+    """The full model's law over the 2**E edge masks of its union graphs,
+    edge e at bit e: node by node, each mask stays with probability
+    1 - a_i or is ORed with each of node i's C(n-1, m) star masks with
+    a_i / C, added up by ``np.bincount``. Refuses E > ``MAX_EDGES`` (n > 7)
+    before any work."""
+    E = p.n * (p.n - 1) // 2
+    if E > MAX_EDGES:
+        raise ValueError(
+            f"the full model's graph law at n={p.n} spans 2**{E} edge masks "
+            f"(E={E}), over the E <= {MAX_EDGES} limit"
+        )
+    law = np.zeros(1 << E)
+    law[0] = 1.0
+    for a, masks in zip(p.a, _star_masks(p).tolist()):
+        idx = np.flatnonzero(law)
+        shares = law[idx] * (a / len(masks))
+        law *= 1.0 - a
+        for s in masks:
+            law += np.bincount(idx | s, shares, minlength=1 << E)
+    return law
+
+
+def _mask_sums(n: int, laws: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``_kernel_sums`` of laws over the edge masks of n nodes, a row each."""
+    masks = np.flatnonzero(laws.any(axis=0))
+    graphs = masks.astype("<u4").view(np.uint8).reshape(-1, 4)[:, : -(-n * (n - 1) // 16)]
+    return _kernel_sums(n, graphs, laws[:, masks], T)
+
+
+def _shape_keys(n: int, graphs: np.ndarray) -> tuple:
+    """Each graph of ``graphs`` (packed edge bits, as ``_kernel_sums``
+    takes them) relabelled by a stable sort of its nodes on degree: its
+    relabelled edges, packed alike, equal for graphs of one shape, and each
+    node's place in the relabelling, (G, n)."""
+    i, j, ids = _edges(n)
+    ends = np.zeros((len(i), n))  # edge -> its two nodes, for the degrees
+    ends[np.arange(len(i)), i] = ends[np.arange(len(i)), j] = 1.0
+    keys = np.empty_like(graphs)
+    place = np.empty((len(graphs), n), dtype=np.min_scalar_type(n))
+    size = max(1, STACK_BYTES // (8 * len(i)))
+    for lo in range(0, len(graphs), size):
+        X = np.unpackbits(graphs[lo:lo + size], axis=1, count=len(i), bitorder="little").view(bool)
+        at = np.argsort(np.argsort(X @ ends, axis=1, kind="stable"), axis=1)
+        relabelled = np.zeros_like(X)
+        relabelled[np.arange(len(X))[:, None], ids[at[:, i], at[:, j]]] = X
+        keys[lo:lo + size] = np.packbits(relabelled, axis=1, bitorder="little")
+        place[lo:lo + size] = at
+    return keys, place
+
+
+def _kernel_sums(n: int, graphs: np.ndarray, W: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """sum_g W[r, g] e**(-t*L_g) for each row r of W and t in T, (len(W),
+    len(T), n, n), over ``graphs``, a graph a row of its edges' packed bits
+    (edge e of ``np.triu_indices`` order at bit e % 8 of byte e // 8, the
+    bytes of its edge mask), skipping a graph that no row weights.
+    ``expm_sym`` decomposes one representative a shape (``_shape_keys``),
+    once for all of T, in stacks within ``STACK_BYTES``, and each graph of
+    the shape takes its kernel with the relabelling undone:
+    e**(-t*L)[x, y] = e**(-t*L')[at[x], at[y]] for L' the relabelled
+    Laplacian and at the places."""
+    kept = np.flatnonzero(W.any(axis=0))
+    keys, place = _shape_keys(n, graphs[kept])
+    # the kept graphs sorted by key, shape k's at order[shape[k]:shape[k + 1]]
+    order = np.argsort(keys.view(f"V{keys.shape[1]}")[:, 0], kind="stable")
+    keys = keys[order]
+    shape = np.flatnonzero(np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1), [True]]))
+    i, j, _ = _edges(n)
+    shapes = np.unpackbits(keys[shape[:-1]], axis=1, count=len(i), bitorder="little").view(bool)
+    acc = np.zeros((len(W), len(T), n, n))
+    size = max(1, STACK_BYTES // (8 * n * n * len(T)))
+    for reps in stacks(range(len(shapes)), n, len(T)):
+        row, e = np.nonzero(shapes[reps])
+        kernels = expm_sym(star_union_laplacians(len(reps), n, row, i[e], j[e][:, None]), T)
+        members = order[shape[reps[0]]:shape[reps[-1] + 1]]
+        rep = np.repeat(np.arange(len(reps)), np.diff(shape[reps[0]:reps[-1] + 2]))
+        for lo in range(0, len(members), size):
+            at = place[members[lo:lo + size]]
+            K = kernels[:, rep[lo:lo + size, None, None], at[:, :, None], at[:, None, :]]
+            acc += np.tensordot(W[:, kept[members[lo:lo + size]]], K, axes=(1, 1))
     return acc
-
-
-def _centre_means(C: int, centre_mean):
-    """A ``stars`` reader of the tuples (), if there, (1,), ..., (n,): it calls
-    centre_mean(i, mean kernel of centre i's C stars) at the first scale
-    for each 0-based centre in turn, added in order by one reduction a
-    stack in a view of its star rows, the sum carried across stack ends."""
-    acc, seen = 0.0, 0  # the current centre's sum so far and its stars
-
-    def read(row, centre, kernels):
-        nonlocal acc, seen
-        stars = kernels[0, kernels.shape[1] - len(row):]
-        starts = np.flatnonzero(np.diff(centre, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [len(row)]):
-            stars[lo] += acc
-            acc, seen = np.add.reduce(stars[lo:hi], axis=0), seen + hi - lo
-            if seen == C:
-                centre_mean(int(centre[lo]), acc / C)
-                acc, seen = 0.0, 0
-
-    return read
 
 
 def enumerate_expected_exponential(v: Variant) -> np.ndarray:
     """Exact E[e**(-2*dt*L)] as the probability-weighted sum of dense
-    exponentials over every configuration of the variant's ``folded`` law.
-    Refuses oversized enumerations."""
+    exponentials over the variant's union graphs. Refuses oversized
+    enumerations."""
     return _expected_exponentials(v, np.array([2.0 * v.p.dt]))[0]
 
 
 def _expected_exponentials(v: Variant, T: np.ndarray) -> np.ndarray:
     """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n)."""
+    if not v.one_star:
+        return _mask_sums(v.p.n, _full_law(v.p)[None], T)[0]
     _require_enumerable(v)
-    tuples, probs = v.folded()
-    return _expected_kernels(v.p, tuples, np.array([probs]), T)[0]
+    return _one_star_sums(v.p, [v], False, T)[0]
+
+
+def _one_star_sums(p: ModelParams, variants: list, means: bool, T: np.ndarray) -> np.ndarray:
+    """Rows of one ``_kernel_sums`` over the one-star graphs: each one-star
+    variant's expected kernel, then, if ``means``, each centre's mean
+    kernel over its C(n-1, m) stars."""
+    graphs, graph = _one_star_graphs(p)
+    W = np.zeros((len(variants) + p.n * means, len(graphs)))
+    for r, v in enumerate(variants):
+        W[r] = _star_law(v, graph, len(graphs))
+    if means:  # a centre's stars are distinct graphs
+        W[len(variants) + np.arange(p.n)[:, None], graph] = 1.0 / graph.shape[1]
+    return _kernel_sums(p.n, graphs, W, T)
 
 
 @dataclass(frozen=True)
@@ -187,16 +256,11 @@ def verify_fast_switch_inequality(p: ModelParams, T_grid) -> FastSwitchReport:
     for T in T_grid:
         if not (0 < T < math.inf):
             raise ValueError(f"exponent scales must be finite and > 0, got {T}")
-    full, fs = Full(p), FastSwitch(p)
-    for v in (fs, full):
-        _require_enumerable(v)  # before any enumeration
-    # both expected kernels from one walk of Full's configurations:
-    # FastSwitch's law on Full's tuples (), (1,), ..., (n,), at masks 0 and
-    # 2**(i-1), and 0 elsewhere, its sums bit for bit its own
-    tuples, probs = full.folded()
-    probs = np.array([probs, np.zeros(len(probs))])
-    probs[1, np.r_[0, 1 << np.arange(p.n)]] = fs.folded()[1]
-    kernels = _expected_kernels(p, tuples, probs, np.array(T_grid, dtype=float))
+    # both expected kernels from one summation over Full's union graphs,
+    # FastSwitch's law on their masks as a second row
+    laws = _full_law(p)
+    laws = np.array([laws, _star_law(FastSwitch(p), _star_masks(p), len(laws))])
+    kernels = _mask_sums(p.n, laws, np.array(T_grid, dtype=float))
     samples = []
     for T, E_full, E_fs in zip(T_grid, *kernels):
         lam_full, lam_fs = lambda_second_largest(E_full), lambda_second_largest(E_fs)
@@ -228,9 +292,9 @@ def _check_rows(params: ModelParams):
     #      and each bound against the second eigenvalue of the enumerated
     #      kernel, which it equals with at most one star a period, unless the
     #      variant refuses the params (Sparse, above a rate sum of 1).
-    # The checks that run share one walk, the variants' laws as its rows and
-    # check 1 its star reader. refusals: each check's row detail if refused
-    # or skipped, else None.
+    # The checks that run are rows of one summation over the one-star graphs:
+    # the variants' laws, and check 1's mean of each centre's stars.
+    # refusals: each check's row detail if refused or skipped, else None.
     subset = "activation-kernel-vs-subset-average"
     if C * n > 200_000:
         refusals = {subset: f"refused: size ({C} subsets per center)"}
@@ -250,17 +314,11 @@ def _check_rows(params: ModelParams):
             refusals[name] = too_costly(1 + n * C)  # its configurations once folded
         if refusals[name] is None:
             live[name] = v
-    diffs = []  # check 1's largest entry of each centre's difference
-
-    def compare(i: int, E: np.ndarray):
-        diffs.append(np.max(np.abs(E - activation_expectation(params, i + 1))))
-
-    stars = None if refusals[subset] else _centre_means(C, compare)
-    tuples = ((),) * bool(live) + tuple((i,) for i in range(1, n + 1))  # () only for a law
-    probs = np.reshape([v.folded()[1] for v in live.values()], (len(live), len(tuples)))
-    if live or stars:  # else nothing to walk
+    if live or refusals[subset] is None:  # else nothing to sum
         T = np.array([2.0 * params.dt])
-        kernels = dict(zip(live, _expected_kernels(params, tuples, probs, T, stars)[:, 0]))
+        sums = _one_star_sums(params, list(live.values()), refusals[subset] is None, T)[:, 0]
+        kernels = dict(zip(live, sums))
+        diffs = [E - activation_expectation(params, i) for i, E in enumerate(sums[len(live):], 1)]
     for name, refusal in refusals.items():
         if refusal is not None:
             yield name, refusal, None

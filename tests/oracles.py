@@ -20,7 +20,9 @@ symmetrizes by ``graph_core.symmetrize``. ``subset_averages``, validate's
 check-1 means taken on their own rather than in the pass shared with
 checks 2-3, reads each centre's stars from ``center_star_table`` and takes
 their kernels in ``graph_core.stacks`` by ``star_union_laplacians`` and
-``expm_sym``, as that pass does.
+``expm_sym``. The configuration walk (``enumerate_branches`` and
+``walked_expected_kernels``), the reference for validate's sums over union
+graphs, reads the same star table and builds its stacks the same way.
 """
 
 import math
@@ -413,3 +415,44 @@ def subset_averages(params, T: float):
             if j[hi - 1] == C - 1:
                 yield int(centre[lo]), acc / C
                 acc = 0.0
+
+
+def enumerate_branches(p, tuples, probs, copies: int = 1):
+    """Yield (weights, row, centre, nbs) stacks of consecutive
+    configurations, each within ``STACK_BYTES`` at ``copies`` n x n matrices
+    a configuration: each centre tuple of ``tuples`` times each choice of
+    one neighbour set per centre from ``center_star_table``, in ``product``
+    order, weighted under each law (a row of ``probs``, over the tuples) by
+    its tuple's probability over its choices. Configuration r of a stack
+    has the stars q with row[q] == r, each joining centre[q] to nbs[q]
+    (0-based, the flat form ``star_union_laplacians`` reads)."""
+    table = center_star_table(p)
+    lens = np.array([len(centres) for centres in tuples])
+    C, width = table.shape[1], int(lens.max())
+    sizes = C**lens
+    weights = np.asarray(probs) / sizes
+    centre = np.array([[1] * (width - len(cs)) + list(cs) for cs in tuples], dtype=np.intp) - 1
+    real = np.arange(width) >= width - lens[:, None]
+    starts = np.cumsum(sizes) - sizes
+    for chunk in stacks(range(sizes.sum()), p.n, copies):
+        q = np.arange(chunk[0], chunk[-1] + 1)
+        g = np.searchsorted(starts, q, side="right") - 1
+        row, col = np.nonzero(real[g])
+        c = centre[g[row], col]
+        # a tuple's choice, right-aligned: its digits in base C, last fastest
+        digit = (q - starts[g])[row] // C ** (width - 1 - col) % C
+        yield weights[..., g], row, c, table[c, digit]
+
+
+def walked_expected_kernels(p, tuples, probs, T):
+    """Exact E[e**(-t*L)] at each t in T under each law, a row of ``probs``
+    over ``tuples``: (laws, len(T), n, n), one dense exponential per
+    configuration of ``enumerate_branches``, weighted and added one
+    configuration at a time."""
+    probs = np.atleast_2d(probs)
+    acc = np.zeros((len(probs), len(T), p.n, p.n))
+    for weights, row, centre, nbs in enumerate_branches(p, tuples, probs, len(T)):
+        kernels = expm_sym(star_union_laplacians(weights.shape[1], p.n, row, centre, nbs), T)
+        for r in range(weights.shape[1]):
+            acc += weights[:, r, None, None, None] * kernels[:, r]
+    return acc

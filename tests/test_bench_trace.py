@@ -37,8 +37,8 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 # record nothing. Checks 2 and 3 compare each bound with the second
 # eigenvalue of the enumerated kernel, so ``lambda_second_deflated``, the
 # dense reference's eigenvalue, moved to ``tests/oracles.py``.
-# Checks 1-3 and check 5 each take their kernels from one walk of the
-# enumeration (``validation._expected_kernels``), so validate no longer
+# Checks 1-3 and check 5 each take their kernels from one summation over
+# union graphs (``validation._kernel_sums``), so validate no longer
 # calls ``enumerate_expected_exponential``, which stays for the tests and
 # the public API, and its span records nothing.
 # They stay pinned here, exactly, until the benchmark's trace drops them.

@@ -21,7 +21,6 @@ from adn_consensus import (
     adn_model,
     cli,
     gamma_sp,
-    graph_core,
     snapshot_count,
     star_laplacian,
     validation,
@@ -308,6 +307,28 @@ class TestSeededDraws:
         assert manifest["z0"]["mode"] == "explicit"
         assert np.array_equal(np.array(manifest["z0"]["values"]), z0)
         assert params.a == tuple(draw_activity_rates(5, 0.3, 42).tolist())
+
+
+    def test_only_simulate_draws_the_initial_state(self, tmp_path, capsys, monkeypatch):
+        # the bounds and validate never read z0, so its draw is left out
+        drawn = []
+        exact = cli.draw_initial_state
+        monkeypatch.setattr(cli, "draw_initial_state", lambda *a: drawn.append(a) or exact(*a))
+        cfg = write_config(tmp_path, n_paths=2, z0={"mode": "uniform_draw"})
+        for command in ("gamma-sp", "gamma-fs", "validate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert drawn == []
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert drawn == [(5, 42)]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["z0"]["values"] == exact(5, 42).tolist()
+
+    def test_unresolved_state_keeps_the_config_z0(self):
+        cfg = parse_config(make_config())
+        params, z0, manifest = resolve_config(cfg, state=False)
+        assert z0 is None and manifest["z0"] == {"mode": "uniform_draw"}
+        assert params == resolve_config(cfg)[0]
 
 
 class TestGammaCommands:
@@ -689,9 +710,9 @@ class TestValidateCommand:
         out = tmp_path / "out"
         assert main(["validate", "--config", str(CERTIFY_VALIDATE), "--out", str(out)]) == 0
         assert capsys.readouterr().out.splitlines() == [
-            "check activation-kernel-vs-subset-average: pass (max diff 2.22e-16, tol 1e-10)",
+            "check activation-kernel-vs-subset-average: pass (max diff 1.67e-16, tol 1e-10)",
             "check sparse-kernel-vs-enumeration: pass (max diff 2.55e-15, tol 1e-10)",
-            "check fastswitch-kernel-vs-enumeration: pass (max diff 4.22e-15, tol 1e-10)",
+            "check fastswitch-kernel-vs-enumeration: pass (max diff 4.33e-15, tol 1e-10)",
             "check survivor-rates-quadrature-vs-exhaustive: pass (max diff 8.33e-17, tol 1e-12)",
             "check fastswitch-inequality-grid: pass (min gap 0.00373 over 3 grid points)",
             "validate: PASS (5 passed, 0 skipped, 0 failed)",
@@ -701,11 +722,11 @@ class TestValidateCommand:
     # the shipped configs' check lines as printed; the probe lines are the
     # same on every config, its model and grid being fixed
     SHIPPED_STDOUT = {
-        "validate_small": ("3.33e-16", "3.33e-16", "4.44e-16", "2.78e-17"),
-        "fastswitch_table": ("3.33e-16", "2.22e-16", "6.66e-16", "5.55e-17"),
+        "validate_small": ("3.33e-16", "3.33e-16", "5.55e-16", "2.78e-17"),
+        "fastswitch_table": ("4.44e-16", "4.44e-16", "5.55e-16", "5.55e-17"),
     }
     # gaps.csv, whose 17 digits show a last-bit move that stdout's %.3g hides
-    GAPS_SHA256 = "185ede5a50925f2946765457a8ab8a18ebbd98a52ecc887be77f3c39bcb68b18"
+    GAPS_SHA256 = "3408730f2871637904b17a7e541fe68a7e8cc2e8b06f699021e909a2d30f6d9f"
 
     @pytest.mark.parametrize("name", list(SHIPPED_STDOUT))
     def test_shipped_config_stdout_and_gaps(self, name, tmp_path, capsys):
@@ -724,34 +745,33 @@ class TestValidateCommand:
         assert hashlib.sha256((out / "gaps.csv").read_bytes()).hexdigest() == self.GAPS_SHA256
 
     def test_certify_input_eigen_solves(self, tmp_path, capsys, monkeypatch):
-        # checks 1-3 share the 1 + 8 * C(7, 3) = 281 one-star configurations
-        # (check 1 reads the 280 with a star), and check 5's full probe has
-        # 256 configurations, among them the fastswitch probe's 13, but 51
-        # distinct graphs: each decomposed once, in one eigh call for
-        # checks 1-3 and one for the probe
+        # checks 1-3 share the 1 + 8 * C(7, 3) = 281 one-star graphs, of two
+        # shapes (the empty graph and the star K(1, 3)), and check 5's full
+        # probe has 51 union graphs, among them the fastswitch probe's 13, of
+        # 11 shapes once relabelled by degree: one matrix a shape, in one
+        # eigh call for checks 1-3 and one for the probe
         calls = _count_eigh(monkeypatch)
         assert main(["validate", "--config", str(CERTIFY_VALIDATE), "--out", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert sum(calls) == 281 + 51
+        assert sum(calls) == 2 + 11
         assert len(calls) <= 2, calls
 
     def test_refused_checks_decompose_nothing(self, tmp_path, capsys, monkeypatch):
         # large50 refuses checks 1-4 by their sizes: only check 5's probe,
-        # its 51 distinct graphs, is decomposed, and neither one-star
-        # variant's law is folded
+        # its 11 graph shapes, is decomposed, and neither one-star variant's
+        # law is folded
         _unfolded_at(monkeypatch, 50)
         calls = _count_eigh(monkeypatch)
         cfg = str(CONFIGS / "large50.json")
         assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "validate: PASS (1 passed, 4 skipped, 0 failed)" in capsys.readouterr().out
-        assert sum(calls) == 51
+        assert sum(calls) == 11
 
     def test_check_one_alone_takes_only_its_stars(self, tmp_path, capsys, monkeypatch):
         # a rate sum of 4 skips sparse and 1 + 20 * 2**19 rows refuse
-        # fastswitch: check 1's 20 * 19 stars, without the empty
-        # configuration, each distinct edge of a stack decomposed once (at
-        # m = 1 the star (c, {j}) is the star (j, {c})), and check 5's
-        # probe's 51 distinct graphs
+        # fastswitch: check 1's 20 * 19 stars, 190 edges (at m = 1 the star
+        # (c, {j}) is the star (j, {c})) of one shape, without the empty
+        # graph, and check 5's probe's 11 graph shapes
         _unfolded_at(monkeypatch, 20)
         calls = _count_eigh(monkeypatch)
         cfg = write_config(
@@ -761,11 +781,7 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.startswith("check activation-kernel-vs-subset-average: pass")
         assert "validate: PASS (2 passed, 3 skipped, 0 failed)" in out
-        n = 20
-        edges = [frozenset((c, j)) for c in range(n) for j in range(n) if j != c]
-        size = graph_core.STACK_BYTES // (8 * n * n)
-        distinct = sum(len(set(edges[lo:lo + size])) for lo in range(0, len(edges), size))
-        assert sum(calls) == distinct + 51
+        assert sum(calls) == 1 + 11
 
     def test_subset_averages_stream(self):
         # n = 40, m = 1: checks 1 and 2 share 1,561 kernels of 40 x 40, 20 MB
@@ -782,21 +798,19 @@ class TestValidateCommand:
         assert rows[0][0] == "activation-kernel-vs-subset-average" and rows[0][2]
 
     @pytest.mark.parametrize("n, m", [(5, 2), (8, 3), (20, 1)])
-    def test_subset_averages_add_star_by_star(self, n, m):
-        # at n = 20, m = 1 a stack holds 81 stars, so centres span stacks
+    def test_centre_means_match_star_by_star_sums(self, n, m):
+        # check 1's rows of the one-star summation against each centre's
+        # stars exponentiated one by one and added in order; at n = 20,
+        # m = 1 a stack holds 81 graphs, so centres span stacks
         p = ModelParams(n, m, (0.1,) * n, 0.5)
         others = [[j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
-        got, C = [], math.comb(n - 1, m)
-        reader = validation._centre_means(C, lambda i, E: got.append((i, E)))
-        stars = tuple((i,) for i in range(1, n + 1))
-        sums = validation._expected_kernels(p, stars, np.zeros((0, n)), np.array([1.0]), reader)
-        assert sums.shape == (0, 1, n, n)
-        assert [i for i, _ in got] == list(range(n))
-        for (i, avg), js in zip(got, others):
-            stars = itertools.combinations(js, m)
-            kernels = (star_laplacian(StarSpec(n, i + 1, N)) for N in stars)
+        C = math.comb(n - 1, m)
+        got = validation._one_star_sums(p, [], True, np.array([1.0]))
+        assert got.shape == (n, 1, n, n)
+        for avg, i, js in zip(got[:, 0], range(1, n + 1), others):
+            kernels = (star_laplacian(StarSpec(n, i, N)) for N in itertools.combinations(js, m))
             total = sum(validation.expm_sym(L, 1.0) for L in kernels)
-            assert np.array_equal(avg, total / C)
+            assert np.max(np.abs(avg - total / C)) <= 1e-13
 
     def test_oversized_checks_are_refused_not_failed(self, tmp_path, capsys):
         # n=20 pushes the fastswitch enumeration past the branch cap and

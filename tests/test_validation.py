@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
@@ -24,6 +25,7 @@ from adn_consensus import (
     expm_sym,
     gamma_fs,
     generate_snapshot,
+    snapshot_count,
     snapshot_laplacian,
     sparse_expected_exponential,
     survivor_rates,
@@ -35,16 +37,19 @@ from adn_consensus.adn_model import activation_chunks, activation_sets
 from adn_consensus.cli import parse_config, resolve_config
 from adn_consensus.graph_core import star_union_laplacian
 from adn_consensus.spectral import enumerated_survivor_rates
-from adn_consensus.validation import MAX_BRANCHES, _enumerate_branches, validate
+from adn_consensus.validation import MAX_BRANCHES, validate
 from oracles import (
     activation_sets_by_mask,
+    enumerate_branches,
     fastswitch_law,
     folded_law,
     lambda_second_deflated,
     law_survivor_rates,
+    star_union_laplacian_ints,
     subset_averages,
     taylor_expm,
     unfolded_expected_exponential,
+    walked_expected_kernels,
 )
 
 FASTSWITCH_TABLE = Path(__file__).resolve().parents[1] / "configs" / "fastswitch_table.json"
@@ -87,12 +92,12 @@ def _center_stars(p: ModelParams) -> list:
 
 
 def _branches(v) -> list:
-    """``_enumerate_branches``' stacks of the variant's folded law unpacked
-    to one (weight, stars) pair per configuration, stars as 1-based
-    (centre, neighbours) pairs."""
+    """The reference walk's stacks (``oracles.enumerate_branches``) of the
+    variant's folded law unpacked to one (weight, stars) pair per
+    configuration, stars as 1-based (centre, neighbours) pairs."""
     return [
         (w, [(c + 1, tuple(N + 1)) for c, N in zip(centre[row == r], nbs[row == r])])
-        for ws, row, centre, nbs in _enumerate_branches(v.p, *v.folded())
+        for ws, row, centre, nbs in enumerate_branches(v.p, *v.folded())
         for r, w in enumerate(ws.tolist())
     ]
 
@@ -133,15 +138,15 @@ class TestEnumerationSize:
     @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_size_matches_generated_branch_count(self, p, model, data):
-        # sparse and full: the size is the branch count; fastswitch: it is
-        # the uniform rule's centre-law rows, which bound a table's rows and
-        # the 1 + n * C(n-1, m) branches
+        # sparse: the size is the branch count, and full's is its snapshot
+        # count; fastswitch: the size is the uniform rule's centre-law rows,
+        # which bound a table's rows and the 1 + n * C(n-1, m) branches
         rule = UNIFORM_TIE_BREAK
         if model == "table":  # fastswitch under a random table with zero weights
             model, rule = "fastswitch", _random_table(p.n, data)
         v = _variant(p, model, rule)
         branches = _branches(v)
-        size = v.size()
+        size = snapshot_count(p.n, p.m) if model == "full" else v.size()
         if model == "fastswitch":
             rows = len(_law_rows(v))
             assert len(branches) == 1 + p.n * math.comb(p.n - 1, p.m)
@@ -154,7 +159,7 @@ class TestEnumerationSize:
     def test_known_sizes(self):
         p = ModelParams(3, 1, (0.1, 0.2, 0.3), 1.0)
         assert Sparse(p).size() == 1 + 3 * 2
-        assert Full(p).size() == 27
+        assert len(_branches(Full(p))) == snapshot_count(3, 1) == 27
         # the empty set, then each member of each nonempty activated set
         assert FastSwitch(p).size() == 1 + 3 * 4
         # the folded law's 1 + 3 centre tuples times 2 stars a centre
@@ -221,9 +226,10 @@ class TestFoldedLaw:
         assert np.max(np.abs(got - ref)) <= 1e-13
 
     @pytest.mark.parametrize("tabled", [False, True])
-    def test_one_exponential_per_distinct_kernel(self, monkeypatch, tabled):
-        # 1 + n * C(n-1, m) = 281 at n = 8, m = 3, under any rule: every
-        # centre's lone activation has weight 1
+    def test_one_exponential_per_graph_shape(self, monkeypatch, tabled):
+        # 1 + n * C(n-1, m) = 281 graphs at n = 8, m = 3, under any rule
+        # (every centre's lone activation has weight 1), of two shapes: the
+        # empty graph and the star K(1, 3)
         n = 8
         p = ModelParams(n, 3, tuple(np.linspace(0.05, 0.4, n)), 0.5)
         rule = UNIFORM_TIE_BREAK
@@ -236,10 +242,9 @@ class TestFoldedLaw:
         calls = _count_exponentials(monkeypatch)
         v = _variant(p, "fastswitch", rule)
         E = enumerate_expected_exponential(v)
-        assert len(calls) == 1 + n * math.comb(n - 1, 3) == 281
+        assert len(calls) == 2
         ref = weighted_expected_exponential(p, survivor_rates(v.p))
         assert np.max(np.abs(E - ref)) <= 1e-12
-
 
     @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
     @settings(max_examples=40, deadline=None)
@@ -288,69 +293,160 @@ class TestArrayLaws:
             assert list(tuples) == [members for members, _ in sets]
             assert np.array_equal(full, probs)
 
+
+@contextmanager
+def _stack_bytes(nbytes: int):
+    """Patch the stack size that ``graph_core.stacks`` and validation's
+    own chunks read."""
+    with mock.patch.object(graph_core, "STACK_BYTES", nbytes), \
+            mock.patch.object(validation, "STACK_BYTES", nbytes):
+        yield
+
+
+def _union_edges(stars) -> frozenset:
+    """The edge set of a union of 1-based (centre, neighbours) stars."""
+    return frozenset(frozenset((c, j)) for c, N in stars for j in N)
+
+
+def _graph_edges(n: int, rows: np.ndarray) -> list:
+    """The edge sets of (G, E) bool edge rows, edges in ``np.triu_indices`` order, 1-based."""
+    i, j = np.triu_indices(n, 1)
+    return [frozenset(frozenset((i[e] + 1, j[e] + 1)) for e in np.flatnonzero(r)) for r in rows]
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """(G, E) bool edge rows as the packed bits ``_kernel_sums`` takes."""
+    return np.packbits(rows, axis=1, bitorder="little")
+
+
+def _unpacked(n: int, graphs: np.ndarray) -> np.ndarray:
+    """Packed graphs back as (G, E) bool edge rows."""
+    return np.unpackbits(graphs, axis=1, count=n * (n - 1) // 2, bitorder="little").astype(bool)
+
+
+def _shape_key(n: int, edges: frozenset) -> tuple:
+    """A graph's edges with its nodes relabelled by a stable sort on
+    degree, sorted: what two graphs of one shape share."""
+    degree = [sum(i in e for e in edges) for i in range(1, n + 1)]
+    place = {node: k for k, node in enumerate(sorted(range(1, n + 1), key=lambda i: degree[i - 1]))}
+    return tuple(sorted(tuple(sorted(place[i] for i in e)) for e in edges))
+
+
+class TestGraphLaw:
+    """The laws over union graphs against the configuration walk of
+    ``tests/oracles.py``."""
+
+    @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_law_equals_the_configuration_histogram(self, p, model, data):
+        # each distinct union graph once, at the summed weight of the
+        # configurations that make it
+        rule = UNIFORM_TIE_BREAK
+        if model == "table":
+            model, rule = "fastswitch", _random_table(p.n, data)
+        v = _variant(p, model, rule)
+        histogram = Counter()
+        for w, stars in _branches(v):
+            histogram[_union_edges(stars)] += w
+        if v.one_star:
+            packed, graph = validation._one_star_graphs(v.p)
+            law = validation._star_law(v, graph, len(packed))
+            graphs = _graph_edges(p.n, _unpacked(p.n, packed))
+        else:
+            law = validation._full_law(v.p)
+            masks = np.arange(len(law))
+            rows = (masks[:, None] >> np.arange(p.n * (p.n - 1) // 2) & 1).astype(bool)
+            graphs = _graph_edges(p.n, rows)
+        assert len(set(graphs)) == len(graphs)  # equal graphs merged
+        got = {g: w for g, w in zip(graphs, law.tolist()) if w or g in histogram}
+        assert got.keys() == histogram.keys()
+        assert max(abs(got[g] - w) for g, w in histogram.items()) <= 1e-15
+
     @given(tiny_params(), st.sampled_from(["sparse", "full", "fastswitch", "table"]), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_sum_adds_one_configuration_at_a_time(self, p, model, data):
+    def test_kernels_match_the_configuration_walk(self, p, model, data):
         rule = UNIFORM_TIE_BREAK
         if model == "table":
             model, rule = "fastswitch", _random_table(p.n, data)
         v = _variant(p, model, rule)
         T = np.array([0.01, 2.0 * p.dt, 7.5])
-        acc = np.zeros((len(T), p.n, p.n))
-        for w, stars in _branches(v):
-            acc += w * expm_sym(star_union_laplacian(p.n, [StarSpec(p.n, *s) for s in stars]), T)
-        # a stack of one configuration, of two, or of the default size
-        per_config = 8 * p.n * p.n * len(T)
-        chunk = data.draw(st.sampled_from([per_config, 2 * per_config, graph_core.STACK_BYTES]))
-        with mock.patch.object(graph_core, "STACK_BYTES", chunk):
-            assert np.array_equal(validation._expected_exponentials(v, T), acc)
+        ref = walked_expected_kernels(v.p, *v.folded(), T)[0]
+        # a stack of one matrix, of a few, or of the default size
+        nbytes = data.draw(st.sampled_from([8 * p.n * p.n, 24 * p.n * p.n, graph_core.STACK_BYTES]))
+        with _stack_bytes(nbytes):
+            got = validation._expected_exponentials(v, T)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_full_kernels_match_the_walk_at_n5(self, m):
+        # (1 + C(4, m))**5 configurations: 16,807 at m = 2
+        p = ModelParams(5, m, (0.35, 0.2, 0.5, 0.15, 0.6), 0.7)
+        T = np.array([0.01, 1.4, 7.5])
+        got = validation._expected_exponentials(Full(p), T)
+        assert np.max(np.abs(got - walked_expected_kernels(p, *Full(p).folded(), T)[0])) <= 1e-12
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_full_rows_sum_to_one_at_n6(self, m):
+        p = ModelParams(6, m, (0.35, 0.2, 0.5, 0.15, 0.6, 0.3), 0.5)
+        E = enumerate_expected_exponential(Full(p))
+        assert np.max(np.abs(E.sum(axis=1) - 1.0)) <= 1e-13
+        assert np.array_equal(E, E.T)
+
+    def test_full_runs_at_n7_and_refuses_above_before_any_work(self, monkeypatch):
+        # m = 6: each node's one star joins it to all others
+        p = ModelParams(7, 6, tuple(np.linspace(0.1, 0.7, 7)), 0.5)
+        E = enumerate_expected_exponential(Full(p))
+        assert np.max(np.abs(E.sum(axis=1) - 1.0)) <= 1e-13
+        monkeypatch.setattr(validation, "center_star_table", lambda p: pytest.fail("work done"))
+        for n in (8, 12):
+            p = ModelParams(n, 1, (0.1,) * n, 0.5)
+            E_ = n * (n - 1) // 2
+            with pytest.raises(ValueError, match=rf"n={n} spans 2\*\*{E_} edge masks \(E={E_}\)"):
+                enumerate_expected_exponential(Full(p))
 
 
-class TestDistinctGraphs:
-    """Each stack decomposes each distinct union graph once."""
+class TestShapes:
+    """One eigen-solve per graph shape, each graph's kernel that of its own
+    Laplacian."""
 
-    @given(st.integers(2, 5), st.data())
-    @settings(max_examples=15, deadline=None)
-    def test_each_distinct_graph_decomposed_once(self, n, data):
-        # m = 1 makes (c, {j}) and (j, {c}) the same edge; stacks of a
-        # drawn size (at most about 40 of them), a few bytes over, end
-        # mid-enumeration
-        m = data.draw(st.integers(1, n - 1))
-        a = tuple(data.draw(st.floats(0.01, 1.0 / n)) for _ in range(n))
-        rule = _random_table(n, data) if data.draw(st.booleans()) else UNIFORM_TIE_BREAK
-        v = _variant(ModelParams(n, m, a, data.draw(st.floats(0.1, 2.0))), "full", rule)
-        T = np.array([0.01, 2.0 * v.p.dt, 7.5])
-        branches = _branches(v)
-        per_config = 8 * n * n * len(T)
-        size = data.draw(st.integers(max(1, len(branches) // 40), max(1, len(branches) - 1)))
-        chunk = size * per_config + data.draw(st.integers(0, per_config - 1))
+    @given(st.integers(2, 7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_relabelled_kernels_equal_each_graphs_own(self, n, data):
+        # random graphs, some repeated and some isomorphic, in stacks of a
+        # drawn size
+        E = n * (n - 1) // 2
+        G = data.draw(st.integers(1, 60))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rows = np.random.default_rng(seed).random((G, E)) < data.draw(st.sampled_from([0.2, 0.5, 0.8]))
+        T = np.array([0.01, 1.3, 7.5])
+        nbytes = data.draw(st.sampled_from([8 * n * n, 3 * 8 * n * n * len(T), graph_core.STACK_BYTES]))
         decomposed = []
         exact = validation.expm_sym
 
         def spy(L, t):
-            decomposed.append(L.copy())
+            decomposed.extend(L)
             return exact(L, t)
 
-        with mock.patch.object(graph_core, "STACK_BYTES", chunk), \
-                mock.patch.object(validation, "expm_sym", spy):
-            got = validation._expected_exponentials(v, T)
-        # added one configuration at a time, each kernel that of its own
-        # Laplacian alone, taken once an edge set (the Laplacian's inputs)
-        edges = [frozenset(frozenset((c, j)) for c, N in stars for j in N) for _, stars in branches]
-        laplacian, kernel = {}, {}
-        acc = np.zeros((len(T), n, n))
-        for (w, stars), e in zip(branches, edges):
-            if e not in kernel:
-                laplacian[e] = star_union_laplacian(n, [StarSpec(n, *s) for s in stars])
-                kernel[e] = expm_sym(laplacian[e], T)
-            acc += w * kernel[e]
-        assert np.array_equal(got, acc)
-        assert len(decomposed) == -(-len(branches) // size)
-        for L, lo in zip(decomposed, range(0, len(branches), size)):
-            got_graphs = sorted(x.tolist() for x in L)  # by value: -0.0 == 0.0
-            assert all(x != y for x, y in zip(got_graphs, got_graphs[1:]))  # no graph twice
-            distinct = set(edges[lo:lo + size])
-            assert got_graphs == sorted(laplacian[e].tolist() for e in distinct)
+        with _stack_bytes(nbytes), mock.patch.object(validation, "expm_sym", spy):
+            got = validation._kernel_sums(n, _packed(rows), np.eye(G), T)  # each graph's kernel, a row
+        graphs = _graph_edges(n, rows)
+        for g, edges in enumerate(graphs):
+            L = star_union_laplacian_ints(n, [(min(e), (max(e),)) for e in edges])
+            assert np.max(np.abs(got[g] - expm_sym(np.array(L, dtype=float), T))) <= 1e-13
+        # one decomposition a shape, and none of a shape no graph has
+        shapes = {_shape_key(n, e) for e in graphs}
+        assert len(decomposed) == len(shapes)
+        assert {_shape_key(n, _graph_edges(n, [L[np.triu_indices(n, 1)] != 0])[0])
+                for L in decomposed} == shapes
+
+    def test_unweighted_graphs_are_skipped(self, monkeypatch):
+        calls = _count_exponentials(monkeypatch)
+        rows = np.array([[False] * 6, [True] * 6, [True, False, False, False, False, True]])
+        W = np.array([[0.25, 0.0, 0.75]])
+        got = validation._kernel_sums(4, _packed(rows), W, np.array([1.0]))
+        assert len(calls) == 2  # the empty graph and the two disjoint edges
+        L = star_union_laplacian(4, [StarSpec(4, 1, (2,)), StarSpec(4, 3, (4,))])
+        assert np.max(np.abs(got[0, 0] - (0.25 * np.eye(4) + 0.75 * expm_sym(L, 1.0)))) <= 1e-15
 
 
 class TestBranchProbabilities:
@@ -443,9 +539,12 @@ class TestEnumerateExpectedExponential:
 
     def test_size_guard_refuses_before_work(self):
         p = ModelParams(10, 4, (0.05,) * 10, 1.0)
-        assert Full(p).size() > MAX_BRANCHES
-        with pytest.raises(ValueError, match="branches"):
+        with pytest.raises(ValueError, match=r"n=10 spans 2\*\*45 edge masks"):
             enumerate_expected_exponential(Full(p))
+        q = ModelParams(20, 1, (0.01,) * 20, 1.0)
+        assert FastSwitch(q).size() > MAX_BRANCHES
+        with pytest.raises(ValueError, match="branches"):
+            enumerate_expected_exponential(FastSwitch(q))
 
     def test_streams_its_stacks(self):
         # sparse at n = 40, m = 1: 1,561 branches of 40 x 40, 20 MB for each
@@ -507,7 +606,7 @@ class TestFastSwitchInequality:
             verify_fast_switch_inequality(p, grid)
 
     @pytest.mark.parametrize("tabled", [False, True])
-    def test_samples_equal_each_T_enumerated_alone(self, tabled):
+    def test_samples_match_each_T_enumerated_alone(self, tabled):
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
         rule = UNIFORM_TIE_BREAK
         if tabled:
@@ -523,15 +622,15 @@ class TestFastSwitchInequality:
             full = enumerate_expected_exponential(Full(pT))
             fs = enumerate_expected_exponential(FastSwitch(pT))
             assert sample.T == T
-            assert sample.lambda_full == validation.lambda_second_largest(full)
-            assert sample.lambda_fastswitch == validation.lambda_second_largest(fs)
+            assert abs(sample.lambda_full - validation.lambda_second_largest(full)) <= 1e-14
+            assert abs(sample.lambda_fastswitch - validation.lambda_second_largest(fs)) <= 1e-14
 
     @pytest.mark.parametrize("n, m, tabled", [(4, 2, False), (4, 2, True), (5, 1, False)])
     @pytest.mark.parametrize("size", [1, 3, 10**6])
-    def test_fastswitch_read_off_the_full_enumeration(self, n, m, tabled, size):
-        # fastswitch's law on full's tuples, 0 off its own, walked with
-        # full's in stacks of ``size`` configurations (some of them with
-        # none of its own), gives bit for bit fastswitch's own enumeration
+    def test_fastswitch_read_off_the_full_graphs(self, n, m, tabled, size):
+        # fastswitch's law on full's graph masks, summed with full's in
+        # stacks of ``size`` matrices, against each variant's own sum and
+        # the configuration walk
         rule = UNIFORM_TIE_BREAK
         if tabled:
             rule = TieBreakRule({
@@ -543,83 +642,59 @@ class TestFastSwitchInequality:
         T = np.array([0.01, 0.05, 3.0])
         seen, lam = [], validation.lambda_second_largest  # the kernels the probe compares
         with (
-            mock.patch.object(graph_core, "STACK_BYTES", size * 8 * n * n * len(T)),
+            _stack_bytes(size * 8 * n * n * len(T)),
             mock.patch.object(validation, "lambda_second_largest", lambda E: seen.append(E) or lam(E)),
         ):
             verify_fast_switch_inequality(p, T)
-        assert np.array_equal(seen[0::2], validation._expected_exponentials(Full(p), T))
-        assert np.array_equal(seen[1::2], validation._expected_exponentials(FastSwitch(p), T))
+        for got, v in ((seen[0::2], Full(p)), (seen[1::2], FastSwitch(p))):
+            assert np.max(np.abs(got - validation._expected_exponentials(v, T))) <= 1e-14
+            assert np.max(np.abs(got - walked_expected_kernels(p, *v.folded(), T)[0])) <= 1e-12
 
     def test_oversized_probe_refused(self):
         p = ModelParams(12, 5, (0.05,) * 12, 0.5)
-        with pytest.raises(ValueError, match="branches"):
+        with pytest.raises(ValueError, match=r"n=12 spans 2\*\*66 edge masks"):
             verify_fast_switch_inequality(p, (0.1,))
 
 
-class TestOneWalk:
-    """One walk serves every law of its probability array, and check 1's
-    reader, each bit for bit as if taken on its own."""
+class TestOneSummation:
+    """One summation serves every law of its weight array, and check 1's
+    centre means, each as if taken on its own."""
 
     @given(st.integers(2, 7), st.booleans(), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_each_law_as_if_walked_alone(self, n, tabled, data):
+    def test_each_row_as_if_summed_alone(self, n, tabled, data):
         m = data.draw(st.integers(1, n - 1))
         # rate sums on both sides of 1, so that sparse is left out on some draws
         a = tuple(data.draw(st.floats(0.01, 2.0 / n)) for _ in range(n))
         rule = _random_table(n, data) if tabled else UNIFORM_TIE_BREAK
         p = ModelParams(n, m, a, data.draw(st.floats(0.05, 2.0)), rule)
-        # full's tuples (its walk kept small, n <= 4) or the one-star ones
-        one_star = ((),) + tuple((i,) for i in range(1, n + 1))
-        tuples = data.draw(st.sampled_from([one_star] + [Full(p).folded()[0]] * (n <= 4)))
-        # each variant's law on the tuples, 0 on those it lacks, and a law
-        # of drawn weights, some 0, the last tuple's not
-        variants = [Full(p), FastSwitch(p)] + ([Sparse(p)] if p.sparse_regime else [])
-        variants = [v for v in variants if set(v.folded()[0]) <= set(tuples)]
-        laws = [dict(zip(*v.folded())) for v in variants]
-        raw = [data.draw(st.sampled_from([0.0, 0.25, 1.0, 3.0])) for _ in tuples[:-1]]
-        drawn = np.array(raw + [data.draw(st.sampled_from([0.25, 1.0, 3.0]))])
-        probs = np.array([[law.get(t, 0.0) for t in tuples] for law in laws] + [drawn / drawn.sum()])
+        variants = [FastSwitch(p)] + ([Sparse(p)] if p.sparse_regime else [])
+        means = data.draw(st.booleans())
         T = np.array([0.01, 2.0 * p.dt, 7.5])
-        # a stack of one configuration, of a few, or of the default size
-        per_config = 8 * n * n * len(T)
-        chunk = data.draw(st.sampled_from([per_config, 3 * per_config, graph_core.STACK_BYTES]))
-        with mock.patch.object(graph_core, "STACK_BYTES", chunk):
-            got = validation._expected_kernels(p, tuples, probs, T)
-        assert got.shape == (len(probs), len(T), n, n)
+        nbytes = data.draw(st.sampled_from([8 * n * n, 24 * n * n, graph_core.STACK_BYTES]))
+        with _stack_bytes(nbytes):
+            got = validation._one_star_sums(p, variants, means, T)
+        assert got.shape == (len(variants) + n * means, len(T), n, n)
         for v, E in zip(variants, got):
-            assert np.array_equal(E, validation._expected_exponentials(v, T))
-        # the drawn law walked alone on the tuples it gives weight to
-        kept = probs[-1] > 0
-        alone = [t for t, keep in zip(tuples, kept) if keep]
-        assert np.array_equal(got[-1], validation._expected_kernels(p, alone, probs[-1:, kept], T)[0])
+            assert np.max(np.abs(E - validation._expected_exponentials(v, T))) <= 1e-14
+        if means:
+            alone = validation._one_star_sums(p, [], True, T)
+            assert np.max(np.abs(got[len(variants):] - alone)) <= 1e-14
 
-    @given(st.integers(2, 7), st.booleans(), st.data())
+    @given(st.integers(2, 7), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_centre_means_equal_the_subset_averages(self, n, with_law, data):
+    def test_centre_means_match_the_subset_averages(self, n, data):
         m = data.draw(st.integers(1, n - 1))
         a = tuple(data.draw(st.floats(0.01, 2.0 / n)) for _ in range(n))
-        rule = _random_table(n, data) if data.draw(st.booleans()) else UNIFORM_TIE_BREAK
-        p = ModelParams(n, m, a, data.draw(st.floats(0.05, 2.0)), rule)
-        T = np.array([2.0 * p.dt])
-        # the stars alone, or after () under fastswitch's law, whose sum the
-        # reader, run after it, leaves as the law's own
-        tuples, probs = tuple((i,) for i in range(1, n + 1)), np.zeros((0, n))
-        if with_law:
-            tuples, probs = FastSwitch(p).folded()
-            probs = np.array([probs])
-        # stacks of one configuration and of a drawn size, which end mid-centre when C > 1
+        p = ModelParams(n, m, a, data.draw(st.floats(0.05, 2.0)))
+        T = 2.0 * p.dt
         C = math.comb(n - 1, m)
-        for size in (1, data.draw(st.integers(2, 2 * C + 1))):
-            got = []
-            with mock.patch.object(graph_core, "STACK_BYTES", size * 8 * n * n):
-                reader = validation._centre_means(C, lambda i, E: got.append((i, E)))
-                sums = validation._expected_kernels(p, tuples, probs, T, reader)
-            means = list(subset_averages(p, 2.0 * p.dt))
-            assert [i for i, _ in got] == [i for i, _ in means] == list(range(n))
-            assert all(np.array_equal(E, ref) for (_, E), (_, ref) in zip(got, means))
-            assert len(sums) == len(probs)
-            if with_law:
-                assert np.array_equal(sums[0], validation._expected_exponentials(FastSwitch(p), T))
+        nbytes = data.draw(st.sampled_from([8 * n * n, 8 * n * n * (C + 1), graph_core.STACK_BYTES]))
+        with _stack_bytes(nbytes):
+            got = validation._one_star_sums(p, [], True, np.array([T]))[:, 0]
+        means = list(subset_averages(p, T))
+        assert [i for i, _ in means] == list(range(n))
+        assert max(np.max(np.abs(E - ref)) for E, (_, ref) in zip(got, means)) <= 1e-13
 
 
 class TestValidate:
