@@ -11,7 +11,8 @@ censored, and the rest draw that period's stars and take its heat kernel
 for a lone star; for several, the kernel's action on the states by a shifted
 Taylor series (``graph_core.expm_action``) below a cost switch in dt times
 the largest degree, joined there by lone stars where cheaper, and stacked
-eigen-solves (``expm_sym``) above it, on the touched nodes where cheaper,
+eigen-solves above it, of the Laplacians (``expm_sym``) or, where cheaper,
+of their quotients on the touched nodes' twin classes (``_on_twins``),
 "cheaper" by the fitted costs of ``_COST``. Block b reads ``stream(seed,
 PATHS, b)``; workers take whole blocks and counts are exact integers, so
 results are identical for any number of workers. ``step`` is the one-path
@@ -38,7 +39,7 @@ _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THR
 # a (k, n, n) stack, term + term_nn k n^2, against eigh + eigh_nn k n^2 for the
 # eigen-solve route; a lone row in the action's stacks, lone_build n^2 plus
 # lone_term n^2 a term, against lone_gather for the closed form; eigh_nnn n^3 a
-# matrix of eigh, against support_gather for the gathers of ``_on_supports``.
+# matrix of eigh, against support_gather for ``_on_twins``' classes and quotient.
 _COST = {"term": 4.0, "term_nn": 5e-4, "eigh": 40.0, "eigh_nn": 0.12, "lone_build": 7e-4,
          "lone_term": 6e-4, "lone_gather": 40.0, "eigh_nnn": 2e-3, "support_gather": 30.0}
 
@@ -142,7 +143,8 @@ def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
     """Each row of Z under its ``count`` stars, in ``stacks`` of consecutive
     rows: ``expm_action`` with ``taylor`` unless ``_cheaper_plan`` finds it
     dearer at dt times the stack's largest degree, else ``expm_sym``, without
-    ``taylor`` on the rows' supports (``_on_supports``) where that is cheaper."""
+    ``taylor`` on the rows' twin classes (``_on_twins``) where that is cheaper
+    than a full-size solve, the rows touching fewer than n nodes."""
     n, m = Z.shape[1], nbs.shape[1]
     ends, size = count.cumsum(), max(1, STACK_BYTES // (8 * n * n))  # ``stacks``' rule
     for lo in range(0, len(Z), size):
@@ -151,7 +153,7 @@ def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
         row = np.arange(hi - lo).repeat(count[lo:hi])
         w = n if taylor else min(n, int(count[lo:hi].max()) * (m + 1))  # no row touches more
         if (hi - lo) * _COST["eigh_nnn"] * (n**3 - w**3) > _COST["support_gather"]:
-            _on_supports(Z[lo:hi], row, centre[a:b], nbs[a:b], dt)
+            _on_twins(Z[lo:hi], row, centre[a:b], nbs[a:b], dt)
             continue
         L = star_union_laplacians(hi - lo, n, row, centre[a:b], nbs[a:b])
         z = Z[lo:hi, :, None]  # a view
@@ -163,19 +165,54 @@ def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
     return Z
 
 
-def _on_supports(Z, row, centre, nbs, dt: float) -> None:
-    """Z's rows, in place, under their stars by ``expm_sym`` on (k, w, w) Laplacians: each row's
-    touched nodes, increasing, padded with untouched ones to w; only touched ones are written."""
-    touched = np.zeros(Z.shape, dtype=bool)
-    touched[row, centre] = touched[row[:, None], nbs] = True
-    w, r = int(touched.sum(axis=1).max()), np.arange(len(Z))[:, None]
-    nodes = np.argsort(~touched, axis=1, kind="stable")[:, :w]  # touched first
-    local = touched.cumsum(axis=1) - 1  # a touched node's place in its row's nodes
-    L = star_union_laplacians(len(Z), w, row, local[row, centre], local[row[:, None], nbs])
-    # taken about their mean on the touched nodes, which e^(-dt L) keeps exactly
-    mean = (Z * touched).sum(axis=1, keepdims=True) / touched.sum(axis=1, keepdims=True)
-    out = np.matmul(expm_sym(L, dt), (Z[r, nodes] - mean)[..., None])[..., 0] + mean
-    Z[touched] = out[touched[r, nodes]]  # both row by row, touched nodes increasing
+def _on_twins(Z, row, centre, nbs, dt: float) -> None:
+    """Z's rows, in place, under their stars on twin classes: each centre alone, and a row's
+    other touched nodes by the exact set of its stars they neighbour, so a class's nodes share
+    their neighbours and no edge. e^(-dt L) scales a node's deviation from its class mean by
+    e^(-dt d), d its degree, and moves the class means by e^(-dt B) on the (k, C, C) quotient
+    B = S^(-1/2) P^T L P S^(-1/2), S the class sizes (an equitable partition: Godsil and Royle,
+    Algebraic Graph Theory, 2001, ch. 9). Untouched nodes are not written."""
+    k, n = Z.shape
+    j = np.arange(len(row)) - np.searchsorted(row, row)  # each star's place in its row
+    q = int(j.max()) + 1
+    bits = np.zeros((k, n, 2 * q), dtype=bool)  # the stars a node neighbours, then centres
+    bits[row[:, None], nbs, j[:, None]] = True
+    bits[row, centre, j] = False  # a neighbour equal to its own centre pads
+    bits[row, centre, q + j] = True
+    keys = np.packbits(bits, axis=2)
+    keys = keys.view(f"V{keys.shape[2]}")[..., 0]  # the bits' bytes, exact at any q
+    r = np.arange(k)[:, None]
+    order = np.argsort(keys, axis=1, kind="stable")  # each class a run, untouched (key 0) first
+    keys = keys[r, order]
+    before = np.concatenate([np.zeros((k, 1), keys.dtype), keys[:, :-1]], axis=1)
+    cls = np.empty((k, n), dtype=np.intp)
+    cls[r, order] = (keys != before).cumsum(axis=1)  # 0 untouched, then the classes 1..C
+    C = int(cls.max())
+    P = (cls[..., None] == np.arange(1, C + 1)).astype(float)  # (k, n, C), 0 pads a row
+    s = P.sum(axis=1)
+    t = s.sum(axis=1, keepdims=True)
+    sums = np.matmul(Z[:, None, :], P)[:, 0]
+    mu = sums.sum(axis=1, keepdims=True) / t  # the touched mean
+    mean = sums / np.maximum(s, 1.0)
+    # s_a s_b times the stars that class a neighbours and b centres: a and b are joined,
+    # each node of a to each of b, if either way has one, an edge of two stars counted once
+    F = np.matmul(P.swapaxes(1, 2), bits.astype(float))
+    X = np.matmul(F[..., :q], F[..., q:].swapaxes(1, 2))
+    A = (X + X.swapaxes(1, 2) > 0).astype(float)
+    d = np.matmul(A, s[..., None])[..., 0]  # a class's degree
+    root = np.sqrt(s)
+    B = -(root[:, :, None] * root[:, None, :]) * A
+    B.reshape(k, C * C)[:, :: C + 1] = d
+    lam, V = np.linalg.eigh(B)
+    # the means taken about mu as root * (mean - mu); e^(-dt L) keeps the touched mean, which
+    # V's rounding on the null vector root would move by several ulps, so it is put back
+    y = np.matmul((root * (mean - mu))[:, None, :], V)[:, 0] * np.exp(-dt * lam)
+    y = np.matmul(V, y[..., None])[..., 0] / np.maximum(root, 1.0)
+    y -= (s * y).sum(axis=1, keepdims=True) / t
+    G = np.empty((k, C, 3))
+    G[..., 0], G[..., 1], G[..., 2] = mean, y, np.exp(-dt * d)
+    G = np.matmul(P, G)  # each node's class's
+    np.copyto(Z, mu + G[..., 1] + G[..., 2] * (Z - G[..., 0]), where=cls > 0)
 
 
 def _cheaper_plan(theta: float, k: int, n: int):

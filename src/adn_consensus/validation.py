@@ -16,7 +16,8 @@ shape, e**(-t*P L P^T) = P e**(-t*L) P^T.
 closed form against its oracle, and each variant's bound against the second
 eigenvalue of its enumerated kernel. Checks 1-3 are rows of one summation
 over the empty graph and the 1 + n*C(n-1, m) star graphs: the two variants'
-laws, and each centre's mean over its stars for check 1. Check 5 sums
+laws, and for check 1 each centre's mean over its stars, each graph added
+to its centres' rows. Check 5 sums
 ``Full``'s law with the fast-switching law on its graphs as a second row.
 """
 
@@ -49,10 +50,16 @@ MAX_BRANCHES = 10**7
 # The full model's law spans the 2**E edge masks of its union graphs,
 # E = n(n-1)/2, in one float64 array: 16 MB at E = 21 (n = 7).
 MAX_EDGES = 21
-# Checks 1-3 refuse k dense n x n exponentials once k * n**3, about their
-# eigen-solves' flops, passes this: busy's check 1, 77,520 kernels at n = 20,
-# is 6.2e8 and runs; n = 300, m = 1 would take minutes under a count guard.
-WORK_LIMIT = 10**9
+# Checks 1-3 take one eigen-solve a graph shape, then gather each of a check's
+# k kernels, n x n, from its shape's, about GATHER_NS an entry, and add it into
+# each of the check's weight rows (check 1's n centre means, a variant's law),
+# about ROW_NS an entry a row (``_one_star_sums`` on one core of a 2-core Xeon
+# VM, numpy 2.4, OpenBLAS: 13 ns an entry at n = 20, m = 4 with 1 to 21 rows,
+# 0.3 ns more an entry a row at n = 30, m = 2). A check refuses once that comes
+# to WORK_LIMIT seconds: busy's check 1, 77,520 kernels at n = 20 into 20 rows,
+# is priced at 0.59 s and runs; n = 300, m = 1 would take minutes.
+GATHER_NS, ROW_NS = 13.0, 0.3
+WORK_LIMIT = 10.0
 # Floating-point floor below zero that a sample's eigenvalue gap may reach
 # and still hold.
 GAP_SLACK = 1e-9
@@ -103,6 +110,17 @@ def _one_star_graphs(p: ModelParams) -> tuple:
     for e in star.T:  # the k-th edge of every star: each graph's byte set once
         graphs[np.arange(1, len(graphs)), e >> 3] |= (1 << (e & 7)).astype(np.uint8)
     return graphs, 1 + graph.reshape(p.n, -1)
+
+
+def _star_owners(p: ModelParams, graph: np.ndarray, size: int) -> np.ndarray:
+    """(size, 1 + (m == 1)): the centres whose star each graph id of
+    ``_one_star_graphs`` is, n for none; at m = 1 the edge {c, j} is a star
+    of both, the smaller first."""
+    centre = np.arange(p.n)[:, None]
+    owners = np.full((size, 1 + (p.m == 1)), p.n)
+    slot = (centre > center_star_table(p)[..., 0]).astype(np.intp) if p.m == 1 else 0
+    owners[graph, slot] = centre
+    return owners
 
 
 def _star_law(v: Variant, graph: np.ndarray, size: int) -> np.ndarray:
@@ -167,17 +185,24 @@ def _shape_keys(n: int, graphs: np.ndarray) -> tuple:
     return keys, place
 
 
-def _kernel_sums(n: int, graphs: np.ndarray, W: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _kernel_sums(
+    n: int, graphs: np.ndarray, W: np.ndarray, T: np.ndarray, owners=None, share: float = 0.0
+) -> np.ndarray:
     """sum_g W[r, g] e**(-t*L_g) for each row r of W and t in T, (len(W),
     len(T), n, n), over ``graphs``, a graph a row of its edges' packed bits
     (edge e of ``np.triu_indices`` order at bit e % 8 of byte e // 8, the
-    bytes of its edge mask), skipping a graph that no row weights.
+    bytes of its edge mask), skipping a graph that no row weights. With
+    ``owners``, n rows more, row i weighting by ``share`` each graph g with
+    i in owners[g] (n for none), never held as dense rows over the graphs.
     ``expm_sym`` decomposes one representative a shape (``_shape_keys``),
     once for all of T, in stacks within ``STACK_BYTES``, and each graph of
     the shape takes its kernel with the relabelling undone:
     e**(-t*L)[x, y] = e**(-t*L')[at[x], at[y]] for L' the relabelled
     Laplacian and at the places."""
-    kept = np.flatnonzero(W.any(axis=0))
+    if owners is None:
+        owners = np.zeros((len(graphs), 0), dtype=np.intp)
+    rows = len(W) + n * (owners.shape[1] > 0)
+    kept = np.flatnonzero(W.any(axis=0) | (owners < n).any(axis=1))
     keys, place = _shape_keys(n, graphs[kept])
     # the kept graphs sorted by key, shape k's at order[shape[k]:shape[k + 1]]
     order = np.argsort(keys.view(f"V{keys.shape[1]}")[:, 0], kind="stable")
@@ -185,7 +210,7 @@ def _kernel_sums(n: int, graphs: np.ndarray, W: np.ndarray, T: np.ndarray) -> np
     shape = np.flatnonzero(np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1), [True]]))
     i, j, _ = _edges(n)
     shapes = np.unpackbits(keys[shape[:-1]], axis=1, count=len(i), bitorder="little").view(bool)
-    acc = np.zeros((len(W), len(T), n, n))
+    acc = np.zeros((rows, len(T), n, n))
     size = max(1, STACK_BYTES // (8 * n * n * len(T)))
     for reps in stacks(range(len(shapes)), n, len(T)):
         row, e = np.nonzero(shapes[reps])
@@ -193,9 +218,12 @@ def _kernel_sums(n: int, graphs: np.ndarray, W: np.ndarray, T: np.ndarray) -> np
         members = order[shape[reps[0]]:shape[reps[-1] + 1]]
         rep = np.repeat(np.arange(len(reps)), np.diff(shape[reps[0]:reps[-1] + 2]))
         for lo in range(0, len(members), size):
-            at = place[members[lo:lo + size]]
+            at, g = place[members[lo:lo + size]], kept[members[lo:lo + size]]
             K = kernels[:, rep[lo:lo + size, None, None], at[:, :, None], at[:, None, :]]
-            acc += np.tensordot(W[:, kept[members[lo:lo + size]]], K, axes=(1, 1))
+            weights = np.zeros((rows + 1, len(g)))  # the rows' columns, a spare row for none
+            weights[: len(W)] = W[:, g]
+            weights[len(W) + owners[g], np.arange(len(g))[:, None]] = share
+            acc += np.tensordot(weights[:rows], K, axes=(1, 1))
     return acc
 
 
@@ -219,12 +247,9 @@ def _one_star_sums(p: ModelParams, variants: list, means: bool, T: np.ndarray) -
     variant's expected kernel, then, if ``means``, each centre's mean
     kernel over its C(n-1, m) stars."""
     graphs, graph = _one_star_graphs(p)
-    W = np.zeros((len(variants) + p.n * means, len(graphs)))
-    for r, v in enumerate(variants):
-        W[r] = _star_law(v, graph, len(graphs))
-    if means:  # a centre's stars are distinct graphs
-        W[len(variants) + np.arange(p.n)[:, None], graph] = 1.0 / graph.shape[1]
-    return _kernel_sums(p.n, graphs, W, T)
+    W = np.array([_star_law(v, graph, len(graphs)) for v in variants]).reshape(-1, len(graphs))
+    owners = _star_owners(p, graph, len(graphs)) if means else None
+    return _kernel_sums(p.n, graphs, W, T, owners, 1.0 / graph.shape[1])
 
 
 @dataclass(frozen=True)
@@ -282,8 +307,8 @@ def _check_rows(params: ModelParams):
     n, m = params.n, params.m
     C = math.comb(n - 1, m)
 
-    def too_costly(kernels: int) -> str | None:
-        if kernels * n**3 > WORK_LIMIT:
+    def too_costly(kernels: int, rows: int) -> str | None:
+        if kernels * n * n * (GATHER_NS + rows * ROW_NS) * 1e-9 > WORK_LIMIT:
             return f"refused: size ({kernels} kernels of {n} x {n})"
         return None
 
@@ -299,7 +324,7 @@ def _check_rows(params: ModelParams):
     if C * n > 200_000:
         refusals = {subset: f"refused: size ({C} subsets per center)"}
     else:
-        refusals = {subset: too_costly(n * C)}
+        refusals = {subset: too_costly(n * C, n)}
     live = {}
     for cls in (Sparse, FastSwitch):
         name = f"{cls.name}-kernel-vs-enumeration"
@@ -311,7 +336,7 @@ def _check_rows(params: ModelParams):
         if (size := v.size()) > MAX_BRANCHES:
             refusals[name] = f"refused: size ({size} branches)"
         else:
-            refusals[name] = too_costly(1 + n * C)  # its configurations once folded
+            refusals[name] = too_costly(1 + n * C, 1)  # its configurations once folded
         if refusals[name] is None:
             live[name] = v
     if live or refusals[subset] is None:  # else nothing to sum

@@ -475,36 +475,22 @@ def random_stars(rng, n: int, spokes: int, count):
     return np.repeat(np.arange(len(count)), count), centre, nbs
 
 
-class TestOnSupports:
-    """The eigen route solved only on the nodes each row's stars touch."""
+class TestOnTwins:
+    """The eigen route solved on the twin classes of the nodes each row's
+    stars touch."""
 
     @staticmethod
     def record_shapes(monkeypatch) -> list:
-        """The shapes of the stacks mc_sim hands ``expm_sym`` from now on."""
-        shapes, kernel = [], mc_sim.expm_sym
-        monkeypatch.setattr(mc_sim, "expm_sym", lambda L, t: shapes.append(L.shape) or kernel(L, t))
+        """The shapes of the stacks ``np.linalg.eigh`` decomposes from now on."""
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: shapes.append(M.shape) or eigh(M))
         return shapes
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_matches_the_eigen_solve_on_each_support(self, data):
-        n = data.draw(st.integers(2, 60))
-        spokes = data.draw(st.integers(1, n - 1))
-        t = data.draw(st.floats(1e-3, 3.0))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # rows of 1-4 stars: supports of different sizes, padded to the largest
-        row, centre, nbs = random_stars(rng, n, spokes, rng.integers(1, 5, data.draw(st.integers(1, 5))))
-        if data.draw(st.booleans()):
-            # one more row, whose stars touch every node: star j joins node
-            # j * spokes to the next spokes nodes, padded with its own centre
-            c = np.arange(0, n - 1, spokes)
-            ring = c[:, None] + np.arange(1, spokes + 1)
-            row = np.append(row, np.full(len(c), row[-1] + 1))
-            centre, nbs = np.append(centre, c), np.vstack([nbs, np.where(ring < n, ring, c[:, None])])
-        Z = rng.uniform(-5.0, 5.0, (row[-1] + 1, n))
-        got = Z.copy()
-        mc_sim._on_supports(got, row, centre, nbs, t)
-        L = star_union_laplacians(len(Z), n, row, centre, nbs)
+    @staticmethod
+    def assert_solved(Z, got, row, centre, nbs, t):
+        """``got`` is Z's rows under their stars: untouched coordinates bit
+        for bit, touched ones against an ``eigh`` on each row's touched nodes."""
+        L = star_union_laplacians(len(Z), Z.shape[1], row, centre, nbs)
         touched = L.diagonal(0, 1, 2) > 0
         assert np.array_equal(got[~touched], Z[~touched])
         w = touched.sum(axis=1).max()
@@ -519,31 +505,73 @@ class TestOnSupports:
             tol = (16 + w / 2) * np.finfo(float).eps * np.linalg.norm(z)
             assert np.linalg.norm(out[on] - ref) <= tol
 
-    def test_large50_stacks_are_solved_on_their_supports(self, monkeypatch):
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_eigen_solve_on_each_row(self, data):
+        n = data.draw(st.integers(3, 60))
+        spokes = data.draw(st.integers(1, n - 2))
+        t = data.draw(st.floats(1e-3, 3.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # rows of 1-4 stars, a centre sometimes the centre of two
+        row, centre, nbs = random_stars(rng, n, spokes, rng.integers(1, 5, data.draw(st.integers(1, 5))))
+        for a in np.flatnonzero(row[1:] == row[:-1]).tolist():
+            # stars a and a + 1 share a row: a centre neighbours the other
+            # star, one way or both ways, an edge of both stars if both
+            for x, y in data.draw(st.sampled_from([(), ((a, a + 1),), ((a, a + 1), (a + 1, a))])):
+                if centre[x] != centre[y] and centre[x] not in nbs[y]:
+                    nbs[y, 0] = centre[x]
+        if spokes > 1 and data.draw(st.booleans()):
+            nbs[:, -1] = centre  # each star padded with its own centre
+        if data.draw(st.booleans()):
+            # one more row, whose stars touch every node: star j joins node
+            # j * spokes to the next spokes nodes, padded with its own centre
+            c = np.arange(0, n - 1, spokes)
+            ring = c[:, None] + np.arange(1, spokes + 1)
+            row = np.append(row, np.full(len(c), row[-1] + 1))
+            centre, nbs = np.append(centre, c), np.vstack([nbs, np.where(ring < n, ring, c[:, None])])
+        Z = rng.uniform(-5.0, 5.0, (row[-1] + 1, n))
+        got = Z.copy()
+        mc_sim._on_twins(got, row, centre, nbs, t)
+        self.assert_solved(Z, got, row, centre, nbs, t)
+
+    def test_a_row_of_72_stars_keyed_past_64_bits(self):
+        # n = 400, m = 1: star j joins centre j to node 100 for j < 60, to node
+        # 101 + j - 60 from there. Keyed by the sum of 2**j over its stars,
+        # node 100 would round to node 101's key in float64, and nodes 105-112
+        # would wrap to one 64-bit key
+        n, j, row = 400, np.arange(72), np.zeros(72, dtype=np.intp)
+        nbs = np.where(j < 60, 100, 101 + j - 60)[:, None]
+        keys = [sum(2**i for i in np.flatnonzero(nbs[:, 0] == v).tolist()) for v in range(100, 113)]
+        assert float(keys[0]) == float(keys[1]) and len({x % 2**64 for x in keys}) < len(keys)
+        Z = np.random.default_rng(7).uniform(-1.0, 1.0, (1, n))
+        got = Z.copy()
+        mc_sim._on_twins(got, row, j, nbs, 0.5)
+        self.assert_solved(Z, got, row, j, nbs, 0.5)
+
+    def test_large50_stacks_are_solved_on_five_classes(self, monkeypatch):
         # large50's shape: n = 50, m = 15, two stars a row, dt = 3. Fifteen
-        # rows come in two stacks of 13 and 2 rows, each decomposed at its
-        # largest support, and come back as the full-size route's
+        # rows come in two stacks of 13 and 2 rows, each row's nodes in the two
+        # centres and those of one star, of the other and of both, and come
+        # back as the full-size route's
         rng = np.random.default_rng(2025)
         k, count = 15, np.full(15, 2)
         row, centre, nbs = random_stars(rng, 50, 15, count)
         Z = rng.uniform(-1.0, 1.0, (k, 50))
         shapes = self.record_shapes(monkeypatch)
         got = mc_sim._stacked(Z.copy(), count, centre, nbs, 3.0, False)
+        assert shapes == [(13, 5, 5), (2, 5, 5)]
         L = star_union_laplacians(k, 50, row, centre, nbs)
-        size = (L.diagonal(0, 1, 2) > 0).sum(axis=1)
-        w = [size[:13].max(), size[13:].max()]
-        assert shapes == [(13, w[0], w[0]), (2, w[1], w[1])] and max(w) < 50
         ref = np.matmul(expm_sym(L, 3.0), Z[..., None])[..., 0]
         tol = 64 * np.finfo(float).eps * np.linalg.norm(Z, axis=1, keepdims=True)
         assert np.all(np.abs(got - ref) <= tol)
 
     def test_small10_stacks_keep_the_full_size(self, monkeypatch):
-        # n = 10, m = 4: two stars may touch all 10 nodes, so no mask is built
+        # n = 10, m = 4: two stars may touch all 10 nodes, so no class is formed
         rng = np.random.default_rng(2025)
         count = np.full(6, 2)
         _, centre, nbs = random_stars(rng, 10, 4, count)
         shapes = self.record_shapes(monkeypatch)
-        monkeypatch.setattr(mc_sim, "_on_supports", None)
+        monkeypatch.setattr(mc_sim, "_on_twins", None)
         mc_sim._stacked(rng.uniform(-1.0, 1.0, (6, 10)), count, centre, nbs, 2.0, False)
         assert shapes == [(6, 10, 10)]
 

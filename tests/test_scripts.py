@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -79,3 +80,32 @@ def test_src_size_lists_every_module_and_sums_them(capsys, monkeypatch):
     sizes = [(int(lines), int(stmts)) for _, lines, stmts in rows]
     assert sizes == [src_size.size(src_size.SRC / name) for name, *_ in rows]
     assert total == ["total", *(str(sum(col)) for col in zip(*sizes))]
+
+
+def test_output_digests_lists_every_run_of_a_tiny_config(tmp_path, capsys, monkeypatch):
+    # a ROOT holding the package's src and one n = 4 config: each run label
+    # gets one exit-code line, and each file a run writes a digest line
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    output_digests = importlib.import_module("output_digests")
+    root = tmp_path / "root"
+    (root / "configs").mkdir(parents=True)
+    (root / "src").symlink_to(SCRIPTS.parent / "src", target_is_directory=True)
+    config = {
+        "n": 4, "m": 2, "dt": 0.5, "eps": 0.01, "k_max": 40, "n_paths": 20, "seed": 5,
+        "model": "full", "activity": {"mode": "explicit", "values": [0.2, 0.1, 0.3, 0.15]},
+    }
+    (root / "configs" / "tiny.json").write_text(json.dumps(config))
+    assert output_digests.main([str(root), str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    sha = "[0-9a-f]{64}"
+    runs = [re.fullmatch(rf"configs/tiny/([\w-]+): exit 0, stdout {sha}, stderr {sha}", x) for x in lines]
+    assert [r[1] for r in runs if r] == list(output_digests.RUNS)
+    files = {}
+    for x in lines:
+        if (f := re.fullmatch(rf"({sha})  configs/tiny/([\w-]+)/out/(\S+)", x)) is not None:
+            files.setdefault(f[2], {})[f[3]] = f[1]
+    assert sum(map(bool, runs)) + sum(map(len, files.values())) == len(lines)
+    # every run with --out wrote files, and the worker count changes no byte
+    assert sorted(files) == sorted(k for k, v in output_digests.RUNS.items() if "--out" in v)
+    assert "survival.csv" in files["simulate-threads1"]
+    assert files["simulate-threads1"] == files["simulate-threads2"]

@@ -1,6 +1,7 @@
 """Static checks on the package source: each module uses every name it
 imports, and every module-level private name is referenced somewhere in
-the package, so that a moved function leaves no import or helper behind.
+the package, so that a moved function leaves no import or helper behind;
+every cost of ``mc_sim._COST`` is read, so a removed route leaves none.
 Each test module uses every name it imports, too. Nothing dispatches on a
 variant's tag or class: no comparison names a tag, and no type check,
 identity or equality test names a variant class. The cli imports no
@@ -62,6 +63,27 @@ def test_every_private_name_is_referenced(module):
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     referenced = set().union(*(_loaded(tree) for tree in TREES.values()))
     assert sorted(private - referenced) == []
+
+
+def test_every_route_cost_is_read():
+    # each of ``mc_sim._COST``'s fitted costs prices a route in a subscript
+    # that reads it (``_COST["term"]``, or through an alias), besides the
+    # dict that defines it
+    tree = TREES["mc_sim.py"]
+    (costs,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_COST" for t in node.targets)
+    ]
+    read = {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.slice, ast.Constant)
+    }
+    keys = [key.value for key in costs.keys]
+    assert keys and [key for key in keys if key not in read] == []
 
 
 def test_no_comparison_names_a_model_tag():
