@@ -39,7 +39,11 @@ _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THR
 # a (k, n, n) stack, term + term_nn k n^2, against eigh + eigh_nn k n^2 for the
 # eigen-solve route; a lone row in the action's stacks, lone_build n^2 plus
 # lone_term n^2 a term, against lone_gather for the closed form; eigh_nnn n^3 a
-# matrix of eigh, against support_gather for ``_on_twins``' classes and quotient.
+# matrix of eigh, whose saving k eigh_nnn (n^3 - w^3) on the w nodes a stack's
+# rows touch is set against support_gather. Those two still price the (k, w, w)
+# support solve that ``_on_twins`` replaced, not ``_on_twins`` (a (k, C, C) eigh,
+# no w^3): they keep sending large50's stacks to it and small10's w = n stacks
+# to the full size.
 _COST = {"term": 4.0, "term_nn": 5e-4, "eigh": 40.0, "eigh_nn": 0.12, "lone_build": 7e-4,
          "lone_term": 6e-4, "lone_gather": 40.0, "eigh_nnn": 2e-3, "support_gather": 30.0}
 
@@ -143,8 +147,8 @@ def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
     """Each row of Z under its ``count`` stars, in ``stacks`` of consecutive
     rows: ``expm_action`` with ``taylor`` unless ``_cheaper_plan`` finds it
     dearer at dt times the stack's largest degree, else ``expm_sym``, without
-    ``taylor`` on the rows' twin classes (``_on_twins``) where that is cheaper
-    than a full-size solve, the rows touching fewer than n nodes."""
+    ``taylor`` on the rows' twin classes (``_on_twins``) where the rows touch
+    fewer than n nodes and ``_COST`` prices a solve on those nodes cheaper."""
     n, m = Z.shape[1], nbs.shape[1]
     ends, size = count.cumsum(), max(1, STACK_BYTES // (8 * n * n))  # ``stacks``' rule
     for lo in range(0, len(Z), size):

@@ -55,9 +55,13 @@ MAX_EDGES = 21
 # each of the check's weight rows (check 1's n centre means, a variant's law),
 # about ROW_NS an entry a row (``_one_star_sums`` on one core of a 2-core Xeon
 # VM, numpy 2.4, OpenBLAS: 13 ns an entry at n = 20, m = 4 with 1 to 21 rows,
-# 0.3 ns more an entry a row at n = 30, m = 2). A check refuses once that comes
-# to WORK_LIMIT seconds: busy's check 1, 77,520 kernels at n = 20 into 20 rows,
-# is priced at 0.59 s and runs; n = 300, m = 1 would take minutes.
+# 0.3 ns more an entry a row at n = 30, m = 2). Keying the graphs by shape costs
+# only their edges (``_shape_keys``) and is left out. A check refuses once its
+# price comes to WORK_LIMIT seconds, which keeps validate to seconds and its peak
+# RSS under 200 MB: at the largest n that still runs, checks 1-3 priced 12.3 s
+# took 12.7 s (m = 1, n = 119), checks 2-3 alone priced 9.8 s took 3.6 s (m = 1,
+# n = 165), and 9.1 s took 6.3 s (m = 3, n = 41). Busy's check 1, 77,520 kernels
+# at n = 20 into 20 rows, is priced at 0.59 s; n = 300, m = 1 would take minutes.
 GATHER_NS, ROW_NS = 13.0, 0.3
 WORK_LIMIT = 10.0
 # Floating-point floor below zero that a sample's eigenvalue gap may reach
@@ -170,16 +174,16 @@ def _shape_keys(n: int, graphs: np.ndarray) -> tuple:
     relabelled edges, packed alike, equal for graphs of one shape, and each
     node's place in the relabelling, (G, n)."""
     i, j, ids = _edges(n)
-    ends = np.zeros((len(i), n))  # edge -> its two nodes, for the degrees
-    ends[np.arange(len(i)), i] = ends[np.arange(len(i)), j] = 1.0
     keys = np.empty_like(graphs)
     place = np.empty((len(graphs), n), dtype=np.min_scalar_type(n))
     size = max(1, STACK_BYTES // (8 * len(i)))
     for lo in range(0, len(graphs), size):
         X = np.unpackbits(graphs[lo:lo + size], axis=1, count=len(i), bitorder="little").view(bool)
-        at = np.argsort(np.argsort(X @ ends, axis=1, kind="stable"), axis=1)
+        g, e = np.nonzero(X)  # each graph's edges, a cost of the edges present only
+        degree = np.bincount(np.concatenate([g * n + i[e], g * n + j[e]]), minlength=len(X) * n)
+        at = np.argsort(np.argsort(degree.reshape(len(X), n), axis=1, kind="stable"), axis=1)
         relabelled = np.zeros_like(X)
-        relabelled[np.arange(len(X))[:, None], ids[at[:, i], at[:, j]]] = X
+        relabelled[g, ids[at[g, i[e]], at[g, j[e]]]] = True
         keys[lo:lo + size] = np.packbits(relabelled, axis=1, bitorder="little")
         place[lo:lo + size] = at
     return keys, place

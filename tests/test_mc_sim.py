@@ -508,8 +508,8 @@ class TestOnTwins:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_the_eigen_solve_on_each_row(self, data):
-        n = data.draw(st.integers(3, 60))
-        spokes = data.draw(st.integers(1, n - 2))
+        n = data.draw(st.integers(2, 60))
+        spokes = data.draw(st.integers(1, n - 1))
         t = data.draw(st.floats(1e-3, 3.0))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         # rows of 1-4 stars, a centre sometimes the centre of two

@@ -65,23 +65,49 @@ def test_every_private_name_is_referenced(module):
     assert sorted(private - referenced) == []
 
 
+def _cost_aliases(scope) -> set:
+    """``_COST`` and the names a function binds to it (``c = _COST``, or
+    in a tuple assignment, ``size, c = ..., _COST``)."""
+    names = {"_COST"}
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (
+                    zip(target.elts, node.value.elts)
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                    else [(target, node.value)]
+                )
+                names |= {
+                    t.id
+                    for t, v in pairs
+                    if isinstance(t, ast.Name) and isinstance(v, ast.Name) and v.id == "_COST"
+                }
+    return names
+
+
 def test_every_route_cost_is_read():
     # each of ``mc_sim._COST``'s fitted costs prices a route in a subscript
-    # that reads it (``_COST["term"]``, or through an alias), besides the
-    # dict that defines it
+    # of ``_COST``, or of a name its function binds to ``_COST``, besides
+    # the dict that defines it
     tree = TREES["mc_sim.py"]
     (costs,) = [
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_COST" for t in node.targets)
     ]
-    read = {
-        node.slice.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Subscript)
-        and isinstance(node.ctx, ast.Load)
-        and isinstance(node.slice, ast.Constant)
-    }
+    scopes = [tree] + [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    read = set()
+    for scope in scopes:
+        aliases = _cost_aliases(scope) if scope is not tree else {"_COST"}
+        read |= {
+            node.slice.value
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and isinstance(node.slice, ast.Constant)
+        }
     keys = [key.value for key in costs.keys]
     assert keys and [key for key in keys if key not in read] == []
 
