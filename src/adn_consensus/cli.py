@@ -14,9 +14,11 @@ as --config reproduces the CSV byte for byte.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from functools import cache
 
@@ -236,9 +238,14 @@ def resolve_config(cfg: dict, state: bool = True):
 
 def _write(out: str, name: str, *lines: str) -> str:
     """Write the lines, each ended by a newline, to ``name`` in directory
-    ``out``, creating it; return the path."""
+    ``out``, creating it; return the path. A regular file there is unlinked,
+    not truncated (ext4 flushes a truncated file on close); a symlink is
+    written through."""
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

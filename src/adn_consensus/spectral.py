@@ -63,13 +63,14 @@ def sparse_expected_exponential(p: ModelParams) -> np.ndarray:
     return weighted_expected_exponential(p, Sparse(p).weights())
 
 
-def lambda_second_largest(M: np.ndarray) -> float:
-    """Second-largest eigenvalue (with multiplicity) of a symmetric matrix."""
+def lambda_second_largest(M: np.ndarray):
+    """Second-largest eigenvalue (with multiplicity) of a symmetric matrix,
+    a float, or of each matrix of a stack (..., n, n), an array."""
     M = np.asarray(M, dtype=np.float64)
-    if M.shape[0] < 2:
+    if M.shape[-1] < 2:
         raise ValueError("second-largest eigenvalue needs n >= 2")
-    w = np.linalg.eigvalsh(M)
-    return float(w[-2])
+    w = np.linalg.eigvalsh(M)[..., -2]
+    return float(w) if M.ndim == 2 else w
 
 
 def convergence_bound(pz0_sq: float, eps: float, lam: float, K: int) -> float:

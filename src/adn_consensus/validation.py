@@ -88,24 +88,19 @@ def _edges(n: int) -> tuple:
     return i, j, ids
 
 
-def _star_edges(p: ModelParams) -> np.ndarray:
+def _star_edges(p: ModelParams, edges: tuple) -> np.ndarray:
     """(n, C(n-1, m), m): the edge ids of each centre's stars, in
     ``center_star_table`` order."""
-    return _edges(p.n)[2][np.arange(p.n)[:, None, None], center_star_table(p)]
+    return edges[2][np.arange(p.n)[:, None, None], center_star_table(p)]
 
 
-def _star_masks(p: ModelParams) -> np.ndarray:
-    """(n, C(n-1, m)): each centre's stars as edge masks, edge e at bit e."""
-    return np.bitwise_or.reduce(1 << _star_edges(p), axis=2)
-
-
-def _one_star_graphs(p: ModelParams) -> tuple:
+def _one_star_graphs(p: ModelParams, edges: tuple) -> tuple:
     """The graphs of the one-star laws as packed edge bits (``_kernel_sums``),
     the empty graph first, and (n, C(n-1, m)) the graph of each centre's
     stars. With m >= 2 a star's one node of degree m is its centre, so
     stars are distinct graphs; at m = 1 the star (c, {j}) is (j, {c}), one
     edge."""
-    star = _star_edges(p).reshape(-1, p.m)
+    star = _star_edges(p, edges).reshape(-1, p.m)
     graph = np.arange(len(star))
     if p.m == 1:
         star, graph = np.unique(star, return_inverse=True)
@@ -127,53 +122,55 @@ def _star_owners(p: ModelParams, graph: np.ndarray, size: int) -> np.ndarray:
     return owners
 
 
-def _star_law(v: Variant, graph: np.ndarray, size: int) -> np.ndarray:
-    """A one-star variant's ``folded`` law over ``size`` graph ids: its ()
-    on graph 0, the empty one, and centre i's probability shared equally
-    by its stars, star s on graph[i - 1, s], equal graphs' added."""
-    _, probs = v.folded()  # over (), (1,), ..., (n,)
+def _star_law(probs, graph: np.ndarray, size: int) -> np.ndarray:
+    """A one-star variant's law over ``size`` graph ids from the
+    probabilities of its ``folded`` centre tuples (), (1,), ..., (n,): ()'s
+    on graph 0, the empty one, and centre i's shared equally by its stars,
+    star s on graph[i - 1, s], equal graphs' added."""
     shares = np.repeat(np.asarray(probs[1:]) / graph.shape[1], graph.shape[1])
     law = np.bincount(graph.ravel(), shares, minlength=size)
     law[0] = probs[0]
     return law
 
 
-def _full_law(p: ModelParams) -> np.ndarray:
+def _full_law(p: ModelParams, edges: tuple) -> tuple:
     """The full model's law over the 2**E edge masks of its union graphs,
-    edge e at bit e: node by node, each mask stays with probability
-    1 - a_i or is ORed with each of node i's C(n-1, m) star masks with
-    a_i / C, added up by ``np.bincount``. Refuses E > ``MAX_EDGES`` (n > 7)
-    before any work."""
+    edge e at bit e, and (n, C(n-1, m)) each centre's star masks: node by
+    node, each mask stays with probability 1 - a_i or is ORed with each of
+    node i's C star masks with a_i / C, added up by ``np.bincount``.
+    Refuses E > ``MAX_EDGES`` (n > 7) before any work."""
     E = p.n * (p.n - 1) // 2
     if E > MAX_EDGES:
         raise ValueError(
             f"the full model's graph law at n={p.n} spans 2**{E} edge masks "
             f"(E={E}), over the E <= {MAX_EDGES} limit"
         )
+    star_masks = np.bitwise_or.reduce(1 << _star_edges(p, edges), axis=2)
     law = np.zeros(1 << E)
     law[0] = 1.0
-    for a, masks in zip(p.a, _star_masks(p).tolist()):
+    for a, masks in zip(p.a, star_masks.tolist()):
         idx = np.flatnonzero(law)
         shares = law[idx] * (a / len(masks))
         law *= 1.0 - a
         for s in masks:
             law += np.bincount(idx | s, shares, minlength=1 << E)
-    return law
+    return law, star_masks
 
 
-def _mask_sums(n: int, laws: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """``_kernel_sums`` of laws over the edge masks of n nodes, a row each."""
+def _mask_sums(edges: tuple, laws: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``_kernel_sums`` of laws over edge masks of ``edges``, a row each."""
     masks = np.flatnonzero(laws.any(axis=0))
-    graphs = masks.astype("<u4").view(np.uint8).reshape(-1, 4)[:, : -(-n * (n - 1) // 16)]
-    return _kernel_sums(n, graphs, laws[:, masks], T)
+    graphs = masks.astype("<u4").view(np.uint8).reshape(-1, 4)[:, : -(-len(edges[0]) // 8)]
+    return _kernel_sums(edges, graphs, laws[:, masks], T)
 
 
-def _shape_keys(n: int, graphs: np.ndarray) -> tuple:
+def _shape_keys(edges: tuple, graphs: np.ndarray) -> tuple:
     """Each graph of ``graphs`` (packed edge bits, as ``_kernel_sums``
     takes them) relabelled by a stable sort of its nodes on degree: its
     relabelled edges, packed alike, equal for graphs of one shape, and each
     node's place in the relabelling, (G, n)."""
-    i, j, ids = _edges(n)
+    i, j, ids = edges
+    n = len(ids)
     keys = np.empty_like(graphs)
     place = np.empty((len(graphs), n), dtype=np.min_scalar_type(n))
     size = max(1, STACK_BYTES // (8 * len(i)))
@@ -190,29 +187,30 @@ def _shape_keys(n: int, graphs: np.ndarray) -> tuple:
 
 
 def _kernel_sums(
-    n: int, graphs: np.ndarray, W: np.ndarray, T: np.ndarray, owners=None, share: float = 0.0
+    edges: tuple, graphs: np.ndarray, W: np.ndarray, T: np.ndarray, owners=None, share: float = 0.0
 ) -> np.ndarray:
     """sum_g W[r, g] e**(-t*L_g) for each row r of W and t in T, (len(W),
-    len(T), n, n), over ``graphs``, a graph a row of its edges' packed bits
-    (edge e of ``np.triu_indices`` order at bit e % 8 of byte e // 8, the
-    bytes of its edge mask), skipping a graph that no row weights. With
-    ``owners``, n rows more, row i weighting by ``share`` each graph g with
-    i in owners[g] (n for none), never held as dense rows over the graphs.
+    len(T), n, n), over ``graphs`` on the nodes of ``edges`` (``_edges``), a
+    graph a row of its edges' packed bits (edge e at bit e % 8 of byte
+    e // 8), skipping a graph that no row weights. With ``owners``, n rows
+    more, row i weighting by ``share`` each graph g with i in owners[g] (n
+    for none), never held as dense rows over the graphs.
     ``expm_sym`` decomposes one representative a shape (``_shape_keys``),
     once for all of T, in stacks within ``STACK_BYTES``, and each graph of
     the shape takes its kernel with the relabelling undone:
     e**(-t*L)[x, y] = e**(-t*L')[at[x], at[y]] for L' the relabelled
     Laplacian and at the places."""
+    i, j, ids = edges
+    n = len(ids)
     if owners is None:
         owners = np.zeros((len(graphs), 0), dtype=np.intp)
     rows = len(W) + n * (owners.shape[1] > 0)
     kept = np.flatnonzero(W.any(axis=0) | (owners < n).any(axis=1))
-    keys, place = _shape_keys(n, graphs[kept])
+    keys, place = _shape_keys(edges, graphs[kept])
     # the kept graphs sorted by key, shape k's at order[shape[k]:shape[k + 1]]
     order = np.argsort(keys.view(f"V{keys.shape[1]}")[:, 0], kind="stable")
     keys = keys[order]
     shape = np.flatnonzero(np.concatenate([[True], (keys[1:] != keys[:-1]).any(axis=1), [True]]))
-    i, j, _ = _edges(n)
     shapes = np.unpackbits(keys[shape[:-1]], axis=1, count=len(i), bitorder="little").view(bool)
     acc = np.zeros((rows, len(T), n, n))
     size = max(1, STACK_BYTES // (8 * n * n * len(T)))
@@ -241,19 +239,22 @@ def enumerate_expected_exponential(v: Variant) -> np.ndarray:
 def _expected_exponentials(v: Variant, T: np.ndarray) -> np.ndarray:
     """Exact E[e**(-t*L)] for each exponent scale t in T, (len(T), n, n)."""
     if not v.one_star:
-        return _mask_sums(v.p.n, _full_law(v.p)[None], T)[0]
+        edges = _edges(v.p.n)
+        return _mask_sums(edges, _full_law(v.p, edges)[0][None], T)[0]
     _require_enumerable(v)
-    return _one_star_sums(v.p, [v], False, T)[0]
+    return _one_star_sums(v.p, [v.folded()[1]], False, T)[0]
 
 
-def _one_star_sums(p: ModelParams, variants: list, means: bool, T: np.ndarray) -> np.ndarray:
-    """Rows of one ``_kernel_sums`` over the one-star graphs: each one-star
-    variant's expected kernel, then, if ``means``, each centre's mean
-    kernel over its C(n-1, m) stars."""
-    graphs, graph = _one_star_graphs(p)
-    W = np.array([_star_law(v, graph, len(graphs)) for v in variants]).reshape(-1, len(graphs))
+def _one_star_sums(p: ModelParams, laws: list, means: bool, T: np.ndarray) -> np.ndarray:
+    """Rows of one ``_kernel_sums`` over the one-star graphs: the expected
+    kernel of each one-star law (a variant's ``folded`` probabilities,
+    ``_star_law``), then, if ``means``, each centre's mean kernel over its
+    C(n-1, m) stars."""
+    edges = _edges(p.n)
+    graphs, graph = _one_star_graphs(p, edges)
+    W = np.array([_star_law(probs, graph, len(graphs)) for probs in laws]).reshape(-1, len(graphs))
     owners = _star_owners(p, graph, len(graphs)) if means else None
-    return _kernel_sums(p.n, graphs, W, T, owners, 1.0 / graph.shape[1])
+    return _kernel_sums(edges, graphs, W, T, owners, 1.0 / graph.shape[1])
 
 
 @dataclass(frozen=True)
@@ -286,13 +287,14 @@ def verify_fast_switch_inequality(p: ModelParams, T_grid) -> FastSwitchReport:
         if not (0 < T < math.inf):
             raise ValueError(f"exponent scales must be finite and > 0, got {T}")
     # both expected kernels from one summation over Full's union graphs,
-    # FastSwitch's law on their masks as a second row
-    laws = _full_law(p)
-    laws = np.array([laws, _star_law(FastSwitch(p), _star_masks(p), len(laws))])
-    kernels = _mask_sums(p.n, laws, np.array(T_grid, dtype=float))
+    # FastSwitch's law on their masks as a second row, and their second
+    # eigenvalues from one stacked solve
+    edges = _edges(p.n)
+    law, star_masks = _full_law(p, edges)
+    laws = np.array([law, _star_law(FastSwitch(p).folded()[1], star_masks, len(law))])
+    lams = lambda_second_largest(_mask_sums(edges, laws, np.array(T_grid, dtype=float)))
     samples = []
-    for T, E_full, E_fs in zip(T_grid, *kernels):
-        lam_full, lam_fs = lambda_second_largest(E_full), lambda_second_largest(E_fs)
+    for T, lam_full, lam_fs in zip(T_grid, *lams.tolist()):
         gap = lam_fs - lam_full
         samples.append(GapSample(float(T), lam_full, lam_fs, gap, gap >= -GAP_SLACK))
     violations = [s.T for s in samples if not s.holds]
@@ -343,9 +345,11 @@ def _check_rows(params: ModelParams):
             refusals[name] = too_costly(1 + n * C, 1)  # its configurations once folded
         if refusals[name] is None:
             live[name] = v
+    # each live variant's folded law and weights, once: check 4 reads them too
+    laws, weights = {name: v.folded()[1] for name, v in live.items()}, {}
     if live or refusals[subset] is None:  # else nothing to sum
         T = np.array([2.0 * params.dt])
-        sums = _one_star_sums(params, list(live.values()), refusals[subset] is None, T)[:, 0]
+        sums = _one_star_sums(params, list(laws.values()), refusals[subset] is None, T)[:, 0]
         kernels = dict(zip(live, sums))
         diffs = [E - activation_expectation(params, i) for i, E in enumerate(sums[len(live):], 1)]
     for name, refusal in refusals.items():
@@ -355,13 +359,17 @@ def _check_rows(params: ModelParams):
             yield _diff_row(name, diffs, 1e-10)
         else:
             v, E = live[name], kernels[name]
-            w = v.weights()
+            w = weights[name] = v.weights()
             gap = decay_bound(params, w, v.name).rate - lambda_second_largest(E)
             yield _diff_row(name, [weighted_expected_exponential(params, w) - E, [gap]], 1e-10)
     # 4. Uniform-rule survivor rates: the quadrature against all activation sets.
     name = "survivor-rates-quadrature-vs-exhaustive"
+    fastswitch = f"{FastSwitch.name}-kernel-vs-enumeration"
     if n > 12:
         yield name, f"refused: size (2**{n} activation sets)", None
+    elif params.rule.table is None and fastswitch in weights:
+        # check 3's survivor rates and folded law are the uniform rule's
+        yield _diff_row(name, [weights[fastswitch] - laws[fastswitch][1:]], 1e-12)
     else:
         uniform = dataclasses.replace(params, rule=UNIFORM_TIE_BREAK)
         yield _diff_row(name, [survivor_rates(uniform) - enumerated_survivor_rates(uniform)], 1e-12)

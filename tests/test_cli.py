@@ -1038,6 +1038,52 @@ class TestErrorPaths:
         assert captured.err.startswith("config error:")
 
 
+class TestWrite:
+    """``cli._write`` replaces a regular file, unlinking it first, and
+    writes through a symlink."""
+
+    def test_longer_file_left_with_exactly_the_new_bytes(self, tmp_path):
+        old = tmp_path / "gamma.csv"
+        old.write_bytes(b"x" * 4096)
+        assert cli._write(str(tmp_path), "gamma.csv", "a,b", "1,2") == str(old)
+        assert old.read_bytes() == b"a,b\n1,2\n"
+
+    def test_absent_file_and_directory_created(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        path = cli._write(str(out), "gaps.csv", "T")
+        assert path == str(out / "gaps.csv")
+        assert (out / "gaps.csv").read_bytes() == b"T\n"
+
+    def test_hard_link_keeps_the_old_bytes(self, tmp_path):
+        # a new file takes the name; the old one lives on under its other link
+        old = tmp_path / "gamma.csv"
+        old.write_bytes(b"old\n")
+        os.link(old, tmp_path / "kept.csv")
+        cli._write(str(tmp_path), "gamma.csv", "new")
+        assert old.read_bytes() == b"new\n"
+        assert (tmp_path / "kept.csv").read_bytes() == b"old\n"
+
+    def test_symlink_kept_and_its_target_rewritten(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"y" * 4096)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "gamma.csv").symlink_to(target)
+        cli._write(str(out), "gamma.csv", "new")
+        assert (out / "gamma.csv").is_symlink()
+        assert os.readlink(out / "gamma.csv") == str(target)
+        assert target.read_bytes() == b"new\n"
+
+    def test_directory_at_the_output_path_is_an_io_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "gamma.csv").mkdir(parents=True)
+        assert main(["gamma-sp", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("io error: [Errno 21] Is a directory")
+        assert (out / "gamma.csv").is_dir()
+
+
 class TestExplicitValues:
     # One bad value in an otherwise valid list, and today's message for it,
     # which names its index; z0 has no range, so 0 and 1.5 are valid there.

@@ -577,10 +577,11 @@ class TestOnTwins:
 
     @pytest.mark.parametrize("i", [0, 1])
     def test_large50_row_against_a_40_digit_exponential(self, i):
-        # Two rows of large50's shape from the configs' seed. The full-size
-        # route is 12.5 and 7.5 ulps of ||z|| off on them; on 120 random rows
-        # of this shape the restricted route had median 1.1 and max 7.5 ulps,
-        # the full-size route median 12.9 and min 5.3
+        # Two rows of large50's shape from the configs' seed. The twin route
+        # is 0.02 and 1.55 ulps of ||z|| off on them, the full-size route
+        # 12.5 and 7.5; on 114 random rows of this shape the twin route had
+        # median 0.29-0.35 and max 1.7-3.7 ulps (BENCH_34.json), the
+        # full-size route median 12.9 and min 5.3 on 120
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(2025)
         count = np.full(2, 2)

@@ -5,7 +5,8 @@ every cost of ``mc_sim._COST`` is read, so a removed route leaves none.
 Each test module uses every name it imports, too. Nothing dispatches on a
 variant's tag or class: no comparison names a tag, and no type check,
 identity or equality test names a variant class. The cli imports no
-kernel layer (``graph_core``, ``closed_form``)."""
+kernel layer (``graph_core``, ``closed_form``), and no module opens a file
+for writing except ``cli._write``."""
 
 import ast
 from pathlib import Path
@@ -168,6 +169,49 @@ def test_no_identity_or_equality_test_names_a_variant_class():
         if isinstance(node, ast.Compare)
         and any(isinstance(op, ops) for op in node.ops)
         and any(_names_a_variant_class(x) for x in (node.left, *node.comparators))
+    ]
+    assert found == []
+
+
+# Calls that write a file named by a path, without an ``open`` of their own.
+PATH_WRITERS = {"write_text", "write_bytes", "tofile", "save", "savez", "savez_compressed", "savetxt"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing: ``os.open``, a writer by
+    path, or any other ``open`` whose mode is not a constant without
+    "w", "a", "x" or "+" (the mode is the second argument of ``open`` and
+    ``io.open``, the first of a method such as ``Path.open``)."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if name in PATH_WRITERS or (name == "open" and owner == "os"):
+        return True
+    if name != "open":
+        return False
+    at = 1 if isinstance(func, ast.Name) or owner == "io" else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[at:at + 1]
+    if not modes:
+        return False  # read, the default
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_files_are_written_only_through_cli_write():
+    # every output goes through cli._write, which replaces a regular file
+    # in place of truncating it (README, "Outputs")
+    (write,) = [
+        node for node in TREES["cli.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_write"
+    ]
+    inside = [node for node in ast.walk(write) if isinstance(node, ast.Call) and _writes_a_file(node)]
+    assert len(inside) == 1
+    found = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _writes_a_file(node) and node not in inside
     ]
     assert found == []
 

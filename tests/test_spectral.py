@@ -65,6 +65,15 @@ class TestLambdaSecond:
             ref = jacobi_eigenvalues(M)[-2]
             assert abs(lambda_second_largest(M) - ref) < 1e-10
 
+    def test_stack_gives_each_matrix_its_own_value_bitwise(self):
+        # the probe of ``validate`` takes its six values from one stacked call
+        rng = np.random.default_rng(22)
+        M = symmetrize(rng.normal(size=(2, 3, 5, 5)))
+        got = lambda_second_largest(M)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[lambda_second_largest(x) for x in row] for row in M]
+        assert isinstance(lambda_second_largest(M[0, 0]), float)
+
     def test_deflated_agrees_on_consensus_preserving_kernels(self):
         p = ModelParams(5, 2, (0.05, 0.1, 0.02, 0.2, 0.01), 0.8)
         E = sparse_expected_exponential(p)

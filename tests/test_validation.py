@@ -54,6 +54,7 @@ from oracles import (
 
 FASTSWITCH_TABLE = Path(__file__).resolve().parents[1] / "configs" / "fastswitch_table.json"
 VALIDATE_SMALL = FASTSWITCH_TABLE.with_name("validate_small.json")
+CERTIFY_VALIDATE = FASTSWITCH_TABLE.parents[1] / "perfbench" / "inputs" / "certify_validate.json"
 
 
 @st.composite
@@ -349,11 +350,11 @@ class TestGraphLaw:
         for w, stars in _branches(v):
             histogram[_union_edges(stars)] += w
         if v.one_star:
-            packed, graph = validation._one_star_graphs(v.p)
-            law = validation._star_law(v, graph, len(packed))
+            packed, graph = validation._one_star_graphs(v.p, validation._edges(p.n))
+            law = validation._star_law(v.folded()[1], graph, len(packed))
             graphs = _graph_edges(p.n, _unpacked(p.n, packed))
         else:
-            law = validation._full_law(v.p)
+            law, _ = validation._full_law(v.p, validation._edges(p.n))
             masks = np.arange(len(law))
             rows = (masks[:, None] >> np.arange(p.n * (p.n - 1) // 2) & 1).astype(bool)
             graphs = _graph_edges(p.n, rows)
@@ -428,7 +429,7 @@ class TestShapes:
             return exact(L, t)
 
         with _stack_bytes(nbytes), mock.patch.object(validation, "expm_sym", spy):
-            got = validation._kernel_sums(n, _packed(rows), np.eye(G), T)  # each graph's kernel, a row
+            got = validation._kernel_sums(validation._edges(n), _packed(rows), np.eye(G), T)  # each graph's kernel, a row
         graphs = _graph_edges(n, rows)
         for g, edges in enumerate(graphs):
             L = star_union_laplacian_ints(n, [(min(e), (max(e),)) for e in edges])
@@ -443,7 +444,7 @@ class TestShapes:
         calls = _count_exponentials(monkeypatch)
         rows = np.array([[False] * 6, [True] * 6, [True, False, False, False, False, True]])
         W = np.array([[0.25, 0.0, 0.75]])
-        got = validation._kernel_sums(4, _packed(rows), W, np.array([1.0]))
+        got = validation._kernel_sums(validation._edges(4), _packed(rows), W, np.array([1.0]))
         assert len(calls) == 2  # the empty graph and the two disjoint edges
         L = star_union_laplacian(4, [StarSpec(4, 1, (2,)), StarSpec(4, 3, (4,))])
         assert np.max(np.abs(got[0, 0] - (0.25 * np.eye(4) + 0.75 * expm_sym(L, 1.0)))) <= 1e-15
@@ -575,19 +576,21 @@ class TestFastSwitchInequality:
     def test_violations_reported_with_the_smallest_T(self, monkeypatch):
         # No real violation is known at these scales, so a fake eigenvalue
         # puts the fastswitch value below the full model's at T = 0.1 and
-        # T = 0.05. Each T takes two calls: the full model's, then the
-        # fastswitch variant's.
+        # T = 0.05. All six come from one call on the stacked kernels: the
+        # full model's row, then the fastswitch variant's, a column a T.
         exact = validation.lambda_second_largest
         calls = []
 
         def fake(M):
             calls.append(M)
-            return exact(M) - (1.0 if len(calls) in (2, 4) else 0.0)
+            lam = exact(M)
+            lam[1, :2] -= 1.0
+            return lam
 
         monkeypatch.setattr(validation, "lambda_second_largest", fake)
         p = ModelParams(4, 2, (0.35, 0.2, 0.5, 0.15), 0.5)
         report = verify_fast_switch_inequality(p, (0.1, 0.05, 0.2))
-        assert len(calls) == 6
+        assert [M.shape for M in calls] == [(2, 3, 4, 4)]
         assert not report.holds_all
         assert report.first_violation == 0.05
         assert [s.holds for s in report.samples] == [False, False, True]
@@ -646,7 +649,8 @@ class TestFastSwitchInequality:
             mock.patch.object(validation, "lambda_second_largest", lambda E: seen.append(E) or lam(E)),
         ):
             verify_fast_switch_inequality(p, T)
-        for got, v in ((seen[0::2], Full(p)), (seen[1::2], FastSwitch(p))):
+        (stacked,) = seen  # one call: the full model's kernels, then fastswitch's
+        for got, v in zip(stacked, (Full(p), FastSwitch(p))):
             assert np.max(np.abs(got - validation._expected_exponentials(v, T))) <= 1e-14
             assert np.max(np.abs(got - walked_expected_kernels(p, *v.folded(), T)[0])) <= 1e-12
 
@@ -673,7 +677,7 @@ class TestOneSummation:
         T = np.array([0.01, 2.0 * p.dt, 7.5])
         nbytes = data.draw(st.sampled_from([8 * n * n, 24 * n * n, graph_core.STACK_BYTES]))
         with _stack_bytes(nbytes):
-            got = validation._one_star_sums(p, variants, means, T)
+            got = validation._one_star_sums(p, [v.folded()[1] for v in variants], means, T)
         assert got.shape == (len(variants) + n * means, len(T), n, n)
         for v, E in zip(variants, got):
             assert np.max(np.abs(E - validation._expected_exponentials(v, T))) <= 1e-14
@@ -710,3 +714,77 @@ class TestValidate:
         ]
         assert all(ok is True for _, _, ok in rows), rows
         assert len(report.samples) == 3 and report.holds_all
+
+    CHECK_4 = "survivor-rates-quadrature-vs-exhaustive"
+
+    @staticmethod
+    def _params(path: Path) -> ModelParams:
+        return resolve_config(parse_config(json.loads(path.read_text())), state=False)[0]
+
+    @staticmethod
+    def _uniform_detail(p: ModelParams) -> str:
+        """Check 4's detail from the uniform-rule rates, each computed alone."""
+        uniform = dataclasses.replace(p, rule=UNIFORM_TIE_BREAK)
+        d = float(np.max(np.abs(survivor_rates(uniform) - enumerated_survivor_rates(uniform))))
+        return f"max diff {d:.3g}, tol 1e-12"
+
+    @staticmethod
+    def _spy_rates(monkeypatch) -> list:
+        """The rule of each call that check 4 makes to the survivor rates itself."""
+        rules = []
+        for name in ("survivor_rates", "enumerated_survivor_rates"):
+            exact = getattr(validation, name)
+            monkeypatch.setattr(validation, name, lambda q, exact=exact: rules.append(q.rule) or exact(q))
+        return rules
+
+    def test_table_rule_checks_the_uniform_rates(self, monkeypatch):
+        # check 3 reads the table's survivor rates, which are not the uniform
+        # rule's; check 4 computes the uniform rule's quadrature and
+        # enumeration itself
+        p = self._params(FASTSWITCH_TABLE)
+        uniform = dataclasses.replace(p, rule=UNIFORM_TIE_BREAK)
+        assert np.max(np.abs(FastSwitch(p).weights() - survivor_rates(uniform))) > 1e-3
+        rules = self._spy_rates(monkeypatch)
+        rows = {name: (detail, ok) for name, detail, ok in validation._check_rows(p)}
+        assert rules == [UNIFORM_TIE_BREAK] * 2
+        assert rows[self.CHECK_4] == (self._uniform_detail(p), True)
+
+    @pytest.mark.parametrize("path", [CERTIFY_VALIDATE, VALIDATE_SMALL])
+    def test_uniform_rule_reads_check_three(self, monkeypatch, path):
+        # check 3's survivor rates and folded law are the uniform rule's:
+        # check 4 computes no rates of its own, and prints what computing
+        # them alone would
+        p = self._params(path)
+        rules = self._spy_rates(monkeypatch)
+        rows = {name: (detail, ok) for name, detail, ok in validation._check_rows(p)}
+        assert rules == []
+        assert rows[self.CHECK_4] == (self._uniform_detail(p), True)
+
+    def test_each_shared_law_once_a_call(self, monkeypatch):
+        # per validate call: the edge tables of n = 8 and of the probe's
+        # n = 4, each one-star law folded once for its n and fastswitch's
+        # weights once, and the probe's six eigenvalues in one call; a second
+        # call does the same work again, nothing kept from the first
+        seen = []
+
+        def spy(owner, name, key):
+            exact = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda x: seen.append((name, key(x))) or exact(x))
+
+        spy(validation, "_edges", lambda n: n)
+        for cls in (Sparse, FastSwitch):
+            spy(cls, "folded", lambda v: (v.name, v.p.n))
+            spy(cls, "weights", lambda v: (v.name, v.p.n))
+        spy(validation, "lambda_second_largest", lambda M: M.shape)
+        p = self._params(CERTIFY_VALIDATE)
+        for _ in range(2):
+            seen.clear()
+            validate(p)
+            assert sorted(seen) == sorted([
+                ("_edges", 8), ("_edges", 4),
+                ("folded", ("sparse", 8)), ("folded", ("fastswitch", 8)),
+                ("folded", ("fastswitch", 4)),
+                ("weights", ("sparse", 8)), ("weights", ("fastswitch", 8)),
+                ("lambda_second_largest", (8, 8)), ("lambda_second_largest", (8, 8)),
+                ("lambda_second_largest", (2, 3, 4, 4)),
+            ])
