@@ -228,25 +228,27 @@ class Variant:
             g = np.log1p(-u) / self.log_idle  # >= 0, so the cast below floors it
         return np.minimum(g, cap - 1).astype(np.int64) + 1
 
-    def _first(self, rng, rows: int) -> np.ndarray:
-        """One uniform a row: the first centre, 0-based, by inverse CDF."""
+    def _first(self, u: np.ndarray) -> np.ndarray:
+        """The first centre, 0-based, of each uniform in u by inverse CDF."""
         # in the first n - 1 bins, so u * p_event rounded up to p_event gives n - 1
-        return self._bins.searchsorted(rng.random(rows) * self.p_event, side="right")
+        return self._bins.searchsorted(u * self.p_event, side="right")
 
     def neighbours(self, rng, centre: np.ndarray) -> np.ndarray:
         """Each star's m neighbours, 0-based and increasing: the m smallest
         of n uniform keys, the centre's excluded, a uniform m-subset of the
         other nodes. Keys are drawn in chunks of at most ``STACK_BYTES``."""
-        n, m = self.p.n, self.p.m
-        out = np.empty((len(centre), m), dtype=np.intp)
-        size = max(1, STACK_BYTES // (8 * n))
-        for lo in range(0, len(centre), size):
-            c = centre[lo:lo + size]
-            keys = rng.random((len(c), n))
-            keys[np.arange(len(c)), c] = 2.0
-            out[lo:lo + size] = keys.argpartition(m - 1, axis=1)[:, :m]
-            out[lo:lo + size].sort(axis=1)
-        return out
+        size = max(1, STACK_BYTES // (8 * self.p.n))
+        if len(centre) <= size:
+            return self._m_smallest(rng, centre)
+        return np.concatenate(
+            [self._m_smallest(rng, centre[lo:lo + size]) for lo in range(0, len(centre), size)]
+        )
+
+    def _m_smallest(self, rng, centre: np.ndarray) -> np.ndarray:
+        """One chunk of ``neighbours``: n keys a row, the m smallest sorted."""
+        keys = rng.random((len(centre), self.p.n))
+        keys[np.arange(len(centre)), centre] = 2.0
+        return np.sort(keys.argpartition(self.p.m - 1, axis=1)[:, :self.p.m], axis=1)
 
     def bound(self):
         """The certified decay rate of a one-star variant: ``decay_bound``."""
@@ -286,7 +288,7 @@ class Sparse(Variant):
         """The stars' (row, centre) pairs of ``rows`` periods that each have
         one: one uniform a row picks centre i with probability a_i / sum(a)
         off the running rate sums."""
-        return np.arange(rows), self._first(rng, rows)
+        return np.arange(rows), self._first(rng.random(rows))
 
 
 class Full(Variant):
@@ -314,9 +316,10 @@ class Full(Variant):
     def _active(self, rng, rows: int) -> np.ndarray:
         """(rows, n) activation masks given a star: the first active node by
         inverse CDF, then n uniforms a row test each node above it against
-        its rate."""
-        n, first = self.p.n, self._first(rng, rows)
-        active = rng.random((rows, n)) < self.p.rates
+        its rate, all from one draw of rows * (n + 1) uniforms."""
+        u = rng.random(rows * (self.p.n + 1))
+        first = self._first(u[:rows])
+        active = u[rows:].reshape(rows, self.p.n) < self.p.rates
         active &= self._nodes > first[:, None]
         active[np.arange(rows), first] = True
         return active

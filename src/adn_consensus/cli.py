@@ -266,12 +266,15 @@ def cmd_gamma(args) -> int:
     return 0
 
 
-def _survival_rows(curve) -> list:
-    """survival.csv's rows "K,prob,n_paths", each of the at most n_paths + 1
-    distinct probabilities (path counts over n_paths) formatted once."""
-    values, which = np.unique(curve.probs, return_inverse=True)
-    tails = [f",{_fmt(x)},{curve.paths}" for x in values.tolist()]
-    return [f"{k}{tails[i]}" for k, i in enumerate(which.tolist())]
+def _survival_body(curve) -> str:
+    """survival.csv's rows "K,prob,n_paths" as one text: each run of equal
+    probabilities (at most n_paths + 1 runs on a curve) formatted once, and
+    K filled in by one ``%`` over 0..k_max."""
+    probs = curve.probs
+    starts = np.flatnonzero(np.concatenate([[True], probs[1:] != probs[:-1]])).tolist()
+    runs = zip(probs[starts].tolist(), starts, starts[1:] + [len(probs)])
+    text = "".join(f"%d,{_fmt(x)},{curve.paths}\n" * (hi - lo) for x, lo, hi in runs)
+    return text[:-1] % tuple(range(len(probs)))
 
 
 def cmd_simulate(args) -> int:
@@ -293,7 +296,7 @@ def cmd_simulate(args) -> int:
         fit = fit_decay_stats(curve)
     except ValueError:
         fit = None
-    csv_path = _write(args.out, "survival.csv", "K,prob,n_paths", *_survival_rows(curve))
+    csv_path = _write(args.out, "survival.csv", "K,prob,n_paths", _survival_body(curve))
     manifest["results"] = {
         "fitted_rate": fit.rate if fit is not None else None,
         "fit_r_squared": fit.r_squared if fit is not None else None,

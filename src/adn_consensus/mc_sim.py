@@ -8,8 +8,10 @@ block of up to ``BLOCK`` paths together: each round, every live path draws
 its gap to the next period with a star, paths pushed past k_max are
 censored, and the rest draw that period's stars and take its heat kernel
 (the ``adn_model.Variant`` draws, ``_apply_stars`` applies): the closed form
-for a lone star; for several, the kernel's action on the states by a shifted
-Taylor series (``graph_core.expm_action``) below a cost switch in dt times
+for a lone star (``_lone``, on every row at once in a round of one star a
+row, the sparse regime's usual round); for several, the kernel's action on
+the states by a shifted Taylor series (``graph_core.expm_action``) below a
+cost switch in dt times
 the largest degree, joined there by lone stars where cheaper, and stacked
 eigen-solves above it, of the Laplacians (``expm_sym``) or, where cheaper,
 of their quotients on the touched nodes' twin classes (``_on_twins``),
@@ -38,14 +40,11 @@ _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THR
 # each a line fitted to timeit figures of the calls it prices: a Taylor term of
 # a (k, n, n) stack, term + term_nn k n^2, against eigh + eigh_nn k n^2 for the
 # eigen-solve route; a lone row in the action's stacks, lone_build n^2 plus
-# lone_term n^2 a term, against lone_gather for the closed form; eigh_nnn n^3 a
-# matrix of eigh, whose saving k eigh_nnn (n^3 - w^3) on the w nodes a stack's
-# rows touch is set against support_gather. Those two still price the (k, w, w)
-# support solve that ``_on_twins`` replaced, not ``_on_twins`` (a (k, C, C) eigh,
-# no w^3): they keep sending large50's stacks to it and small10's w = n stacks
-# to the full size.
+# lone_term n^2 a term, against lone_gather for the closed form; and the
+# eigen-solve on twin classes, twin + twin_row k (``_on_twins``, fitted on
+# small10's and large50's replayed rows, k = 1-32), against the full-size solve.
 _COST = {"term": 4.0, "term_nn": 5e-4, "eigh": 40.0, "eigh_nn": 0.12, "lone_build": 7e-4,
-         "lone_term": 6e-4, "lone_gather": 40.0, "eigh_nnn": 2e-3, "support_gather": 30.0}
+         "lone_term": 6e-4, "lone_gather": 40.0, "twin": 84.0, "twin_row": 10.0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,30 +115,38 @@ def step(z, s: Snapshot, dt: float) -> np.ndarray:
 
 def _apply_stars(Z, row, centre, nbs, m: int, dt: float) -> np.ndarray:
     """One period of each row of Z under its stars (``row``, ``centre`` and
-    neighbours ``nbs``, 0-based, rows increasing, one or more a row). Rows
-    with several go to ``_stacked``, on the action route if ``_cheaper_plan``
-    finds it cheaper even at its least theta, dt * m. A lone star takes
-    ``step``'s closed form on its m + 1 touched coordinates, gathered across
-    rows, unless its row costs less in the action's stacks. The routes agree
-    to a few ulps."""
+    neighbours ``nbs``, 0-based, rows increasing, one or more a row). A round
+    of one star a row goes straight to ``_lone``. Otherwise rows with several
+    go to ``_stacked``, on the action route if ``_cheaper_plan`` finds it
+    cheaper even at its least theta, dt * m, and a lone star takes ``_lone``
+    too, gathered across rows, unless its row costs less in the action's
+    stacks. The routes agree to a few ulps."""
+    if len(row) == len(Z):  # one star a row
+        return _lone(Z, row, centre, nbs, m, dt)
     count = np.bincount(row, minlength=len(Z))
     multi = count > 1
     k, n = np.count_nonzero(multi), Z.shape[1]
-    plan = k and _cheaper_plan(dt * m, k, n)
+    plan = _cheaper_plan(dt * m, k, n)
     if plan and (len(Z) - k) * n * n * (
         _COST["lone_term"] * plan[0] * plan[1] + _COST["lone_build"]
     ) < _COST["lone_gather"]:
         return _stacked(Z, count, centre, nbs, dt, True)
     lone = ~multi[row]
     if k < len(Z):
-        r, c, idx = row[lone], centre[lone], nbs[lone]
-        cw, edge, y, w = star_kernel_scalars(m, dt)
-        zc, zn = Z[r, c], Z[r[:, None], idx]
-        tot = zn.sum(axis=1)
-        Z[r, c] = cw * zc + edge * tot
-        Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
-    if k:
-        Z[multi] = _stacked(Z[multi], count[multi], centre[~lone], nbs[~lone], dt, bool(plan))
+        _lone(Z, row[lone], centre[lone], nbs[lone], m, dt)
+    Z[multi] = _stacked(Z[multi], count[multi], centre[~lone], nbs[~lone], dt, bool(plan))
+    return Z
+
+
+def _lone(Z, r, c, idx, m: int, dt: float) -> np.ndarray:
+    """``step``'s closed form, in place, on rows r of Z, each under its one
+    star (centre c, neighbours idx): two sums a row on its m + 1 touched
+    coordinates."""
+    cw, edge, y, w = star_kernel_scalars(m, dt)
+    zc, zn = Z[r, c], Z[r[:, None], idx]
+    tot = zn.sum(axis=1)
+    Z[r, c] = cw * zc + edge * tot
+    Z[r[:, None], idx] = edge * zc[:, None] + y * zn + w * tot[:, None]
     return Z
 
 
@@ -147,22 +154,21 @@ def _stacked(Z, count, centre, nbs, dt: float, taylor: bool) -> np.ndarray:
     """Each row of Z under its ``count`` stars, in ``stacks`` of consecutive
     rows: ``expm_action`` with ``taylor`` unless ``_cheaper_plan`` finds it
     dearer at dt times the stack's largest degree, else ``expm_sym``, without
-    ``taylor`` on the rows' twin classes (``_on_twins``) where the rows touch
-    fewer than n nodes and ``_COST`` prices a solve on those nodes cheaper."""
-    n, m = Z.shape[1], nbs.shape[1]
+    ``taylor`` on the rows' twin classes (``_on_twins``) where ``_COST``
+    prices that cheaper than the full-size solve."""
+    n, c = Z.shape[1], _COST
     ends, size = count.cumsum(), max(1, STACK_BYTES // (8 * n * n))  # ``stacks``' rule
     for lo in range(0, len(Z), size):
         hi = min(lo + size, len(Z))
         a, b = ends[lo] - count[lo], ends[hi - 1]  # the stack's stars
-        row = np.arange(hi - lo).repeat(count[lo:hi])
-        w = n if taylor else min(n, int(count[lo:hi].max()) * (m + 1))  # no row touches more
-        if (hi - lo) * _COST["eigh_nnn"] * (n**3 - w**3) > _COST["support_gather"]:
+        k, row = hi - lo, np.arange(hi - lo).repeat(count[lo:hi])
+        if not taylor and c["twin"] + c["twin_row"] * k < c["eigh"] + c["eigh_nn"] * k * n * n:
             _on_twins(Z[lo:hi], row, centre[a:b], nbs[a:b], dt)
             continue
-        L = star_union_laplacians(hi - lo, n, row, centre[a:b], nbs[a:b])
+        L = star_union_laplacians(k, n, row, centre[a:b], nbs[a:b])
         z = Z[lo:hi, :, None]  # a view
         mu = float(L.diagonal(0, 1, 2).max()) if taylor else 0.0  # the largest degree
-        if plan := taylor and _cheaper_plan(dt * mu, hi - lo, n):
+        if plan := taylor and _cheaper_plan(dt * mu, k, n):
             expm_action(L, dt, z, *plan, mu)
         else:
             z[...] = np.matmul(expm_sym(L, dt), z)

@@ -333,7 +333,8 @@ class TestVariantLaws:
     @settings(max_examples=60, deadline=None)
     def test_neighbours_are_the_m_smallest_keys(self, data):
         # on the same stream as one draw of every key and np.sort of
-        # np.argpartition, with chunks of 1 to 3 rows so that a draw spans them
+        # np.argpartition, with chunks of 1 to 3 rows so that a draw spans
+        # them, and as the one chunk the default size draws them in
         n = data.draw(st.integers(2, 12))
         m, rows = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, 9))
         seed = data.draw(st.integers(0, 2**32 - 1))
@@ -347,6 +348,8 @@ class TestVariantLaws:
         keys[np.arange(rows), centre] = 2.0
         ref = np.sort(np.argpartition(keys, m - 1, axis=1)[:, :m], axis=1)
         assert got.dtype == np.intp and np.array_equal(got, ref)
+        assert rows * 8 * n <= adn_model.STACK_BYTES
+        assert np.array_equal(v.neighbours(np.random.default_rng(seed + 1), centre), got)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -374,7 +377,7 @@ class TestVariantLaws:
                 return np.random.default_rng(seed) if u0 is None else _Draws(u0)
             u = draws().random(rows)
             first = np.minimum(np.searchsorted(bins, u * v.p_event, side="right"), n - 1)
-            assert np.array_equal(v._first(draws(), rows), first)
+            assert np.array_equal(v._first(draws().random(rows)), first)
             with np.errstate(over="ignore"):
                 gaps = np.minimum(np.floor(np.log1p(-u) / log_idle), cap - 1).astype(np.int64) + 1
             got = v.gaps(draws(), rows, cap)
@@ -388,7 +391,7 @@ class TestVariantLaws:
         assert 0.0 < v.p_event < np.finfo(float).tiny
         top = math.nextafter(1.0, 0.0)
         assert top * v.p_event == v.p_event
-        assert v._first(_Draws(top), 4).tolist() == [2] * 4
+        assert v._first(_Draws(top).random(4)).tolist() == [2] * 4
 
     @pytest.mark.parametrize("variant", list(LAWS))
     def test_sampler_matches_exact_law(self, variant):

@@ -1174,7 +1174,27 @@ class TestSurvivalRows:
         n, counts = case
         curve = SurvivalCurve(eps=0.1, probs=np.array(counts) / float(n), paths=n)
         expected = [f"{k},{cli._fmt(p)},{n}" for k, p in enumerate(curve.probs)]
-        assert cli._survival_rows(curve) == expected
+        assert cli._survival_body(curve) == "\n".join(expected)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_curves_match_formatting_each_row(self, data):
+        # non-increasing path counts as run_paths gives them, k_max 1-2000 and
+        # n_paths 1-300: every row one value, every row its own, or any runs
+        k_max, n = data.draw(st.integers(1, 2000)), data.draw(st.integers(1, 300))
+        shape = data.draw(st.sampled_from(["equal", "distinct", "runs"]))
+        if shape == "equal":
+            counts = [data.draw(st.integers(0, n))] * (k_max + 1)
+        elif shape == "distinct":
+            top = data.draw(st.integers(min(k_max, n), n))
+            counts = list(range(top, top - min(k_max + 1, top + 1), -1))
+            counts += [counts[-1]] * (k_max + 1 - len(counts))  # past n + 1 rows, a last run
+        else:
+            drops = np.sort(data.draw(st.lists(st.integers(0, k_max + 1), max_size=n)))
+            counts = n - np.searchsorted(drops, np.arange(k_max + 1), side="right")
+        curve = SurvivalCurve(eps=0.1, probs=np.array(counts) / float(n), paths=n)
+        expected = "".join(f"{k},{cli._fmt(p)},{n}\n" for k, p in enumerate(curve.probs))
+        assert cli._survival_body(curve) + "\n" == expected
 
 
 class TestRepeatedCalls:

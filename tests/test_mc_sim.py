@@ -466,6 +466,46 @@ class TestApplyStars:
         assert routes == []
         assert np.array_equal(got, ref)
 
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_rounds_equal_step_bit_for_bit(self, data):
+        # a round of one star a row (the closed form on every row), and a
+        # mixed round whose multi-star rows ``_stacked`` hands to ``step``
+        # here, so that every row of either round is ``step``'s bits
+        n = data.draw(st.integers(2, 12))
+        m, rows = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, 12))
+        dt = data.draw(st.sampled_from([1e-3, 0.1, 2.0, 30.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        one = data.draw(st.booleans())
+        stars = [1] * rows if one else [1] + [int(rng.integers(1, n + 1)) for _ in range(rows)]
+        if not one:
+            stars[-1] = max(stars[-1], 2)  # at least one multi-star row
+        row = np.arange(len(stars)).repeat(stars)
+        centre = np.concatenate([np.sort(rng.permutation(n)[:k]) for k in stars])
+        nbs = np.array([np.sort(rng.permutation(np.delete(np.arange(n), c))[:m]) for c in centre])
+        Z = rng.uniform(-1.0, 1.0, (len(stars), n))
+        ends = np.cumsum(stars)
+
+        def snapshot(i):
+            lo = ends[i] - stars[i]
+            return Snapshot(n, tuple(
+                StarSpec(n, int(c) + 1, tuple((nb + 1).tolist()))
+                for c, nb in zip(centre[lo:ends[i]], nbs[lo:ends[i]])
+            ))
+
+        ref = np.array([step(z, snapshot(i), dt) for i, z in enumerate(Z)])
+        multi = [i for i, k in enumerate(stars) if k > 1]
+
+        def by_step(W, count, c, nb, t, taylor):
+            # the multi-star rows, or every row where the lone ones join the action
+            picked = multi if len(W) == len(multi) else range(len(stars))
+            return np.array([step(w, snapshot(i), t) for w, i in zip(W, picked)])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc_sim, "_stacked", by_step)
+            got = mc_sim._apply_stars(Z.copy(), row, centre, nbs, m, dt)
+        assert np.array_equal(got, ref)
+
 
 def random_stars(rng, n: int, spokes: int, count):
     """(row, centre, nbs) of ``count[i]`` random stars of ``spokes``
@@ -575,6 +615,20 @@ class TestOnTwins:
         mc_sim._stacked(rng.uniform(-1.0, 1.0, (6, 10)), count, centre, nbs, 2.0, False)
         assert shapes == [(6, 10, 10)]
 
+    def test_large50_three_star_row_takes_the_twin_classes(self, monkeypatch):
+        # n = 50, m = 15: one row of three stars touches up to 48 nodes, but
+        # its quotient has at most 3 centres and 7 neighbour classes
+        rng = np.random.default_rng(2025)
+        count = np.full(1, 3)
+        row, centre, nbs = random_stars(rng, 50, 15, count)
+        Z = rng.uniform(-1.0, 1.0, (1, 50))
+        shapes = self.record_shapes(monkeypatch)
+        got = mc_sim._stacked(Z.copy(), count, centre, nbs, 3.0, False)
+        assert len(shapes) == 1 and shapes[0][0] == 1 and shapes[0][1] <= 10
+        L = star_union_laplacians(1, 50, row, centre, nbs)
+        ref = np.matmul(expm_sym(L, 3.0), Z[..., None])[..., 0]
+        assert np.all(np.abs(got - ref) <= 64 * np.finfo(float).eps * np.linalg.norm(Z))
+
     @pytest.mark.parametrize("i", [0, 1])
     def test_large50_row_against_a_40_digit_exponential(self, i):
         # Two rows of large50's shape from the configs' seed. The twin route
@@ -650,6 +704,47 @@ class TestEdgeLaw:
         for K in range(k_max + 1):
             sigma = math.sqrt(exact[K] * (1.0 - exact[K]) / n_paths)
             assert abs(curve.probs[K] - exact[K]) <= 5.0 * sigma + 1e-12, K
+
+
+class _Replay:
+    """A stand-in generator: ``random(size)`` hands out the next doubles of
+    one pre-drawn array, so a block that reads its stream only through
+    ``random`` sees the same doubles however its draws are split."""
+
+    def __init__(self, u):
+        self.u, self.at = u, 0
+
+    def random(self, size):
+        k = int(np.prod(size))
+        out = self.u[self.at:self.at + k]
+        assert len(out) == k, "the pre-drawn doubles ran out"
+        self.at += k
+        return out.reshape(size)
+
+
+class TestStreamReplay:
+    # every variant's block against the same doubles handed out by _Replay:
+    # equal counts and norm rises mean each draw reads the stream's next
+    # doubles in order, the property that lets one draw replace two
+    TABLE = TieBreakRule({
+        frozenset(S): {i: i / sum(S) for i in S}
+        for k in range(2, 5) for S in combinations(range(1, 5), k)
+    })
+
+    @pytest.mark.parametrize("model, a, rule", [
+        ("full", (0.3, 0.5, 0.2, 0.4), UNIFORM_TIE_BREAK),
+        ("sparse", (0.1, 0.3, 0.2, 0.25), UNIFORM_TIE_BREAK),
+        ("fastswitch", (0.3, 0.5, 0.2, 0.4), UNIFORM_TIE_BREAK),
+        ("fastswitch", (0.3, 0.5, 0.2, 0.4), TABLE),
+    ])
+    def test_counts_equal_on_replayed_doubles(self, model, a, rule, monkeypatch):
+        v = VARIANTS[model](ModelParams(4, 2, a, 0.5, rule))
+        args = (v, np.array([1.0, -0.5, 0.25, 2.0]), 40, 0.05, 99, 1, 60)
+        counts, rises = mc_sim._count_block(*args)
+        monkeypatch.setattr(mc_sim, "stream", lambda *key: _Replay(stream(*key).random(200_000)))
+        got, got_rises = mc_sim._count_block(*args)
+        assert np.array_equal(got, counts) and got_rises == rises
+        assert counts[0] == 60 and counts[-1] < 60  # paths that moved
 
 
 class TestGapDraw:

@@ -6,11 +6,13 @@ Each test module uses every name it imports, too. Nothing dispatches on a
 variant's tag or class: no comparison names a tag, and no type check,
 identity or equality test names a variant class. The cli imports no
 kernel layer (``graph_core``, ``closed_form``), and no module opens a file
-for writing except ``cli._write``."""
+for writing except ``cli._write``. The engine draws only doubles, through
+``<generator>.random(...)``."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "adn_consensus"
@@ -226,4 +228,28 @@ def test_cli_imports_no_maths_layer():
         elif isinstance(node, ast.ImportFrom):
             paths += [f"{node.module or ''}.{alias.name}" for alias in node.names]
     found = [path for path in paths if {"graph_core", "closed_form"} & set(path.split("."))]
+    assert found == []
+
+
+# Draws of a numpy Generator other than ``random``, and of the legacy module.
+OTHER_DRAWS = (
+    {name for name in dir(np.random.Generator) if not name.startswith("_")}
+    | {"rand", "randn", "randint", "random_integers", "random_sample", "ranf", "sample"}
+) - {"random", "bit_generator", "spawn"}
+
+
+@pytest.mark.parametrize("module", ["adn_model.py", "mc_sim.py"])
+def test_engine_draws_only_doubles(module):
+    # every draw is ``<generator>.random(...)``, each double read in turn, so
+    # two consecutive draws can become one of their joint size without
+    # moving a stream; ``integers``, ``choice`` or ``permutation`` would read
+    # the stream in units of their own (``np.power`` and the like are no draws)
+    found = [
+        f"{module}:{node.lineno} {node.func.attr}"
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in OTHER_DRAWS
+        and getattr(node.func.value, "id", None) not in ("np", "math")
+    ]
     assert found == []
